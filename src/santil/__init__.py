@@ -15,7 +15,6 @@ from .data import (
     make_permutations,
     save_cifar,
     save_idx,
-    split_train_val,
     synthetic_dataset,
 )
 from .engine import (
@@ -29,7 +28,6 @@ from .engine import (
     evaluate,
     predict_logits,
     run_sequence,
-    task_order_ablation,
     train_task,
 )
 from .gradcheck import grad_check, gradient_suite
@@ -46,8 +44,6 @@ from .layers import (
     assert_frozen,
     build_block,
     extend_classifier,
-    forward_baseline,
-    forward_san,
     freeze,
     map_task_classes,
     model_size,

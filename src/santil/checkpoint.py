@@ -60,7 +60,11 @@ def read_meta(path) -> dict:
 
 
 def load_state(path, arch: ArchitectureSpec, seq: TaskSequence) -> IncrementalState:
-    """Rebuild a state for evaluation/embedding from a checkpoint file."""
+    """Rebuild a state for evaluation/embedding from a checkpoint file.
+
+    The sequence must be the one the checkpoint was trained on: every task's
+    classes must map to the same head neurons, or this raises ValueError.
+    """
     path = Path(path)
     with np.load(path) as bundle:
         meta = json.loads(bytes(bundle["__meta__"]).decode("utf-8"))
@@ -72,6 +76,15 @@ def load_state(path, arch: ArchitectureSpec, seq: TaskSequence) -> IncrementalSt
         for t in range(1, meta["trained_upto"] + 1):
             prepare_task_blocks(state, seq.tasks[t - 1])
             state.trained_upto = t
+            head = state.head_maps[t]
+            stored_head = meta["head_maps"][str(t)]
+            rebuilt = {"class_ids": list(head.class_ids), "neurons": list(head.neurons)}
+            if rebuilt != stored_head:
+                raise ValueError(
+                    f"checkpoint {path} does not match the task sequence at task {t}: it maps "
+                    f"classes {stored_head['class_ids']} to neurons {stored_head['neurons']}, "
+                    f"the sequence maps classes {rebuilt['class_ids']} to neurons {rebuilt['neurons']}"
+                )
         for block in state.model_blocks():
             for p in block.parameters():
                 if p.name not in bundle:

@@ -7,7 +7,6 @@ Exit codes are a stable contract: 0 success, 1 configuration error,
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import sys
 import traceback
 
@@ -24,22 +23,22 @@ EXIT_RUNTIME = 3
 
 
 def _load_config(args) -> RunConfig:
-    config = RunConfig.from_json(args.config)
-    overrides = {}
-    if getattr(args, "seed", None):
+    """The config file with command-line overrides, validated as one config."""
+    raw = RunConfig.from_json(args.config).to_dict()
+    if args.seed is not None:
         try:
-            overrides["seeds"] = [int(s) for s in args.seed.split(",") if s]
+            raw["seeds"] = [int(s) for s in args.seed.split(",") if s]
         except ValueError:
             raise ConfigError([f"--seed: expected comma-separated integers, got {args.seed!r}"])
-    if getattr(args, "data_root", None):
-        overrides["data_root"] = args.data_root
-    if getattr(args, "out", None):
-        overrides["out_dir"] = args.out
-    if getattr(args, "epochs", None):
-        overrides["epochs"] = args.epochs
-    if getattr(args, "fast", False):
-        overrides["epochs"] = min(overrides.get("epochs", config.epochs), 5)
-    return dataclasses.replace(config, **overrides) if overrides else config
+    if args.data_root is not None:
+        raw["data_root"] = args.data_root
+    if args.out is not None:
+        raw["out_dir"] = args.out
+    if args.epochs is not None:
+        raw["epochs"] = args.epochs
+    if args.fast:
+        raw["epochs"] = min(raw["epochs"], 5)
+    return RunConfig.from_dict(raw)
 
 
 def cmd_run(args) -> int:

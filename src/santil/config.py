@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .data import Dataset, load_cifar, load_idx, synthetic_dataset
+from .engine import StrategyKind
 from .layers import (
     PRESETS,
     ArchitectureSpec,
@@ -25,7 +26,7 @@ from .layers import (
 
 ENV_DATA_ROOT = "SAN_TIL_DATA_ROOT"
 
-STRATEGIES = ("san", "baseline", "finetune", "independent")
+STRATEGIES = tuple(kind.value for kind in StrategyKind)
 DATASET_NAMES = ("mnist", "fashion-mnist", "permuted-mnist", "cifar10", "cifar100", "synthetic")
 SELECTION_MODES = ("best-val", "last")
 

@@ -51,7 +51,6 @@ class Dataset:
 
     images: np.ndarray
     labels: np.ndarray
-    class_names: tuple[str, ...] | None = None
     provenance: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -74,15 +73,6 @@ class Dataset:
     @property
     def image_shape(self) -> tuple[int, int, int]:
         return tuple(self.images.shape[1:])
-
-    def subset(self, indices) -> "Dataset":
-        indices = np.asarray(indices)
-        return Dataset(
-            self.images[indices],
-            self.labels[indices],
-            self.class_names,
-            dict(self.provenance, subset_size=int(indices.size)),
-        )
 
 
 def file_sha256(path) -> str:
@@ -218,20 +208,6 @@ class PermutationSet:
     """Per-task pixel permutations; task 1 is always the identity."""
 
     perms: tuple[np.ndarray, ...]
-    seed: int
-
-    @property
-    def num_tasks(self) -> int:
-        return len(self.perms)
-
-    def apply(self, images: np.ndarray, task_index: int) -> np.ndarray:
-        """Permute pixel positions of [N,C,H,W] images for 1-based task_index."""
-        perm = self.perms[task_index - 1]
-        n, c, h, w = images.shape
-        return images.reshape(n, c, h * w)[:, :, perm].reshape(n, c, h, w)
-
-    def inverse(self, task_index: int) -> np.ndarray:
-        return np.argsort(self.perms[task_index - 1])
 
 
 def make_permutations(num_tasks: int, seed: int, num_pixels: int = 28 * 28) -> PermutationSet:
@@ -241,7 +217,7 @@ def make_permutations(num_tasks: int, seed: int, num_pixels: int = 28 * 28) -> P
     perms = [np.arange(num_pixels)]
     for _ in range(num_tasks - 1):
         perms.append(rng.permutation(num_pixels))
-    return PermutationSet(tuple(perms), int(seed))
+    return PermutationSet(tuple(perms))
 
 
 # ---------------------------------------------------------------------------
@@ -259,11 +235,6 @@ def split_indices(n: int, fraction: float, seed: int) -> tuple[np.ndarray, np.nd
             f"task too small: {n} samples cannot be split {fraction:.0%}/{1 - fraction:.0%}"
         )
     return perm[:k], perm[k:]
-
-
-def split_train_val(dataset: Dataset, fraction: float = 0.85, seed: int = 0) -> tuple[Dataset, Dataset]:
-    train_idx, val_idx = split_indices(dataset.num_samples, fraction, seed)
-    return dataset.subset(train_idx), dataset.subset(val_idx)
 
 
 # ---------------------------------------------------------------------------

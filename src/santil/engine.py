@@ -1,12 +1,14 @@
-"""Incremental-learning state machine: strategy dispatch, training loops, freezing.
+"""Incremental-learning state machine: the strategy table, training loops, freezing.
 
-Strategies over a task sequence:
+Every network is backbone -> adjustment -> classifier. Strategies differ
+only in their row of ``STRATEGY_TABLE``: which parts each task builds fresh
+(the rest are built at task 1 and shared), whether what a task trained
+freezes once the task is done, and how wide a fresh classifier head is.
 
-  san          task 1 trains backbone+adjustment+classifier jointly, then the
-               backbone and classifier freeze; every later task trains only a
-               fresh adjustment block slotted between them.
-  baseline     task 1 trains the full stack, then backbone+adjustment freeze;
-               every later task trains only a fresh classifier head.
+  san          a fresh adjustment block per task between a backbone and a
+               classifier that task 1 trains and then freezes.
+  baseline     a fresh classifier head per task on the backbone and
+               adjustment that task 1 trains and then freezes.
   finetune     one network, every parameter trainable at every task, single
                shared head sized to the largest task.
   independent  a fresh full network per task; the non-incremental ceiling.
@@ -21,7 +23,6 @@ import math
 import time
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Sequence
 
 import numpy as np
 
@@ -70,6 +71,45 @@ class StrategyKind(str, Enum):
     INDEPENDENT = "independent"
 
 
+PARTS = ("backbone", "adjust", "classifier")
+_COMPONENTS = (COMPONENT_BACKBONE, COMPONENT_ADJUST, COMPONENT_CLASSIFIER)
+
+
+@dataclass(frozen=True)
+class StrategySpec:
+    """One strategy as data.
+
+    ``per_task``: the parts built fresh for every task; the others are built
+    at task 1 and shared by every task.
+    ``freezes``: whether every part on a task's path freezes once it is done.
+    ``head``: the width of a fresh classifier. ``"widest"`` sizes it for the
+    widest task of the sequence. Otherwise task 1's head is base_classes
+    wide and a later task's is its class count (``"task"``) or at least
+    base_classes (``"base"``). A shared head too narrow for a later task is
+    extended instead.
+    """
+
+    per_task: tuple[str, ...]
+    freezes: bool
+    head: str
+
+    def head_width(self, arch: ArchitectureSpec, seq: TaskSequence, task: Task) -> int:
+        if self.head == "widest":
+            return max(len(t.class_ids) for t in seq.tasks)
+        if task.index == 1:
+            return arch.base_classes
+        n = len(task.class_ids)
+        return n if self.head == "task" else max(arch.base_classes, n)
+
+
+STRATEGY_TABLE = {
+    StrategyKind.SAN: StrategySpec(per_task=("adjust",), freezes=True, head="base"),
+    StrategyKind.BASELINE: StrategySpec(per_task=("classifier",), freezes=True, head="task"),
+    StrategyKind.FINETUNE: StrategySpec(per_task=(), freezes=False, head="widest"),
+    StrategyKind.INDEPENDENT: StrategySpec(per_task=PARTS, freezes=True, head="base"),
+}
+
+
 class UnknownTaskError(LookupError):
     pass
 
@@ -93,7 +133,12 @@ class TrainLog:
 
 
 class IncrementalState:
-    """Per-strategy parameter store over one task sequence."""
+    """Parameter store of one strategy over one task sequence.
+
+    ``shared`` holds the parts built at task 1, ``per_task[t]`` the parts
+    built for task t, and ``snapshot`` every frozen parameter as it was when
+    it froze (a widened classifier is snapshotted again once its task ends).
+    """
 
     def __init__(
         self,
@@ -104,6 +149,7 @@ class IncrementalState:
         ortho_alpha: float = 0.0,
     ):
         self.strategy = StrategyKind(strategy)
+        self.spec = STRATEGY_TABLE[self.strategy]
         self.arch = arch
         self.seq = seq
         self.master_seed = int(master_seed)
@@ -111,65 +157,35 @@ class IncrementalState:
         arch.validate()
 
         first = seq.tasks[0]
-        if self.strategy is not StrategyKind.FINETUNE and len(first.class_ids) > arch.base_classes:
+        width = self.spec.head_width(arch, seq, first)
+        if len(first.class_ids) > width:
             raise ValueError(
                 f"first task brings {len(first.class_ids)} classes but the classifier head "
-                f"is only {arch.base_classes} wide; widen base_classes"
+                f"is only {width} wide; widen base_classes"
             )
-        # finetune keeps a single head wide enough for every task
-        self._finetune_width = max(len(t.class_ids) for t in seq.tasks)
 
         self.shared: dict[str, ModelBlock] = {}
         self.per_task: dict[int, dict[str, ModelBlock]] = {}
         self.head_maps: dict[int, HeadMap] = {}
-        self.shared_snapshot: dict[str, np.ndarray] | None = None
-        self.task_snapshots: dict[int, dict[str, np.ndarray]] = {}
-        self.head_width = arch.base_classes
+        self.snapshot: dict[str, np.ndarray] = {}
         self.trained_upto = 0
         self._active_task = 0
 
     # -- forward ------------------------------------------------------------
 
     def _forward_blocks(self, task_index: int) -> list[ModelBlock]:
-        s = self.strategy
-        try:
-            if s is StrategyKind.SAN:
-                return [
-                    self.shared["backbone"],
-                    self.per_task[task_index]["adjust"],
-                    self.shared["classifier"],
-                ]
-            if s is StrategyKind.BASELINE:
-                return [
-                    self.shared["backbone"],
-                    self.shared["adjust"],
-                    self.per_task[task_index]["classifier"],
-                ]
-            if s is StrategyKind.FINETUNE:
-                if task_index not in self.head_maps:
-                    raise KeyError(task_index)
-                return [self.shared["backbone"], self.shared["adjust"], self.shared["classifier"]]
-            return [
-                self.per_task[task_index]["backbone"],
-                self.per_task[task_index]["adjust"],
-                self.per_task[task_index]["classifier"],
-            ]
-        except KeyError:
-            raise UnknownTaskError(
-                f"unknown task {task_index} for strategy {s.value}"
-            ) from None
-
-    def forward_logits(self, x: Tensor, task_index: int) -> Tensor:
-        logits, _ = self.forward_parts(x, task_index)
-        return logits
+        if task_index not in self.head_maps:
+            raise UnknownTaskError(f"unknown task {task_index} for strategy {self.strategy.value}")
+        return [
+            self.per_task[task_index][part] if part in self.spec.per_task else self.shared[part]
+            for part in PARTS
+        ]
 
     def forward_parts(self, x: Tensor, task_index: int) -> tuple[Tensor, Tensor]:
         """(logits, pre-classifier features) for the task's network."""
-        blocks = self._forward_blocks(task_index)
-        feats = x
-        for blk in blocks[:-1]:
-            feats = blk.forward(feats)
-        return blocks[-1].forward(feats), feats
+        backbone, adjust, classifier = self._forward_blocks(task_index)
+        feats = adjust.forward(backbone.forward(x))
+        return classifier.forward(feats), feats
 
     def classifier_width(self, task_index: int) -> int:
         return self._forward_blocks(task_index)[-1].output_shape[0]
@@ -177,11 +193,9 @@ class IncrementalState:
     def embed(self, images: np.ndarray, task_index: int) -> np.ndarray:
         """Flattened pre-classifier feature embedding, one row per sample."""
         self._check_trained(task_index)
-        blocks = self._forward_blocks(task_index)
-        out = Tensor(images)
-        for blk in blocks[:-1]:
-            out = blk.forward(out)
-        return out.data.reshape(out.data.shape[0], -1)
+        backbone, adjust, _ = self._forward_blocks(task_index)
+        out = adjust.forward(backbone.forward(Tensor(images))).data
+        return out.reshape(out.shape[0], -1)
 
     def model_blocks(self) -> list[ModelBlock]:
         blocks = list(self.shared.values())
@@ -195,162 +209,55 @@ class IncrementalState:
         if task_index > self.trained_upto and task_index != self._active_task:
             raise UntrainedTaskError(f"task {task_index} has not been trained yet")
 
-    def verify_shared_frozen(self) -> tuple[bool, str | None]:
-        """Bitwise check of frozen shared blocks against their post-task-1 snapshot.
-
-        A classifier extended after task 1 is compared on the original row
-        slice; the appended rows are new parameters by design.
-        """
-        if self.shared_snapshot is None:
-            return True, None
-        for block in self.shared.values():
-            for p in block.parameters():
-                ref = self.shared_snapshot.get(p.name)
-                if ref is None:
-                    return False, p.name
-                cur = p.data
-                if cur.shape != ref.shape:
-                    cur = cur[tuple(slice(0, s) for s in ref.shape)]
-                if cur.dtype != ref.dtype or cur.tobytes() != ref.tobytes():
-                    return False, p.name
-        return True, None
-
-    def verify_task_frozen(self, task_index: int) -> tuple[bool, str | None]:
-        """Bitwise check of a task's blocks against their post-training snapshot."""
-        snapshot = self.task_snapshots.get(task_index)
-        if snapshot is None:
-            return True, None
-        for block in self.per_task.get(task_index, {}).values():
-            ok, path = assert_frozen(block, snapshot)
-            if not ok:
-                return False, path
-        return True, None
+    def verify_frozen(self) -> tuple[bool, str | None]:
+        """Bitwise check of every snapshotted parameter; (ok, first drifted name)."""
+        return assert_frozen(self.model_blocks(), self.snapshot)
 
 
 # ---------------------------------------------------------------------------
-# block construction per task
+# block construction and freezing per task
 
 
-def _classifier_specs(arch: ArchitectureSpec, width: int):
-    return arch.classifier[:-1] + (Dense(width),)
-
-
-def prepare_task_blocks(state: IncrementalState, task: Task) -> list[ModelBlock]:
-    """Create the task's blocks and head map; returns blocks that train now."""
+def prepare_task_blocks(state: IncrementalState, task: Task) -> None:
+    """Build the parts the strategy table makes fresh for the task; map its head."""
     t = task.index
-    s = state.strategy
+    spec = state.spec
     arch = state.arch
-    m = state.master_seed
-    seed_b = derive_seed(m, TAG_INIT, t, COMPONENT_BACKBONE)
-    seed_a = derive_seed(m, TAG_INIT, t, COMPONENT_ADJUST)
-    seed_c = derive_seed(m, TAG_INIT, t, COMPONENT_CLASSIFIER)
+    shape = arch.input_shape
+    stacks = (arch.backbone, arch.adjustment, arch.classifier)
+    for part, stack, component in zip(PARTS, stacks, _COMPONENTS):
+        owner = state.per_task.setdefault(t, {}) if part in spec.per_task else state.shared
+        if part not in owner:
+            if part == "classifier":
+                stack = stack[:-1] + (Dense(spec.head_width(arch, state.seq, task)),)
+            name = part if owner is state.shared else f"task{t}.{part}"
+            seed = derive_seed(state.master_seed, TAG_INIT, t, component)
+            owner[part] = build_block(stack, shape, seed, name)
+        shape = owner[part].output_shape
 
-    if t == 1:
-        width = state._finetune_width if s is StrategyKind.FINETUNE else arch.base_classes
-        backbone = build_block(arch.backbone, arch.input_shape, seed_b, "backbone")
-        adjust_name = f"task{t}.adjust" if s in (StrategyKind.SAN, StrategyKind.INDEPENDENT) else "adjust"
-        adjust = build_block(arch.adjustment, backbone.output_shape, seed_a, adjust_name)
-        clf_name = (
-            f"task{t}.classifier"
-            if s in (StrategyKind.BASELINE, StrategyKind.INDEPENDENT)
-            else "classifier"
-        )
-        classifier = build_block(
-            _classifier_specs(arch, width), adjust.output_shape, seed_c, clf_name
-        )
-        if s is StrategyKind.SAN:
-            state.shared = {"backbone": backbone, "classifier": classifier}
-            state.per_task[1] = {"adjust": adjust}
-        elif s is StrategyKind.BASELINE:
-            state.shared = {"backbone": backbone, "adjust": adjust}
-            state.per_task[1] = {"classifier": classifier}
-        elif s is StrategyKind.FINETUNE:
-            state.shared = {"backbone": backbone, "adjust": adjust, "classifier": classifier}
-        else:
-            state.per_task[1] = {
-                "backbone": backbone,
-                "adjust": adjust,
-                "classifier": classifier,
-            }
-        state.head_width = width
-        state.head_maps[1] = map_task_classes(task.class_ids, width)
-        return [backbone, adjust, classifier]
-
-    if s is StrategyKind.SAN:
-        trainable: list[ModelBlock] = []
-        head = map_task_classes(task.class_ids, state.head_width)
-        if head.extra_needed:
-            extended = extend_classifier(state.shared["classifier"], head.extra_needed, seed_c)
-            state.shared["classifier"] = extended
-            state.head_width = extended.output_shape[0]
-            head = map_task_classes(task.class_ids, state.head_width)
-            trainable.append(extended)
-        adjust = build_block(
-            arch.adjustment, state.shared["backbone"].output_shape, seed_a, f"task{t}.adjust"
-        )
-        state.per_task[t] = {"adjust": adjust}
-        state.head_maps[t] = head
-        return [adjust] + trainable
-
-    if s is StrategyKind.BASELINE:
-        width = len(task.class_ids)
-        classifier = build_block(
-            _classifier_specs(arch, width),
-            state.shared["adjust"].output_shape,
-            seed_c,
-            f"task{t}.classifier",
-        )
-        state.per_task[t] = {"classifier": classifier}
-        state.head_maps[t] = map_task_classes(task.class_ids, width)
-        return [classifier]
-
-    if s is StrategyKind.FINETUNE:
-        state.head_maps[t] = map_task_classes(task.class_ids, state.head_width)
-        return [state.shared["backbone"], state.shared["adjust"], state.shared["classifier"]]
-
-    width = max(arch.base_classes, len(task.class_ids))
-    backbone = build_block(arch.backbone, arch.input_shape, seed_b, f"task{t}.backbone")
-    adjust = build_block(arch.adjustment, backbone.output_shape, seed_a, f"task{t}.adjust")
-    classifier = build_block(
-        _classifier_specs(arch, width), adjust.output_shape, seed_c, f"task{t}.classifier"
-    )
-    state.per_task[t] = {"backbone": backbone, "adjust": adjust, "classifier": classifier}
-    state.head_maps[t] = map_task_classes(task.class_ids, width)
-    return [backbone, adjust, classifier]
+    head = map_task_classes(task.class_ids, shape[0])
+    if head.extra_needed:
+        # only a shared head can be too narrow; a fresh one is sized for its task
+        seed = derive_seed(state.master_seed, TAG_INIT, t, COMPONENT_CLASSIFIER)
+        extended = extend_classifier(state.shared["classifier"], head.extra_needed, seed)
+        state.shared["classifier"] = extended
+        head = map_task_classes(task.class_ids, extended.output_shape[0])
+    state.head_maps[t] = head
 
 
-def _apply_freeze_rules(state: IncrementalState, task_index: int) -> None:
-    s = state.strategy
-    if s is StrategyKind.SAN:
-        if task_index == 1:
-            freeze(state.shared["backbone"])
-            freeze(state.shared["classifier"])
-            state.shared_snapshot = {
-                **snapshot_block(state.shared["backbone"]),
-                **snapshot_block(state.shared["classifier"]),
-            }
-        else:
-            # extension rows, if any, are fixed once their task is done
-            freeze(state.shared["classifier"])
-        freeze(state.per_task[task_index]["adjust"])
-    elif s is StrategyKind.BASELINE:
-        if task_index == 1:
-            freeze(state.shared["backbone"])
-            freeze(state.shared["adjust"])
-            state.shared_snapshot = {
-                **snapshot_block(state.shared["backbone"]),
-                **snapshot_block(state.shared["adjust"]),
-            }
-        freeze(state.per_task[task_index]["classifier"])
-    elif s is StrategyKind.INDEPENDENT:
-        for block in state.per_task[task_index].values():
-            freeze(block)
-    # finetune never freezes anything
-    snapshot: dict[str, np.ndarray] = {}
-    for block in state.per_task.get(task_index, {}).values():
-        snapshot.update(snapshot_block(block))
-    if snapshot:
-        state.task_snapshots[task_index] = snapshot
+def _freeze_task(state: IncrementalState, task_index: int) -> None:
+    """Check that nothing frozen drifted, then freeze the task's path if the strategy does."""
+    ok, path = state.verify_frozen()
+    if not ok:
+        raise RuntimeError(f"frozen parameter {path!r} changed during task {task_index}")
+    if not state.spec.freezes:
+        return
+    for block in state._forward_blocks(task_index):
+        freeze(block)
+        for name, value in snapshot_block(block).items():
+            ref = state.snapshot.get(name)
+            if ref is None or ref.shape != value.shape:
+                state.snapshot[name] = value
 
 
 # ---------------------------------------------------------------------------
@@ -386,7 +293,7 @@ def train_task(
     lr: float = 0.001,
     selection: str = "best-val",
 ) -> TrainLog:
-    """Train one task in sequence order, then apply the strategy's freeze rules.
+    """Train one task in sequence order, then freeze it as the strategy table says.
 
     Model selection: "best-val" restores the epoch with the highest
     validation accuracy on this task (ties go to the earliest epoch);
@@ -405,8 +312,10 @@ def train_task(
     start = time.perf_counter()
     state._active_task = task_index
 
-    trainable_blocks = prepare_task_blocks(state, task)
-    params = [p for blk in trainable_blocks for p in blk.parameters() if not p.frozen]
+    prepare_task_blocks(state, task)
+    params = [
+        p for blk in state._forward_blocks(task_index) for p in blk.parameters() if not p.frozen
+    ]
     trainable_count = sum(p.trainable_count() for p in params)
     head = state.head_maps[task_index]
     needs_mask = not head.covers_width(state.classifier_width(task_index))
@@ -450,7 +359,7 @@ def train_task(
     else:
         best_epoch = epochs
 
-    _apply_freeze_rules(state, task_index)
+    _freeze_task(state, task_index)
     state.trained_upto = task_index
     state._active_task = 0
     return TrainLog(
@@ -466,18 +375,10 @@ def train_task(
 def evaluate(state: IncrementalState, task_index: int, split: str = "test", batch_size: int = 512) -> float:
     """Fraction of correctly argmax-classified samples under the task's head mask."""
     state._check_trained(task_index)
-    task = state.seq.tasks[task_index - 1]
-    head = state.head_maps[task_index]
-    images, raw_labels = task_arrays(state.seq, task, split)
-    labels = head.local_labels(raw_labels)
-    neurons = np.asarray(head.neurons)
-    correct = 0
-    for lo in range(0, images.shape[0], batch_size):
-        x = Tensor(images[lo : lo + batch_size])
-        logits = state.forward_logits(x, task_index).data
-        pred = logits[:, neurons].argmax(axis=1)
-        correct += int((pred == labels[lo : lo + batch_size]).sum())
-    return correct / images.shape[0]
+    images, raw_labels = task_arrays(state.seq, state.seq.tasks[task_index - 1], split)
+    labels = state.head_maps[task_index].local_labels(raw_labels)
+    pred = predict_logits(state, task_index, images, batch_size).argmax(axis=1)
+    return int((pred == labels).sum()) / images.shape[0]
 
 
 def predict_logits(
@@ -489,8 +390,8 @@ def predict_logits(
     neurons = np.asarray(head.neurons)
     chunks = []
     for lo in range(0, images.shape[0], batch_size):
-        logits = state.forward_logits(Tensor(images[lo : lo + batch_size]), task_index).data
-        chunks.append(logits[:, neurons])
+        logits, _ = state.forward_parts(Tensor(images[lo : lo + batch_size]), task_index)
+        chunks.append(logits.data[:, neurons])
     return np.concatenate(chunks) if chunks else np.empty((0, neurons.size), dtype=np.float32)
 
 
@@ -522,13 +423,10 @@ def run_sequence(
 ) -> tuple[SeedRunResult, IncrementalState]:
     """Train every task in order, scoring all earlier tasks after each one."""
     state = IncrementalState(strategy, arch, seq, seed, ortho_alpha=ortho_alpha)
-    result = SeedRunResult(seed=int(seed), strategy=StrategyKind(strategy).value)
+    result = SeedRunResult(seed=int(seed), strategy=state.strategy.value)
     start = time.perf_counter()
     for t in range(1, seq.num_tasks + 1):
         log = train_task(state, t, epochs=epochs, batch_size=batch_size, lr=lr, selection=selection)
-        ok, path = state.verify_shared_frozen()
-        if not ok:
-            raise RuntimeError(f"frozen shared parameter {path!r} changed during task {t}")
         row = [evaluate(state, s, "test") for s in range(1, t + 1)]
         result.forgetting.append(row)
         count, megabytes = model_size(state.model_blocks())
@@ -549,17 +447,3 @@ def run_sequence(
     result.wall_clock_sec = time.perf_counter() - start
     return result, state
 
-
-def task_order_ablation(
-    strategy,
-    arch: ArchitectureSpec,
-    sequences: Sequence[TaskSequence],
-    seed: int,
-    **train_kwargs,
-) -> list[SeedRunResult]:
-    """One full run per reordered sequence, same seed, results side by side."""
-    results = []
-    for seq in sequences:
-        result, _ = run_sequence(strategy, arch, seq, seed, **train_kwargs)
-        results.append(result)
-    return results

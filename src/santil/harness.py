@@ -11,6 +11,7 @@ from . import checkpoint as ckpt
 from .config import ConfigError, RunConfig, load_pools, resolve_architecture
 from .data import Dataset
 from .engine import run_sequence
+from .layers import ArchitectureSpec
 from .report import (
     build_report,
     render_console_table,
@@ -60,21 +61,14 @@ def _dataset_info(config: RunConfig, train_pool: Dataset, test_pool: Dataset, ki
     }
 
 
-def _first_task_classes(config: RunConfig, train_pool: Dataset, kind: str, groups) -> int:
-    return train_pool.num_classes if kind == "permuted" else len(groups[0])
+def _architecture(config: RunConfig, train_pool: Dataset, kind: str, groups) -> ArchitectureSpec:
+    first_task_classes = train_pool.num_classes if kind == "permuted" else len(groups[0])
+    return resolve_architecture(config, train_pool.image_shape, first_task_classes)
 
 
-def run(config: RunConfig, echo=None) -> dict:
-    """Execute run_sequence per seed; write report.json, summary.csv, checkpoints."""
-    train_pool, test_pool, kind = load_pools(config)
-    groups = _resolve_groups(config, train_pool, kind)
-    arch = resolve_architecture(
-        config, train_pool.image_shape, _first_task_classes(config, train_pool, kind, groups)
-    )
-    out_dir = Path(config.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
-    results = []
+def _seed_runs(config: RunConfig, train_pool: Dataset, test_pool: Dataset, kind: str, groups):
+    """run_sequence for every configured seed over one task grouping; yields (seed, result, state)."""
+    arch = _architecture(config, train_pool, kind, groups)
     for seed in config.seeds:
         seq = _build_sequence(config, train_pool, test_pool, kind, groups, seed)
         result, state = run_sequence(
@@ -88,12 +82,30 @@ def run(config: RunConfig, echo=None) -> dict:
             selection=config.checkpoint_selection,
             ortho_alpha=config.ortho_alpha,
         )
-        ckpt.save_state(state, config, out_dir / f"checkpoint_seed{seed}.npz")
-        results.append(result)
+        yield seed, result, state
 
+
+def _write_report(
+    config: RunConfig, train_pool: Dataset, test_pool: Dataset, kind: str, results, **extra
+) -> dict:
+    """Build the report, plus any ``extra`` keys, and write report.json and summary.csv."""
     report = build_report(config, _dataset_info(config, train_pool, test_pool, kind), results)
+    report.update(extra)
+    out_dir = Path(config.out_dir)
     write_report_json(report, out_dir / "report.json")
     write_summary_csv(report, out_dir / "summary.csv")
+    return report
+
+
+def run(config: RunConfig, echo=None) -> dict:
+    """Execute run_sequence per seed; write report.json, summary.csv, checkpoints."""
+    train_pool, test_pool, kind = load_pools(config)
+    groups = _resolve_groups(config, train_pool, kind)
+    results = []
+    for seed, result, state in _seed_runs(config, train_pool, test_pool, kind, groups):
+        ckpt.save_state(state, config, Path(config.out_dir) / f"checkpoint_seed{seed}.npz")
+        results.append(result)
+    report = _write_report(config, train_pool, test_pool, kind, results)
     if echo is not None:
         echo(render_console_table(report))
     return report
@@ -164,27 +176,10 @@ def ablate_order(config: RunConfig, orders, echo=None) -> list[dict]:
     for i, order in enumerate(orders):
         groups = reorder_groups(base_groups, order)
         sub = dataclasses.replace(config, out_dir=str(out_dir / f"order{i}"))
-        arch = resolve_architecture(sub, train_pool.image_shape, len(groups[0]))
-        results = []
-        for seed in sub.seeds:
-            seq = build_split_sequence(train_pool, test_pool, groups, seed)
-            result, state = run_sequence(
-                sub.strategy,
-                arch,
-                seq,
-                seed,
-                epochs=sub.epochs,
-                batch_size=sub.batch_size,
-                lr=sub.lr,
-                selection=sub.checkpoint_selection,
-                ortho_alpha=sub.ortho_alpha,
-            )
-            results.append(result)
-        report = build_report(sub, _dataset_info(sub, train_pool, test_pool, kind), results)
-        report["task_order"] = [int(v) for v in order]
-        Path(sub.out_dir).mkdir(parents=True, exist_ok=True)
-        write_report_json(report, Path(sub.out_dir) / "report.json")
-        write_summary_csv(report, Path(sub.out_dir) / "summary.csv")
+        results = [result for _, result, _ in _seed_runs(sub, train_pool, test_pool, kind, groups)]
+        report = _write_report(
+            sub, train_pool, test_pool, kind, results, task_order=[int(v) for v in order]
+        )
         summaries.append(
             {
                 "order": [int(v) for v in order],
@@ -210,11 +205,17 @@ def dump_embeddings(config: RunConfig, checkpoint_path, split: str, out_path, ec
     if not checkpoint_path.exists():
         raise FileNotFoundError(f"checkpoint not found: {checkpoint_path}")
     meta = ckpt.read_meta(checkpoint_path)
+    stored, requested = meta["config"], config.to_dict()
+    mismatched = [
+        f"{key}: checkpoint was trained with {stored[key]!r}, config asks for {requested[key]!r}"
+        for key in ("strategy", "dataset", "num_tasks", "architecture", "adjust_kernel")
+        if stored[key] != requested[key]
+    ]
+    if mismatched:
+        raise ConfigError(mismatched)
     train_pool, test_pool, kind = load_pools(config)
     groups = _resolve_groups(config, train_pool, kind)
-    arch = resolve_architecture(
-        config, train_pool.image_shape, _first_task_classes(config, train_pool, kind, groups)
-    )
+    arch = _architecture(config, train_pool, kind, groups)
     seq = _build_sequence(config, train_pool, test_pool, kind, groups, meta["seed"])
     state = ckpt.load_state(checkpoint_path, arch, seq)
 

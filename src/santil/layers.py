@@ -231,26 +231,6 @@ def build_block(
 
 
 # ---------------------------------------------------------------------------
-# forward compositions
-
-
-def forward_san(x: Tensor, backbone: ModelBlock, adjust: ModelBlock, classifier: ModelBlock) -> Tensor:
-    """classifier(adjust(backbone(x))): shared ends, per-task middle."""
-    return classifier.forward(adjust.forward(backbone.forward(x)))
-
-
-def forward_baseline(x: Tensor, stack, classifier: ModelBlock) -> Tensor:
-    """classifier(stack(x)): shared feature stack, per-task classifier head.
-
-    ``stack`` may be a single block or a sequence of blocks applied in order.
-    """
-    blocks = [stack] if isinstance(stack, ModelBlock) else list(stack)
-    for blk in blocks:
-        x = blk.forward(x)
-    return classifier.forward(x)
-
-
-# ---------------------------------------------------------------------------
 # freezing and snapshots
 
 
@@ -263,18 +243,23 @@ def snapshot_block(block: ModelBlock) -> dict[str, np.ndarray]:
     return {p.name: p.data.copy() for p in block.parameters()}
 
 
-def assert_frozen(block: ModelBlock, snapshot: dict[str, np.ndarray]) -> tuple[bool, str | None]:
-    """Bitwise comparison against a snapshot; returns (ok, first differing path)."""
-    for p in block.parameters():
-        ref = snapshot.get(p.name)
-        if ref is None:
-            return False, p.name
-        if (
-            ref.dtype != p.data.dtype
-            or ref.shape != p.data.shape
-            or ref.tobytes() != p.data.tobytes()
-        ):
-            return False, p.name
+def assert_frozen(
+    blocks: Sequence[ModelBlock], snapshot: dict[str, np.ndarray]
+) -> tuple[bool, str | None]:
+    """Bitwise comparison against a snapshot; returns (ok, first differing path).
+
+    Parameters absent from the snapshot are not frozen and are skipped. A
+    parameter widened since its snapshot (an extended classifier) is
+    compared on the snapshotted slice; the appended rows are new.
+    """
+    for block in blocks:
+        for p in block.parameters():
+            ref = snapshot.get(p.name)
+            if ref is None:
+                continue
+            cur = p.data[tuple(slice(0, n) for n in ref.shape)]
+            if ref.dtype != cur.dtype or ref.shape != cur.shape or ref.tobytes() != cur.tobytes():
+                return False, p.name
     return True, None
 
 

@@ -75,6 +75,3 @@ class Adam(object):
     def zero_grad(self) -> None:
         for p in self.params:
             p.value.grad = None
-
-    def has_buffers(self, p: Parameter) -> bool:
-        return id(p) in self._m

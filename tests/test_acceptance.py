@@ -153,10 +153,10 @@ def test_criterion_02_zero_forgetting_exactness():
 @pytest.mark.slow
 def test_criterion_03_frozen_bit_identity_after_full_run(mnist_pools):
     _, state, _ = mnist_full_run(mnist_pools, "san", seed=1)
-    ok_backbone, path_b = assert_frozen(state.shared["backbone"], state.shared_snapshot)
-    ok_classifier, path_c = assert_frozen(state.shared["classifier"], state.shared_snapshot)
-    ok = ok_backbone and ok_classifier
-    report_line(3, ok, f"backbone/classifier bitwise frozen (first drift: {path_b or path_c})")
+    shared = [p for part in ("backbone", "classifier") for p in state.shared[part].parameters()]
+    ok, path = assert_frozen([state.shared["backbone"], state.shared["classifier"]], state.snapshot)
+    ok = ok and all(p.name in state.snapshot for p in shared)
+    report_line(3, ok, f"backbone/classifier bitwise frozen (first drift: {path})")
 
 
 @pytest.mark.mnist

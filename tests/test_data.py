@@ -1,3 +1,4 @@
+import dataclasses
 import gzip
 import struct
 
@@ -17,9 +18,9 @@ from santil.data import (
     save_cifar,
     save_idx,
     split_indices,
-    split_train_val,
     synthetic_dataset,
 )
+from santil.tasks import Task, TaskSequence, task_arrays
 
 
 def write_idx_pair(tmp_path, pixels, labels):
@@ -142,6 +143,17 @@ class TestLoadCifar:
         assert ds.num_samples == 2
 
 
+def permuted_sequence(perms, images):
+    """One task per permutation, each over every image of a single pool."""
+    pool = Dataset(images, np.zeros(images.shape[0], dtype=np.int64))
+    idx = np.arange(images.shape[0])
+    tasks = [
+        Task(t, f"task{t}", (0,), idx, idx, idx, pixel_permutation=perm)
+        for t, perm in enumerate(perms.perms, start=1)
+    ]
+    return TaskSequence(pool, pool, tasks, kind="permuted")
+
+
 class TestPermutations:
     def test_first_task_is_identity(self):
         perms = make_permutations(4, seed=0, num_pixels=36)
@@ -149,7 +161,7 @@ class TestPermutations:
 
     def test_single_task(self):
         perms = make_permutations(1, seed=0, num_pixels=16)
-        assert perms.num_tasks == 1
+        assert len(perms.perms) == 1
 
     def test_deterministic(self):
         a = make_permutations(5, seed=3, num_pixels=49)
@@ -161,32 +173,38 @@ class TestPermutations:
         perms = make_permutations(3, seed=1, num_pixels=16)
         rng = np.random.default_rng(2)
         images = rng.random((4, 1, 4, 4), dtype=np.float32)
+        seq = permuted_sequence(perms, images)
         for t in (1, 2, 3):
             assert np.array_equal(np.sort(perms.perms[t - 1]), np.arange(16))
-            permuted = perms.apply(images, t)
-            flat = permuted.reshape(4, 1, 16)[:, :, perms.inverse(t)]
+            permuted, _ = task_arrays(seq, seq.tasks[t - 1], "test")
+            flat = permuted.reshape(4, 1, 16)[:, :, np.argsort(perms.perms[t - 1])]
             assert np.array_equal(flat.reshape(4, 1, 4, 4), images)
 
     def test_permute_commutes_with_batching(self):
         perms = make_permutations(2, seed=5, num_pixels=16)
         rng = np.random.default_rng(3)
         images = rng.random((6, 1, 4, 4), dtype=np.float32)
-        whole = perms.apply(images, 2)
-        parts = np.concatenate([perms.apply(images[:2], 2), perms.apply(images[2:], 2)])
+        seq = permuted_sequence(perms, images)
+        task = seq.tasks[1]
+        whole, _ = task_arrays(seq, task, "test")
+        parts = np.concatenate(
+            [
+                task_arrays(seq, dataclasses.replace(task, test_idx=task.test_idx[:2]), "test")[0],
+                task_arrays(seq, dataclasses.replace(task, test_idx=task.test_idx[2:]), "test")[0],
+            ]
+        )
         assert np.array_equal(whole, parts)
 
 
 class TestSplits:
     def test_85_15(self):
-        ds = synthetic_dataset(2, 50, (1, 4, 4), seed=0)
-        train, val = split_train_val(ds, 0.85, seed=1)
-        assert train.num_samples == 85
-        assert val.num_samples == 15
+        train, val = split_indices(100, 0.85, seed=1)
+        assert train.size == 85
+        assert val.size == 15
 
     def test_degenerate_rejected(self):
-        ds = synthetic_dataset(1, 2, (1, 2, 2), seed=0).subset([0])
         with pytest.raises(DatasetError, match="too small"):
-            split_train_val(ds, 0.85, seed=0)
+            split_indices(1, 0.85, seed=0)
 
     def test_same_seed_identical(self):
         a = split_indices(100, 0.85, seed=9)
@@ -258,9 +276,3 @@ class TestDatasetType:
     def test_label_image_count_mismatch_rejected(self):
         with pytest.raises(CountMismatchError):
             Dataset(np.zeros((2, 1, 2, 2), dtype=np.float32), np.array([0]))
-
-    def test_subset(self):
-        ds = synthetic_dataset(2, 10, (1, 3, 3), seed=0)
-        sub = ds.subset([0, 5, 10])
-        assert sub.num_samples == 3
-        assert np.array_equal(sub.labels, ds.labels[[0, 5, 10]])

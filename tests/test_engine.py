@@ -4,7 +4,6 @@ import pytest
 from santil.data import synthetic_dataset
 from santil.engine import (
     IncrementalState,
-    StrategyKind,
     TrainingOrderError,
     UnknownTaskError,
     UntrainedTaskError,
@@ -12,7 +11,6 @@ from santil.engine import (
     predict_logits,
     prepare_task_blocks,
     run_sequence,
-    task_order_ablation,
     train_task,
 )
 from santil.layers import PRESETS, tiny
@@ -74,13 +72,7 @@ class TestStrategyEquivalenceAtTaskOne:
             states[strategy] = state
 
         def task1_params(state):
-            if state.strategy is StrategyKind.SAN:
-                blocks = [state.shared["backbone"], state.per_task[1]["adjust"], state.shared["classifier"]]
-            elif state.strategy is StrategyKind.BASELINE:
-                blocks = [state.shared["backbone"], state.shared["adjust"], state.per_task[1]["classifier"]]
-            else:
-                blocks = list(state.per_task[1].values())
-            return [p.data for blk in blocks for p in blk.parameters()]
+            return [p.data for blk in state._forward_blocks(1) for p in blk.parameters()]
 
         ref = task1_params(states["san"])
         for strategy in ("baseline", "independent"):
@@ -91,10 +83,10 @@ class TestStrategyEquivalenceAtTaskOne:
 
 
 class TestFreezingAndForgetting:
-    def test_zero_forgetting_bit_exact_for_san_and_baseline(self):
+    def test_zero_forgetting_bit_exact_for_frozen_strategies(self):
         seq = blob_sequence()
         arch = tiny_arch()
-        for strategy in ("san", "baseline"):
+        for strategy in ("san", "baseline", "independent"):
             state = IncrementalState(strategy, arch, seq, master_seed=3)
             logits_after_own = {}
             for t in range(1, 4):
@@ -120,9 +112,22 @@ class TestFreezingAndForgetting:
 
     def test_shared_blocks_bitwise_frozen_after_full_run(self):
         seq = blob_sequence()
-        _, state = run_sequence("san", tiny_arch(), seq, seed=5, epochs=2, batch_size=16)
-        ok, path = state.verify_shared_frozen()
-        assert ok, f"shared parameter {path} drifted"
+        for strategy in ("san", "baseline", "finetune", "independent"):
+            _, state = run_sequence(strategy, tiny_arch(), seq, seed=5, epochs=2, batch_size=16)
+            ok, path = state.verify_frozen()
+            assert ok, f"{strategy}: frozen parameter {path} drifted"
+            assert bool(state.snapshot) == (strategy != "finetune")
+        backbone = state.per_task[1]["backbone"].parameters()[0]
+        backbone.data[0] += 1.0
+        assert state.verify_frozen() == (False, backbone.name)
+
+    def test_drift_of_a_frozen_parameter_stops_training(self):
+        seq = blob_sequence()
+        state = IncrementalState("san", tiny_arch(), seq, master_seed=5)
+        train_task(state, 1, epochs=1, batch_size=16)
+        state.shared["backbone"].parameters()[0].data[0] += 1.0
+        with pytest.raises(RuntimeError, match="backbone.0.weight.*task 2"):
+            train_task(state, 2, epochs=1, batch_size=16)
 
     def test_forgetting_matrix_columns_constant_for_san(self):
         seq = blob_sequence()
@@ -139,7 +144,7 @@ class TestFreezingAndForgetting:
         train_task(state, 2, epochs=2, batch_size=16)
         for p in state.per_task[1]["adjust"].parameters():
             assert p.data.tobytes() == adj1[p.name].tobytes()
-        ok, path = state.verify_task_frozen(1)
+        ok, path = state.verify_frozen()
         assert ok, path
 
     def test_embeddings_stable_under_later_training(self):
@@ -260,15 +265,42 @@ class TestHeadExtension:
         logits_t1 = predict_logits(state, 1, images)
         train_task(state, 2, epochs=2, batch_size=16)
         train_task(state, 3, epochs=2, batch_size=16)
-        assert state.head_width == 4
+        assert state.classifier_width(3) == 4
         assert state.head_maps[3].neurons == (0, 1, 2, 3)
         wide = state.shared["classifier"].layers[-1].weight.data
         assert wide.shape[0] == 4
         assert wide[:2].tobytes() == c1_weight.tobytes()
         # earlier task logits unaffected by the widened head
         assert predict_logits(state, 1, images).tobytes() == logits_t1.tobytes()
-        ok, path = state.verify_shared_frozen()
+        ok, path = state.verify_frozen()
         assert ok, path
+
+    @pytest.mark.parametrize(
+        "order, widths",
+        [
+            (
+                [0, 1, 2],
+                {"san": [2, 2, 3], "baseline": [2, 2, 3], "finetune": [3, 3, 3], "independent": [2, 2, 3]},
+            ),
+            (
+                [2, 0, 1],
+                {"san": [3, 3, 3], "baseline": [3, 2, 2], "finetune": [3, 3, 3], "independent": [3, 3, 3]},
+            ),
+        ],
+    )
+    def test_head_widths_per_strategy(self, order, widths):
+        # groups of 2, 2 and 3 classes; task 1's class count sets base_classes
+        train = synthetic_dataset(7, 20, (1, 8, 8), seed=54)
+        test = synthetic_dataset(7, 5, (1, 8, 8), seed=55, pattern_seed=54)
+        groups = reorder_groups(partition_classes(7, 3), order)
+        seq = build_split_sequence(train, test, groups, master_seed=1)
+        for strategy, expected in widths.items():
+            state = IncrementalState(strategy, tiny_arch(len(groups[0])), seq, master_seed=1)
+            got = []
+            for task in seq.tasks:
+                prepare_task_blocks(state, task)
+                got.append(state.classifier_width(task.index))
+            assert got == expected, strategy
 
     def test_first_task_wider_than_head_rejected(self):
         train = synthetic_dataset(4, 40, (1, 8, 8), seed=52)
@@ -297,7 +329,10 @@ class TestOrderAblation:
             build_split_sequence(train, test, reorder_groups(groups, order), master_seed=5)
             for order in ([0, 1, 2], [2, 0, 1])
         ]
-        results = task_order_ablation("san", tiny_arch(), sequences, seed=5, epochs=25, batch_size=16)
+        results = [
+            run_sequence("san", tiny_arch(), seq, seed=5, epochs=25, batch_size=16)[0]
+            for seq in sequences
+        ]
         assert all(r.mean_final >= 0.85 for r in results)
 
     def test_invalid_permutation_rejected(self):
@@ -317,7 +352,7 @@ class TestPermutedTasks:
         arch = tiny_arch(4, (1, 6, 6))
         result, state = run_sequence("san", arch, seq, seed=6, epochs=10, batch_size=16)
         assert result.final_per_task[0] >= 0.8  # task 1 is the unpermuted corpus
-        ok, path = state.verify_shared_frozen()
+        ok, path = state.verify_frozen()
         assert ok, path
 
 

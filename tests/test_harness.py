@@ -222,16 +222,17 @@ class TestAblateOrder:
 
 
 class TestCheckpoints:
-    def test_reload_reproduces_logits_bit_exactly(self, tmp_path):
+    @pytest.mark.parametrize("strategy", ["san", "baseline", "finetune", "independent"])
+    def test_reload_reproduces_logits_bit_exactly(self, tmp_path, strategy):
         from santil.engine import predict_logits, run_sequence
         from santil.tasks import build_split_sequence, partition_classes, task_arrays
 
-        cfg = synthetic_config(tmp_path)
+        cfg = synthetic_config(tmp_path, strategy=strategy)
         train, test, kind = load_pools(cfg)
         groups = partition_classes(train.num_classes, cfg.num_tasks)
         arch = resolve_architecture(cfg, train.image_shape, len(groups[0]))
         seq = build_split_sequence(train, test, groups, master_seed=1)
-        result, state = run_sequence("san", arch, seq, seed=1, epochs=2, batch_size=16)
+        result, state = run_sequence(strategy, arch, seq, seed=1, epochs=2, batch_size=16)
         path = tmp_path / "ck.npz"
         save_state(state, cfg, path)
 
@@ -263,11 +264,11 @@ class TestCheckpoints:
         seq = build_split_sequence(train, test, [(0, 1), (2, 3, 4, 5)], master_seed=3)
         arch = tiny((1, 8, 8), base_classes=2)
         _, state = run_sequence("san", arch, seq, seed=3, epochs=1, batch_size=16)
-        assert state.head_width == 4
+        assert state.classifier_width(2) == 4
         path = tmp_path / "ext.npz"
         save_state(state, cfg, path)
         reloaded = load_state(path, arch, seq)
-        assert reloaded.head_width == 4
+        assert reloaded.classifier_width(2) == 4
         for t in (1, 2):
             images, _ = task_arrays(seq, seq.tasks[t - 1], "test")
             assert (
@@ -306,6 +307,33 @@ class TestDumpEmbeddings:
         assert int(body[0][1]) == labels[0]
         assert np.abs(got - expect).max() < 1e-6
 
+    def test_checkpoint_from_another_class_order_rejected(self, tmp_path):
+        cfg = synthetic_config(tmp_path)
+        harness.run(cfg)
+        ck = Path(cfg.out_dir) / "checkpoint_seed1.npz"
+        reordered = synthetic_config(tmp_path, class_order=[3, 2, 1, 0])
+        with pytest.raises(ValueError, match=r"task 1: .*\[0, 1\].*\[3, 2\]"):
+            harness.dump_embeddings(reordered, ck, "test", tmp_path / "e.csv")
+        assert not (tmp_path / "e.csv").exists()
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("strategy", "baseline"),
+            ("dataset", "mnist"),
+            ("num_tasks", 1),
+            ("architecture", "mnist-small"),
+            ("adjust_kernel", 5),
+        ],
+    )
+    def test_checkpoint_from_another_config_rejected(self, tmp_path, field, value):
+        cfg = synthetic_config(tmp_path)
+        harness.run(cfg)
+        ck = Path(cfg.out_dir) / "checkpoint_seed1.npz"
+        other = synthetic_config(tmp_path, **{field: value})
+        with pytest.raises(ConfigError, match=field):
+            harness.dump_embeddings(other, ck, "test", tmp_path / "e.csv")
+
     def test_missing_checkpoint_errors(self, tmp_path):
         cfg = synthetic_config(tmp_path)
         with pytest.raises(FileNotFoundError):
@@ -336,6 +364,13 @@ class TestCli:
         report = json.loads((tmp_path / "ovr" / "report.json").read_text())
         assert [e["seed"] for e in report["seeds"]] == [5]
         assert report["config"]["epochs"] == 1
+
+    @pytest.mark.parametrize("epochs", ["0", "-2"])
+    def test_invalid_epoch_override_is_config_error(self, tmp_path, capsys, epochs):
+        cfg_path = write_config(tmp_path, out_dir=str(tmp_path / "bad"))
+        assert main(["run", "--config", str(cfg_path), "--epochs", epochs]) == 1
+        assert f"epochs: must be a positive integer, got {epochs}" in capsys.readouterr().err
+        assert not (tmp_path / "bad").exists()
 
     def test_fast_profile_caps_epochs(self, tmp_path):
         cfg_path = write_config(tmp_path, epochs=30, out_dir=str(tmp_path / "fast"))
@@ -380,6 +415,22 @@ class TestCli:
         assert out_csv.exists()
         header = out_csv.read_text().splitlines()[0]
         assert header.startswith("task,label,f0")
+
+    def test_dump_embeddings_config_mismatch_exit_one(self, tmp_path, capsys):
+        cfg_path = write_config(tmp_path, out_dir=str(tmp_path / "dm"))
+        assert main(["run", "--config", str(cfg_path)]) == 0
+        other = write_config(tmp_path, strategy="baseline", out_dir=str(tmp_path / "dm"))
+        code = main(
+            [
+                "dump-embeddings",
+                "--config",
+                str(other),
+                "--checkpoint",
+                str(tmp_path / "dm" / "checkpoint_seed1.npz"),
+            ]
+        )
+        assert code == 1
+        assert "strategy: checkpoint was trained with 'san'" in capsys.readouterr().err
 
     def test_dump_embeddings_missing_checkpoint_exit_two(self, tmp_path, capsys):
         cfg_path = write_config(tmp_path)

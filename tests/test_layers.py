@@ -12,8 +12,6 @@ from santil.layers import (
     build_block,
     cifar_small,
     extend_classifier,
-    forward_baseline,
-    forward_san,
     freeze,
     map_task_classes,
     mnist_small,
@@ -59,7 +57,7 @@ class TestBuildBlock:
         adjust = build_block(spec.adjustment, backbone.output_shape, 1, "a")
         classifier = build_block(spec.classifier, adjust.output_shape, 2, "c")
         x = rand_input((3, 32, 32), n=1)
-        out = forward_san(x, backbone, adjust, classifier)
+        out = classifier.forward(adjust.forward(backbone.forward(x)))
         assert out.shape == (1, 5)
         # three convs / four convs / three-layer perceptron
         assert sum(isinstance(l, Conv) for l in spec.backbone) == 3
@@ -93,7 +91,7 @@ class TestForwardCompositions:
         passthrough = build_block((), self.backbone.output_shape, 1, "noop")
         classifier = build_block(self.spec.classifier, self.backbone.output_shape, 2, "c")
         x = rand_input((1, 8, 8))
-        via_san = forward_san(x, self.backbone, passthrough, classifier)
+        via_san = classifier.forward(passthrough.forward(self.backbone.forward(x)))
         direct = classifier.forward(self.backbone.forward(x))
         assert via_san.data.tobytes() == direct.data.tobytes()
 
@@ -102,8 +100,8 @@ class TestForwardCompositions:
         a2 = build_block(self.spec.adjustment, self.backbone.output_shape, 6, "a2")
         classifier = build_block(self.spec.classifier, a1.output_shape, 2, "c")
         x = rand_input((1, 8, 8))
-        out1 = forward_san(x, self.backbone, a1, classifier)
-        out2 = forward_san(x, self.backbone, a2, classifier)
+        out1 = classifier.forward(a1.forward(self.backbone.forward(x)))
+        out2 = classifier.forward(a2.forward(self.backbone.forward(x)))
         assert not np.array_equal(out1.data, out2.data)
 
     def test_batch_shape_law(self):
@@ -111,7 +109,8 @@ class TestForwardCompositions:
         classifier = build_block(self.spec.classifier, adjust.output_shape, 2, "c")
         for n in (1, 3, 7):
             x = rand_input((1, 8, 8), n=n)
-            assert forward_san(x, self.backbone, adjust, classifier).shape == (n, 2)
+            out = classifier.forward(adjust.forward(self.backbone.forward(x)))
+            assert out.shape == (n, 2)
 
     def test_baseline_head_width(self):
         adjust = build_block(self.spec.adjustment, self.backbone.output_shape, 1, "a")
@@ -122,7 +121,7 @@ class TestForwardCompositions:
             "c3",
         )
         x = rand_input((1, 8, 8), n=4)
-        assert forward_baseline(x, [self.backbone, adjust], head3).shape == (4, 3)
+        assert head3.forward(adjust.forward(self.backbone.forward(x))).shape == (4, 3)
 
 
 class TestFreezing:
@@ -138,7 +137,7 @@ class TestFreezing:
         with Tape():
             backward(tsum(blk.forward(x)))
         opt.step()
-        ok, path = assert_frozen(blk, snap)
+        ok, path = assert_frozen([blk], snap)
         assert ok and path is None
 
     def test_unfrozen_step_changes_something(self):
@@ -149,7 +148,7 @@ class TestFreezing:
         with Tape():
             backward(tsum(blk.forward(x)))
         opt.step()
-        ok, path = assert_frozen(blk, snap)
+        ok, path = assert_frozen([blk], snap)
         assert not ok
         assert path == "blk.1.weight"
 
@@ -157,7 +156,7 @@ class TestFreezing:
         blk = self._block()
         snap = snapshot_block(blk)
         blk.parameters()[1].data[0] += 1.0
-        ok, path = assert_frozen(blk, snap)
+        ok, path = assert_frozen([blk], snap)
         assert not ok and path == "blk.1.bias"
 
 
@@ -287,7 +286,7 @@ def test_forward_never_mutates_parameters():
         for p in blk.parameters()
     }
     with Tape():
-        out = forward_san(rand_input((1, 8, 8)), backbone, adjust, classifier)
+        out = classifier.forward(adjust.forward(backbone.forward(rand_input((1, 8, 8)))))
         backward(tsum(out))
     for blk in (backbone, adjust, classifier):
         for p in blk.parameters():
