@@ -21,6 +21,7 @@ from .engine import (
     IncrementalState,
     SeedRunResult,
     StrategyKind,
+    TrainingDivergedError,
     TrainingOrderError,
     TrainLog,
     UnknownTaskError,

@@ -16,6 +16,7 @@ import numpy as np
 
 from .config import RunConfig
 from .engine import IncrementalState, prepare_task_blocks
+from .fileio import atomic_open
 from .layers import ArchitectureSpec
 from .tasks import TaskSequence
 
@@ -24,7 +25,6 @@ FORMAT_VERSION = 1
 
 def save_state(state: IncrementalState, config: RunConfig, path) -> Path:
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     arrays = {}
     frozen = {}
     masks = {}
@@ -50,7 +50,9 @@ def save_state(state: IncrementalState, config: RunConfig, path) -> Path:
         },
     }
     meta_bytes = np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)
-    np.savez(path, __meta__=meta_bytes, **arrays)
+    # through a handle: np.savez would append ".npz" to a bare temporary name
+    with atomic_open(path, "wb") as fh:
+        np.savez(fh, __meta__=meta_bytes, **arrays)
     return path
 
 

@@ -13,6 +13,7 @@ import traceback
 from . import harness
 from .config import ConfigError, DataFilesError, RunConfig
 from .data import DatasetError
+from .engine import TrainingDivergedError
 from .fetch import FetchError, fetch_dataset
 from .gradcheck import gradient_suite
 
@@ -162,6 +163,9 @@ def main(argv=None) -> int:
     except FileNotFoundError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
+    except TrainingDivergedError as exc:
+        print(f"runtime failure: {exc}", file=sys.stderr)
+        return EXIT_RUNTIME
     except Exception as exc:  # pragma: no cover - defensive
         traceback.print_exc()
         print(f"runtime failure: {exc}", file=sys.stderr)

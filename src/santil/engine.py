@@ -122,6 +122,10 @@ class TrainingOrderError(RuntimeError):
     pass
 
 
+class TrainingDivergedError(RuntimeError):
+    """The training loss became NaN or infinite; the run cannot continue."""
+
+
 @dataclass
 class TrainLog:
     task_index: int
@@ -332,7 +336,7 @@ def train_task(
     val_acc = 0.0
     for epoch in range(1, epochs + 1):
         order = shuffle_rng.permutation(n)
-        for lo in range(0, n, batch_size):
+        for step, lo in enumerate(range(0, n, batch_size), start=1):
             idx = order[lo : lo + batch_size]
             x = Tensor(images[idx])
             with Tape():
@@ -343,6 +347,11 @@ def train_task(
                 if state.ortho_alpha > 0.0:
                     penalty = _mean_square_feature_penalty(flatten(feats))
                     loss = add(loss, scale(penalty, state.ortho_alpha))
+                if not np.isfinite(loss.data):
+                    raise TrainingDivergedError(
+                        f"non-finite loss {float(loss.data)} at seed {state.master_seed}, "
+                        f"task {task_index}, epoch {epoch}, step {step}"
+                    )
                 backward(loss)
             opt.step()
             opt.zero_grad()

@@ -66,10 +66,11 @@ def gradient_suite(instances: int = 20, seed: int = 0) -> dict[str, float]:
 
     Shared by the test suite and the `grad-check` CLI subcommand. Every op
     is exercised `instances` times at float64; the composed three-part
-    network runs once per call.
+    network runs once per call, first with every part trainable, then with
+    the backbone and classifier frozen as in SAN's later tasks.
     """
     from . import tensor as T
-    from .layers import Conv, Dense, Flatten, MaxPool, Relu, build_block
+    from .layers import Conv, Dense, Flatten, MaxPool, Relu, build_block, freeze
 
     rng = np.random.default_rng(seed)
 
@@ -161,4 +162,18 @@ def gradient_suite(instances: int = 20, seed: int = 0) -> dict[str, float]:
         return T.softmax_cross_entropy(logits, labels)
 
     worst["composed_network"] = grad_check(composed, [x_in] + net_params)
+
+    # SAN's later tasks: B and C frozen, the input a constant. Only F's path
+    # is recorded, so C's linears compute input gradients alone and F's conv
+    # skips its input gradient.
+    ends = backbone.parameters() + classifier.parameters()
+    freeze(backbone)
+    freeze(classifier)
+    x_in.requires_grad = False
+    for p in ends:
+        p.value.grad = None
+    worst["composed_frozen_ends"] = grad_check(composed, [p.value for p in adjust.parameters()])
+    stale = [p.name for p in ends if p.grad is not None]
+    if stale:
+        raise RuntimeError(f"frozen parameters received gradients: {stale}")
     return worst

@@ -1,4 +1,9 @@
-"""Bias-corrected Adam, aware of parameter freezing."""
+"""Bias-corrected Adam, aware of parameter freezing.
+
+Frozen parameters are constants to the tape and get no gradient, so Adam
+skips them. A masked parameter (an extended classifier) keeps its full
+gradient; Adam zeroes it outside the mask before the update.
+"""
 
 from __future__ import annotations
 

@@ -17,6 +17,7 @@ from typing import Sequence
 
 from .config import RunConfig
 from .engine import SeedRunResult
+from .fileio import atomic_open
 
 WALL_CLOCK_FIELDS = ("wall_clock_sec", "train_seconds", "started_at")
 
@@ -52,16 +53,15 @@ def build_report(config: RunConfig, dataset_info: dict, results: Sequence[SeedRu
 
 def write_report_json(report: dict, path) -> Path:
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
+    with atomic_open(path) as fh:
+        fh.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
     return path
 
 
 def write_summary_csv(report: dict, path) -> Path:
     """One row per seed per task; accuracies printed to 6 decimal places."""
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="") as fh:
+    with atomic_open(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(
             [

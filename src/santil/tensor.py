@@ -2,11 +2,12 @@
 
 Operations evaluate eagerly on float32/float64 arrays. While a ``Tape`` is
 active (as a context manager), every differentiable op whose inputs require
-gradients appends a record of (output, inputs, gradient function).
-``backward`` replays those records in reverse execution order, so each
-recorded op is visited exactly once and a tensor consumed k times receives
-the sum of its k gradient contributions. Without an active tape the same
-ops work as plain evaluation.
+gradients appends a record of (output, inputs, gradient function); an op
+whose inputs are all constants (frozen parameters included) is evaluated
+but not recorded. ``backward`` replays those records in reverse execution
+order, so each recorded op is visited exactly once and a tensor consumed k
+times receives the sum of its k gradient contributions. Without an active
+tape the same ops work as plain evaluation.
 
 Training runs in float32; gradient checking builds float64 graphs so that
 central-difference comparisons are meaningful.
@@ -122,17 +123,27 @@ class Tensor:
 class Parameter:
     """Trainable tensor with a dotted-path name and freeze controls.
 
-    ``frozen`` blocks every optimizer update for the whole parameter.
+    ``frozen`` is the negation of ``value.requires_grad``: a frozen
+    parameter is a constant to the tape, so it never gets a gradient, ops
+    fed only by constants are not recorded, and the optimizer skips it.
     ``trainable_mask`` (bool array, True = trainable entry) restricts
-    updates to a subset; classifier extension uses it so appended output
-    rows can train while the original rows stay bit-identical.
+    updates to a subset; the parameter is not frozen and keeps its full
+    gradient. Classifier extension uses it so appended output rows can
+    train while the original rows stay bit-identical.
     """
 
     def __init__(self, data: np.ndarray, name: str):
         self.value = Tensor(np.asarray(data), requires_grad=True)
         self.name = name
-        self.frozen = False
         self.trainable_mask: np.ndarray | None = None
+
+    @property
+    def frozen(self) -> bool:
+        return not self.value.requires_grad
+
+    @frozen.setter
+    def frozen(self, value: bool) -> None:
+        self.value.requires_grad = not value
 
     @property
     def data(self) -> np.ndarray:
@@ -155,10 +166,13 @@ class Parameter:
 
 def _record(out: Tensor, inputs: tuple[Tensor, ...], grad_fn: Callable) -> Tensor:
     tape = active_tape()
-    if tape is not None and any(t.requires_grad for t in inputs):
-        out.requires_grad = True
+    if tape is not None:
+        # an unrecorded output still belongs to the tape, so a loss with no
+        # trainable ancestor backprops as a no-op instead of raising
         out.tape = tape
-        tape._records.append(_Record(out, inputs, grad_fn))
+        if any(t.requires_grad for t in inputs):
+            out.requires_grad = True
+            tape._records.append(_Record(out, inputs, grad_fn))
     return out
 
 
@@ -166,7 +180,8 @@ def backward(loss: Tensor) -> None:
     """Populate .grad on every recorded tensor that influenced ``loss``.
 
     Visits each recorded op exactly once, in reverse execution order, then
-    consumes the tape.
+    consumes the tape. A loss made under a tape from constants alone has
+    nothing to differentiate, so its backward writes no gradient.
     """
     if loss.data.size != 1:
         raise ShapeError(f"backward needs a scalar loss, got shape {loss.data.shape}")
@@ -175,7 +190,8 @@ def backward(loss: Tensor) -> None:
         raise TapeError("loss was not produced under an active Tape")
     if tape._consumed:
         raise TapeError("tape already replayed; open a new Tape for another pass")
-    loss.grad = np.ones_like(loss.data)
+    if loss.requires_grad:
+        loss.grad = np.ones_like(loss.data)
     for rec in reversed(tape._records):
         gout = rec.out.grad
         if gout is None:

@@ -4,6 +4,7 @@ import pytest
 from santil.data import synthetic_dataset
 from santil.engine import (
     IncrementalState,
+    TrainingDivergedError,
     TrainingOrderError,
     UnknownTaskError,
     UntrainedTaskError,
@@ -14,6 +15,7 @@ from santil.engine import (
     train_task,
 )
 from santil.layers import PRESETS, tiny
+from santil.tensor import Tape, Tensor, backward, softmax_cross_entropy
 from santil.tasks import (
     build_permuted_sequence,
     build_split_sequence,
@@ -158,6 +160,52 @@ class TestFreezingAndForgetting:
         after = state.embed(images, 1)
         assert before.tobytes() == after.tobytes()
 
+    def test_frozen_parameters_hold_no_gradient_after_full_run(self):
+        seq = blob_sequence()
+        for strategy in ("san", "baseline"):
+            _, state = run_sequence(strategy, tiny_arch(), seq, seed=5, epochs=2, batch_size=16)
+            frozen = [p for blk in state.model_blocks() for p in blk.parameters() if p.frozen]
+            assert frozen, strategy
+            stale = [p.name for p in frozen if p.grad is not None]
+            assert not stale, f"{strategy}: frozen parameters hold gradients: {stale}"
+
+    def test_adjust_gradient_unchanged_by_frozen_ends(self):
+        # SAN task 2 backpropagates through constants; the gradient F_2 gets
+        # must equal the one computed with B1 and C1 on the tape
+        seq = blob_sequence()
+        state = IncrementalState("san", tiny_arch(), seq, master_seed=6)
+        train_task(state, 1, epochs=1, batch_size=16)
+        task = seq.tasks[1]
+        prepare_task_blocks(state, task)
+        images, raw_labels = task_arrays(seq, task, "train")
+        x = Tensor(images[:16])
+        labels = state.head_maps[2].local_labels(raw_labels[:16])
+        ends = state.shared["backbone"].parameters() + state.shared["classifier"].parameters()
+        adjust = state.per_task[2]["adjust"].parameters()
+
+        def adjust_grads():
+            for p in adjust:
+                p.value.grad = None
+            with Tape():
+                logits, _ = state.forward_parts(x, 2)
+                backward(softmax_cross_entropy(logits, labels))
+            return [p.grad.copy() for p in adjust]
+
+        assert all(p.frozen for p in ends)
+        frozen_grads = adjust_grads()
+        assert all(p.grad is None for p in ends)
+        for p in ends:
+            p.frozen = False
+        try:
+            reference = adjust_grads()
+        finally:
+            for p in ends:
+                p.frozen = True
+                p.value.grad = None
+        assert len(frozen_grads) == len(reference) > 0
+        for got, want in zip(frozen_grads, reference):
+            assert got.tobytes() == want.tobytes()
+
 
 class TestTrainTaskContracts:
     def test_out_of_order_rejected(self):
@@ -220,6 +268,14 @@ class TestTrainTaskContracts:
         state = IncrementalState("san", tiny_arch(), seq, master_seed=4)
         log = train_task(state, 1, epochs=2, batch_size=16, selection="last")
         assert log.best_epoch == 2
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_loss_stops_training_and_names_position(self):
+        seq = blob_sequence()
+        state = IncrementalState("san", tiny_arch(), seq, master_seed=4)
+        with pytest.raises(TrainingDivergedError, match=r"seed 4, task 1, epoch 1, step \d+$"):
+            train_task(state, 1, epochs=2, batch_size=16, lr=1e20)
+        assert state.trained_upto == 0
 
 
 class TestRunSequence:

@@ -30,6 +30,7 @@ def test_every_op_below_1e4_over_20_instances():
 def test_composed_network_below_1e4():
     errors = gradient_suite(instances=1, seed=3)
     assert errors["composed_network"] <= 1e-4
+    assert errors["composed_frozen_ends"] <= 1e-4
 
 
 def test_eps_bounds_enforced():

@@ -19,7 +19,7 @@ from santil.config import (
     resolve_architecture,
 )
 from santil.fetch import ChecksumError, RemoteFile, unpack, verify_checksum
-from santil.report import strip_wall_clock
+from santil.report import strip_wall_clock, write_summary_csv
 
 
 def synthetic_blobs(seed, per_class, pattern_seed=None):
@@ -166,6 +166,29 @@ class TestHarnessRun:
         sa = json.dumps(strip_wall_clock(ra), sort_keys=True)
         sb = json.dumps(strip_wall_clock(rb), sort_keys=True)
         assert sa == sb
+
+
+class TestAtomicWrites:
+    def test_failed_writer_leaves_existing_file_and_no_temporary(self, tmp_path, monkeypatch):
+        cfg = synthetic_config(tmp_path)
+        report = harness.run(cfg)
+        out = Path(cfg.out_dir)
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        assert sorted(before) == ["checkpoint_seed1.npz", "report.json", "summary.csv"]
+
+        broken = json.loads(json.dumps(report))
+        del broken["seeds"][0]["per_task"][-1]["param_count"]  # fails after the first rows
+        with pytest.raises(KeyError):
+            write_summary_csv(broken, out / "summary.csv")
+
+        def savez_part_way(fh, **arrays):
+            fh.write(b"PK\x03\x04 truncated")
+            raise OSError("disk full")
+
+        monkeypatch.setattr(np, "savez", savez_part_way)
+        with pytest.raises(OSError, match="disk full"):
+            harness.run(cfg)  # a rerun into the same directory dies saving its checkpoint
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
 
 class TestSweepSize:
@@ -377,6 +400,18 @@ class TestCli:
         assert main(["run", "--config", str(cfg_path), "--fast"]) == 0
         report = json.loads((tmp_path / "fast" / "report.json").read_text())
         assert report["config"]["epochs"] == 5
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_diverging_run_exit_three_names_position(self, tmp_path, capsys):
+        out_dir = tmp_path / "diverged"
+        cfg_path = write_config(tmp_path, lr=1e20, out_dir=str(out_dir))
+        assert main(["run", "--config", str(cfg_path)]) == 3
+        err = capsys.readouterr().err
+        assert "runtime failure: non-finite loss" in err
+        assert "seed 1, task 1, epoch 1, step " in err
+        assert not (out_dir / "report.json").exists()
+        assert not (out_dir / "summary.csv").exists()
+        assert not (out_dir / "checkpoint_seed1.npz").exists()
 
     def test_grad_check_subcommand(self, capsys):
         assert main(["grad-check", "--instances", "2"]) == 0

@@ -399,12 +399,49 @@ class TestBackward:
             backward(tsum(x))
         assert np.array_equal(x.grad, first)  # no leakage from the first tape
 
-    def test_frozen_params_still_receive_gradients(self):
+    def test_frozen_params_get_no_gradient_and_are_not_recorded(self):
+        rng = np.random.default_rng(3)
+        x = t(rng.normal(size=(4, 3)))
+        w1 = Parameter(rng.normal(size=(5, 3)).astype(np.float32), "frozen.weight")
+        b1 = Parameter(rng.normal(size=5).astype(np.float32), "frozen.bias")
+        w1.frozen = b1.frozen = True
+        assert not w1.value.requires_grad and not b1.value.requires_grad
+
+        head_w = rng.normal(size=(3, 5)).astype(np.float32)
+
+        def head_grads(mask_rows):
+            # an extended classifier: old rows masked out, the parameter itself not frozen
+            w2 = Parameter(head_w.copy(), "head.weight")
+            b2 = Parameter(np.zeros(3, dtype=np.float32), "head.bias")
+            if mask_rows:
+                w2.trainable_mask = np.zeros(w2.data.shape, dtype=bool)
+                w2.trainable_mask[2:] = True
+                b2.trainable_mask = np.arange(3) >= 2
+            assert not w2.frozen and w2.trainable_count() == (5 if mask_rows else 15)
+            with Tape() as tape:
+                h = relu(linear(x, w1.value, b1.value))
+                assert len(tape) == 0  # every input is a constant
+                loss = softmax_cross_entropy(linear(h, w2.value, b2.value), [0, 1, 2, 0])
+                assert len(tape) == 2
+                backward(loss)
+            return w2.grad, b2.grad
+
+        gw, gb = head_grads(True)
+        ref_w, ref_b = head_grads(False)
+        assert w1.grad is None and b1.grad is None
+        # the mask restricts updates, not the gradient: masked rows get theirs too
+        assert gw.tobytes() == ref_w.tobytes() and gb.tobytes() == ref_b.tobytes()
+        assert np.any(gw[:2]) and np.all(gb[:2] != 0)
+
+    def test_loss_without_trainable_ancestor_backprops_as_noop(self):
         p = Parameter(np.ones((2, 2), dtype=np.float32), "w")
         p.frozen = True
-        with Tape():
-            backward(tsum(p.value))
-        assert p.grad is not None  # freezing is an optimizer contract, not a tape one
+        x = t(np.full((2, 2), 3.0))
+        with Tape() as tape:
+            loss = tsum(relu(add(p.value, x)))
+            assert len(tape) == 0
+            backward(loss)
+        assert p.grad is None and x.grad is None and loss.grad is None
 
 
 class TestSelectColumns:
