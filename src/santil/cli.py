@@ -86,8 +86,9 @@ def cmd_fetch_data(args) -> int:
 def cmd_grad_check(args) -> int:
     errors = gradient_suite(instances=args.instances)
     worst = max(errors.values())
+    width = max(map(len, errors))
     for name in sorted(errors):
-        print(f"{name:24s} max rel err {errors[name]:.3e}")
+        print(f"{name:{width}s} max rel err {errors[name]:.3e}")
     if worst > 1e-4:
         print(f"FAIL: worst relative error {worst:.3e} exceeds 1e-4", file=sys.stderr)
         return EXIT_RUNTIME

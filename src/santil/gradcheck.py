@@ -70,6 +70,7 @@ def gradient_suite(instances: int = 20, seed: int = 0) -> dict[str, float]:
     the backbone and classifier frozen as in SAN's later tasks.
     """
     from . import tensor as T
+    from .engine import _mean_square_feature_penalty
     from .layers import Conv, Dense, Flatten, MaxPool, Relu, build_block, freeze
 
     rng = np.random.default_rng(seed)
@@ -140,6 +141,10 @@ def gradient_suite(instances: int = 20, seed: int = 0) -> dict[str, float]:
 
         am = t64(rng.normal(size=(4, 4)) * 0.5)
         track("orthogonality_penalty", grad_check(T.orthogonality_penalty, [am]))
+
+        # three 3x3 samples: their row slices accumulate into one gradient
+        fm = t64(rng.normal(size=(3, 9)) * 0.5)
+        track("mean_square_feature_penalty", grad_check(_mean_square_feature_penalty, [fm]))
 
     # composed graph: 1-conv backbone, 1-conv adjustment, 3-layer classifier
     backbone = build_block((Conv(2, 3, 1, 1), Relu(), MaxPool(2)), (1, 8, 8), 11, "gb", dtype=np.float64)

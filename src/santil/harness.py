@@ -11,6 +11,7 @@ from . import checkpoint as ckpt
 from .config import ConfigError, RunConfig, load_pools, resolve_architecture
 from .data import Dataset
 from .engine import run_sequence
+from .fileio import atomic_open
 from .layers import ArchitectureSpec
 from .report import (
     build_report,
@@ -140,7 +141,7 @@ def sweep_size(config: RunConfig, kernels, echo=None) -> list[dict]:
                 "std_accuracy": report["aggregate"]["mean_final_std"],
             }
         )
-    with open(out_dir / "sweep.csv", "w", newline="") as fh:
+    with atomic_open(out_dir / "sweep.csv", "w", newline="") as fh:
         writer = csv.DictWriter(
             fh, fieldnames=["kernel", "param_count", "megabytes", "mean_accuracy", "std_accuracy"]
         )
@@ -193,7 +194,8 @@ def ablate_order(config: RunConfig, orders, echo=None) -> list[dict]:
                 f"order {list(order)}: {report['aggregate']['mean_final_mean'] * 100:.2f} % "
                 f"+/- {report['aggregate']['mean_final_std'] * 100:.2f}"
             )
-    (out_dir / "ablation.json").write_text(json.dumps(summaries, indent=2, sort_keys=True) + "\n")
+    with atomic_open(out_dir / "ablation.json") as fh:
+        fh.write(json.dumps(summaries, indent=2, sort_keys=True) + "\n")
     return summaries
 
 
@@ -220,9 +222,9 @@ def dump_embeddings(config: RunConfig, checkpoint_path, split: str, out_path, ec
     state = ckpt.load_state(checkpoint_path, arch, seq)
 
     out_path = Path(out_path)
-    out_path.parent.mkdir(parents=True, exist_ok=True)
     rows = 0
-    with open(out_path, "w", newline="") as fh:
+    # rows are written as they are computed, so a failure must not leave them behind
+    with atomic_open(out_path, "w", newline="") as fh:
         writer = csv.writer(fh)
         header_written = False
         for t in range(1, state.trained_upto + 1):

@@ -9,6 +9,14 @@ order, so each recorded op is visited exactly once and a tensor consumed k
 times receives the sum of its k gradient contributions. Without an active
 tape the same ops work as plain evaluation.
 
+Gather ops (``slice_rows``, ``select_columns``) return an ``IndexGrad``: the
+gradient's values on the gathered index, zero elsewhere. ``backward`` gives
+such a tensor one zeroed buffer and adds each later ``IndexGrad`` into it in
+place, so k slices of an [N, D] tensor cost O(k*D), not O(k*N*D). It mutates
+only buffers it allocated in that call: a ``.grad`` that may alias another
+tensor's gradient (``add`` hands both inputs the same array, ``reshape``
+hands back a view) or that is left from an earlier pass is copied first.
+
 Training runs in float32; gradient checking builds float64 graphs so that
 central-difference comparisons are meaningful.
 """
@@ -164,6 +172,16 @@ class Parameter:
         return f"Parameter({self.name!r}, shape={tuple(self.data.shape)}, frozen={self.frozen})"
 
 
+class IndexGrad:
+    """A gradient that is zero outside ``index``; ``values`` is ``grad[index]``."""
+
+    __slots__ = ("index", "values")
+
+    def __init__(self, index, values: np.ndarray):
+        self.index = index
+        self.values = values
+
+
 def _record(out: Tensor, inputs: tuple[Tensor, ...], grad_fn: Callable) -> Tensor:
     tape = active_tape()
     if tape is not None:
@@ -181,7 +199,9 @@ def backward(loss: Tensor) -> None:
 
     Visits each recorded op exactly once, in reverse execution order, then
     consumes the tape. A loss made under a tape from constants alone has
-    nothing to differentiate, so its backward writes no gradient.
+    nothing to differentiate, so its backward writes no gradient. An
+    ``IndexGrad`` is added in place, and only into a buffer this call
+    allocated for that tensor.
     """
     if loss.data.size != 1:
         raise ShapeError(f"backward needs a scalar loss, got shape {loss.data.shape}")
@@ -192,6 +212,7 @@ def backward(loss: Tensor) -> None:
         raise TapeError("tape already replayed; open a new Tape for another pass")
     if loss.requires_grad:
         loss.grad = np.ones_like(loss.data)
+    owned: set[int] = set()  # ids of tensors whose .grad this call allocated
     for rec in reversed(tape._records):
         gout = rec.out.grad
         if gout is None:
@@ -199,7 +220,16 @@ def backward(loss: Tensor) -> None:
         for t, gin in zip(rec.inputs, rec.grad_fn(gout)):
             if gin is None or not t.requires_grad:
                 continue
-            t.grad = gin if t.grad is None else t.grad + gin
+            if isinstance(gin, IndexGrad):
+                if id(t) not in owned:
+                    t.grad = np.zeros_like(t.data) if t.grad is None else t.grad.copy()
+                    owned.add(id(t))
+                t.grad[gin.index] += gin.values
+            elif t.grad is None:
+                t.grad = gin
+            else:
+                t.grad = t.grad + gin
+                owned.add(id(t))
     tape._records.clear()
     tape._consumed = True
 
@@ -293,7 +323,11 @@ def flatten(x: Tensor) -> Tensor:
 
 
 def select_columns(x: Tensor, columns: Sequence[int]) -> Tensor:
-    """Gather columns of a 2-D tensor; backward scatters into zeros."""
+    """Gather columns of a 2-D tensor; the gradient is an ``IndexGrad`` on them.
+
+    Columns must be unique: the in-place ``+=`` in ``backward`` would apply
+    only one of a repeated column's contributions.
+    """
     if x.data.ndim != 2:
         raise ShapeError(f"select_columns expects 2-D input, got {x.data.shape}")
     cols = np.asarray(columns, dtype=np.int64)
@@ -306,23 +340,20 @@ def select_columns(x: Tensor, columns: Sequence[int]) -> Tensor:
     out = Tensor(x.data[:, cols])
 
     def grad_fn(g):
-        gx = np.zeros_like(x.data)
-        gx[:, cols] = g
-        return (gx,)
+        return (IndexGrad((slice(None), cols), g),)
 
     return _record(out, (x,), grad_fn)
 
 
 def slice_rows(x: Tensor, start: int, stop: int) -> Tensor:
+    """Rows [start, stop) as a copy; the gradient is an ``IndexGrad`` on them."""
     n = x.data.shape[0]
     if not (0 <= start < stop <= n):
         raise ShapeError(f"row slice [{start}:{stop}] invalid for {n} rows")
     out = Tensor(x.data[start:stop].copy())
 
     def grad_fn(g):
-        gx = np.zeros_like(x.data)
-        gx[start:stop] = g
-        return (gx,)
+        return (IndexGrad(slice(start, stop), g),)
 
     return _record(out, (x,), grad_fn)
 

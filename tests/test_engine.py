@@ -8,6 +8,7 @@ from santil.engine import (
     TrainingOrderError,
     UnknownTaskError,
     UntrainedTaskError,
+    _mean_square_feature_penalty,
     evaluate,
     predict_logits,
     prepare_task_blocks,
@@ -15,7 +16,14 @@ from santil.engine import (
     train_task,
 )
 from santil.layers import PRESETS, tiny
-from santil.tensor import Tape, Tensor, backward, softmax_cross_entropy
+from santil.tensor import (
+    Tape,
+    Tensor,
+    backward,
+    orthogonality_penalty,
+    scale,
+    softmax_cross_entropy,
+)
 from santil.tasks import (
     build_permuted_sequence,
     build_split_sequence,
@@ -438,6 +446,37 @@ class TestOrthoRegularizer:
         log = train_task(state, 1, epochs=2, batch_size=16)
         assert np.isfinite(log.val_accuracy)
         assert evaluate(state, 1, "test") > 0.4
+
+    def test_penalty_gradient_bitwise_equals_dense_scatter(self):
+        seq = self._sequence()
+        state = IncrementalState(
+            "san", self._square_embedding_arch(), seq, master_seed=7, ortho_alpha=0.001
+        )
+        train_task(state, 1, epochs=1, batch_size=16)
+        images, _ = task_arrays(seq, seq.tasks[0], "train")
+        emb = state.embed(images[:24], 1)
+        n, d2 = emb.shape
+        d = int(np.sqrt(d2))
+
+        flat = Tensor(emb, requires_grad=True)
+        with Tape():
+            backward(_mean_square_feature_penalty(flat))
+
+        # reference: one zero-filled [N, D] gradient per sample, summed in
+        # the order backward visits them (last sample first)
+        dense = []
+        for i in range(n):
+            a = Tensor(emb[i].reshape(d, d), requires_grad=True)
+            with Tape():
+                backward(scale(orthogonality_penalty(a), 1.0 / n))
+            full = np.zeros_like(emb)
+            full[i] = a.grad.reshape(-1)
+            dense.append(full)
+        expected = dense[-1]
+        for full in reversed(dense[:-1]):
+            expected = expected + full
+        assert flat.grad.dtype == expected.dtype == np.float32
+        assert flat.grad.tobytes() == expected.tobytes()
 
     def test_non_square_embedding_rejected_when_alpha_set(self):
         seq = self._sequence()

@@ -31,6 +31,7 @@ def test_composed_network_below_1e4():
     errors = gradient_suite(instances=1, seed=3)
     assert errors["composed_network"] <= 1e-4
     assert errors["composed_frozen_ends"] <= 1e-4
+    assert errors["mean_square_feature_penalty"] <= 1e-4
 
 
 def test_eps_bounds_enforced():

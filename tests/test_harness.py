@@ -357,6 +357,33 @@ class TestDumpEmbeddings:
         with pytest.raises(ConfigError, match=field):
             harness.dump_embeddings(other, ck, "test", tmp_path / "e.csv")
 
+    def test_failure_part_way_keeps_previous_csv_and_no_temporary(self, tmp_path, monkeypatch):
+        from santil.engine import IncrementalState
+
+        cfg = synthetic_config(tmp_path)
+        harness.run(cfg)
+        ck = Path(cfg.out_dir) / "checkpoint_seed1.npz"
+        out_dir = tmp_path / "emb"
+        out_csv = out_dir / "emb.csv"
+        harness.dump_embeddings(cfg, ck, "test", out_csv)
+        before = out_csv.read_bytes()
+
+        real_embed = IncrementalState.embed
+        calls = []
+
+        def embed_fails_on_second_chunk(self, images, task_index):
+            calls.append(task_index)
+            if len(calls) == 2:
+                raise MemoryError("out of memory")
+            return real_embed(self, images, task_index)
+
+        monkeypatch.setattr(IncrementalState, "embed", embed_fails_on_second_chunk)
+        with pytest.raises(MemoryError):
+            harness.dump_embeddings(cfg, ck, "test", out_csv)
+        assert len(calls) == 2  # the first chunk's rows were already written
+        assert out_csv.read_bytes() == before
+        assert sorted(p.name for p in out_dir.iterdir()) == ["emb.csv"]
+
     def test_missing_checkpoint_errors(self, tmp_path):
         cfg = synthetic_config(tmp_path)
         with pytest.raises(FileNotFoundError):

@@ -13,6 +13,7 @@ from santil.tensor import (
     flatten,
     linear,
     maxpool2d,
+    mul,
     orthogonality_penalty,
     relu,
     reshape,
@@ -470,6 +471,79 @@ class TestSliceRows:
             backward(tsum(slice_rows(x, 1, 3)))
         expected = np.zeros((4, 2))
         expected[1:3] = 1.0
+        assert np.array_equal(x.grad, expected)
+
+
+class TestIndexGradients:
+    """Gather ops return index gradients that backward adds in place.
+
+    Every expectation is the dense sum the gather's zero-filled scatter
+    would give, built here with plain numpy.
+    """
+
+    @staticmethod
+    def weights(shape, seed):
+        return np.random.default_rng(seed).normal(size=shape)
+
+    @pytest.mark.parametrize("via", ["add", "reshape"])
+    def test_gradient_aliasing_another_tensor_is_not_mutated(self, via):
+        x = t(self.weights((4, 3), 0), np.float64, grad=True)
+        y = t(self.weights((4, 3), 1), np.float64, grad=True)
+        c = self.weights((4, 3), 2)
+        with Tape():
+            s = slice_rows(x, 0, 2)  # recorded first, so its gradient arrives last
+            if via == "add":
+                z = add(x, y)  # backward hands x and y one and the same array
+            else:
+                z = reshape(x, (3, 4))  # backward hands x a view of z's gradient
+            dense = tsum(mul(z, t(c.reshape(z.shape), np.float64)))
+            backward(add(dense, tsum(mul(s, s))))
+        expected_x = c.copy()
+        expected_x[0:2] += 2 * x.data[0:2]
+        assert np.array_equal(x.grad, expected_x)
+        if via == "add":
+            assert np.array_equal(y.grad, c)
+        else:
+            assert np.array_equal(z.grad, c.reshape(3, 4))
+
+    def test_overlapping_slices_accumulate(self):
+        x = t(self.weights((4, 3), 3), np.float64, grad=True)
+        ca, cb = self.weights((3, 3), 4), self.weights((3, 3), 5)
+        with Tape():
+            a = slice_rows(x, 0, 3)
+            b = slice_rows(x, 1, 4)
+            backward(add(tsum(mul(a, t(ca, np.float64))), tsum(mul(b, t(cb, np.float64)))))
+        expected = np.zeros((4, 3))
+        expected[1:4] += cb
+        expected[0:3] += ca
+        assert np.array_equal(x.grad, expected)
+
+    @pytest.mark.parametrize("gather_first", [True, False])
+    def test_dense_and_gather_consumers_of_one_tensor(self, gather_first):
+        x = t(self.weights((3, 5), 6), np.float64, grad=True)
+        cd, cg = self.weights((3, 5), 7), self.weights((3, 2), 8)
+        with Tape():
+            if gather_first:
+                g = select_columns(x, [4, 1])
+                d = mul(x, t(cd, np.float64))
+            else:
+                d = mul(x, t(cd, np.float64))
+                g = select_columns(x, [4, 1])
+            backward(add(tsum(d), tsum(mul(g, t(cg, np.float64)))))
+        expected = cd.copy()
+        expected[:, [4, 1]] += cg
+        assert np.array_equal(x.grad, expected)
+
+    def test_stale_gradient_is_copied_not_mutated(self):
+        x = t(self.weights((4, 2), 9), np.float64, grad=True)
+        stale = self.weights((4, 2), 10)
+        before = stale.copy()
+        x.grad = stale  # left from an earlier pass, possibly referenced elsewhere
+        with Tape():
+            backward(tsum(slice_rows(x, 1, 3)))
+        assert np.array_equal(stale, before)
+        expected = before.copy()
+        expected[1:3] += 1.0
         assert np.array_equal(x.grad, expected)
 
 
