@@ -38,7 +38,6 @@ from .layers import (
     Conv,
     Dense,
     Flatten,
-    HeadMap,
     MaxPool,
     ModelBlock,
     Relu,
@@ -46,7 +45,6 @@ from .layers import (
     build_block,
     extend_classifier,
     freeze,
-    map_task_classes,
     model_size,
     snapshot_block,
 )

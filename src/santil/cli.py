@@ -11,6 +11,7 @@ import sys
 import traceback
 
 from . import harness
+from .checkpoint import CheckpointMismatchError
 from .config import ConfigError, DataFilesError, RunConfig
 from .data import DatasetError
 from .engine import TrainingDivergedError
@@ -157,6 +158,9 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         for problem in exc.problems:
             print(f"config error: {problem}", file=sys.stderr)
+        return EXIT_CONFIG
+    except CheckpointMismatchError as exc:
+        print(f"checkpoint mismatch: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (DataFilesError, DatasetError, FetchError) as exc:
         print(f"data error: {exc}", file=sys.stderr)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from .data import Dataset, load_cifar, load_idx, synthetic_dataset
@@ -304,32 +304,34 @@ def load_pools(config: RunConfig) -> tuple[Dataset, Dataset, str]:
 # ---------------------------------------------------------------------------
 # architecture resolution
 
-_LAYER_KINDS = {"conv", "maxpool", "relu", "linear", "flatten"}
+_LAYER_KINDS = {"conv": Conv, "maxpool": MaxPool, "relu": Relu, "linear": Dense, "flatten": Flatten}
 
 
 def _layer_from_dict(entry: dict, where: str):
+    """A layer spec; omitted fields take the spec's defaults, given ones are ints.
+
+    A linear layer's ``out_features`` may also be the ``"base"`` placeholder.
+    """
     if not isinstance(entry, dict) or "kind" not in entry:
         raise ConfigError([f"{where}: each layer needs a 'kind' field, got {entry!r}"])
     kind = entry["kind"]
+    if not isinstance(kind, str) or kind not in _LAYER_KINDS:
+        raise ConfigError([f"{where}: unknown layer kind {kind!r}; kinds are {sorted(_LAYER_KINDS)}"])
+    spec = _LAYER_KINDS[kind]
+    names = {f.name for f in fields(spec)}
+    unknown = sorted(set(entry) - names - {"kind"})
+    if unknown:
+        raise ConfigError([f"{where}: {kind} layer has unknown field(s) {unknown}; fields are {sorted(names)}"])
     try:
-        if kind == "conv":
-            return Conv(
-                out_channels=int(entry["out_channels"]),
-                kernel=int(entry.get("kernel", 3)),
-                stride=int(entry.get("stride", 1)),
-                padding=int(entry.get("padding", 1)),
-            )
-        if kind == "maxpool":
-            return MaxPool(k=int(entry.get("k", 2)))
-        if kind == "relu":
-            return Relu()
-        if kind == "flatten":
-            return Flatten()
-        if kind == "linear":
-            return Dense(out_features=entry["out_features"])  # may be the "base" placeholder
-    except (KeyError, TypeError, ValueError) as exc:
+        return spec(
+            **{
+                key: value if (kind, value) == ("linear", "base") else int(value)
+                for key, value in entry.items()
+                if key != "kind"
+            }
+        )
+    except (TypeError, ValueError) as exc:
         raise ConfigError([f"{where}: bad {kind} layer {entry!r} ({exc})"]) from None
-    raise ConfigError([f"{where}: unknown layer kind {kind!r}; kinds are {sorted(_LAYER_KINDS)}"])
 
 
 def resolve_architecture(
@@ -355,20 +357,17 @@ def resolve_architecture(
     classifier = parts["classifier"]
     if not classifier or not isinstance(classifier[-1], Dense):
         raise ConfigError(["architecture.classifier: must end with a linear layer"])
-    last = classifier[-1]
-    if last.out_features == "base":
+    base = classifier[-1].out_features
+    if base == "base":
         base = first_task_classes
         classifier = classifier[:-1] + (Dense(base),)
-    else:
-        base = int(last.out_features)
-        if base < first_task_classes:
-            raise ConfigError(
-                [
-                    f"architecture.classifier: width {base} is narrower than the "
-                    f"{first_task_classes} classes of task 1"
-                ]
-            )
-        classifier = classifier[:-1] + (Dense(base),)
+    elif base < first_task_classes:
+        raise ConfigError(
+            [
+                f"architecture.classifier: width {base} is narrower than the "
+                f"{first_task_classes} classes of task 1"
+            ]
+        )
     spec = ArchitectureSpec(
         input_shape=tuple(input_shape),
         backbone=parts["backbone"],

@@ -29,13 +29,11 @@ import numpy as np
 from .layers import (
     ArchitectureSpec,
     Dense,
-    HeadMap,
     ModelBlock,
     assert_frozen,
     build_block,
     extend_classifier,
     freeze,
-    map_task_classes,
     model_size,
     snapshot_block,
 )
@@ -140,8 +138,10 @@ class IncrementalState:
     """Parameter store of one strategy over one task sequence.
 
     ``shared`` holds the parts built at task 1, ``per_task[t]`` the parts
-    built for task t, and ``snapshot`` every frozen parameter as it was when
-    it froze (a widened classifier is snapshotted again once its task ends).
+    built for task t, ``prepared`` the number of tasks whose parts are
+    built, and ``snapshot`` every frozen parameter as it was when it froze
+    (a widened classifier is snapshotted again once its task ends). A
+    task's head is the first ``len(task.class_ids)`` classifier outputs.
     """
 
     def __init__(
@@ -170,7 +170,7 @@ class IncrementalState:
 
         self.shared: dict[str, ModelBlock] = {}
         self.per_task: dict[int, dict[str, ModelBlock]] = {}
-        self.head_maps: dict[int, HeadMap] = {}
+        self.prepared = 0
         self.snapshot: dict[str, np.ndarray] = {}
         self.trained_upto = 0
         self._active_task = 0
@@ -178,7 +178,7 @@ class IncrementalState:
     # -- forward ------------------------------------------------------------
 
     def _forward_blocks(self, task_index: int) -> list[ModelBlock]:
-        if task_index not in self.head_maps:
+        if not 1 <= task_index <= self.prepared:
             raise UnknownTaskError(f"unknown task {task_index} for strategy {self.strategy.value}")
         return [
             self.per_task[task_index][part] if part in self.spec.per_task else self.shared[part]
@@ -223,8 +223,10 @@ class IncrementalState:
 
 
 def prepare_task_blocks(state: IncrementalState, task: Task) -> None:
-    """Build the parts the strategy table makes fresh for the task; map its head."""
+    """Build the parts the strategy table makes fresh for the task; widen a shared head it outgrows."""
     t = task.index
+    if t > state.prepared + 1:
+        raise TrainingOrderError(f"task {t} cannot be prepared before task {state.prepared + 1}")
     spec = state.spec
     arch = state.arch
     shape = arch.input_shape
@@ -239,18 +241,20 @@ def prepare_task_blocks(state: IncrementalState, task: Task) -> None:
             owner[part] = build_block(stack, shape, seed, name)
         shape = owner[part].output_shape
 
-    head = map_task_classes(task.class_ids, shape[0])
-    if head.extra_needed:
+    extra = len(task.class_ids) - shape[0]
+    if extra > 0:
         # only a shared head can be too narrow; a fresh one is sized for its task
         seed = derive_seed(state.master_seed, TAG_INIT, t, COMPONENT_CLASSIFIER)
-        extended = extend_classifier(state.shared["classifier"], head.extra_needed, seed)
-        state.shared["classifier"] = extended
-        head = map_task_classes(task.class_ids, extended.output_shape[0])
-    state.head_maps[t] = head
+        state.shared["classifier"] = extend_classifier(state.shared["classifier"], extra, seed)
+    state.prepared = max(state.prepared, t)
 
 
-def _freeze_task(state: IncrementalState, task_index: int) -> None:
-    """Check that nothing frozen drifted, then freeze the task's path if the strategy does."""
+def freeze_task(state: IncrementalState, task_index: int) -> None:
+    """Check that nothing frozen drifted, then freeze the task's path if the strategy does.
+
+    Training runs this once a task is done; loading a checkpoint replays it
+    for every finished task, which rebuilds frozen flags and the snapshot.
+    """
     ok, path = state.verify_frozen()
     if not ok:
         raise RuntimeError(f"frozen parameter {path!r} changed during task {task_index}")
@@ -321,11 +325,11 @@ def train_task(
         p for blk in state._forward_blocks(task_index) for p in blk.parameters() if not p.frozen
     ]
     trainable_count = sum(p.trainable_count() for p in params)
-    head = state.head_maps[task_index]
-    needs_mask = not head.covers_width(state.classifier_width(task_index))
+    head = range(len(task.class_ids))
+    needs_mask = len(head) != state.classifier_width(task_index)
 
     images, raw_labels = task_arrays(state.seq, task, "train")
-    labels = head.local_labels(raw_labels)
+    labels = task.local_labels(raw_labels)
     n = images.shape[0]
     opt = Adam(params, lr=lr)
     shuffle_rng = np.random.default_rng(derive_seed(state.master_seed, TAG_SHUFFLE, task_index))
@@ -342,7 +346,7 @@ def train_task(
             with Tape():
                 logits, feats = state.forward_parts(x, task_index)
                 if needs_mask:
-                    logits = select_columns(logits, head.neurons)
+                    logits = select_columns(logits, head)
                 loss = softmax_cross_entropy(logits, labels[idx])
                 if state.ortho_alpha > 0.0:
                     penalty = _mean_square_feature_penalty(flatten(feats))
@@ -368,7 +372,7 @@ def train_task(
     else:
         best_epoch = epochs
 
-    _freeze_task(state, task_index)
+    freeze_task(state, task_index)
     state.trained_upto = task_index
     state._active_task = 0
     return TrainLog(
@@ -382,10 +386,11 @@ def train_task(
 
 
 def evaluate(state: IncrementalState, task_index: int, split: str = "test", batch_size: int = 512) -> float:
-    """Fraction of correctly argmax-classified samples under the task's head mask."""
+    """Fraction of correctly argmax-classified samples over the task's head."""
     state._check_trained(task_index)
-    images, raw_labels = task_arrays(state.seq, state.seq.tasks[task_index - 1], split)
-    labels = state.head_maps[task_index].local_labels(raw_labels)
+    task = state.seq.tasks[task_index - 1]
+    images, raw_labels = task_arrays(state.seq, task, split)
+    labels = task.local_labels(raw_labels)
     pred = predict_logits(state, task_index, images, batch_size).argmax(axis=1)
     return int((pred == labels).sum()) / images.shape[0]
 
@@ -393,15 +398,14 @@ def evaluate(state: IncrementalState, task_index: int, split: str = "test", batc
 def predict_logits(
     state: IncrementalState, task_index: int, images: np.ndarray, batch_size: int = 512
 ) -> np.ndarray:
-    """Head-masked logits for arbitrary inputs through the task's network."""
+    """The task's head logits for arbitrary inputs through the task's network."""
     state._check_trained(task_index)
-    head = state.head_maps[task_index]
-    neurons = np.asarray(head.neurons)
+    width = len(state.seq.tasks[task_index - 1].class_ids)
     chunks = []
     for lo in range(0, images.shape[0], batch_size):
         logits, _ = state.forward_parts(Tensor(images[lo : lo + batch_size]), task_index)
-        chunks.append(logits.data[:, neurons])
-    return np.concatenate(chunks) if chunks else np.empty((0, neurons.size), dtype=np.float32)
+        chunks.append(logits.data[:, :width])
+    return np.concatenate(chunks) if chunks else np.empty((0, width), dtype=np.float32)
 
 
 # ---------------------------------------------------------------------------

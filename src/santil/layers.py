@@ -1,8 +1,13 @@
-"""Declarative layer stacks, the three-part network builder, and head bookkeeping.
+"""Layer kinds, the three-part network builder, freezing and head extension.
 
-Every network here is backbone -> adjustment -> classifier. Blocks are
-built from layer specs against a declared input shape, with He-uniform
-weights and zero biases drawn deterministically from a seed.
+Every network here is backbone -> adjustment -> classifier. Each layer kind
+is one spec dataclass that states its output shape, its initial parameter
+arrays and its op. A block is a list of (spec, parameters) pairs built
+against a declared input shape, with He-uniform weights and zero biases
+drawn deterministically from a seed.
+
+The ops are looked up as this module's globals when a layer runs, so a
+wrapper installed on ``layers.conv2d`` (and the like) sees every call.
 """
 
 from __future__ import annotations
@@ -25,7 +30,25 @@ from .tensor import (
 )
 
 # ---------------------------------------------------------------------------
-# layer specs
+# layer kinds
+#
+# out_shape(shape) -> the output shape (no batch axis), or ShapeError
+# init(shape, rng, dtype) -> {role: initial array}, in parameter order
+# apply(x, params) -> the output, given the Parameters made from init's arrays
+
+
+def _weight_and_bias(rng: np.random.Generator, weight_shape, dtype) -> dict[str, np.ndarray]:
+    """He-uniform weights over the fan-in (every axis but the first), zero biases."""
+    bound = math.sqrt(6.0 / math.prod(weight_shape[1:]))
+    return {
+        "weight": rng.uniform(-bound, bound, size=weight_shape).astype(dtype),
+        "bias": np.zeros(weight_shape[0], dtype=dtype),
+    }
+
+
+class _Parameterless:
+    def init(self, shape, rng, dtype) -> dict[str, np.ndarray]:
+        return {}
 
 
 @dataclass(frozen=True)
@@ -35,130 +58,96 @@ class Conv:
     stride: int = 1
     padding: int = 1
 
+    def out_shape(self, shape: tuple[int, ...]) -> tuple[int, ...]:
+        if len(shape) != 3:
+            raise ShapeError(f"conv needs a (C,H,W) input, got {shape}")
+        _, h, w = shape
+        hp, wp = h + 2 * self.padding, w + 2 * self.padding
+        if self.kernel > hp or self.kernel > wp:
+            raise ShapeError(f"kernel {self.kernel} exceeds padded extent {hp}x{wp}")
+        ho = (hp - self.kernel) // self.stride + 1
+        wo = (wp - self.kernel) // self.stride + 1
+        return (self.out_channels, ho, wo)
+
+    def init(self, shape, rng, dtype) -> dict[str, np.ndarray]:
+        return _weight_and_bias(rng, (self.out_channels, shape[0], self.kernel, self.kernel), dtype)
+
+    def apply(self, x: Tensor, params) -> Tensor:
+        weight, bias = params
+        return conv2d(x, weight.value, bias.value, self.stride, self.padding)
+
 
 @dataclass(frozen=True)
-class MaxPool:
+class MaxPool(_Parameterless):
     k: int = 2
 
+    def out_shape(self, shape: tuple[int, ...]) -> tuple[int, ...]:
+        if len(shape) != 3:
+            raise ShapeError(f"maxpool needs a (C,H,W) input, got {shape}")
+        c, h, w = shape
+        if h % self.k or w % self.k:
+            raise ShapeError(f"extents {h}x{w} not divisible by pool window {self.k}")
+        return (c, h // self.k, w // self.k)
+
+    def apply(self, x: Tensor, params) -> Tensor:
+        return maxpool2d(x, self.k)
+
 
 @dataclass(frozen=True)
-class Relu:
-    pass
+class Relu(_Parameterless):
+    def out_shape(self, shape: tuple[int, ...]) -> tuple[int, ...]:
+        return shape
+
+    def apply(self, x: Tensor, params) -> Tensor:
+        return relu(x)
 
 
 @dataclass(frozen=True)
 class Dense:
     out_features: int
 
+    def out_shape(self, shape: tuple[int, ...]) -> tuple[int, ...]:
+        if len(shape) != 1:
+            raise ShapeError(f"dense needs a flat input, got {shape}")
+        return (self.out_features,)
+
+    def init(self, shape, rng, dtype) -> dict[str, np.ndarray]:
+        return _weight_and_bias(rng, (self.out_features, shape[0]), dtype)
+
+    def apply(self, x: Tensor, params) -> Tensor:
+        weight, bias = params
+        return linear(x, weight.value, bias.value)
+
 
 @dataclass(frozen=True)
-class Flatten:
-    pass
+class Flatten(_Parameterless):
+    def out_shape(self, shape: tuple[int, ...]) -> tuple[int, ...]:
+        return (int(np.prod(shape)),)
+
+    def apply(self, x: Tensor, params) -> Tensor:
+        return flatten(x)
 
 
 LayerSpec = Union[Conv, MaxPool, Relu, Dense, Flatten]
-
-
-def _shape_after(spec: LayerSpec, shape: tuple[int, ...], index: int) -> tuple[int, ...]:
-    if isinstance(spec, Conv):
-        if len(shape) != 3:
-            raise ShapeError(f"layer {index}: conv needs a (C,H,W) input, got {shape}")
-        c, h, w = shape
-        hp, wp = h + 2 * spec.padding, w + 2 * spec.padding
-        if spec.kernel > hp or spec.kernel > wp:
-            raise ShapeError(
-                f"layer {index}: kernel {spec.kernel} exceeds padded extent {hp}x{wp}"
-            )
-        ho = (hp - spec.kernel) // spec.stride + 1
-        wo = (wp - spec.kernel) // spec.stride + 1
-        return (spec.out_channels, ho, wo)
-    if isinstance(spec, MaxPool):
-        if len(shape) != 3:
-            raise ShapeError(f"layer {index}: maxpool needs a (C,H,W) input, got {shape}")
-        c, h, w = shape
-        if h % spec.k or w % spec.k:
-            raise ShapeError(
-                f"layer {index}: extents {h}x{w} not divisible by pool window {spec.k}"
-            )
-        return (c, h // spec.k, w // spec.k)
-    if isinstance(spec, Relu):
-        return shape
-    if isinstance(spec, Flatten):
-        return (int(np.prod(shape)),)
-    if isinstance(spec, Dense):
-        if len(shape) != 1:
-            raise ShapeError(f"layer {index}: dense needs a flat input, got {shape}")
-        return (spec.out_features,)
-    raise TypeError(f"layer {index}: unknown layer spec {spec!r}")
 
 
 def output_shape(specs: Sequence[LayerSpec], input_shape: Sequence[int]) -> tuple[int, ...]:
     """Type-check a stack against an input shape (no batch axis)."""
     shape = tuple(int(v) for v in input_shape)
     for i, spec in enumerate(specs):
-        shape = _shape_after(spec, shape, i)
+        try:
+            shape = spec.out_shape(shape)
+        except ShapeError as exc:
+            raise ShapeError(f"layer {i}: {exc}") from None
     return shape
 
 
 # ---------------------------------------------------------------------------
-# runtime layers and blocks
-
-
-class _ConvLayer:
-    def __init__(self, weight: Parameter, bias: Parameter, stride: int, padding: int):
-        self.weight = weight
-        self.bias = bias
-        self.stride = stride
-        self.padding = padding
-
-    def forward(self, x: Tensor) -> Tensor:
-        return conv2d(x, self.weight.value, self.bias.value, self.stride, self.padding)
-
-    def parameters(self) -> list[Parameter]:
-        return [self.weight, self.bias]
-
-
-class _DenseLayer:
-    def __init__(self, weight: Parameter, bias: Parameter):
-        self.weight = weight
-        self.bias = bias
-
-    def forward(self, x: Tensor) -> Tensor:
-        return linear(x, self.weight.value, self.bias.value)
-
-    def parameters(self) -> list[Parameter]:
-        return [self.weight, self.bias]
-
-
-class _ReluLayer:
-    def forward(self, x: Tensor) -> Tensor:
-        return relu(x)
-
-    def parameters(self) -> list[Parameter]:
-        return []
-
-
-class _MaxPoolLayer:
-    def __init__(self, k: int):
-        self.k = k
-
-    def forward(self, x: Tensor) -> Tensor:
-        return maxpool2d(x, self.k)
-
-    def parameters(self) -> list[Parameter]:
-        return []
-
-
-class _FlattenLayer:
-    def forward(self, x: Tensor) -> Tensor:
-        return flatten(x)
-
-    def parameters(self) -> list[Parameter]:
-        return []
+# blocks
 
 
 class ModelBlock:
-    """A named stack of layers plus its parameters; one of the three network parts."""
+    """A named stack of (layer spec, parameters) pairs; one of the three network parts."""
 
     def __init__(self, name: str, layers, input_shape, out_shape):
         self.name = name
@@ -167,23 +156,15 @@ class ModelBlock:
         self.output_shape = tuple(out_shape)
 
     def forward(self, x: Tensor) -> Tensor:
-        for layer in self.layers:
-            x = layer.forward(x)
+        for spec, params in self.layers:
+            x = spec.apply(x, params)
         return x
 
     def parameters(self) -> list[Parameter]:
-        out: list[Parameter] = []
-        for layer in self.layers:
-            out.extend(layer.parameters())
-        return out
+        return [p for _, params in self.layers for p in params]
 
     def __repr__(self) -> str:
         return f"ModelBlock({self.name!r}, {self.input_shape} -> {self.output_shape})"
-
-
-def _he_uniform(rng: np.random.Generator, shape, fan_in: int, dtype) -> np.ndarray:
-    bound = math.sqrt(6.0 / fan_in)
-    return rng.uniform(-bound, bound, size=shape).astype(dtype)
 
 
 def build_block(
@@ -203,30 +184,9 @@ def build_block(
     layers = []
     shape = tuple(int(v) for v in input_shape)
     for i, spec in enumerate(specs):
-        if isinstance(spec, Conv):
-            cin = shape[0]
-            fan_in = cin * spec.kernel * spec.kernel
-            w = Parameter(
-                _he_uniform(rng, (spec.out_channels, cin, spec.kernel, spec.kernel), fan_in, dtype),
-                f"{name}.{i}.weight",
-            )
-            b = Parameter(np.zeros(spec.out_channels, dtype=dtype), f"{name}.{i}.bias")
-            layers.append(_ConvLayer(w, b, spec.stride, spec.padding))
-        elif isinstance(spec, Dense):
-            fan_in = shape[0]
-            w = Parameter(
-                _he_uniform(rng, (spec.out_features, fan_in), fan_in, dtype),
-                f"{name}.{i}.weight",
-            )
-            b = Parameter(np.zeros(spec.out_features, dtype=dtype), f"{name}.{i}.bias")
-            layers.append(_DenseLayer(w, b))
-        elif isinstance(spec, Relu):
-            layers.append(_ReluLayer())
-        elif isinstance(spec, MaxPool):
-            layers.append(_MaxPoolLayer(spec.k))
-        elif isinstance(spec, Flatten):
-            layers.append(_FlattenLayer())
-        shape = _shape_after(spec, shape, i)
+        arrays = spec.init(shape, rng, dtype)
+        layers.append((spec, tuple(Parameter(a, f"{name}.{i}.{role}") for role, a in arrays.items())))
+        shape = spec.out_shape(shape)
     return ModelBlock(name, layers, input_shape, out_shape)
 
 
@@ -264,49 +224,7 @@ def assert_frozen(
 
 
 # ---------------------------------------------------------------------------
-# classifier head bookkeeping
-
-
-@dataclass(frozen=True)
-class HeadMap:
-    """Assignment of a task's classes to classifier output neurons.
-
-    Local class i (the i-th entry of class_ids) maps to neuron neurons[i].
-    ``extra_needed`` > 0 signals that the classifier must first be widened
-    by that many outputs; it is a signal, not an error.
-    """
-
-    class_ids: tuple[int, ...]
-    neurons: tuple[int, ...]
-    extra_needed: int = 0
-
-    def local_labels(self, labels: np.ndarray) -> np.ndarray:
-        """Map dataset class ids to local indices 0..len(class_ids)-1."""
-        labels = np.asarray(labels, dtype=np.int64)
-        lut = np.full(max(self.class_ids) + 1, -1, dtype=np.int64)
-        for i, cid in enumerate(self.class_ids):
-            lut[cid] = i
-        if labels.size and (labels.max() >= lut.size or (lut[labels] < 0).any()):
-            bad = sorted(set(int(v) for v in labels) - set(self.class_ids))
-            raise ValueError(f"labels {bad} do not belong to this task")
-        return lut[labels]
-
-    def covers_width(self, width: int) -> bool:
-        """True when the map uses every neuron of a width-sized head in order."""
-        return self.neurons == tuple(range(width))
-
-
-def map_task_classes(task_classes: Sequence[int], base_classes: int) -> HeadMap:
-    """Map local class i to neuron i, leaving surplus neurons unused.
-
-    When the task brings more classes than the head is wide, the map
-    carries an extension-required signal instead of raising.
-    """
-    ids = tuple(int(c) for c in task_classes)
-    if len(set(ids)) != len(ids):
-        raise ValueError(f"duplicate class ids in task: {ids}")
-    n = len(ids)
-    return HeadMap(ids, tuple(range(n)), extra_needed=max(0, n - int(base_classes)))
+# classifier extension
 
 
 def extend_classifier(classifier: ModelBlock, extra: int, seed: int) -> ModelBlock:
@@ -318,23 +236,20 @@ def extend_classifier(classifier: ModelBlock, extra: int, seed: int) -> ModelBlo
     """
     if extra < 1:
         raise ValueError("extend_classifier needs extra >= 1")
-    if not classifier.layers or not isinstance(classifier.layers[-1], _DenseLayer):
+    if not classifier.layers or not isinstance(classifier.layers[-1][0], Dense):
         raise ShapeError("classifier must end with a linear layer to be extended")
-    last = classifier.layers[-1]
-    old_w = last.weight.data
-    old_b = last.bias.data
-    rng = np.random.default_rng(seed)
-    new_rows = _he_uniform(rng, (extra, old_w.shape[1]), old_w.shape[1], old_w.dtype)
-    w = np.concatenate([old_w, new_rows], axis=0)
-    b = np.concatenate([old_b, np.zeros(extra, dtype=old_b.dtype)])
-    wp = Parameter(w, last.weight.name)
-    bp = Parameter(b, last.bias.name)
-    wp.trainable_mask = np.zeros(w.shape, dtype=bool)
-    wp.trainable_mask[old_w.shape[0] :] = True
-    bp.trainable_mask = np.zeros(b.shape, dtype=bool)
-    bp.trainable_mask[old_b.shape[0] :] = True
-    layers = list(classifier.layers[:-1]) + [_DenseLayer(wp, bp)]
-    return ModelBlock(classifier.name, layers, classifier.input_shape, (w.shape[0],))
+    spec, old = classifier.layers[-1]
+    weight = old[0].data
+    fresh = Dense(extra).init(weight.shape[1:], np.random.default_rng(seed), weight.dtype)
+    widened = []
+    for p, rows in zip(old, fresh.values()):
+        wide = Parameter(np.concatenate([p.data, rows]), p.name)
+        wide.trainable_mask = np.zeros(wide.data.shape, dtype=bool)
+        wide.trainable_mask[p.data.shape[0] :] = True
+        widened.append(wide)
+    width = spec.out_features + extra
+    layers = classifier.layers[:-1] + [(Dense(width), tuple(widened))]
+    return ModelBlock(classifier.name, layers, classifier.input_shape, (width,))
 
 
 def model_size(blocks: Sequence[ModelBlock]) -> tuple[int, float]:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -22,6 +23,17 @@ class Task:
     val_idx: np.ndarray
     test_idx: np.ndarray
     pixel_permutation: np.ndarray | None = None
+
+    def local_labels(self, labels: np.ndarray) -> np.ndarray:
+        """Map dataset class ids to head outputs: class_ids[i] is output i."""
+        labels = np.asarray(labels, dtype=np.int64)
+        lut = np.full(max(self.class_ids) + 1, -1, dtype=np.int64)
+        for i, cid in enumerate(self.class_ids):
+            lut[cid] = i
+        if labels.size and (labels.max() >= lut.size or (lut[labels] < 0).any()):
+            bad = sorted(set(int(v) for v in labels) - set(self.class_ids))
+            raise ValueError(f"labels {bad} do not belong to this task")
+        return lut[labels]
 
 
 @dataclass
@@ -87,12 +99,10 @@ def build_split_sequence(
     val_fraction: float = 0.85,
 ) -> TaskSequence:
     """Per-task train/val/test index lists for disjoint class groups."""
-    seen: set[int] = set()
-    for g in groups:
-        overlap = seen.intersection(g)
-        if overlap:
-            raise ValueError(f"class sets must be disjoint; {sorted(overlap)} repeated")
-        seen.update(g)
+    counts = Counter(int(c) for g in groups for c in g)
+    repeated = sorted(c for c, k in counts.items() if k > 1)
+    if repeated:
+        raise ValueError(f"class sets must be disjoint; {repeated} repeated")
 
     tasks = []
     for t, group in enumerate(groups, start=1):

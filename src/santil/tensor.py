@@ -401,8 +401,9 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, padding: int = 0) -
 
     x:[N,Cin,H,W], w:[Cout,Cin,kh,kw], b:[Cout]. Output extents follow
     floor((H + 2*padding - kh)/stride) + 1 (likewise for W). The forward
-    pass runs as one im2col matmul; backward recomputes padded input
-    slices instead of holding the patch matrix.
+    pass runs as one im2col matmul and keeps the patch matrix for backward,
+    which forms the weight gradient from it and scatters the input gradient
+    back over the padded input window by window.
     """
     if x.data.ndim != 4 or w.data.ndim != 4 or b.data.ndim != 1:
         raise ShapeError(

@@ -15,7 +15,7 @@ from santil.engine import (
     run_sequence,
     train_task,
 )
-from santil.layers import PRESETS, tiny
+from santil.layers import PRESETS, Dense, tiny
 from santil.tensor import (
     Tape,
     Tensor,
@@ -25,6 +25,7 @@ from santil.tensor import (
     softmax_cross_entropy,
 )
 from santil.tasks import (
+    Task,
     build_permuted_sequence,
     build_split_sequence,
     partition_classes,
@@ -70,6 +71,44 @@ class TestPartitionClasses:
         assert groups == [(3, 1), (0, 2)]
         with pytest.raises(ValueError):
             partition_classes(4, 2, order=[0, 1, 2, 2])
+
+
+def one_task(class_ids):
+    empty = np.arange(0)
+    return Task(1, "task1", tuple(class_ids), empty, empty, empty)
+
+
+class TestTaskHead:
+    def test_local_labels_follow_class_order(self):
+        assert list(one_task([4, 5]).local_labels(np.array([5, 4, 4]))) == [1, 0, 0]
+        assert list(one_task([9, 2, 7]).local_labels(np.array([7, 9, 2]))) == [2, 0, 1]
+
+    def test_foreign_label_rejected(self):
+        with pytest.raises(ValueError, match=r"labels \[3\] do not belong"):
+            one_task([1, 2]).local_labels(np.array([1, 3]))
+
+    def test_repeated_class_inside_one_group_rejected(self):
+        pool = synthetic_dataset(3, 10, (1, 8, 8), seed=1)
+        with pytest.raises(ValueError, match=r"\[0\] repeated"):
+            build_split_sequence(pool, pool, [(0, 0), (1, 2)], master_seed=1)
+
+    def test_head_is_the_first_outputs_of_a_wider_classifier(self):
+        # finetune sizes its one head for the widest task, so task 1 uses 2 of 4 outputs
+        train = synthetic_dataset(6, 40, (1, 8, 8), seed=56)
+        test = synthetic_dataset(6, 10, (1, 8, 8), seed=57, pattern_seed=56)
+        seq = build_split_sequence(train, test, [(0, 1), (2, 3, 4, 5)], master_seed=1)
+        state = IncrementalState("finetune", tiny_arch(2), seq, master_seed=1)
+        train_task(state, 1, epochs=1, batch_size=16)
+        assert state.classifier_width(1) == 4
+        images, _ = task_arrays(seq, seq.tasks[0], "test")
+        logits = predict_logits(state, 1, images)
+        full, _ = state.forward_parts(Tensor(images), 1)
+        assert logits.tobytes() == full.data[:, :2].copy().tobytes()
+        accuracy = evaluate(state, 1, "test")
+        # the surplus outputs never win, whatever their magnitude
+        state.shared["classifier"].parameters()[-1].data[2:] = 1e6
+        assert predict_logits(state, 1, images).tobytes() == logits.tobytes()
+        assert evaluate(state, 1, "test") == accuracy
 
 
 class TestStrategyEquivalenceAtTaskOne:
@@ -187,7 +226,7 @@ class TestFreezingAndForgetting:
         prepare_task_blocks(state, task)
         images, raw_labels = task_arrays(seq, task, "train")
         x = Tensor(images[:16])
-        labels = state.head_maps[2].local_labels(raw_labels[:16])
+        labels = task.local_labels(raw_labels[:16])
         ends = state.shared["backbone"].parameters() + state.shared["classifier"].parameters()
         adjust = state.per_task[2]["adjust"].parameters()
 
@@ -221,6 +260,8 @@ class TestTrainTaskContracts:
         state = IncrementalState("san", tiny_arch(), seq, master_seed=1)
         with pytest.raises(TrainingOrderError):
             train_task(state, 2, epochs=1)
+        with pytest.raises(TrainingOrderError):
+            prepare_task_blocks(state, seq.tasks[1])
 
     def test_untrained_task_evaluation_rejected(self):
         seq = blob_sequence()
@@ -324,14 +365,15 @@ class TestHeadExtension:
         seq = build_split_sequence(train, test, groups, master_seed=2)
         state = IncrementalState("san", tiny_arch(2), seq, master_seed=2)
         train_task(state, 1, epochs=2, batch_size=16)
-        c1_weight = state.shared["classifier"].layers[-1].weight.data.copy()
+        c1_weight = state.shared["classifier"].parameters()[-2].data.copy()
         images, _ = task_arrays(seq, seq.tasks[0], "test")
         logits_t1 = predict_logits(state, 1, images)
         train_task(state, 2, epochs=2, batch_size=16)
         train_task(state, 3, epochs=2, batch_size=16)
         assert state.classifier_width(3) == 4
-        assert state.head_maps[3].neurons == (0, 1, 2, 3)
-        wide = state.shared["classifier"].layers[-1].weight.data
+        spec, (wide_weight, _) = state.shared["classifier"].layers[-1]
+        assert spec == Dense(4)
+        wide = wide_weight.data
         assert wide.shape[0] == 4
         assert wide[:2].tobytes() == c1_weight.tobytes()
         # earlier task logits unaffected by the widened head

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from santil import harness
-from santil.checkpoint import load_state, read_meta, save_state
+from santil.checkpoint import CheckpointMismatchError, load_state, read_meta, save_state
 from santil.cli import main
 from santil.config import (
     ConfigError,
@@ -107,6 +107,16 @@ class TestRunConfig:
         }
         cfg = synthetic_config(tmp_path, architecture=inline)
         with pytest.raises(ConfigError, match="bad conv layer"):
+            resolve_architecture(cfg, (1, 8, 8), 2)
+
+    def test_inline_layer_unknown_field_is_config_error(self, tmp_path):
+        inline = {
+            "backbone": [{"kind": "conv", "out_channels": 4, "kernal": 5}],
+            "adjustment": [],
+            "classifier": [{"kind": "flatten"}, {"kind": "linear", "out_features": "base"}],
+        }
+        cfg = synthetic_config(tmp_path, architecture=inline)
+        with pytest.raises(ConfigError, match="architecture.backbone: conv layer has unknown field.*kernal"):
             resolve_architecture(cfg, (1, 8, 8), 2)
 
     def test_inline_head_narrower_than_task_one_rejected(self, tmp_path):
@@ -299,6 +309,62 @@ class TestCheckpoints:
                 == predict_logits(reloaded, t, images).tobytes()
             )
 
+    @pytest.mark.parametrize("strategy", ["san", "baseline", "finetune", "independent"])
+    def test_reload_rebuilds_frozen_flags_masks_and_snapshot(self, tmp_path, strategy):
+        from santil.data import synthetic_dataset
+        from santil.engine import run_sequence
+        from santil.layers import tiny
+        from santil.tasks import build_split_sequence, partition_classes
+
+        # 2+2+3 classes: san widens its shared C1 at task 3, which masks the old rows
+        train = synthetic_dataset(7, 30, (1, 8, 8), seed=92)
+        test = synthetic_dataset(7, 10, (1, 8, 8), seed=93, pattern_seed=92)
+        seq = build_split_sequence(train, test, partition_classes(7, 3), master_seed=4)
+        arch = tiny((1, 8, 8), base_classes=2)
+        _, state = run_sequence(strategy, arch, seq, seed=4, epochs=1, batch_size=16)
+        path = save_state(state, synthetic_config(tmp_path), tmp_path / "ck.npz")
+        reloaded = load_state(path, arch, seq)
+
+        def structure(s):
+            return [
+                (p.name, p.frozen, None if p.trainable_mask is None else p.trainable_mask.tobytes())
+                for block in s.model_blocks()
+                for p in block.parameters()
+            ]
+
+        def snapshot(s):
+            return {name: (v.dtype, v.shape, v.tobytes()) for name, v in s.snapshot.items()}
+
+        assert structure(reloaded) == structure(state)
+        assert any(mask is not None for _, _, mask in structure(state)) == (strategy == "san")
+        assert snapshot(reloaded) == snapshot(state)
+        assert bool(state.snapshot) == (strategy != "finetune")
+        assert reloaded.verify_frozen() == (True, None)
+        if reloaded.snapshot:
+            drifted = next(p for b in reloaded.model_blocks() for p in b.parameters() if p.frozen)
+            drifted.data.flat[0] += 1.0
+            assert reloaded.verify_frozen() == (False, drifted.name)
+
+        names = {p.name for block in state.model_blocks() for p in block.parameters()}
+        with np.load(path) as bundle:
+            assert set(bundle.files) == names | {"__meta__"}
+        assert not {"frozen", "masked"} & set(read_meta(path))
+
+    def test_checkpoint_with_more_tasks_than_the_sequence_rejected(self, tmp_path):
+        from santil.engine import run_sequence
+        from santil.tasks import build_split_sequence, partition_classes
+
+        cfg = synthetic_config(tmp_path, num_tasks=3)
+        train, test, _ = load_pools(cfg)
+        groups = partition_classes(train.num_classes, 3)
+        arch = resolve_architecture(cfg, train.image_shape, len(groups[0]))
+        seq = build_split_sequence(train, test, groups, master_seed=1)
+        _, state = run_sequence("san", arch, seq, seed=1, epochs=1, batch_size=16)
+        path = save_state(state, cfg, tmp_path / "ck.npz")
+        shorter = build_split_sequence(train, test, groups[:2], master_seed=1)
+        with pytest.raises(CheckpointMismatchError, match="3 trained tasks.* only 2"):
+            load_state(path, arch, shorter)
+
 
 class TestDumpEmbeddings:
     def test_rows_columns_and_round_trip(self, tmp_path):
@@ -383,6 +449,19 @@ class TestDumpEmbeddings:
         assert len(calls) == 2  # the first chunk's rows were already written
         assert out_csv.read_bytes() == before
         assert sorted(p.name for p in out_dir.iterdir()) == ["emb.csv"]
+
+    def test_format_one_checkpoint_rejected_naming_both_versions(self, tmp_path):
+        cfg = synthetic_config(tmp_path)
+        harness.run(cfg)
+        ck = Path(cfg.out_dir) / "checkpoint_seed1.npz"
+        with np.load(ck) as bundle:
+            arrays = {key: bundle[key] for key in bundle.files}
+        meta = dict(read_meta(ck), format_version=1)
+        arrays["__meta__"] = np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)
+        with open(ck, "wb") as fh:
+            np.savez(fh, **arrays)
+        with pytest.raises(ValueError, match="format version 1; .* reads format 2"):
+            harness.dump_embeddings(cfg, ck, "test", tmp_path / "e.csv")
 
     def test_missing_checkpoint_errors(self, tmp_path):
         cfg = synthetic_config(tmp_path)
@@ -493,6 +572,29 @@ class TestCli:
         )
         assert code == 1
         assert "strategy: checkpoint was trained with 'san'" in capsys.readouterr().err
+
+    def test_dump_embeddings_checkpoint_mismatch_exit_one_on_one_line(self, tmp_path, capsys):
+        cfg_path = write_config(tmp_path, out_dir=str(tmp_path / "co"))
+        assert main(["run", "--config", str(cfg_path)]) == 0
+        capsys.readouterr()
+        other = write_config(tmp_path, class_order=[3, 2, 1, 0], out_dir=str(tmp_path / "co"))
+        code = main(
+            [
+                "dump-embeddings",
+                "--config",
+                str(other),
+                "--checkpoint",
+                str(tmp_path / "co" / "checkpoint_seed1.npz"),
+                "--out-file",
+                str(tmp_path / "e.csv"),
+            ]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("checkpoint mismatch: ")
+        assert "at task 1: it was trained on classes [0, 1], the sequence has classes [3, 2]" in err
+        assert not (tmp_path / "e.csv").exists()
 
     def test_dump_embeddings_missing_checkpoint_exit_two(self, tmp_path, capsys):
         cfg_path = write_config(tmp_path)

@@ -13,7 +13,6 @@ from santil.layers import (
     cifar_small,
     extend_classifier,
     freeze,
-    map_task_classes,
     mnist_small,
     model_size,
     output_shape,
@@ -160,36 +159,6 @@ class TestFreezing:
         assert not ok and path == "blk.1.bias"
 
 
-class TestHeadMap:
-    def test_identity_for_exact_fit(self):
-        head = map_task_classes([4, 5], 2)
-        assert head.neurons == (0, 1)
-        assert head.extra_needed == 0
-        assert list(head.local_labels(np.array([5, 4, 4]))) == [1, 0, 0]
-
-    def test_surplus_neurons_masked(self):
-        head = map_task_classes([7, 8, 9], 5)
-        assert head.neurons == (0, 1, 2)
-        assert head.extra_needed == 0
-        rng = np.random.default_rng(0)
-        logits = rng.normal(size=(6, 5))
-        sub = logits[:, list(head.neurons)]
-        probs = np.exp(sub) / np.exp(sub).sum(axis=1, keepdims=True)
-        assert np.allclose(probs.sum(axis=1), 1.0, atol=1e-6)
-        # unmapped neurons never win regardless of their magnitude
-        logits[:, 3:] = 1e6
-        assert sub.argmax(axis=1).max() <= 2
-
-    def test_overflow_signals_extension(self):
-        head = map_task_classes(range(7), 5)
-        assert head.extra_needed == 2
-
-    def test_foreign_label_rejected(self):
-        head = map_task_classes([1, 2], 2)
-        with pytest.raises(ValueError):
-            head.local_labels(np.array([3]))
-
-
 class TestExtendClassifier:
     def _classifier(self):
         blk = build_block((Flatten(), Dense(6), Relu(), Dense(5)), (1, 2, 2), 9, "clf")
@@ -200,6 +169,8 @@ class TestExtendClassifier:
         blk = self._classifier()
         wide = extend_classifier(blk, 2, seed=1)
         assert wide.output_shape == (7,)
+        assert wide.layers[-1][0] == Dense(7)
+        assert wide.layers[:-1] == blk.layers[:-1]
 
     def test_original_logits_bit_identical(self):
         blk = self._classifier()
@@ -213,8 +184,7 @@ class TestExtendClassifier:
     def test_new_rows_train_old_rows_do_not(self):
         blk = self._classifier()
         wide = extend_classifier(blk, 2, seed=1)
-        last_w = wide.layers[-1].weight
-        last_b = wide.layers[-1].bias
+        last_w, last_b = wide.layers[-1][1]
         assert last_w.trainable_count() == 2 * last_w.data.shape[1]
         old_w = last_w.data[:5].copy()
         opt = Adam([p for p in wide.parameters() if not p.frozen])
