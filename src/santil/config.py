@@ -311,6 +311,8 @@ def _layer_from_dict(entry: dict, where: str):
     """A layer spec; omitted fields take the spec's defaults, given ones are ints.
 
     A linear layer's ``out_features`` may also be the ``"base"`` placeholder.
+    Booleans, floats and strings are rejected rather than coerced, so 4.7 or
+    ``true`` cannot silently become 4 or 1.
     """
     if not isinstance(entry, dict) or "kind" not in entry:
         raise ConfigError([f"{where}: each layer needs a 'kind' field, got {entry!r}"])
@@ -322,14 +324,14 @@ def _layer_from_dict(entry: dict, where: str):
     unknown = sorted(set(entry) - names - {"kind"})
     if unknown:
         raise ConfigError([f"{where}: {kind} layer has unknown field(s) {unknown}; fields are {sorted(names)}"])
+    given = {key: value for key, value in entry.items() if key != "kind"}
+    for key, value in given.items():
+        if (kind, value) == ("linear", "base"):
+            continue
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ConfigError([f"{where}: {kind} layer field {key!r} must be an integer, got {value!r}"])
     try:
-        return spec(
-            **{
-                key: value if (kind, value) == ("linear", "base") else int(value)
-                for key, value in entry.items()
-                if key != "kind"
-            }
-        )
+        return spec(**given)
     except (TypeError, ValueError) as exc:
         raise ConfigError([f"{where}: bad {kind} layer {entry!r} ({exc})"]) from None
 

@@ -30,7 +30,7 @@ class Task:
         lut = np.full(max(self.class_ids) + 1, -1, dtype=np.int64)
         for i, cid in enumerate(self.class_ids):
             lut[cid] = i
-        if labels.size and (labels.max() >= lut.size or (lut[labels] < 0).any()):
+        if ((labels < 0) | (labels >= lut.size)).any() or (lut[labels] < 0).any():
             bad = sorted(set(int(v) for v in labels) - set(self.class_ids))
             raise ValueError(f"labels {bad} do not belong to this task")
         return lut[labels]

@@ -385,25 +385,48 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     return _record(out, (x, w, b), grad_fn)
 
 
-def _im2col(xp: np.ndarray, kh: int, kw: int, stride: int, ho: int, wo: int) -> np.ndarray:
-    # [N,C,Hp,Wp] -> [N, C*kh*kw, Ho*Wo] patch matrix via kh*kw slice writes
-    n, c = xp.shape[:2]
-    cols = np.empty((n, c, kh, kw, ho, wo), dtype=xp.dtype)
+# Patch-matrix budget for one chunk of samples. Above a few MiB the chunk's
+# buffers stop fitting in cache and the gain over one batch-sized matrix goes.
+_CHUNK_BYTES = 1 << 20
+
+
+def _im2col(x, padding, kh, kw, stride, ho, wo, xp, cols) -> np.ndarray:
+    """Patches of x:[m,C,H,W] as an [m, C*kh*kw, Ho*Wo] view of ``cols``.
+
+    ``cols`` is an [>=m, C, kh, kw, Ho, Wo] buffer. With padding, the samples
+    are first copied into the interior of ``xp``, an [>=m, C, H+2p, W+2p]
+    buffer whose border is zero and stays zero.
+    """
+    m, c, h, w = x.shape
+    if padding:
+        xp = xp[:m]
+        xp[:, :, padding : padding + h, padding : padding + w] = x
+        x = xp
+    cols = cols[:m]
     for i in range(kh):
         ys = slice(i, i + stride * ho, stride)
         for j in range(kw):
-            cols[:, :, i, j] = xp[:, :, ys, slice(j, j + stride * wo, stride)]
-    return cols.reshape(n, c * kh * kw, ho * wo)
+            cols[:, :, i, j] = x[:, :, ys, slice(j, j + stride * wo, stride)]
+    return cols.reshape(m, c * kh * kw, ho * wo)
 
 
 def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
     """Batched 2-D cross-correlation with zero padding.
 
     x:[N,Cin,H,W], w:[Cout,Cin,kh,kw], b:[Cout]. Output extents follow
-    floor((H + 2*padding - kh)/stride) + 1 (likewise for W). The forward
-    pass runs as one im2col matmul and keeps the patch matrix for backward,
-    which forms the weight gradient from it and scatters the input gradient
-    back over the padded input window by window.
+    floor((H + 2*padding - kh)/stride) + 1 (likewise for W).
+
+    The batch is walked in chunks of samples whose patch matrix (im2col) is
+    about ``_CHUNK_BYTES``. Every chunk of a call reuses one patch buffer and
+    one zero-bordered padded-input buffer, and is multiplied straight into its
+    slice of the output. The tape keeps only the op's inputs, never a
+    batch-sized patch matrix: backward rebuilds each chunk's patches for the
+    weight gradient and scatters the input gradient back over the padded
+    input window by window, in the same window order, through reused buffers.
+
+    Each sample is one GEMM in both directions, as in a single batched GEMM,
+    and the per-sample weight gradients are summed over the sample axis at
+    the end, so the bits do not depend on the chunk size.
     """
     if x.data.ndim != 4 or w.data.ndim != 4 or b.data.ndim != 1:
         raise ShapeError(
@@ -432,10 +455,22 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, padding: int = 0) -
 
     ho = (hp - kh) // stride + 1
     wo = (wp - kw) // stride + 1
-    pad_spec = ((0, 0), (0, 0), (padding, padding), (padding, padding))
-    xp = np.pad(x.data, pad_spec) if padding else x.data
-    cols = _im2col(xp, kh, kw, stride, ho, wo)  # saved for backward; freed with the tape
-    out_data = np.matmul(w.data.reshape(cout, -1), cols).reshape(n, cout, ho, wo)
+    dtype = x.data.dtype
+    step = max(1, min(n, _CHUNK_BYTES // (cin * kh * kw * ho * wo * dtype.itemsize)))
+    chunks = [slice(s, min(s + step, n)) for s in range(0, n, step)]
+
+    def patch_builder():
+        # one chunk's buffers, reused by every chunk of a forward or backward pass
+        xp = np.zeros((step, cin, hp, wp), dtype=dtype) if padding else None
+        cols = np.empty((step, cin, kh, kw, ho, wo), dtype=dtype)
+        return lambda sl: _im2col(x.data[sl], padding, kh, kw, stride, ho, wo, xp, cols)
+
+    wm = w.data.reshape(cout, -1)
+    chunk_patches = patch_builder()
+    out_data = np.empty((n, cout, ho * wo), dtype=dtype)
+    for sl in chunks:
+        np.matmul(wm, chunk_patches(sl), out=out_data[sl])
+    out_data = out_data.reshape(n, cout, ho, wo)
     out_data += b.data.reshape(1, cout, 1, 1)
     out = Tensor(out_data)
 
@@ -444,18 +479,28 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, padding: int = 0) -
         gb = g.sum(axis=(0, 2, 3)) if b.requires_grad else None
         gw = None
         if w.requires_grad:
-            # batched GEMM against a transposed view, summed over the batch
-            gw = np.matmul(gl, cols.transpose(0, 2, 1)).sum(axis=0).reshape(w.data.shape)
+            chunk_patches = patch_builder()
+            gws = np.empty((n, cout, wm.shape[1]), dtype=dtype)
+            for sl in chunks:
+                np.matmul(gl[sl], chunk_patches(sl).transpose(0, 2, 1), out=gws[sl])
+            gw = gws.sum(axis=0).reshape(w.data.shape)
         gx = None
         if x.requires_grad:
-            gcols = np.matmul(w.data.reshape(cout, -1).T, gl)
-            gwin = gcols.reshape(n, cin, kh, kw, ho, wo)
-            gxp = np.zeros((n, cin, hp, wp), dtype=x.data.dtype)
-            for i in range(kh):
-                ys = slice(i, i + stride * ho, stride)
-                for j in range(kw):
-                    gxp[:, :, ys, slice(j, j + stride * wo, stride)] += gwin[:, :, i, j]
-            gx = gxp[:, :, padding : padding + h, padding : padding + wd] if padding else gxp
+            gx = np.empty((n, cin, h, wd), dtype=dtype)
+            gcols = np.empty((step, cin, kh, kw, ho, wo), dtype=dtype)
+            gxp = np.empty((step, cin, hp, wp), dtype=dtype) if padding else None
+            for sl in chunks:
+                m = sl.stop - sl.start
+                gwin = gcols[:m]
+                np.matmul(wm.T, gl[sl], out=gwin.reshape(m, -1, ho * wo))
+                acc = gxp[:m] if padding else gx[sl]
+                acc.fill(0)
+                for i in range(kh):
+                    ys = slice(i, i + stride * ho, stride)
+                    for j in range(kw):
+                        acc[:, :, ys, slice(j, j + stride * wo, stride)] += gwin[:, :, i, j]
+                if padding:
+                    gx[sl] = acc[:, :, padding : padding + h, padding : padding + wd]
         return (gx, gw, gb)
 
     return _record(out, (x, w, b), grad_fn)

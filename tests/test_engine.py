@@ -87,6 +87,11 @@ class TestTaskHead:
         with pytest.raises(ValueError, match=r"labels \[3\] do not belong"):
             one_task([1, 2]).local_labels(np.array([1, 3]))
 
+    def test_negative_label_rejected(self):
+        # -1 would otherwise index the lookup table from its end (class 2's output)
+        with pytest.raises(ValueError, match=r"labels \[-1\] do not belong"):
+            one_task([1, 2]).local_labels(np.array([-1]))
+
     def test_repeated_class_inside_one_group_rejected(self):
         pool = synthetic_dataset(3, 10, (1, 8, 8), seed=1)
         with pytest.raises(ValueError, match=r"\[0\] repeated"):

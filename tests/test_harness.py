@@ -119,6 +119,18 @@ class TestRunConfig:
         with pytest.raises(ConfigError, match="architecture.backbone: conv layer has unknown field.*kernal"):
             resolve_architecture(cfg, (1, 8, 8), 2)
 
+    @pytest.mark.parametrize(("field", "value"), [("out_channels", 4.7), ("kernel", True), ("kernel", "3")])
+    def test_inline_layer_non_integer_field_is_config_error(self, tmp_path, field, value):
+        inline = {
+            "backbone": [{"kind": "conv", "out_channels": 4, field: value}],
+            "adjustment": [],
+            "classifier": [{"kind": "flatten"}, {"kind": "linear", "out_features": "base"}],
+        }
+        cfg = synthetic_config(tmp_path, architecture=inline)
+        message = f"architecture.backbone: conv layer field '{field}' must be an integer"
+        with pytest.raises(ConfigError, match=message):
+            resolve_architecture(cfg, (1, 8, 8), 2)
+
     def test_inline_head_narrower_than_task_one_rejected(self, tmp_path):
         inline = {
             "backbone": [],

@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from santil import tensor
 from santil.tensor import (
     Parameter,
     ShapeError,
@@ -51,6 +54,37 @@ def conv_oracle(x, w, b, stride, pad):
                                 acc += xp[nn, cc, yy * stride + ii, xx * stride + jj] * w[oo, cc, ii, jj]
                     out[nn, oo, yy, xx] = acc + b[oo]
     return out
+
+
+def one_shot_conv(x, w, b, g, stride, pad, need_gx, need_gw):
+    """The unchunked im2col algorithm: np.pad, one batch-sized patch matrix,
+    batched GEMMs and a windowed scatter. Returns out, gx, gw, gb for the
+    upstream gradient g; chunked conv2d must equal it bit for bit."""
+    n, cin, h, wd = x.shape
+    cout, _, kh, kw = w.shape
+    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    hp, wp = xp.shape[2:]
+    ho = (hp - kh) // stride + 1
+    wo = (wp - kw) // stride + 1
+    cols = np.empty((n, cin, kh, kw, ho, wo), dtype=x.dtype)
+    for i in range(kh):
+        for j in range(kw):
+            cols[:, :, i, j] = xp[:, :, i : i + stride * ho : stride, j : j + stride * wo : stride]
+    cols = cols.reshape(n, cin * kh * kw, ho * wo)
+    out = np.matmul(w.reshape(cout, -1), cols).reshape(n, cout, ho, wo)
+    out += b.reshape(1, cout, 1, 1)
+    gl = g.reshape(n, cout, ho * wo)
+    gb = g.sum(axis=(0, 2, 3))
+    gw = np.matmul(gl, cols.transpose(0, 2, 1)).sum(axis=0).reshape(w.shape) if need_gw else None
+    gx = None
+    if need_gx:
+        gwin = np.matmul(w.reshape(cout, -1).T, gl).reshape(n, cin, kh, kw, ho, wo)
+        gxp = np.zeros((n, cin, hp, wp), dtype=x.dtype)
+        for i in range(kh):
+            for j in range(kw):
+                gxp[:, :, i : i + stride * ho : stride, j : j + stride * wo : stride] += gwin[:, :, i, j]
+        gx = gxp[:, :, pad : pad + h, pad : pad + wd]
+    return out, gx, gw, gb
 
 
 def maxpool_oracle(x, k):
@@ -151,6 +185,65 @@ class TestConv2d:
     def test_oversized_kernel_rejected(self):
         with pytest.raises(ShapeError, match="kernel"):
             conv2d(t(np.zeros((1, 1, 2, 2))), t(np.zeros((1, 1, 5, 5))), t(np.zeros(1)))
+
+    # x shape, Cout, kernel, stride, padding, dtype, samples per chunk (None: the
+    # module's budget), x needs grad, w trainable
+    ONE_SHOT_CASES = [
+        ((11, 32, 32, 32), 8, 3, 1, 1, np.float32, None, True, True),  # one sample a chunk
+        ((70, 16, 14, 14), 16, 3, 1, 1, np.float32, None, True, True),  # 9 a chunk, 7 left
+        ((9, 4, 11, 11), 5, 5, 2, 0, np.float32, 2, True, True),
+        ((9, 4, 11, 11), 5, 5, 2, 2, np.float32, 4, True, True),
+        ((9, 4, 11, 11), 5, 3, 1, 1, np.float32, 100, True, True),  # one chunk
+        ((13, 8, 16, 16), 6, 3, 1, 1, np.float64, None, True, True),
+        ((70, 16, 14, 14), 16, 3, 1, 1, np.float32, None, False, True),
+        ((70, 16, 14, 14), 16, 3, 1, 1, np.float32, None, True, False),
+    ]
+
+    @pytest.mark.parametrize("case", ONE_SHOT_CASES)
+    def test_chunked_bitwise_equals_one_shot(self, monkeypatch, case):
+        shape, cout, k, stride, pad, dtype, per_chunk, need_gx, need_gw = case
+        n, cin, h, wd = shape
+        ho = (h + 2 * pad - k) // stride + 1
+        wo = (wd + 2 * pad - k) // stride + 1
+        sample_bytes = cin * k * k * ho * wo * np.dtype(dtype).itemsize
+        if per_chunk is None:
+            per_chunk = max(1, tensor._CHUNK_BYTES // sample_bytes)
+            assert 1 <= per_chunk < n, "case should span several chunks"
+        else:
+            monkeypatch.setattr(tensor, "_CHUNK_BYTES", per_chunk * sample_bytes)
+        rng = np.random.default_rng(3)
+        xd = rng.normal(size=shape).astype(dtype)
+        wdata = rng.normal(size=(cout, cin, k, k)).astype(dtype)
+        bd = rng.normal(size=cout).astype(dtype)
+        g = rng.normal(size=(n, cout, ho, wo)).astype(dtype)
+        x, w, b = t(xd, dtype, grad=need_gx), t(wdata, dtype, grad=need_gw), t(bd, dtype, grad=True)
+        with Tape():
+            out = conv2d(x, w, b, stride, pad)
+            backward(tsum(mul(out, t(g, dtype))))
+        expected = one_shot_conv(xd, wdata, bd, g, stride, pad, need_gx, need_gw)
+        for got, want in zip((out.data, x.grad, w.grad, b.grad), expected):
+            assert (got is None) == (want is None)
+            if want is not None:
+                assert got.dtype == want.dtype and got.shape == want.shape
+                assert got.tobytes() == want.tobytes()
+
+    def test_recorded_conv_keeps_no_batch_sized_patch_matrix(self):
+        # tracemalloc sees numpy's buffers; the tape must hold the inputs and
+        # the output, not the [N, Cin*kh*kw, Ho*Wo] patch matrix (18 MiB here)
+        rng = np.random.default_rng(4)
+        x = t(rng.normal(size=(16, 32, 32, 32)), grad=True)
+        w = t(rng.normal(size=(32, 32, 3, 3)), grad=True)
+        b = t(np.zeros(32), grad=True)
+        patch_bytes = 16 * (32 * 3 * 3) * (32 * 32) * 4
+        tracemalloc.start()
+        try:
+            with Tape() as tape:
+                out = conv2d(x, w, b, 1, 1)
+                held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(tape) == 1 and out.shape == (16, 32, 32, 32)
+        assert held < patch_bytes / 4
 
 
 # ---------------------------------------------------------------------------
