@@ -24,14 +24,19 @@ EXIT_DATA = 2
 EXIT_RUNTIME = 3
 
 
+def _int_list(option: str, text: str) -> list[int]:
+    """The integers of a comma-separated option value; anything else is a config error."""
+    try:
+        return [int(v) for v in text.split(",") if v]
+    except ValueError:
+        raise ConfigError([f"{option}: expected comma-separated integers, got {text!r}"]) from None
+
+
 def _load_config(args) -> RunConfig:
     """The config file with command-line overrides, validated as one config."""
     raw = RunConfig.from_json(args.config).to_dict()
     if args.seed is not None:
-        try:
-            raw["seeds"] = [int(s) for s in args.seed.split(",") if s]
-        except ValueError:
-            raise ConfigError([f"--seed: expected comma-separated integers, got {args.seed!r}"])
+        raw["seeds"] = _int_list("--seed", args.seed)
     if args.data_root is not None:
         raw["data_root"] = args.data_root
     if args.out is not None:
@@ -51,7 +56,7 @@ def cmd_run(args) -> int:
 
 def cmd_sweep_size(args) -> int:
     config = _load_config(args)
-    widths = [int(w) for w in args.widths.split(",") if w]
+    widths = _int_list("--widths", args.widths)
     if not widths:
         raise ConfigError(["--widths: at least one adjustment kernel width required"])
     harness.sweep_size(config, widths, echo=print)
@@ -64,7 +69,7 @@ def cmd_ablate_order(args) -> int:
     for chunk in args.orders.split(";"):
         chunk = chunk.strip()
         if chunk:
-            orders.append([int(v) for v in chunk.split(",")])
+            orders.append(_int_list("--orders", chunk))
     if not orders:
         raise ConfigError(["--orders: expected permutations like '0,1,2;2,1,0'"])
     harness.ablate_order(config, orders, echo=print)

@@ -39,6 +39,15 @@ _SYNTHETIC_DEFAULTS = {
 }
 
 
+def _is_int(value) -> bool:
+    """An integer that is not a boolean (``True`` is an int to Python, not to a config)."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    return _is_int(value) or isinstance(value, float)
+
+
 class ConfigError(Exception):
     """Invalid configuration; ``problems`` lists field-level diagnostics."""
 
@@ -108,7 +117,7 @@ class RunConfig:
             dataset = merged
 
         num_tasks = take("num_tasks")
-        if not isinstance(num_tasks, int) or num_tasks < 1:
+        if not _is_int(num_tasks) or num_tasks < 1:
             problems.append(f"num_tasks: must be a positive integer, got {num_tasks!r}")
             num_tasks = 1
 
@@ -127,21 +136,21 @@ class RunConfig:
 
         class_order = take("class_order", "default")
         if isinstance(class_order, list):
-            if not all(isinstance(c, int) for c in class_order):
+            if not all(_is_int(c) for c in class_order):
                 problems.append("class_order: list entries must be integers")
         elif class_order != "default":
             problems.append(f"class_order: 'default' or a class-id list, got {class_order!r}")
 
         epochs = take("epochs", 30)
-        if not isinstance(epochs, int) or epochs < 1:
+        if not _is_int(epochs) or epochs < 1:
             problems.append(f"epochs: must be a positive integer, got {epochs!r}")
             epochs = 1
         batch_size = take("batch_size", 64)
-        if not isinstance(batch_size, int) or batch_size < 1:
+        if not _is_int(batch_size) or batch_size < 1:
             problems.append(f"batch_size: must be a positive integer, got {batch_size!r}")
             batch_size = 1
         lr = take("lr", 0.001)
-        if not isinstance(lr, (int, float)) or lr <= 0:
+        if not _is_number(lr) or lr <= 0:
             problems.append(f"lr: must be a positive number, got {lr!r}")
             lr = 0.001
 
@@ -149,7 +158,7 @@ class RunConfig:
         if (
             not isinstance(seeds, list)
             or not seeds
-            or not all(isinstance(s, int) and s >= 0 for s in seeds)
+            or not all(_is_int(s) and s >= 0 for s in seeds)
         ):
             problems.append(f"seeds: must be a non-empty list of non-negative ints, got {seeds!r}")
             seeds = [1]
@@ -162,12 +171,12 @@ class RunConfig:
             selection = "best-val"
 
         ortho_alpha = take("ortho_alpha", 0.0)
-        if not isinstance(ortho_alpha, (int, float)) or ortho_alpha < 0:
+        if not _is_number(ortho_alpha) or ortho_alpha < 0:
             problems.append(f"ortho_alpha: must be a non-negative number, got {ortho_alpha!r}")
             ortho_alpha = 0.0
 
         adjust_kernel = take("adjust_kernel", 3)
-        if not isinstance(adjust_kernel, int) or adjust_kernel < 1 or adjust_kernel % 2 == 0:
+        if not _is_int(adjust_kernel) or adjust_kernel < 1 or adjust_kernel % 2 == 0:
             problems.append(f"adjust_kernel: must be an odd positive integer, got {adjust_kernel!r}")
             adjust_kernel = 3
 
@@ -328,7 +337,7 @@ def _layer_from_dict(entry: dict, where: str):
     for key, value in given.items():
         if (kind, value) == ("linear", "base"):
             continue
-        if isinstance(value, bool) or not isinstance(value, int):
+        if not _is_int(value):
             raise ConfigError([f"{where}: {kind} layer field {key!r} must be an integer, got {value!r}"])
     try:
         return spec(**given)

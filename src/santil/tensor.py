@@ -425,8 +425,8 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, padding: int = 0) -
     input window by window, in the same window order, through reused buffers.
 
     Each sample is one GEMM in both directions, as in a single batched GEMM,
-    and the per-sample weight gradients are summed over the sample axis at
-    the end, so the bits do not depend on the chunk size.
+    and the per-sample weight gradients are added into one array in sample
+    order, so the bits do not depend on the chunk size.
     """
     if x.data.ndim != 4 or w.data.ndim != 4 or b.data.ndim != 1:
         raise ShapeError(
@@ -480,10 +480,18 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, padding: int = 0) -
         gw = None
         if w.requires_grad:
             chunk_patches = patch_builder()
-            gws = np.empty((n, cout, wm.shape[1]), dtype=dtype)
+            gws = np.empty((step, cout, wm.shape[1]), dtype=dtype)
             for sl in chunks:
-                np.matmul(gl[sl], chunk_patches(sl).transpose(0, 2, 1), out=gws[sl])
-            gw = gws.sum(axis=0).reshape(w.data.shape)
+                m = sl.stop - sl.start
+                np.matmul(gl[sl], chunk_patches(sl).transpose(0, 2, 1), out=gws[:m])
+                for gs in gws[:m]:
+                    if gw is None:
+                        gw = gs.copy()
+                    else:
+                        gw += gs
+            if gw is None:  # an empty batch
+                gw = np.zeros((cout, wm.shape[1]), dtype=dtype)
+            gw = gw.reshape(w.data.shape)
         gx = None
         if x.requires_grad:
             gx = np.empty((n, cin, h, wd), dtype=dtype)

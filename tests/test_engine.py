@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from santil import engine, layers
 from santil.data import synthetic_dataset
 from santil.engine import (
     IncrementalState,
@@ -530,6 +531,104 @@ class TestOrthoRegularizer:
         state = IncrementalState("san", tiny_arch(2), seq, master_seed=7, ortho_alpha=0.001)
         with pytest.raises(ValueError, match="square"):
             train_task(state, 1, epochs=1, batch_size=16)
+
+
+class TestFrozenPrefixCache:
+    @pytest.mark.parametrize("strategy", ["san", "baseline", "finetune", "independent"])
+    def test_cache_changes_no_bit_and_fills_only_frozen_prefixes(self, monkeypatch, strategy):
+        served = []  # (task, split, prefix depth) of every pass
+        original = engine._prefix_features
+
+        def spy(state, task_index, split, images, batch_size):
+            depth, rows = original(state, task_index, split, images, batch_size)
+            served.append((task_index, split, depth))
+            return depth, rows
+
+        def spied_run():
+            served.clear()
+            # the penalty is on, so baseline's is computed from cached features
+            arch = TestOrthoRegularizer()._square_embedding_arch()
+            result, state = run_sequence(
+                strategy, arch, seq, seed=4, epochs=2, batch_size=16, ortho_alpha=0.001
+            )
+            return result, state, list(served)
+
+        monkeypatch.setattr(engine, "_prefix_features", spy)
+        # 7 classes in 3 tasks: san widens its shared classifier at task 3
+        seq = blob_sequence(num_classes=7, num_tasks=3)
+        budget = engine._FEATURE_CACHE_BYTES
+        monkeypatch.setattr(engine, "_FEATURE_CACHE_BYTES", 0)
+        plain, plain_state, plain_served = spied_run()
+        monkeypatch.setattr(engine, "_FEATURE_CACHE_BYTES", budget)
+        cached, state, served = spied_run()
+
+        assert plain_state.features == {} and all(d == 0 for _, _, d in plain_served)
+        assert cached.forgetting == plain.forgetting
+        strip = lambda rows: [{k: v for k, v in r.items() if k != "train_seconds"} for r in rows]
+        assert strip(cached.per_task) == strip(plain.per_task)
+        params = [p for b in state.model_blocks() for p in b.parameters()]
+        plain_params = [p for b in plain_state.model_blocks() for p in b.parameters()]
+        assert [p.name for p in params] == [p.name for p in plain_params]
+        for got, want in zip(params, plain_params):
+            assert got.data.tobytes() == want.data.tobytes()
+
+        # which prefix each pass was served: B1 while san trains a task, B1 and
+        # A1 while baseline does, a finished task's backbone and adjustment
+        tests = {(t, "test", 2) for t in (1, 2, 3)}
+        later = [(t, split) for t in (2, 3) for split in ("train", "val")]
+        expected = {
+            "san": tests | {(t, split, 1) for t, split in later},
+            "baseline": tests | {(t, split, 2) for t, split in later},
+            "finetune": set(),
+            "independent": tests,
+        }[strategy]
+        assert {entry for entry in served if entry[2]} == expected
+        # train and val entries go when their task freezes
+        assert sorted(state.features) == sorted((t, s) for t, s, _ in tests & expected)
+
+    def test_frozen_backbone_runs_once_per_split(self, monkeypatch):
+        seq = blob_sequence()
+        rows = {}
+        forward = layers.ModelBlock.forward
+
+        def counting(block, x):
+            rows[block.name] = rows.get(block.name, 0) + x.shape[0]
+            return forward(block, x)
+
+        monkeypatch.setattr(layers.ModelBlock, "forward", counting)
+        epochs = 3
+        run_sequence("san", tiny_arch(), seq, seed=2, epochs=epochs, batch_size=16)
+        size = lambda t, split: getattr(seq.tasks[t - 1], f"{split}_idx").size
+        # task 1 trains B1, so each epoch runs it on the train and val splits;
+        # later tasks run it once per split, and each test split goes through
+        # B1 once, when its task is first scored
+        expected = epochs * (size(1, "train") + size(1, "val"))
+        expected += sum(size(t, "train") + size(t, "val") for t in (2, 3))
+        expected += sum(size(t, "test") for t in (1, 2, 3))
+        assert rows["backbone"] == expected
+
+    def test_drift_after_caching_still_stops_training(self):
+        seq = blob_sequence()
+        state = IncrementalState("san", tiny_arch(), seq, master_seed=5)
+        train_task(state, 1, epochs=1, batch_size=16)
+        accuracy = evaluate(state, 1, "test")
+        assert (1, "test") in state.features
+        state.shared["backbone"].parameters()[0].data[0] += 1.0
+        # the cached features no longer match B1, but the next freeze checks B1 itself
+        assert evaluate(state, 1, "test") == accuracy
+        with pytest.raises(RuntimeError, match="backbone.0.weight.*task 2"):
+            train_task(state, 2, epochs=1, batch_size=16)
+
+    def test_entry_over_budget_is_not_stored(self, monkeypatch):
+        seq = blob_sequence()
+        state = IncrementalState("san", tiny_arch(), seq, master_seed=5)
+        train_task(state, 1, epochs=1, batch_size=16)
+        one = evaluate(state, 1, "test")
+        entry_bytes = state.features[(1, "test")][1].nbytes
+        state.features.clear()
+        monkeypatch.setattr(engine, "_FEATURE_CACHE_BYTES", entry_bytes - 1)
+        assert evaluate(state, 1, "test") == one
+        assert state.features == {}
 
 
 @pytest.mark.slow

@@ -20,6 +20,7 @@ from santil.config import (
 )
 from santil.fetch import ChecksumError, RemoteFile, unpack, verify_checksum
 from santil.report import strip_wall_clock, write_summary_csv
+from santil.tasks import partition_classes
 
 
 def synthetic_blobs(seed, per_class, pattern_seed=None):
@@ -52,6 +53,9 @@ def write_config(tmp_path, **overrides) -> Path:
     path = tmp_path / "config.json"
     path.write_text(json.dumps(cfg.to_dict()))
     return path
+
+
+SHIPPED_CONFIGS = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.json"))
 
 
 class TestRunConfig:
@@ -140,6 +144,43 @@ class TestRunConfig:
         cfg = synthetic_config(tmp_path, architecture=inline)
         with pytest.raises(ConfigError, match="narrower"):
             resolve_architecture(cfg, (1, 8, 8), 2)
+
+    @pytest.mark.parametrize(
+        ("field", "value"),
+        [
+            ("epochs", True),
+            ("batch_size", True),
+            ("num_tasks", True),
+            ("adjust_kernel", True),
+            ("seeds", [True]),
+            ("class_order", [True, False, 2, 3]),
+            ("lr", True),
+            ("ortho_alpha", True),
+            ("ortho_alpha", False),
+        ],
+    )
+    def test_boolean_in_numeric_field_is_config_error(self, tmp_path, field, value):
+        with pytest.raises(ConfigError) as err:
+            synthetic_config(tmp_path, **{field: value})
+        assert [p.split(":")[0] for p in err.value.problems] == [field]
+
+    @pytest.mark.parametrize("path", SHIPPED_CONFIGS, ids=lambda path: path.name)
+    def test_shipped_config_loads_and_resolves(self, path):
+        # no data files: each dataset's image shape and class count are known
+        cfg = RunConfig.from_json(path)
+        name = cfg.dataset["name"]
+        if name == "synthetic":
+            shape, classes = tuple(cfg.dataset["shape"]), cfg.dataset["num_classes"]
+        elif name.startswith("cifar"):
+            shape, classes = (3, 32, 32), 100 if name == "cifar100" else 10
+        else:
+            shape, classes = (1, 28, 28), 10
+        if name == "permuted-mnist":
+            first = classes
+        else:
+            first = len(partition_classes(classes, cfg.num_tasks, cfg.class_order)[0])
+        spec = resolve_architecture(cfg, shape, first)
+        assert spec.input_shape == shape and spec.base_classes == first
 
     def test_missing_dataset_files_error_names_fetch(self, tmp_path):
         cfg = synthetic_config(tmp_path, dataset="mnist", data_root=str(tmp_path / "nowhere"))
@@ -288,6 +329,23 @@ class TestCheckpoints:
             a = predict_logits(state, t, images)
             b = predict_logits(reloaded, t, images)
             assert a.tobytes() == b.tobytes()
+
+    def test_reloaded_state_starts_with_empty_cache_and_rescores_the_report(self, tmp_path):
+        from santil.engine import evaluate
+        from santil.tasks import build_split_sequence
+
+        dataset = {"name": "synthetic", "num_classes": 6, "per_class": 60, "per_class_test": 20}
+        cfg = synthetic_config(tmp_path, num_tasks=3, dataset=dataset)
+        report = harness.run(cfg)
+        train, test, _ = load_pools(cfg)
+        groups = partition_classes(train.num_classes, cfg.num_tasks)
+        arch = resolve_architecture(cfg, train.image_shape, len(groups[0]))
+        seq = build_split_sequence(train, test, groups, master_seed=1)
+        reloaded = load_state(Path(cfg.out_dir) / "checkpoint_seed1.npz", arch, seq)
+        assert reloaded.features == {}
+        rescored = [evaluate(reloaded, t, "test") for t in range(1, 4)]
+        assert rescored == report["seeds"][0]["final_per_task"]
+        assert sorted(reloaded.features) == [(1, "test"), (2, "test"), (3, "test")]
 
     def test_meta_echo(self, tmp_path):
         cfg = synthetic_config(tmp_path)
@@ -546,6 +604,17 @@ class TestCli:
         assert main(["ablate-order", "--config", str(cfg_path), "--orders", "0,1;1,0"]) == 0
         combined = json.loads((tmp_path / "ao" / "ablation.json").read_text())
         assert len(combined) == 2
+
+    @pytest.mark.parametrize(
+        ("command", "option", "value"),
+        [("ablate-order", "--orders", "0,x,2"), ("sweep-size", "--widths", "3,five")],
+    )
+    def test_non_integer_list_option_exit_one(self, tmp_path, capsys, command, option, value):
+        cfg_path = write_config(tmp_path, epochs=1, out_dir=str(tmp_path / "ni"))
+        assert main([command, "--config", str(cfg_path), option, value]) == 1
+        err = capsys.readouterr().err
+        assert err == f"config error: {option}: expected comma-separated integers, got {value!r}\n"
+        assert not (tmp_path / "ni").exists()
 
     def test_dump_embeddings_subcommand(self, tmp_path):
         cfg_path = write_config(tmp_path, out_dir=str(tmp_path / "de"))

@@ -245,6 +245,27 @@ class TestConv2d:
         assert len(tape) == 1 and out.shape == (16, 32, 32, 32)
         assert held < patch_bytes / 4
 
+    def test_weight_gradient_keeps_no_per_sample_stack(self):
+        # the weight gradient is summed sample by sample into one [Cout, K]
+        # array, never through an [N, Cout, K] stack of per-sample gradients
+        rng = np.random.default_rng(5)
+        x = t(rng.normal(size=(64, 32, 16, 16)))
+        w = t(rng.normal(size=(64, 32, 3, 3)), grad=True)
+        b = t(np.zeros(64), grad=True)
+        g = rng.normal(size=(64, 64, 16, 16)).astype(np.float32)
+        stack_bytes = 64 * 64 * (32 * 3 * 3) * 4
+        with Tape() as tape:
+            conv2d(x, w, b, 1, 1)
+        (record,) = tape._records
+        tracemalloc.start()
+        try:
+            gx, gw, _ = record.grad_fn(g)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert gx is None and gw.shape == (64, 32, 3, 3)
+        assert peak < stack_bytes / 2
+
 
 # ---------------------------------------------------------------------------
 # maxpool2d
