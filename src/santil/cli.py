@@ -90,6 +90,8 @@ def cmd_fetch_data(args) -> int:
 
 
 def cmd_grad_check(args) -> int:
+    if args.instances < 1:
+        raise ConfigError([f"--instances: must be at least 1, got {args.instances}"])
     errors = gradient_suite(instances=args.instances)
     worst = max(errors.values())
     width = max(map(len, errors))

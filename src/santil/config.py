@@ -48,8 +48,12 @@ def _is_number(value) -> bool:
     return _is_int(value) or isinstance(value, float)
 
 
-class ConfigError(Exception):
-    """Invalid configuration; ``problems`` lists field-level diagnostics."""
+class ConfigError(ValueError):
+    """Invalid configuration; ``problems`` lists field-level diagnostics.
+
+    A ``ValueError``, so an API caller that passes a bad argument, such as a
+    task order that is not a permutation, can catch either.
+    """
 
     def __init__(self, problems):
         problems = list(problems)

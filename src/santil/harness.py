@@ -170,12 +170,15 @@ def ablate_order(config: RunConfig, orders, echo=None) -> list[dict]:
     if kind == "permuted":
         raise ConfigError(["ablate-order applies to split datasets only"])
     base_groups = _resolve_groups(config, train_pool, kind)
+    try:  # every order is checked before the first run writes anything
+        regrouped = [reorder_groups(base_groups, order) for order in orders]
+    except ValueError as exc:
+        raise ConfigError([f"orders: {exc}"]) from None
     out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
     summaries = []
-    for i, order in enumerate(orders):
-        groups = reorder_groups(base_groups, order)
+    for i, (order, groups) in enumerate(zip(orders, regrouped)):
         sub = dataclasses.replace(config, out_dir=str(out_dir / f"order{i}"))
         results = [result for _, result, _ in _seed_runs(sub, train_pool, test_pool, kind, groups)]
         report = _write_report(

@@ -6,8 +6,12 @@ gradients appends a record of (output, inputs, gradient function); an op
 whose inputs are all constants (frozen parameters included) is evaluated
 but not recorded. ``backward`` replays those records in reverse execution
 order, so each recorded op is visited exactly once and a tensor consumed k
-times receives the sum of its k gradient contributions. Without an active
-tape the same ops work as plain evaluation.
+times receives the sum of its k gradient contributions. Replay pops each
+record as it goes, so once an op's gradient has reached its inputs, its
+output, gradient function and saved arrays are freed, unless the caller
+still holds the output. A step therefore holds its saved activations plus
+the gradients of the ops being replayed, not every gradient of the pass.
+Without an active tape the same ops work as plain evaluation.
 
 Gather ops (``slice_rows``, ``select_columns``) return an ``IndexGrad``: the
 gradient's values on the gathered index, zero elsewhere. ``backward`` gives
@@ -36,7 +40,7 @@ class ShapeError(ValueError):
 
 
 class TapeError(RuntimeError):
-    """backward() was called on a tensor that no active tape recorded."""
+    """backward() was called on a tensor that no tape recorded, or twice."""
 
 
 _TLS = threading.local()
@@ -68,9 +72,11 @@ class Tape:
     """Execution-ordered record of one forward pass.
 
     A tape is confined to the thread that opened it and spans exactly one
-    forward+backward pair: replaying consumes the records, which promptly
-    releases the saved activations (tensors and tapes otherwise form
-    reference cycles that only the cycle collector would reclaim).
+    forward+backward pair. Replay removes each record from the tape as it
+    visits it, which releases that op's saved arrays at once (tensors and
+    tapes otherwise form reference cycles that only the cycle collector
+    would reclaim). The tape is marked consumed before the first record is
+    visited, so a replay that raises part-way cannot be run a second time.
     """
 
     def __init__(self) -> None:
@@ -197,8 +203,10 @@ def _record(out: Tensor, inputs: tuple[Tensor, ...], grad_fn: Callable) -> Tenso
 def backward(loss: Tensor) -> None:
     """Populate .grad on every recorded tensor that influenced ``loss``.
 
-    Visits each recorded op exactly once, in reverse execution order, then
-    consumes the tape. A loss made under a tape from constants alone has
+    Visits each recorded op exactly once, in reverse execution order, and
+    pops it off the tape once its gradient has been passed to its inputs;
+    the tape ends empty and consumed. Tensors the caller still holds keep
+    their ``.grad``. A loss made under a tape from constants alone has
     nothing to differentiate, so its backward writes no gradient. An
     ``IndexGrad`` is added in place, and only into a buffer this call
     allocated for that tensor.
@@ -212,8 +220,12 @@ def backward(loss: Tensor) -> None:
         raise TapeError("tape already replayed; open a new Tape for another pass")
     if loss.requires_grad:
         loss.grad = np.ones_like(loss.data)
+    records = tape._records
+    tape._consumed = True  # also when a grad_fn raises part-way
+    # no id here is reused: backward makes no Tensor and each one still to visit is alive
     owned: set[int] = set()  # ids of tensors whose .grad this call allocated
-    for rec in reversed(tape._records):
+    while records:
+        rec = records.pop()  # released, with what it saved, once this iteration ends
         gout = rec.out.grad
         if gout is None:
             continue
@@ -230,8 +242,6 @@ def backward(loss: Tensor) -> None:
             else:
                 t.grad = t.grad + gin
                 owned.add(id(t))
-    tape._records.clear()
-    tape._consumed = True
 
 
 def _check_same_dtype(op: str, *tensors: Tensor) -> None:

@@ -605,6 +605,20 @@ class TestCli:
         combined = json.loads((tmp_path / "ao" / "ablation.json").read_text())
         assert len(combined) == 2
 
+    def test_ablate_order_bad_later_order_exit_one_before_any_run(self, tmp_path, capsys):
+        cfg_path = write_config(tmp_path, epochs=1, out_dir=str(tmp_path / "bo"))
+        assert main(["ablate-order", "--config", str(cfg_path), "--orders", "0,1;0"]) == 1
+        err = capsys.readouterr().err
+        assert err == "config error: orders: order must be a permutation of 0..1, got [0]\n"
+        assert not (tmp_path / "bo").exists()
+
+    @pytest.mark.parametrize("instances", ["0", "-1"])
+    def test_grad_check_without_instances_exit_one(self, capsys, instances):
+        assert main(["grad-check", "--instances", instances]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"config error: --instances: must be at least 1, got {instances}\n"
+        assert "OK" not in captured.out
+
     @pytest.mark.parametrize(
         ("command", "option", "value"),
         [("ablate-order", "--orders", "0,x,2"), ("sweep-size", "--widths", "3,five")],

@@ -548,6 +548,55 @@ class TestBackward:
         assert gw.tobytes() == ref_w.tobytes() and gb.tobytes() == ref_b.tobytes()
         assert np.any(gw[:2]) and np.all(gb[:2] != 0)
 
+    def test_replay_frees_each_record_once_its_gradient_is_passed_on(self):
+        # eight same-size ops on a 4 MiB tensor: replay holds what the tape
+        # saved plus a few gradients, never all eight at once
+        x = t(np.random.default_rng(13).normal(size=(1024, 1024)), grad=True)
+        buf = x.data.nbytes
+        tracemalloc.start()
+        try:
+            base, _ = tracemalloc.get_traced_memory()
+            with Tape():
+                h = x
+                for i in range(4):
+                    h = relu(scale(h, 1.0 + i))
+                loss = tsum(h)
+                saved = tracemalloc.get_traced_memory()[0] - base
+                tracemalloc.reset_peak()
+                backward(loss)
+                peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert saved >= 8 * buf
+        assert peak <= saved + 4 * buf
+        assert x.grad.shape == x.shape
+
+    def test_held_intermediate_keeps_its_gradient(self):
+        x = t([[1.0, -2.0], [3.0, 4.0]], grad=True)
+        with Tape() as tape:
+            mid = relu(scale(x, 2.0))
+            backward(tsum(scale(mid, 3.0)))
+        assert len(tape) == 0
+        assert np.array_equal(mid.grad, np.full((2, 2), 3.0, dtype=np.float32))
+        assert np.array_equal(x.grad, [[6.0, 0.0], [6.0, 6.0]])
+
+    def test_replay_that_raises_cannot_be_replayed(self, monkeypatch):
+        # a second pass over what is left would add the gradients that
+        # already arrived a second time
+        x = t([1.0, -2.0, 3.0], grad=True)
+
+        def failing_grad_fn(g):
+            raise FloatingPointError("injected")
+
+        with Tape() as tape:
+            loss = tsum(scale(relu(scale(x, 2.0)), 3.0))
+            monkeypatch.setattr(tape._records[1], "grad_fn", failing_grad_fn)  # relu's
+            with pytest.raises(FloatingPointError, match="injected"):
+                backward(loss)
+            with pytest.raises(TapeError, match="already replayed"):
+                backward(loss)
+        assert x.grad is None
+
     def test_loss_without_trainable_ancestor_backprops_as_noop(self):
         p = Parameter(np.ones((2, 2), dtype=np.float32), "w")
         p.frozen = True
