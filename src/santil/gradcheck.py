@@ -16,7 +16,8 @@ def grad_check(f: Callable[..., Tensor], inputs: Sequence[Tensor], eps: float = 
     C-contiguous float64 with requires_grad set; each coordinate is bumped
     by +/- eps and the numeric derivative (f(x+eps) - f(x-eps)) / (2 eps)
     is compared against the analytic gradient using the denominator
-    max(|analytic|, |numeric|, 1e-8).
+    max(|analytic|, |numeric|, 1e-8). A non-finite analytic or numeric
+    derivative counts as error inf.
     """
     if not (1e-6 <= eps <= 1e-3):
         raise ValueError(f"eps must lie in [1e-6, 1e-3], got {eps}")
@@ -50,6 +51,8 @@ def grad_check(f: Callable[..., Tensor], inputs: Sequence[Tensor], eps: float = 
             flat[i] = orig
             numeric = (fp - fm) / (2.0 * eps)
             a = float(aflat[i])
+            if not (np.isfinite(a) and np.isfinite(numeric)):
+                return float("inf")
             rel = abs(a - numeric) / max(abs(a), abs(numeric), 1e-8)
             if rel > worst:
                 worst = rel
@@ -118,16 +121,17 @@ def gradient_suite(instances: int = 20, seed: int = 0) -> dict[str, float]:
             grad_check(lambda xx, ww, bb: T.tsum(T.relu(T.linear(xx, ww, bb))), [xl, wl, bl]),
         )
 
-        stride, padding = (1, 1) if rng.random() < 0.5 else (2, 0)
-        xc = t64(rng.normal(size=(2, 2, 5, 5)))
-        wc = t64(rng.normal(size=(3, 2, 3, 3)) * 0.5)
-        bc = t64(rng.normal(size=3) * 0.5)
-        track(
-            "conv2d",
-            grad_check(
-                lambda xx, ww, bb: T.tsum(T.conv2d(xx, ww, bb, stride, padding)), [xc, wc, bc]
-            ),
-        )
+        # kernel, stride, padding: same-size, strided, and sweep-size's 5x5
+        for k, stride, padding in ((3, 1, 1), (3, 2, 0), (5, 1, 2)):
+            xc = t64(rng.normal(size=(2, 2, 5, 5)))
+            wc = t64(rng.normal(size=(3, 2, k, k)) * 0.5)
+            bc = t64(rng.normal(size=3) * 0.5)
+            track(
+                "conv2d",
+                grad_check(
+                    lambda xx, ww, bb: T.tsum(T.conv2d(xx, ww, bb, stride, padding)), [xc, wc, bc]
+                ),
+            )
 
         xm = t64(rng.normal(size=(2, 2, 4, 4)))
         track("maxpool2d", grad_check(lambda u: T.tsum(T.maxpool2d(u, 2)), [xm]))

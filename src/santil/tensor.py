@@ -430,9 +430,12 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, padding: int = 0) -
     about ``_CHUNK_BYTES``. Every chunk of a call reuses one patch buffer and
     one zero-bordered padded-input buffer, and is multiplied straight into its
     slice of the output. The tape keeps only the op's inputs, never a
-    batch-sized patch matrix: backward rebuilds each chunk's patches for the
-    weight gradient and scatters the input gradient back over the padded
-    input window by window, in the same window order, through reused buffers.
+    batch-sized patch matrix: backward rebuilds each chunk's patches and
+    takes each sample's weight gradient as patches @ grad^T. For the input
+    gradient, grad is zero-padded to the padded input's row pitch and the
+    GEMM's rows are taken window by window, so each kernel window, over all
+    channels, adds onto the flattened padded input as one strided run, in
+    row-major window order. The padding adds only zeros, so no sum changes.
 
     Each sample is one GEMM in both directions, as in a single batched GEMM,
     and the per-sample weight gradients are added into one array in sample
@@ -485,40 +488,47 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, padding: int = 0) -
     out = Tensor(out_data)
 
     def grad_fn(g):
-        gl = g.reshape(n, cout, ho * wo)
         gb = g.sum(axis=(0, 2, 3)) if b.requires_grad else None
         gw = None
         if w.requires_grad:
+            gl = g.reshape(n, cout, ho * wo)
             chunk_patches = patch_builder()
-            gws = np.empty((step, cout, wm.shape[1]), dtype=dtype)
+            gws = np.empty((step, wm.shape[1], cout), dtype=dtype)
             for sl in chunks:
                 m = sl.stop - sl.start
-                np.matmul(gl[sl], chunk_patches(sl).transpose(0, 2, 1), out=gws[:m])
+                np.matmul(chunk_patches(sl), gl[sl].transpose(0, 2, 1), out=gws[:m])
                 for gs in gws[:m]:
                     if gw is None:
                         gw = gs.copy()
                     else:
                         gw += gs
             if gw is None:  # an empty batch
-                gw = np.zeros((cout, wm.shape[1]), dtype=dtype)
-            gw = gw.reshape(w.data.shape)
+                gw = np.zeros((wm.shape[1], cout), dtype=dtype)
+            gw = gw.T.reshape(w.data.shape)
         gx = None
         if x.requires_grad:
+            # g as [Cout, rows, wp] a sample, zero outside [ho, wo], and the
+            # GEMM's rows in (i, j, c) order: window (i, j) of every channel is
+            # one run, landing on the padded input (held at channel pitch
+            # stride*rows*wp) from offset i*wp + j in steps of stride
+            rows = -(-hp // stride)
+            span = (cin - 1) * rows * wp + (ho - 1) * wp + wo
+            wt = np.ascontiguousarray(w.data.transpose(0, 2, 3, 1)).reshape(cout, -1).T
+            gpad = np.zeros((step, cout, rows, wp), dtype=dtype)
+            gwin = np.empty((step, kh, kw, cin * rows * wp), dtype=dtype)
+            acc = np.empty((step, cin, stride * rows, wp), dtype=dtype)
             gx = np.empty((n, cin, h, wd), dtype=dtype)
-            gcols = np.empty((step, cin, kh, kw, ho, wo), dtype=dtype)
-            gxp = np.empty((step, cin, hp, wp), dtype=dtype) if padding else None
             for sl in chunks:
                 m = sl.stop - sl.start
-                gwin = gcols[:m]
-                np.matmul(wm.T, gl[sl], out=gwin.reshape(m, -1, ho * wo))
-                acc = gxp[:m] if padding else gx[sl]
-                acc.fill(0)
+                gpad[:m, :, :ho, :wo] = g[sl]
+                np.matmul(wt, gpad[:m].reshape(m, cout, -1), out=gwin[:m].reshape(m, -1, rows * wp))
+                acc[:m].fill(0)
+                flat = acc[:m].reshape(m, -1)
                 for i in range(kh):
-                    ys = slice(i, i + stride * ho, stride)
                     for j in range(kw):
-                        acc[:, :, ys, slice(j, j + stride * wo, stride)] += gwin[:, :, i, j]
-                if padding:
-                    gx[sl] = acc[:, :, padding : padding + h, padding : padding + wd]
+                        off = i * wp + j
+                        flat[:, off : off + stride * span : stride] += gwin[:m, i, j, :span]
+                gx[sl] = acc[:m, :, padding : padding + h, padding : padding + wd]
         return (gx, gw, gb)
 
     return _record(out, (x, w, b), grad_fn)

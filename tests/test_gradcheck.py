@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from santil import tensor
 from santil.gradcheck import grad_check, gradient_suite
 from santil.tensor import ShapeError, Tensor, mul, orthogonality_penalty, scale, tsum
 
@@ -52,3 +53,16 @@ def test_non_scalar_function_rejected():
     x = f64(np.ones((2, 2)))
     with pytest.raises(ShapeError):
         grad_check(lambda v: scale(v, 2.0), [x])
+
+
+def nan_gradient(v):
+    # identity forward whose recorded gradient is NaN
+    return tensor._record(Tensor(v.data.copy()), (v,), lambda g: (np.full_like(g, np.nan),))
+
+
+def test_nan_gradient_counts_as_infinite_error():
+    x = f64(np.random.default_rng(2).normal(size=(2, 3)))
+    assert grad_check(lambda v: tsum(nan_gradient(v)), [x]) == np.inf
+    # a NaN forward makes both derivatives NaN
+    nan = Tensor(np.full((2, 3), np.nan))
+    assert grad_check(lambda v: tsum(mul(v, nan)), [x]) == np.inf
