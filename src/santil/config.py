@@ -166,6 +166,9 @@ class RunConfig:
         ):
             problems.append(f"seeds: must be a non-empty list of non-negative ints, got {seeds!r}")
             seeds = [1]
+        repeated = sorted({s for s in seeds if seeds.count(s) > 1})
+        if repeated:
+            problems.append(f"seeds: each seed may appear once; {repeated} repeated")
 
         selection = take("checkpoint_selection", "best-val")
         if selection not in SELECTION_MODES:

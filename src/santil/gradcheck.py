@@ -121,17 +121,20 @@ def gradient_suite(instances: int = 20, seed: int = 0) -> dict[str, float]:
             grad_check(lambda xx, ww, bb: T.tsum(T.relu(T.linear(xx, ww, bb))), [xl, wl, bl]),
         )
 
-        # kernel, stride, padding: same-size, strided, and sweep-size's 5x5
+        # kernel, stride, padding: same-size, strided, and sweep-size's 5x5;
+        # the same inputs also go through the fused Conv->ReLU
         for k, stride, padding in ((3, 1, 1), (3, 2, 0), (5, 1, 2)):
             xc = t64(rng.normal(size=(2, 2, 5, 5)))
             wc = t64(rng.normal(size=(3, 2, k, k)) * 0.5)
             bc = t64(rng.normal(size=3) * 0.5)
-            track(
-                "conv2d",
-                grad_check(
-                    lambda xx, ww, bb: T.tsum(T.conv2d(xx, ww, bb, stride, padding)), [xc, wc, bc]
-                ),
-            )
+            for name, fused in (("conv2d", False), ("conv2d_relu", True)):
+                track(
+                    name,
+                    grad_check(
+                        lambda xx, ww, bb: T.tsum(T.conv2d(xx, ww, bb, stride, padding, fused)),
+                        [xc, wc, bc],
+                    ),
+                )
 
         xm = t64(rng.normal(size=(2, 2, 4, 4)))
         track("maxpool2d", grad_check(lambda u: T.tsum(T.maxpool2d(u, 2)), [xm]))

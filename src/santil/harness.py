@@ -124,6 +124,9 @@ def sweep_size(config: RunConfig, kernels, echo=None) -> list[dict]:
     for k in kernels:
         if k < 1 or k % 2 == 0:
             raise ConfigError([f"widths: adjustment kernels must be odd and positive, got {k}"])
+    repeated = sorted({k for k in kernels if kernels.count(k) > 1})
+    if repeated:
+        raise ConfigError([f"widths: each kernel may appear once; {repeated} repeated"])
     out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 

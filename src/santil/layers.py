@@ -72,9 +72,9 @@ class Conv:
     def init(self, shape, rng, dtype) -> dict[str, np.ndarray]:
         return _weight_and_bias(rng, (self.out_channels, shape[0], self.kernel, self.kernel), dtype)
 
-    def apply(self, x: Tensor, params) -> Tensor:
+    def apply(self, x: Tensor, params, relu: bool = False) -> Tensor:
         weight, bias = params
-        return conv2d(x, weight.value, bias.value, self.stride, self.padding)
+        return conv2d(x, weight.value, bias.value, self.stride, self.padding, relu)
 
 
 @dataclass(frozen=True)
@@ -156,8 +156,18 @@ class ModelBlock:
         self.output_shape = tuple(out_shape)
 
     def forward(self, x: Tensor) -> Tensor:
-        for spec, params in self.layers:
-            x = spec.apply(x, params)
+        """The layers in order; a Conv followed by a Relu runs as one fused conv2d.
+
+        The fused op has the pair's bits, and its tape record keeps the
+        activation only, not the pre-activation as well.
+        """
+        layers = self.layers
+        i = 0
+        while i < len(layers):
+            spec, params = layers[i]
+            fuse = isinstance(spec, Conv) and i + 1 < len(layers) and isinstance(layers[i + 1][0], Relu)
+            x = spec.apply(x, params, relu=True) if fuse else spec.apply(x, params)
+            i += 2 if fuse else 1
         return x
 
     def parameters(self) -> list[Parameter]:

@@ -420,8 +420,10 @@ def _im2col(x, padding, kh, kw, stride, ho, wo, xp, cols) -> np.ndarray:
     return cols.reshape(m, c * kh * kw, ho * wo)
 
 
-def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
-    """Batched 2-D cross-correlation with zero padding.
+def conv2d(
+    x: Tensor, w: Tensor, b: Tensor, stride: int = 1, padding: int = 0, relu: bool = False
+) -> Tensor:
+    """Batched 2-D cross-correlation with zero padding, optionally followed by ReLU.
 
     x:[N,Cin,H,W], w:[Cout,Cin,kh,kw], b:[Cout]. Output extents follow
     floor((H + 2*padding - kh)/stride) + 1 (likewise for W).
@@ -429,17 +431,27 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, padding: int = 0) -
     The batch is walked in chunks of samples whose patch matrix (im2col) is
     about ``_CHUNK_BYTES``. Every chunk of a call reuses one patch buffer and
     one zero-bordered padded-input buffer, and is multiplied straight into its
-    slice of the output. The tape keeps only the op's inputs, never a
-    batch-sized patch matrix: backward rebuilds each chunk's patches and
-    takes each sample's weight gradient as patches @ grad^T. For the input
-    gradient, grad is zero-padded to the padded input's row pitch and the
-    GEMM's rows are taken window by window, so each kernel window, over all
-    channels, adds onto the flattened padded input as one strided run, in
-    row-major window order. The padding adds only zeros, so no sum changes.
+    slice of the output, which then gets the bias (and, with ``relu``, is
+    clamped at 0 in place) while it is still in cache. The tape keeps only the
+    op's inputs and output, never a batch-sized patch matrix: backward
+    rebuilds each chunk's patches and takes each sample's weight gradient as
+    patches @ grad^T. For the input gradient, grad is zero-padded to the
+    padded input's row pitch and the GEMM's rows are taken window by window,
+    so each kernel window, over all channels, adds onto the flattened padded
+    input as one strided run, in row-major window order.
 
-    Each sample is one GEMM in both directions, as in a single batched GEMM,
-    and the per-sample weight gradients are added into one array in sample
-    order, so the bits do not depend on the chunk size.
+    With ``relu`` the op is ``relu(conv2d(...))`` in one tape record: backward
+    first gates grad by ``out > 0``, which holds exactly where the
+    pre-activation is positive (both are False for NaN), so the
+    pre-activation is never kept. Forward and backward do the same
+    elementwise arithmetic as the two ops, so the bits are those of the pair.
+
+    Each sample is one GEMM in both directions and the per-sample weight
+    gradients are added into one array in sample order, so the bits do not
+    depend on the chunk size. They equal those of one batched im2col GEMM
+    with a windowed scatter only where BLAS picks the same kernel for the
+    GEMM widths Ho*Wo and rows*Wp (the padded row pitch); elsewhere the
+    input gradient may differ from it in the last bits.
     """
     if x.data.ndim != 4 or w.data.ndim != 4 or b.data.ndim != 1:
         raise ShapeError(
@@ -479,15 +491,21 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1, padding: int = 0) -
         return lambda sl: _im2col(x.data[sl], padding, kh, kw, stride, ho, wo, xp, cols)
 
     wm = w.data.reshape(cout, -1)
+    bias = b.data.reshape(cout, 1)
     chunk_patches = patch_builder()
     out_data = np.empty((n, cout, ho * wo), dtype=dtype)
     for sl in chunks:
-        np.matmul(wm, chunk_patches(sl), out=out_data[sl])
+        o = out_data[sl]
+        np.matmul(wm, chunk_patches(sl), out=o)
+        o += bias
+        if relu:
+            np.maximum(o, 0, out=o)
     out_data = out_data.reshape(n, cout, ho, wo)
-    out_data += b.data.reshape(1, cout, 1, 1)
     out = Tensor(out_data)
 
     def grad_fn(g):
+        if relu:
+            g = g * (out_data > 0)
         gb = g.sum(axis=(0, 2, 3)) if b.requires_grad else None
         gw = None
         if w.requires_grad:

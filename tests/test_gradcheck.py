@@ -28,6 +28,11 @@ def test_every_op_below_1e4_over_20_instances():
         assert err <= 1e-4, f"{name} gradient error {err:.3e}"
 
 
+def test_fused_conv_relu_is_checked():
+    errors = gradient_suite(instances=1, seed=1)
+    assert errors["conv2d_relu"] <= 1e-4
+
+
 def test_composed_network_below_1e4():
     errors = gradient_suite(instances=1, seed=3)
     assert errors["composed_network"] <= 1e-4

@@ -164,6 +164,11 @@ class TestRunConfig:
             synthetic_config(tmp_path, **{field: value})
         assert [p.split(":")[0] for p in err.value.problems] == [field]
 
+    def test_repeated_seed_is_config_error(self, tmp_path):
+        with pytest.raises(ConfigError) as err:
+            synthetic_config(tmp_path, seeds=[2, 1, 2, 1, 3])
+        assert err.value.problems == ["seeds: each seed may appear once; [1, 2] repeated"]
+
     @pytest.mark.parametrize("path", SHIPPED_CONFIGS, ids=lambda path: path.name)
     def test_shipped_config_loads_and_resolves(self, path):
         # no data files: each dataset's image shape and class count are known
@@ -629,6 +634,22 @@ class TestCli:
         err = capsys.readouterr().err
         assert err == f"config error: {option}: expected comma-separated integers, got {value!r}\n"
         assert not (tmp_path / "ni").exists()
+
+    @pytest.mark.parametrize(
+        ("command", "option", "value", "problem"),
+        [
+            ("run", "--seed", "1,1", "seeds: each seed may appear once; [1] repeated"),
+            ("sweep-size", "--widths", "3,1,3", "widths: each kernel may appear once; [3] repeated"),
+        ],
+        ids=["seed", "width"],
+    )
+    def test_repeated_seed_or_width_exit_one_before_any_run(
+        self, tmp_path, capsys, command, option, value, problem
+    ):
+        cfg_path = write_config(tmp_path, epochs=1, out_dir=str(tmp_path / "rep"))
+        assert main([command, "--config", str(cfg_path), option, value]) == 1
+        assert capsys.readouterr().err == f"config error: {problem}\n"
+        assert not (tmp_path / "rep").exists()
 
     def test_dump_embeddings_subcommand(self, tmp_path):
         cfg_path = write_config(tmp_path, out_dir=str(tmp_path / "de"))

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from santil.layers import (
     Conv,
     Dense,
     Flatten,
+    MaxPool,
     Relu,
     assert_frozen,
     build_block,
@@ -19,7 +22,7 @@ from santil.layers import (
     snapshot_block,
 )
 from santil.optim import Adam
-from santil.tensor import ShapeError, Tape, Tensor, backward, tsum
+from santil.tensor import ShapeError, Tape, Tensor, backward, softmax_cross_entropy, tsum
 
 
 def rand_input(shape, seed=0, n=2):
@@ -121,6 +124,76 @@ class TestForwardCompositions:
         )
         x = rand_input((1, 8, 8), n=4)
         assert head3.forward(adjust.forward(self.backbone.forward(x))).shape == (4, 3)
+
+
+class TestFusedConvRelu:
+    # the inline stack has a Conv before a MaxPool, a lone Relu and a Conv
+    # that ends its block
+    STACKS = {
+        "tiny": PRESETS["tiny"]((1, 8, 8), base_classes=3),
+        "mnist-small": PRESETS["mnist-small"]((1, 28, 28), base_classes=3),
+        "cifar-small": PRESETS["cifar-small"]((3, 32, 32), base_classes=3),
+        "inline": ArchitectureSpec(
+            input_shape=(2, 8, 8),
+            backbone=(Conv(4, 3, 1, 1), MaxPool(2), Relu(), Conv(6, 3, 1, 1), Relu()),
+            adjustment=(Conv(6, 1, 1, 0),),
+            classifier=(Flatten(), Dense(5), Relu(), Dense(3)),
+            base_classes=3,
+        ),
+    }
+
+    @staticmethod
+    def layer_by_layer(block, x):
+        for spec, params in block.layers:
+            x = spec.apply(x, params)
+        return x
+
+    @pytest.mark.parametrize("stack", sorted(STACKS))
+    def test_forward_equals_layer_by_layer_chain(self, stack):
+        arch = self.STACKS[stack]
+        parts = (arch.backbone, arch.adjustment, arch.classifier)
+        blocks = []
+        for i, part in enumerate(parts):
+            in_shape = blocks[-1].output_shape if blocks else arch.input_shape
+            blocks.append(build_block(part, in_shape, i, f"p{i}"))
+        params = [p for blk in blocks for p in blk.parameters()]
+        pairs = sum(
+            isinstance(a, Conv) and isinstance(b, Relu) for part in parts for a, b in zip(part, part[1:])
+        )
+        assert pairs >= 1
+        x = rand_input(arch.input_shape, n=3)
+        x.requires_grad = True
+        runs = []
+        for run_block in (lambda blk, h: blk.forward(h), self.layer_by_layer):
+            for p in params:
+                p.value.grad = None
+            x.grad = None
+            with Tape() as tape:
+                h = x
+                for blk in blocks:
+                    h = run_block(blk, h)
+                loss = softmax_cross_entropy(h, np.array([0, 1, 2]))
+                records = len(tape)
+                backward(loss)
+            runs.append((records, [a.tobytes() for a in [h.data, x.grad] + [p.grad for p in params]]))
+        (fused_records, fused_bits), (chain_records, chain_bits) = runs
+        assert chain_records - fused_records == pairs
+        assert fused_bits == chain_bits
+
+    def test_recorded_conv_relu_keeps_one_activation(self):
+        # the tape holds the ReLU output, not the conv's pre-activation as well
+        block = build_block((Conv(32, 3, 1, 1), Relu()), (32, 32, 32), 4, "b")
+        x = rand_input((32, 32, 32), n=16)
+        out_bytes = 16 * 32 * 32 * 32 * 4
+        tracemalloc.start()
+        try:
+            with Tape() as tape:
+                out = block.forward(x)
+                held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(tape) == 1 and out.data.nbytes == out_bytes
+        assert held < 1.5 * out_bytes
 
 
 class TestFreezing:

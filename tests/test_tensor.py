@@ -245,6 +245,74 @@ class TestConv2d:
                 assert got.dtype == want.dtype and got.shape == want.shape
                 assert got.tobytes() == want.tobytes()
 
+    # x shape, Cout, kernel, stride, padding, dtype: shapes at which this
+    # OpenBLAS build's input gradient differs from one_shot_conv's in the last
+    # bits, because BLAS picks other kernels for GEMM widths Ho*Wo and rows*Wp
+    CHUNK_ONLY_CASES = [
+        ((8, 1, 8, 8), 64, 1, 2, 1, np.float32),
+        ((6, 32, 19, 12), 16, 3, 1, 1, np.float64),
+    ]
+
+    @pytest.mark.parametrize("case", CHUNK_ONLY_CASES)
+    def test_bits_do_not_depend_on_chunk_size(self, monkeypatch, case):
+        shape, cout, k, stride, pad, dtype = case
+        n, cin, h, wd = shape
+        ho = (h + 2 * pad - k) // stride + 1
+        wo = (wd + 2 * pad - k) // stride + 1
+        sample_bytes = cin * k * k * ho * wo * np.dtype(dtype).itemsize
+        rng = np.random.default_rng(8)
+        xd = rng.normal(size=shape).astype(dtype)
+        wdata = rng.normal(size=(cout, cin, k, k)).astype(dtype)
+        bd = rng.normal(size=cout).astype(dtype)
+        g = rng.normal(size=(n, cout, ho, wo)).astype(dtype)
+        results = []
+        for per_chunk in (1, n):
+            monkeypatch.setattr(tensor, "_CHUNK_BYTES", per_chunk * sample_bytes)
+            x, w, b = t(xd, dtype, grad=True), t(wdata, dtype, grad=True), t(bd, dtype, grad=True)
+            with Tape():
+                out = conv2d(x, w, b, stride, pad)
+                backward(tsum(mul(out, t(g, dtype))))
+            results.append((out.data, x.grad, w.grad, b.grad))
+        one_sample, whole_batch = results
+        assert [a.tobytes() for a in one_sample] == [a.tobytes() for a in whole_batch]
+        tol = 1e-5 if dtype == np.float32 else 1e-12
+        expected = one_shot_conv(xd, wdata, bd, g, stride, pad, True, True)
+        for got, want in zip(one_sample, expected):
+            np.testing.assert_allclose(got, want, rtol=tol, atol=tol)
+
+    @pytest.mark.parametrize("case", [ONE_SHOT_CASES[0], ONE_SHOT_CASES[1], ONE_SHOT_CASES[5]])
+    def test_fused_relu_bitwise_equals_relu_of_conv(self, case):
+        # one sample a chunk, 9 a chunk with a remainder, float64
+        shape, cout, k, stride, pad, dtype, _, _, _ = case
+        n, cin, h, wd = shape
+        ho = (h + 2 * pad - k) // stride + 1
+        wo = (wd + 2 * pad - k) // stride + 1
+        rng = np.random.default_rng(9)
+        xd = rng.normal(size=shape).astype(dtype)
+        wdata = rng.normal(size=(cout, cin, k, k)).astype(dtype)
+        bd = rng.normal(size=cout).astype(dtype)
+        # channels whose pre-activation is exactly 0 everywhere
+        wdata[:2] = 0
+        bd[:2] = 0
+        g = rng.normal(size=(n, cout, ho, wo)).astype(dtype)
+        g *= rng.random(size=g.shape) < 0.5
+        zeros = g[g == 0]
+        assert np.signbit(zeros).any() and not np.signbit(zeros).all()
+        results = []
+        for fused in (True, False):
+            x, w, b = t(xd, dtype, grad=True), t(wdata, dtype, grad=True), t(bd, dtype, grad=True)
+            with Tape() as tape:
+                if fused:
+                    out = conv2d(x, w, b, stride, pad, relu=True)
+                else:
+                    out = relu(conv2d(x, w, b, stride, pad))
+                records = len(tape)
+                backward(tsum(mul(out, t(g, dtype))))
+            results.append((records, [a.tobytes() for a in (out.data, x.grad, w.grad, b.grad)]))
+        (fused_records, fused_bits), (pair_records, pair_bits) = results
+        assert (fused_records, pair_records) == (1, 2)
+        assert fused_bits == pair_bits
+
     def test_recorded_conv_keeps_no_batch_sized_patch_matrix(self):
         # tracemalloc sees numpy's buffers; the tape must hold the inputs and
         # the output, not the [N, Cin*kh*kw, Ho*Wo] patch matrix (18 MiB here)
