@@ -9,12 +9,9 @@ on a from-scratch reverse-mode autodiff core over numpy buffers.
 from .data import (
     Dataset,
     DatasetError,
-    PermutationSet,
     load_cifar,
     load_idx,
     make_permutations,
-    save_cifar,
-    save_idx,
     synthetic_dataset,
 )
 from .engine import (
@@ -67,6 +64,7 @@ from .tensor import (
     backward,
     conv2d,
     flatten,
+    leading_columns,
     linear,
     maxpool2d,
     mul,
@@ -74,7 +72,6 @@ from .tensor import (
     relu,
     reshape,
     scale,
-    select_columns,
     slice_rows,
     softmax_cross_entropy,
     tsum,

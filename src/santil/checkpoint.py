@@ -96,7 +96,7 @@ def load_state(path, arch: ArchitectureSpec, seq: TaskSequence) -> IncrementalSt
                         f"checkpoint parameter {p.name!r} has shape {stored.shape}, "
                         f"expected {p.data.shape}"
                     )
-                p.value.data = stored.astype(p.data.dtype, copy=True)
+                p.data = stored.astype(p.data.dtype, copy=True)
     for t in range(1, len(trained) + 1):
         freeze_task(state, t)
     state.trained_upto = len(trained)

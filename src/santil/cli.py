@@ -12,7 +12,7 @@ import traceback
 
 from . import harness
 from .checkpoint import CheckpointMismatchError
-from .config import ConfigError, DataFilesError, RunConfig
+from .config import ConfigError, DataFilesError, RunConfig, resolve_data_root
 from .data import DatasetError
 from .engine import TrainingDivergedError
 from .fetch import FetchError, fetch_dataset
@@ -83,7 +83,7 @@ def cmd_dump_embeddings(args) -> int:
 
 
 def cmd_fetch_data(args) -> int:
-    root = args.data_root or "data"
+    root = resolve_data_root(args.data_root)
     fetch_dataset(args.dataset, root, skip_verify=args.skip_verify)
     print(f"{args.dataset} ready under {root}")
     return EXIT_OK
@@ -146,7 +146,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fetch-data", help="download and verify dataset files")
     p.add_argument("--dataset", required=True, choices=["mnist", "fashion-mnist", "cifar10", "cifar100"])
-    p.add_argument("--data-root", help="target directory (default ./data)")
+    p.add_argument("--data-root", help="target directory (default: $SAN_TIL_DATA_ROOT or ./data)")
     p.add_argument("--skip-verify", action="store_true", help="skip checksum verification")
     p.set_defaults(func=cmd_fetch_data)
 

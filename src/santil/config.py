@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field, fields
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
 
 from .data import Dataset, load_cifar, load_idx, synthetic_dataset
@@ -46,6 +46,13 @@ def _is_int(value) -> bool:
 
 def _is_number(value) -> bool:
     return _is_int(value) or isinstance(value, float)
+
+
+def _default(f):
+    """A dataclass field's default value; None for a required field."""
+    if f.default_factory is not MISSING:
+        return f.default_factory()
+    return None if f.default is MISSING else f.default
 
 
 class ConfigError(ValueError):
@@ -92,40 +99,29 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "RunConfig":
-        problems: list[str] = []
         if not isinstance(raw, dict):
             raise ConfigError(["config must be a JSON object"])
-        known = set(cls.__dataclass_fields__)
-        for key in raw:
-            if key not in known:
-                problems.append(f"{key}: unknown field")
+        problems = [f"{key}: unknown field" for key in raw if key not in cls.__dataclass_fields__]
+        checked = {f.name: raw[f.name] if f.name in raw else _default(f) for f in fields(cls)}
 
-        def take(name, default=None):
-            return raw.get(name, default)
+        if checked["strategy"] not in STRATEGIES:
+            problems.append(f"strategy: must be one of {list(STRATEGIES)}, got {checked['strategy']!r}")
 
-        strategy = take("strategy")
-        if strategy not in STRATEGIES:
-            problems.append(f"strategy: must be one of {list(STRATEGIES)}, got {strategy!r}")
-
-        dataset = take("dataset")
+        dataset = checked["dataset"]
         if isinstance(dataset, str):
             dataset = {"name": dataset}
         if not isinstance(dataset, dict) or dataset.get("name") not in DATASET_NAMES:
             problems.append(
                 f"dataset: must name one of {list(DATASET_NAMES)}, got {dataset!r}"
             )
-            dataset = {"name": "synthetic"}
         elif dataset["name"] == "synthetic":
-            merged = dict(_SYNTHETIC_DEFAULTS)
-            merged.update(dataset)
-            dataset = merged
+            dataset = {**_SYNTHETIC_DEFAULTS, **dataset}
+        checked["dataset"] = dataset
 
-        num_tasks = take("num_tasks")
-        if not _is_int(num_tasks) or num_tasks < 1:
-            problems.append(f"num_tasks: must be a positive integer, got {num_tasks!r}")
-            num_tasks = 1
+        if not _is_int(checked["num_tasks"]) or checked["num_tasks"] < 1:
+            problems.append(f"num_tasks: must be a positive integer, got {checked['num_tasks']!r}")
 
-        architecture = take("architecture")
+        architecture = checked["architecture"]
         if isinstance(architecture, str):
             if architecture not in PRESETS:
                 problems.append(
@@ -138,82 +134,50 @@ class RunConfig:
         else:
             problems.append("architecture: must be a preset name or an inline spec object")
 
-        class_order = take("class_order", "default")
+        class_order = checked["class_order"]
         if isinstance(class_order, list):
-            if not all(_is_int(c) for c in class_order):
+            if not all(_is_int(v) for v in class_order):
                 problems.append("class_order: list entries must be integers")
         elif class_order != "default":
             problems.append(f"class_order: 'default' or a class-id list, got {class_order!r}")
 
-        epochs = take("epochs", 30)
-        if not _is_int(epochs) or epochs < 1:
-            problems.append(f"epochs: must be a positive integer, got {epochs!r}")
-            epochs = 1
-        batch_size = take("batch_size", 64)
-        if not _is_int(batch_size) or batch_size < 1:
-            problems.append(f"batch_size: must be a positive integer, got {batch_size!r}")
-            batch_size = 1
-        lr = take("lr", 0.001)
-        if not _is_number(lr) or lr <= 0:
-            problems.append(f"lr: must be a positive number, got {lr!r}")
-            lr = 0.001
+        for name in ("epochs", "batch_size"):
+            if not _is_int(checked[name]) or checked[name] < 1:
+                problems.append(f"{name}: must be a positive integer, got {checked[name]!r}")
+        if not _is_number(checked["lr"]) or checked["lr"] <= 0:
+            problems.append(f"lr: must be a positive number, got {checked['lr']!r}")
 
-        seeds = take("seeds", [1, 2, 3])
+        seeds = checked["seeds"]
         if (
             not isinstance(seeds, list)
             or not seeds
             or not all(_is_int(s) and s >= 0 for s in seeds)
         ):
             problems.append(f"seeds: must be a non-empty list of non-negative ints, got {seeds!r}")
-            seeds = [1]
-        repeated = sorted({s for s in seeds if seeds.count(s) > 1})
-        if repeated:
-            problems.append(f"seeds: each seed may appear once; {repeated} repeated")
+        else:
+            repeated = sorted({s for s in seeds if seeds.count(s) > 1})
+            if repeated:
+                problems.append(f"seeds: each seed may appear once; {repeated} repeated")
 
-        selection = take("checkpoint_selection", "best-val")
-        if selection not in SELECTION_MODES:
+        if checked["checkpoint_selection"] not in SELECTION_MODES:
             problems.append(
-                f"checkpoint_selection: must be one of {list(SELECTION_MODES)}, got {selection!r}"
+                f"checkpoint_selection: must be one of {list(SELECTION_MODES)}, "
+                f"got {checked['checkpoint_selection']!r}"
             )
-            selection = "best-val"
-
-        ortho_alpha = take("ortho_alpha", 0.0)
-        if not _is_number(ortho_alpha) or ortho_alpha < 0:
-            problems.append(f"ortho_alpha: must be a non-negative number, got {ortho_alpha!r}")
-            ortho_alpha = 0.0
-
-        adjust_kernel = take("adjust_kernel", 3)
-        if not _is_int(adjust_kernel) or adjust_kernel < 1 or adjust_kernel % 2 == 0:
-            problems.append(f"adjust_kernel: must be an odd positive integer, got {adjust_kernel!r}")
-            adjust_kernel = 3
-
-        data_root = take("data_root")
-        if data_root is not None and not isinstance(data_root, str):
-            problems.append(f"data_root: must be a string path, got {data_root!r}")
-            data_root = None
-        out_dir = take("out_dir", "runs/out")
-        if not isinstance(out_dir, str):
-            problems.append(f"out_dir: must be a string path, got {out_dir!r}")
-            out_dir = "runs/out"
+        if not _is_number(checked["ortho_alpha"]) or checked["ortho_alpha"] < 0:
+            problems.append(f"ortho_alpha: must be a non-negative number, got {checked['ortho_alpha']!r}")
+        kernel = checked["adjust_kernel"]
+        if not _is_int(kernel) or kernel < 1 or kernel % 2 == 0:
+            problems.append(f"adjust_kernel: must be an odd positive integer, got {kernel!r}")
+        if checked["data_root"] is not None and not isinstance(checked["data_root"], str):
+            problems.append(f"data_root: must be a string path, got {checked['data_root']!r}")
+        if not isinstance(checked["out_dir"], str):
+            problems.append(f"out_dir: must be a string path, got {checked['out_dir']!r}")
 
         if problems:
             raise ConfigError(problems)
-        return cls(
-            strategy=strategy,
-            dataset=dataset,
-            num_tasks=num_tasks,
-            architecture=architecture,
-            class_order=class_order,
-            epochs=epochs,
-            batch_size=batch_size,
-            lr=float(lr),
-            seeds=list(seeds),
-            checkpoint_selection=selection,
-            ortho_alpha=float(ortho_alpha),
-            adjust_kernel=adjust_kernel,
-            data_root=data_root,
-            out_dir=out_dir,
-        )
+        checked.update(lr=float(checked["lr"]), ortho_alpha=float(checked["ortho_alpha"]), seeds=list(seeds))
+        return cls(**checked)
 
     @classmethod
     def from_json(cls, path) -> "RunConfig":
@@ -226,27 +190,12 @@ class RunConfig:
         return cls.from_dict(raw)
 
     def to_dict(self) -> dict:
-        return {
-            "strategy": self.strategy,
-            "dataset": dict(self.dataset),
-            "num_tasks": self.num_tasks,
-            "architecture": self.architecture,
-            "class_order": self.class_order,
-            "epochs": self.epochs,
-            "batch_size": self.batch_size,
-            "lr": self.lr,
-            "seeds": list(self.seeds),
-            "checkpoint_selection": self.checkpoint_selection,
-            "ortho_alpha": self.ortho_alpha,
-            "adjust_kernel": self.adjust_kernel,
-            "data_root": self.data_root,
-            "out_dir": self.out_dir,
-        }
+        return asdict(self)
 
 
-def resolve_data_root(config: RunConfig) -> Path:
-    root = config.data_root or os.environ.get(ENV_DATA_ROOT) or "data"
-    return Path(root)
+def resolve_data_root(data_root: str | None) -> Path:
+    """The given directory, else ``$SAN_TIL_DATA_ROOT``, else ``./data``."""
+    return Path(data_root or os.environ.get(ENV_DATA_ROOT) or "data")
 
 
 # ---------------------------------------------------------------------------
@@ -279,7 +228,7 @@ def _load_idx_pools(directory: Path, dataset_name: str) -> tuple[Dataset, Datase
 def load_pools(config: RunConfig) -> tuple[Dataset, Dataset, str]:
     """(train pool, test pool, sequence kind) for the configured dataset."""
     name = config.dataset["name"]
-    root = resolve_data_root(config)
+    root = resolve_data_root(config.data_root)
     if name in ("mnist", "permuted-mnist"):
         train, test = _load_idx_pools(root / "mnist", "mnist")
         return train, test, ("permuted" if name == "permuted-mnist" else "split")

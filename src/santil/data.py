@@ -137,20 +137,6 @@ def load_idx(images_path, labels_path) -> Dataset:
     return Dataset(images, labels, provenance=provenance)
 
 
-def save_idx(dataset: Dataset, images_path, labels_path) -> None:
-    """Serialize back to IDX bytes; inverse of load_idx for its image encoding."""
-    n, c, h, w = dataset.images.shape
-    if c != 1:
-        raise DatasetError(f"IDX stores single-channel images, got C={c}")
-    pixels = np.rint(dataset.images * 255.0).astype(np.uint8)
-    with open(images_path, "wb") as fh:
-        fh.write(struct.pack(">IIII", IDX_IMAGES_MAGIC, n, h, w))
-        fh.write(pixels.tobytes())
-    with open(labels_path, "wb") as fh:
-        fh.write(struct.pack(">II", IDX_LABELS_MAGIC, n))
-        fh.write(dataset.labels.astype(np.uint8).tobytes())
-
-
 # ---------------------------------------------------------------------------
 # CIFAR binary
 
@@ -181,43 +167,19 @@ def load_cifar(binary_paths: Sequence, variant: str) -> Dataset:
     return Dataset(np.concatenate(all_images), np.concatenate(all_labels), provenance=provenance)
 
 
-def save_cifar(dataset: Dataset, path, variant: str) -> None:
-    """Serialize to CIFAR binary records; coarse label written as 0 for cifar100."""
-    if variant not in ("cifar10", "cifar100"):
-        raise ValueError(f"variant must be 'cifar10' or 'cifar100', got {variant!r}")
-    n, c, h, w = dataset.images.shape
-    if (c, h, w) != (3, 32, 32):
-        raise DatasetError(f"CIFAR records are 3x32x32, got {(c, h, w)}")
-    pixels = np.rint(dataset.images * 255.0).astype(np.uint8).reshape(n, 3072)
-    labels = dataset.labels.astype(np.uint8)
-    with open(path, "wb") as fh:
-        for i in range(n):
-            if variant == "cifar100":
-                fh.write(bytes([0, labels[i]]))
-            else:
-                fh.write(bytes([labels[i]]))
-            fh.write(pixels[i].tobytes())
-
-
 # ---------------------------------------------------------------------------
 # pixel permutations
 
 
-@dataclass(frozen=True)
-class PermutationSet:
-    """Per-task pixel permutations; task 1 is always the identity."""
-
-    perms: tuple[np.ndarray, ...]
-
-
-def make_permutations(num_tasks: int, seed: int, num_pixels: int = 28 * 28) -> PermutationSet:
+def make_permutations(num_tasks: int, seed: int, num_pixels: int = 28 * 28) -> tuple[np.ndarray, ...]:
+    """One pixel permutation per task; task 1's is the identity."""
     if num_tasks < 1:
         raise ValueError("num_tasks must be >= 1")
     rng = np.random.default_rng(seed)
     perms = [np.arange(num_pixels)]
     for _ in range(num_tasks - 1):
         perms.append(rng.permutation(num_pixels))
-    return PermutationSet(tuple(perms))
+    return tuple(perms)
 
 
 # ---------------------------------------------------------------------------

@@ -58,10 +58,10 @@ from .tensor import (
     add,
     backward,
     flatten,
+    leading_columns,
     orthogonality_penalty,
     reshape,
     scale,
-    select_columns,
     slice_rows,
     softmax_cross_entropy,
 )
@@ -199,13 +199,6 @@ class IncrementalState:
             self.per_task[task_index][part] if part in self.spec.per_task else self.shared[part]
             for part in PARTS
         ]
-
-    def forward_parts(self, x: Tensor, task_index: int) -> tuple[Tensor, Tensor]:
-        """(logits, pre-classifier features) for the task's network."""
-        return _forward_from(self._forward_blocks(task_index), x, 0)
-
-    def classifier_width(self, task_index: int) -> int:
-        return self._forward_blocks(task_index)[-1].output_shape[0]
 
     def embed(self, images: np.ndarray, task_index: int) -> np.ndarray:
         """Flattened pre-classifier feature embedding, one row per sample."""
@@ -409,8 +402,6 @@ def train_task(
     blocks = state._forward_blocks(task_index)
     params = [p for blk in blocks for p in blk.parameters() if not p.frozen]
     trainable_count = sum(p.trainable_count() for p in params)
-    head = range(len(task.class_ids))
-    needs_mask = len(head) != state.classifier_width(task_index)
 
     images, raw_labels = task_arrays(state.seq, task, "train")
     labels = task.local_labels(raw_labels)
@@ -430,9 +421,7 @@ def train_task(
             x = Tensor(rows[idx])
             with Tape():
                 logits, feats = _forward_from(blocks, x, depth)
-                if needs_mask:
-                    logits = select_columns(logits, head)
-                loss = softmax_cross_entropy(logits, labels[idx])
+                loss = softmax_cross_entropy(leading_columns(logits, len(task.class_ids)), labels[idx])
                 if state.ortho_alpha > 0.0:
                     penalty = _mean_square_feature_penalty(flatten(feats))
                     loss = add(loss, scale(penalty, state.ortho_alpha))
@@ -452,7 +441,7 @@ def train_task(
 
     if selection == "best-val" and best_params is not None:
         for p, saved in zip(params, best_params):
-            p.value.data = saved
+            p.data = saved
         val_acc = best_acc
     else:
         best_epoch = epochs

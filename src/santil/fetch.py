@@ -3,7 +3,10 @@
 Core runs never touch the network; this module backs the explicit
 `fetch-data` subcommand only. Checksums pinned below are verified after
 download. Entries without a pin are recorded into <data_root>/checksums.json
-on first fetch and verified against that manifest afterwards.
+on first fetch and verified against that manifest afterwards. Downloads,
+unpacked files and the manifest are written to a temporary name and renamed
+into place, so an interrupted fetch leaves no partial file to be trusted
+(and pinned) by the next one.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .data import file_sha256
+from .fileio import atomic_open
 
 
 class FetchError(Exception):
@@ -122,7 +126,8 @@ def _load_manifest(data_root: Path) -> dict:
 
 
 def _store_manifest(data_root: Path, manifest: dict) -> None:
-    _manifest_path(data_root).write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    with atomic_open(_manifest_path(data_root)) as fh:
+        fh.write(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
 def verify_checksum(path: Path, remote: RemoteFile, data_root: Path, skip_verify: bool = False) -> str:
@@ -145,12 +150,21 @@ def verify_checksum(path: Path, remote: RemoteFile, data_root: Path, skip_verify
 
 
 def _safe_extract_tar(archive: Path, dest: Path) -> None:
+    """Extract every member under ``dest``, once all of them have been checked.
+
+    Only regular files and directories that resolve inside ``dest`` are
+    accepted; one link, device or escaping path refuses the whole archive
+    before anything is written.
+    """
+    root = dest.resolve()
     with tarfile.open(archive, "r:gz") as tar:
-        for member in tar.getmembers():
-            target = (dest / member.name).resolve()
-            if not str(target).startswith(str(dest.resolve())):
+        members = tar.getmembers()
+        for member in members:
+            if not (member.isfile() or member.isdir()):
+                raise FetchError(f"refusing to extract {member.name!r}: not a regular file or directory")
+            if not (root / member.name).resolve().is_relative_to(root):
                 raise FetchError(f"refusing to extract {member.name!r} outside {dest}")
-        tar.extractall(dest)
+        tar.extractall(dest, members=members)
 
 
 def unpack(archive: Path, remote: RemoteFile, data_root: Path) -> None:
@@ -158,7 +172,7 @@ def unpack(archive: Path, remote: RemoteFile, data_root: Path) -> None:
     target_dir.mkdir(parents=True, exist_ok=True)
     if remote.unpack == "gunzip":
         out_path = target_dir / archive.name[: -len(".gz")]
-        with gzip.open(archive, "rb") as src, open(out_path, "wb") as dst:
+        with gzip.open(archive, "rb") as src, atomic_open(out_path, "wb") as dst:
             shutil.copyfileobj(src, dst)
     elif remote.unpack == "untar":
         _safe_extract_tar(archive, target_dir)
@@ -168,7 +182,7 @@ def unpack(archive: Path, remote: RemoteFile, data_root: Path) -> None:
 
 def download(url: str, dest: Path) -> None:
     try:
-        with urllib.request.urlopen(url) as response, open(dest, "wb") as fh:
+        with urllib.request.urlopen(url) as response, atomic_open(dest, "wb") as fh:
             shutil.copyfileobj(response, fh)
     except Exception as exc:
         raise FetchError(f"download failed for {url}: {exc}") from exc

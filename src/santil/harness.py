@@ -34,7 +34,10 @@ def _resolve_groups(config: RunConfig, train_pool: Dataset, kind: str):
         if config.class_order != "default":
             raise ConfigError(["class_order: not applicable to permuted tasks"])
         return None
-    return partition_classes(train_pool.num_classes, config.num_tasks, config.class_order)
+    try:
+        return partition_classes(train_pool.num_classes, config.num_tasks, config.class_order)
+    except ValueError as exc:
+        raise ConfigError([str(exc)]) from None
 
 
 def _build_sequence(
@@ -128,7 +131,6 @@ def sweep_size(config: RunConfig, kernels, echo=None) -> list[dict]:
     if repeated:
         raise ConfigError([f"widths: each kernel may appear once; {repeated} repeated"])
     out_dir = Path(config.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
 
     rows = []
     for k in kernels:
@@ -177,19 +179,20 @@ def ablate_order(config: RunConfig, orders, echo=None) -> list[dict]:
         regrouped = [reorder_groups(base_groups, order) for order in orders]
     except ValueError as exc:
         raise ConfigError([f"orders: {exc}"]) from None
+    orders = [[int(v) for v in order] for order in orders]
+    repeated = [list(o) for o in sorted({tuple(o) for o in orders if orders.count(o) > 1})]
+    if repeated:
+        raise ConfigError([f"orders: each order may appear once; {repeated} repeated"])
     out_dir = Path(config.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
 
     summaries = []
     for i, (order, groups) in enumerate(zip(orders, regrouped)):
         sub = dataclasses.replace(config, out_dir=str(out_dir / f"order{i}"))
         results = [result for _, result, _ in _seed_runs(sub, train_pool, test_pool, kind, groups)]
-        report = _write_report(
-            sub, train_pool, test_pool, kind, results, task_order=[int(v) for v in order]
-        )
+        report = _write_report(sub, train_pool, test_pool, kind, results, task_order=order)
         summaries.append(
             {
-                "order": [int(v) for v in order],
+                "order": order,
                 "mean_accuracy": report["aggregate"]["mean_final_mean"],
                 "std_accuracy": report["aggregate"]["mean_final_std"],
                 "report": str(Path(sub.out_dir) / "report.json"),
@@ -197,7 +200,7 @@ def ablate_order(config: RunConfig, orders, echo=None) -> list[dict]:
         )
         if echo is not None:
             echo(
-                f"order {list(order)}: {report['aggregate']['mean_final_mean'] * 100:.2f} % "
+                f"order {order}: {report['aggregate']['mean_final_mean'] * 100:.2f} % "
                 f"+/- {report['aggregate']['mean_final_std'] * 100:.2f}"
             )
     with atomic_open(out_dir / "ablation.json") as fh:

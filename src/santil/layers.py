@@ -74,7 +74,7 @@ class Conv:
 
     def apply(self, x: Tensor, params, relu: bool = False) -> Tensor:
         weight, bias = params
-        return conv2d(x, weight.value, bias.value, self.stride, self.padding, relu)
+        return conv2d(x, weight, bias, self.stride, self.padding, relu)
 
 
 @dataclass(frozen=True)
@@ -116,7 +116,7 @@ class Dense:
 
     def apply(self, x: Tensor, params) -> Tensor:
         weight, bias = params
-        return linear(x, weight.value, bias.value)
+        return linear(x, weight, bias)
 
 
 @dataclass(frozen=True)

@@ -54,7 +54,7 @@ class Adam(object):
         for p in self.params:
             if p.frozen:
                 continue
-            g = p.value.grad
+            g = p.grad
             if g is None:
                 raise MissingGradientError(f"no gradient for trainable parameter '{p.name}'")
             if p.trainable_mask is not None:
@@ -75,8 +75,8 @@ class Adam(object):
             denom += denom_eps
             np.divide(m, denom, out=denom)
             denom *= step_size
-            p.value.data -= denom
+            p.data -= denom
 
     def zero_grad(self) -> None:
         for p in self.params:
-            p.value.grad = None
+            p.grad = None

@@ -154,7 +154,7 @@ def build_permuted_sequence(
                 train_idx=rel_train,
                 val_idx=rel_val,
                 test_idx=all_test,
-                pixel_permutation=perms.perms[t - 1],
+                pixel_permutation=perms[t - 1],
             )
         )
     return TaskSequence(train_pool, test_pool, tasks, kind="permuted")

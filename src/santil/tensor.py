@@ -13,13 +13,13 @@ still holds the output. A step therefore holds its saved activations plus
 the gradients of the ops being replayed, not every gradient of the pass.
 Without an active tape the same ops work as plain evaluation.
 
-Gather ops (``slice_rows``, ``select_columns``) return an ``IndexGrad``: the
-gradient's values on the gathered index, zero elsewhere. ``backward`` gives
-such a tensor one zeroed buffer and adds each later ``IndexGrad`` into it in
-place, so k slices of an [N, D] tensor cost O(k*D), not O(k*N*D). It mutates
-only buffers it allocated in that call: a ``.grad`` that may alias another
-tensor's gradient (``add`` hands both inputs the same array, ``reshape``
-hands back a view) or that is left from an earlier pass is copied first.
+``slice_rows`` returns an ``IndexGrad``: the gradient's values on the sliced
+rows, zero elsewhere. ``backward`` gives such a tensor one zeroed buffer and
+adds each later ``IndexGrad`` into it in place, so k row slices of an [N, D]
+tensor cost O(k*D), not O(k*N*D). It mutates only buffers it allocated in
+that call: a ``.grad`` that may alias another tensor's gradient (``add``
+hands both inputs the same array, ``reshape`` hands back a view) or that is
+left from an earlier pass is copied first.
 
 Training runs in float32; gradient checking builds float64 graphs so that
 central-difference comparisons are meaningful.
@@ -28,7 +28,7 @@ central-difference comparisons are meaningful.
 from __future__ import annotations
 
 import threading
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -134,52 +134,47 @@ class Tensor:
         )
 
 
-class Parameter:
+class Parameter(Tensor):
     """Trainable tensor with a dotted-path name and freeze controls.
 
-    ``frozen`` is the negation of ``value.requires_grad``: a frozen
-    parameter is a constant to the tape, so it never gets a gradient, ops
-    fed only by constants are not recorded, and the optimizer skips it.
-    ``trainable_mask`` (bool array, True = trainable entry) restricts
-    updates to a subset; the parameter is not frozen and keeps its full
-    gradient. Classifier extension uses it so appended output rows can
-    train while the original rows stay bit-identical.
+    Ops take a parameter as they take any tensor. ``frozen`` is the
+    negation of ``requires_grad``: a frozen parameter is a constant to the
+    tape, so it never gets a gradient, ops fed only by constants are not
+    recorded, and the optimizer skips it. ``trainable_mask`` (bool array,
+    True = trainable entry) restricts updates to a subset; the parameter is
+    not frozen and keeps its full gradient. Classifier extension uses it so
+    appended output rows can train while the original rows stay
+    bit-identical.
     """
 
+    __slots__ = ("name", "trainable_mask")
+
     def __init__(self, data: np.ndarray, name: str):
-        self.value = Tensor(np.asarray(data), requires_grad=True)
+        super().__init__(data, requires_grad=True)
         self.name = name
         self.trainable_mask: np.ndarray | None = None
 
     @property
     def frozen(self) -> bool:
-        return not self.value.requires_grad
+        return not self.requires_grad
 
     @frozen.setter
     def frozen(self, value: bool) -> None:
-        self.value.requires_grad = not value
-
-    @property
-    def data(self) -> np.ndarray:
-        return self.value.data
-
-    @property
-    def grad(self) -> np.ndarray | None:
-        return self.value.grad
+        self.requires_grad = not value
 
     def trainable_count(self) -> int:
         if self.frozen:
             return 0
         if self.trainable_mask is not None:
             return int(self.trainable_mask.sum())
-        return int(self.value.data.size)
+        return int(self.data.size)
 
     def __repr__(self) -> str:
         return f"Parameter({self.name!r}, shape={tuple(self.data.shape)}, frozen={self.frozen})"
 
 
 class IndexGrad:
-    """A gradient that is zero outside ``index``; ``values`` is ``grad[index]``."""
+    """A row-slice gradient: zero outside rows ``index``, ``values`` on them."""
 
     __slots__ = ("index", "values")
 
@@ -332,25 +327,25 @@ def flatten(x: Tensor) -> Tensor:
     return reshape(x, (x.data.shape[0], -1))
 
 
-def select_columns(x: Tensor, columns: Sequence[int]) -> Tensor:
-    """Gather columns of a 2-D tensor; the gradient is an ``IndexGrad`` on them.
+def leading_columns(x: Tensor, k: int) -> Tensor:
+    """The first k columns of a 2-D tensor; x itself when k is its width.
 
-    Columns must be unique: the in-place ``+=`` in ``backward`` would apply
-    only one of a repeated column's contributions.
+    A narrower slice is a copy, and its gradient is the upstream gradient
+    zero-padded back to x's width.
     """
     if x.data.ndim != 2:
-        raise ShapeError(f"select_columns expects 2-D input, got {x.data.shape}")
-    cols = np.asarray(columns, dtype=np.int64)
-    if cols.ndim != 1 or cols.size == 0:
-        raise ShapeError("select_columns needs a non-empty index list")
-    if len(np.unique(cols)) != cols.size:
-        raise ShapeError("select_columns indices must be unique")
-    if cols.min() < 0 or cols.max() >= x.data.shape[1]:
-        raise ShapeError(f"column index out of range for width {x.data.shape[1]}")
-    out = Tensor(x.data[:, cols])
+        raise ShapeError(f"leading_columns expects 2-D input, got {x.data.shape}")
+    width = x.data.shape[1]
+    if not 1 <= k <= width:
+        raise ShapeError(f"leading_columns: {k} columns out of range for width {width}")
+    if k == width:
+        return x
+    out = Tensor(x.data[:, :k].copy())
 
     def grad_fn(g):
-        return (IndexGrad((slice(None), cols), g),)
+        gx = np.zeros_like(x.data)
+        gx[:, :k] = g
+        return (gx,)
 
     return _record(out, (x,), grad_fn)
 

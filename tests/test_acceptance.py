@@ -290,7 +290,7 @@ def test_criterion_09_cifar10_smoke():
 def test_criterion_10a_byte_fixture_round_trips(tmp_path):
     import struct
 
-    from santil.data import save_cifar, save_idx
+    from dataset_writers import save_cifar, save_idx
 
     started = time.perf_counter()
     rng = np.random.default_rng(0)

@@ -15,12 +15,12 @@ from santil.data import (
     load_cifar,
     load_idx,
     make_permutations,
-    save_cifar,
-    save_idx,
     split_indices,
     synthetic_dataset,
 )
 from santil.tasks import Task, TaskSequence, task_arrays
+
+from dataset_writers import save_cifar, save_idx
 
 
 def write_idx_pair(tmp_path, pixels, labels):
@@ -149,7 +149,7 @@ def permuted_sequence(perms, images):
     idx = np.arange(images.shape[0])
     tasks = [
         Task(t, f"task{t}", (0,), idx, idx, idx, pixel_permutation=perm)
-        for t, perm in enumerate(perms.perms, start=1)
+        for t, perm in enumerate(perms, start=1)
     ]
     return TaskSequence(pool, pool, tasks, kind="permuted")
 
@@ -157,16 +157,16 @@ def permuted_sequence(perms, images):
 class TestPermutations:
     def test_first_task_is_identity(self):
         perms = make_permutations(4, seed=0, num_pixels=36)
-        assert np.array_equal(perms.perms[0], np.arange(36))
+        assert np.array_equal(perms[0], np.arange(36))
 
     def test_single_task(self):
         perms = make_permutations(1, seed=0, num_pixels=16)
-        assert len(perms.perms) == 1
+        assert len(perms) == 1
 
     def test_deterministic(self):
         a = make_permutations(5, seed=3, num_pixels=49)
         b = make_permutations(5, seed=3, num_pixels=49)
-        for pa, pb in zip(a.perms, b.perms):
+        for pa, pb in zip(a, b):
             assert np.array_equal(pa, pb)
 
     def test_bijection_and_inverse_round_trip(self):
@@ -175,9 +175,9 @@ class TestPermutations:
         images = rng.random((4, 1, 4, 4), dtype=np.float32)
         seq = permuted_sequence(perms, images)
         for t in (1, 2, 3):
-            assert np.array_equal(np.sort(perms.perms[t - 1]), np.arange(16))
+            assert np.array_equal(np.sort(perms[t - 1]), np.arange(16))
             permuted, _ = task_arrays(seq, seq.tasks[t - 1], "test")
-            flat = permuted.reshape(4, 1, 16)[:, :, np.argsort(perms.perms[t - 1])]
+            flat = permuted.reshape(4, 1, 16)[:, :, np.argsort(perms[t - 1])]
             assert np.array_equal(flat.reshape(4, 1, 4, 4), images)
 
     def test_permute_commutes_with_batching(self):
@@ -253,12 +253,12 @@ class TestSynthetic:
         for lo in range(0, len(order), 20):
             idx = order[lo : lo + 20]
             with Tape():
-                logits = linear(flatten(Tensor(train.images[idx])), w.value, b.value)
+                logits = linear(flatten(Tensor(train.images[idx])), w, b)
                 backward(softmax_cross_entropy(logits, train.labels[idx]))
             opt.step()
             opt.zero_grad()
         test = synthetic_dataset(2, 50, (1, 4, 4), seed=14, pattern_seed=13)
-        logits = linear(flatten(Tensor(test.images)), w.value, b.value)
+        logits = linear(flatten(Tensor(test.images)), w, b)
         acc = (logits.data.argmax(1) == test.labels).mean()
         assert acc >= 0.99
 

@@ -105,10 +105,12 @@ class TestTaskHead:
         seq = build_split_sequence(train, test, [(0, 1), (2, 3, 4, 5)], master_seed=1)
         state = IncrementalState("finetune", tiny_arch(2), seq, master_seed=1)
         train_task(state, 1, epochs=1, batch_size=16)
-        assert state.classifier_width(1) == 4
+        assert state.shared["classifier"].output_shape == (4,)
         images, _ = task_arrays(seq, seq.tasks[0], "test")
         logits = predict_logits(state, 1, images)
-        full, _ = state.forward_parts(Tensor(images), 1)
+        full = Tensor(images)
+        for block in state._forward_blocks(1):
+            full = block.forward(full)
         assert logits.tobytes() == full.data[:, :2].copy().tobytes()
         accuracy = evaluate(state, 1, "test")
         # the surplus outputs never win, whatever their magnitude
@@ -238,9 +240,10 @@ class TestFreezingAndForgetting:
 
         def adjust_grads():
             for p in adjust:
-                p.value.grad = None
+                p.grad = None
+            backbone, adjust_block, classifier = state._forward_blocks(2)
             with Tape():
-                logits, _ = state.forward_parts(x, 2)
+                logits = classifier.forward(adjust_block.forward(backbone.forward(x)))
                 backward(softmax_cross_entropy(logits, labels))
             return [p.grad.copy() for p in adjust]
 
@@ -254,7 +257,7 @@ class TestFreezingAndForgetting:
         finally:
             for p in ends:
                 p.frozen = True
-                p.value.grad = None
+                p.grad = None
         assert len(frozen_grads) == len(reference) > 0
         for got, want in zip(frozen_grads, reference):
             assert got.tobytes() == want.tobytes()
@@ -376,7 +379,6 @@ class TestHeadExtension:
         logits_t1 = predict_logits(state, 1, images)
         train_task(state, 2, epochs=2, batch_size=16)
         train_task(state, 3, epochs=2, batch_size=16)
-        assert state.classifier_width(3) == 4
         spec, (wide_weight, _) = state.shared["classifier"].layers[-1]
         assert spec == Dense(4)
         wide = wide_weight.data
@@ -411,7 +413,7 @@ class TestHeadExtension:
             got = []
             for task in seq.tasks:
                 prepare_task_blocks(state, task)
-                got.append(state.classifier_width(task.index))
+                got.append(state._forward_blocks(task.index)[-1].output_shape[0])
             assert got == expected, strategy
 
     def test_first_task_wider_than_head_rejected(self):

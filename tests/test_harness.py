@@ -1,14 +1,16 @@
 import csv
 import gzip
 import hashlib
+import io
 import json
 import struct
+import tarfile
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from santil import harness
+from santil import cli, harness
 from santil.checkpoint import CheckpointMismatchError, load_state, read_meta, save_state
 from santil.cli import main
 from santil.config import (
@@ -18,7 +20,7 @@ from santil.config import (
     load_pools,
     resolve_architecture,
 )
-from santil.fetch import ChecksumError, RemoteFile, unpack, verify_checksum
+from santil.fetch import ChecksumError, FetchError, RemoteFile, fetch_dataset, unpack, verify_checksum
 from santil.report import strip_wall_clock, write_summary_csv
 from santil.tasks import partition_classes
 
@@ -62,6 +64,39 @@ class TestRunConfig:
     def test_round_trip(self, tmp_path):
         cfg = synthetic_config(tmp_path)
         assert RunConfig.from_dict(cfg.to_dict()) == cfg
+
+    def test_to_dict_keys_in_field_order(self, tmp_path):
+        # the order is part of the checkpoint metadata's bytes
+        assert list(synthetic_config(tmp_path).to_dict()) == [
+            "strategy",
+            "dataset",
+            "num_tasks",
+            "architecture",
+            "class_order",
+            "epochs",
+            "batch_size",
+            "lr",
+            "seeds",
+            "checkpoint_selection",
+            "ortho_alpha",
+            "adjust_kernel",
+            "data_root",
+            "out_dir",
+        ]
+
+    def test_to_dict_is_an_independent_copy(self, tmp_path):
+        inline = {
+            "backbone": [{"kind": "conv", "out_channels": 2}],
+            "adjustment": [],
+            "classifier": [{"kind": "flatten"}, {"kind": "linear", "out_features": "base"}],
+        }
+        cfg = synthetic_config(tmp_path, architecture=inline)
+        before = json.dumps(cfg.to_dict())
+        raw = cfg.to_dict()
+        raw["dataset"]["shape"].append(9)
+        raw["architecture"]["backbone"].append({"kind": "relu"})
+        raw["seeds"].append(4)
+        assert json.dumps(cfg.to_dict()) == before
 
     def test_field_level_diagnostics_collected(self):
         with pytest.raises(ConfigError) as err:
@@ -372,11 +407,11 @@ class TestCheckpoints:
         seq = build_split_sequence(train, test, [(0, 1), (2, 3, 4, 5)], master_seed=3)
         arch = tiny((1, 8, 8), base_classes=2)
         _, state = run_sequence("san", arch, seq, seed=3, epochs=1, batch_size=16)
-        assert state.classifier_width(2) == 4
+        assert state.shared["classifier"].output_shape == (4,)
         path = tmp_path / "ext.npz"
         save_state(state, cfg, path)
         reloaded = load_state(path, arch, seq)
-        assert reloaded.classifier_width(2) == 4
+        assert reloaded.shared["classifier"].output_shape == (4,)
         for t in (1, 2):
             images, _ = task_arrays(seq, seq.tasks[t - 1], "test")
             assert (
@@ -651,6 +686,41 @@ class TestCli:
         assert capsys.readouterr().err == f"config error: {problem}\n"
         assert not (tmp_path / "rep").exists()
 
+    @pytest.mark.parametrize("command", [["run"], ["sweep-size", "--widths", "3"]], ids=["run", "sweep"])
+    def test_non_permutation_class_order_exit_one(self, tmp_path, capsys, command):
+        cfg_path = write_config(tmp_path, class_order=[0, 0, 1, 2], out_dir=str(tmp_path / "co"))
+        assert main(command + ["--config", str(cfg_path)]) == 1
+        err = capsys.readouterr().err
+        assert err == "config error: class order must be a permutation of 0..num_classes-1\n"
+        assert not (tmp_path / "co").exists()
+
+    def test_repeated_order_exit_one_before_any_run(self, tmp_path, capsys):
+        cfg_path = write_config(tmp_path, epochs=1, out_dir=str(tmp_path / "ro"))
+        assert main(["ablate-order", "--config", str(cfg_path), "--orders", "1,0;0,1;1,0"]) == 1
+        err = capsys.readouterr().err
+        assert err == "config error: orders: each order may appear once; [[1, 0]] repeated\n"
+        assert not (tmp_path / "ro").exists()
+
+    @pytest.mark.parametrize(
+        ("flag", "env", "expected"),
+        [("flag", "env", "flag"), (None, "env", "env"), (None, None, "data")],
+        ids=["flag", "env", "default"],
+    )
+    def test_fetch_data_root_is_flag_then_env_then_data(
+        self, tmp_path, monkeypatch, capsys, flag, env, expected
+    ):
+        monkeypatch.chdir(tmp_path)
+        if env is None:
+            monkeypatch.delenv("SAN_TIL_DATA_ROOT", raising=False)
+        else:
+            monkeypatch.setenv("SAN_TIL_DATA_ROOT", env)
+        roots = []
+        monkeypatch.setattr(cli, "fetch_dataset", lambda dataset, root, skip_verify: roots.append(root))
+        argv = ["fetch-data", "--dataset", "mnist"] + (["--data-root", flag] if flag else [])
+        assert main(argv) == 0
+        assert [Path(r) for r in roots] == [Path(expected)]
+        assert capsys.readouterr().out == f"mnist ready under {expected}\n"
+
     def test_dump_embeddings_subcommand(self, tmp_path):
         cfg_path = write_config(tmp_path, out_dir=str(tmp_path / "de"))
         assert main(["run", "--config", str(cfg_path)]) == 0
@@ -741,7 +811,7 @@ class TestMnistShapedPipeline:
     """Drive the real mnist/permuted-mnist config paths with IDX files on disk."""
 
     def _write_fake_mnist(self, tmp_path):
-        from santil.data import save_idx
+        from dataset_writers import save_idx
 
         root = tmp_path / "dataroot"
         (root / "mnist").mkdir(parents=True)
@@ -832,3 +902,78 @@ class TestFetchLogic:
         remote = RemoteFile("http://x/y.gz", gz.name, None, "gunzip", "mnist")
         unpack(gz, remote, tmp_path)
         assert (tmp_path / "mnist" / "train-images-idx3-ubyte").read_bytes() == raw
+
+    @staticmethod
+    def write_tar(path, members):
+        """A gzipped tar built in memory from (name, kind, payload or link target) triples."""
+        buf = io.BytesIO()
+        with tarfile.open(fileobj=buf, mode="w:gz") as tar:
+            for name, kind, payload in members:
+                info = tarfile.TarInfo(name)
+                if kind == "file":
+                    info.size = len(payload)
+                    tar.addfile(info, io.BytesIO(payload))
+                else:
+                    info.type = tarfile.SYMTYPE if kind == "symlink" else tarfile.LNKTYPE
+                    info.linkname = payload
+                    tar.addfile(info)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_bytes(buf.getvalue())
+        return path
+
+    def untar(self, tmp_path, members):
+        archive = self.write_tar(tmp_path / "archives" / "a.tar.gz", members)
+        unpack(archive, RemoteFile("http://x/a.tar.gz", archive.name, None, "untar", "."), tmp_path / "data")
+
+    def test_untar_extracts_files_under_the_data_root(self, tmp_path):
+        self.untar(tmp_path, [("set/a.bin", "file", b"abc"), ("set/b.bin", "file", b"de")])
+        assert (tmp_path / "data" / "set" / "a.bin").read_bytes() == b"abc"
+        assert (tmp_path / "data" / "set" / "b.bin").read_bytes() == b"de"
+
+    def test_untar_member_in_a_sibling_directory_refused(self, tmp_path):
+        # ".../data-evil" starts with the string ".../data" but is not inside it
+        with pytest.raises(FetchError, match="outside"):
+            self.untar(tmp_path, [("../data-evil/x.txt", "file", b"x")])
+        assert not (tmp_path / "data-evil").exists()
+        assert not any((tmp_path / "data").iterdir())
+
+    @pytest.mark.parametrize("kind", ["symlink", "hardlink"])
+    def test_untar_link_after_good_member_refuses_whole_archive(self, tmp_path, kind):
+        secret = tmp_path / "secret.txt"
+        secret.write_text("keep")
+        members = [("set/a.bin", "file", b"abc"), ("set/link", kind, str(secret))]
+        with pytest.raises(FetchError, match="not a regular file or directory"):
+            self.untar(tmp_path, members)
+        assert not any((tmp_path / "data").iterdir())
+        assert secret.read_text() == "keep"
+
+    def test_truncated_gzip_leaves_no_unpacked_file(self, tmp_path):
+        gz = tmp_path / "archives" / "train-images-idx3-ubyte.gz"
+        gz.parent.mkdir()
+        gz.write_bytes(gzip.compress(bytes(range(256)) * 64)[:-40])
+        remote = RemoteFile("http://x/y.gz", gz.name, None, "gunzip", "mnist")
+        with pytest.raises(EOFError):
+            unpack(gz, remote, tmp_path)
+        assert list((tmp_path / "mnist").iterdir()) == []
+
+    def test_download_failing_mid_stream_leaves_no_archive(self, tmp_path, monkeypatch):
+        class FailingResponse:
+            chunks = [b"the first part of an archive"]
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def read(self, n=-1):
+                if self.chunks:
+                    return self.chunks.pop()
+                raise ConnectionResetError("connection reset mid-stream")
+
+        monkeypatch.setattr("santil.fetch.urllib.request.urlopen", lambda url: FailingResponse())
+        root = tmp_path / "data"
+        with pytest.raises(FetchError, match="connection reset mid-stream"):
+            fetch_dataset("fashion-mnist", root, quiet=True)
+        assert list((root / "archives").iterdir()) == []
+        assert not (root / "checksums.json").exists()

@@ -166,7 +166,7 @@ class TestFusedConvRelu:
         runs = []
         for run_block in (lambda blk, h: blk.forward(h), self.layer_by_layer):
             for p in params:
-                p.value.grad = None
+                p.grad = None
             x.grad = None
             with Tape() as tape:
                 h = x

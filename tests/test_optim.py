@@ -14,7 +14,7 @@ def test_zero_gradient_never_moves_parameter():
     opt = Adam([p])
     before = p.data.tobytes()
     for _ in range(25):
-        p.value.grad = np.zeros_like(p.data)
+        p.grad = np.zeros_like(p.data)
         opt.step()
     assert p.data.tobytes() == before
 
@@ -22,7 +22,7 @@ def test_zero_gradient_never_moves_parameter():
 def test_single_step_matches_hand_computed_update():
     # m=0.1, v=0.001, mhat=vhat=1 -> update = lr / (1 + eps)
     p = make_param([0.0])
-    p.value.grad = np.array([1.0], dtype=np.float32)
+    p.grad = np.array([1.0], dtype=np.float32)
     Adam([p], lr=0.001).step()
     expected = -0.001 * 1.0 / (1.0 + 1e-8)
     assert abs(float(p.data[0]) - expected) < 1e-9
@@ -41,7 +41,7 @@ def test_bias_correction_across_steps_matches_reference():
     p = make_param([0.5])
     opt = Adam([p], lr=lr)
     for g in grads:
-        p.value.grad = np.array([g], dtype=np.float32)
+        p.grad = np.array([g], dtype=np.float32)
         opt.step()
     assert abs(float(p.data[0]) - theta) < 1e-6
 
@@ -51,7 +51,7 @@ def test_frozen_parameter_untouched_and_bufferless():
     p.frozen = True
     opt = Adam([p])
     before = p.data.tobytes()
-    p.value.grad = np.ones_like(p.data)
+    p.grad = np.ones_like(p.data)
     for _ in range(5):
         opt.step()
     assert p.data.tobytes() == before
@@ -71,7 +71,7 @@ def test_trainable_mask_keeps_masked_rows_bit_identical():
     frozen_rows = p.data[:2].copy()
     opt = Adam([p])
     for _ in range(4):
-        p.value.grad = np.ones_like(p.data)
+        p.grad = np.ones_like(p.data)
         opt.step()
     assert p.data[:2].tobytes() == frozen_rows.tobytes()
     assert not np.array_equal(p.data[2], np.array([4.0, 5.0], dtype=np.float32))
@@ -82,7 +82,7 @@ def test_step_count_strictly_increases():
     opt = Adam([p])
     counts = []
     for _ in range(3):
-        p.value.grad = np.array([1.0], dtype=np.float32)
+        p.grad = np.array([1.0], dtype=np.float32)
         opt.step()
         counts.append(opt.step_count)
     assert counts == [1, 2, 3]
@@ -90,7 +90,7 @@ def test_step_count_strictly_increases():
 
 def test_zero_grad_clears_gradients():
     p = make_param([0.0])
-    p.value.grad = np.array([1.0], dtype=np.float32)
+    p.grad = np.array([1.0], dtype=np.float32)
     opt = Adam([p])
     opt.zero_grad()
-    assert p.value.grad is None
+    assert p.grad is None

@@ -14,6 +14,7 @@ from santil.tensor import (
     backward,
     conv2d,
     flatten,
+    leading_columns,
     linear,
     maxpool2d,
     mul,
@@ -21,7 +22,6 @@ from santil.tensor import (
     relu,
     reshape,
     scale,
-    select_columns,
     slice_rows,
     softmax_cross_entropy,
     tsum,
@@ -627,7 +627,7 @@ class TestBackward:
         w1 = Parameter(rng.normal(size=(5, 3)).astype(np.float32), "frozen.weight")
         b1 = Parameter(rng.normal(size=5).astype(np.float32), "frozen.bias")
         w1.frozen = b1.frozen = True
-        assert not w1.value.requires_grad and not b1.value.requires_grad
+        assert not w1.requires_grad and not b1.requires_grad
 
         head_w = rng.normal(size=(3, 5)).astype(np.float32)
 
@@ -641,9 +641,9 @@ class TestBackward:
                 b2.trainable_mask = np.arange(3) >= 2
             assert not w2.frozen and w2.trainable_count() == (5 if mask_rows else 15)
             with Tape() as tape:
-                h = relu(linear(x, w1.value, b1.value))
+                h = relu(linear(x, w1, b1))
                 assert len(tape) == 0  # every input is a constant
-                loss = softmax_cross_entropy(linear(h, w2.value, b2.value), [0, 1, 2, 0])
+                loss = softmax_cross_entropy(linear(h, w2, b2), [0, 1, 2, 0])
                 assert len(tape) == 2
                 backward(loss)
             return w2.grad, b2.grad
@@ -709,29 +709,52 @@ class TestBackward:
         p.frozen = True
         x = t(np.full((2, 2), 3.0))
         with Tape() as tape:
-            loss = tsum(relu(add(p.value, x)))
+            loss = tsum(relu(add(p, x)))
             assert len(tape) == 0
             backward(loss)
         assert p.grad is None and x.grad is None and loss.grad is None
 
 
-class TestSelectColumns:
-    def test_gather_and_scatter(self):
-        x = t(np.arange(12, dtype=np.float64).reshape(3, 4), grad=True)
+class TestParameter:
+    def test_parameter_is_the_tensor_ops_take(self):
+        p = Parameter(np.array([[1.0, -2.0]], dtype=np.float32), "w")
+        assert isinstance(p, Tensor) and p.requires_grad and not p.frozen
+        assert not hasattr(p, "value")
+        p.frozen = True
+        assert not p.requires_grad and p.trainable_count() == 0
+        p.frozen = False
         with Tape():
-            out = select_columns(x, [2, 0])
-            backward(tsum(out))
-        assert np.array_equal(out.data, x.data[:, [2, 0]])
+            backward(tsum(relu(p)))
+        assert np.array_equal(p.grad, [[1.0, 0.0]])
+
+
+class TestLeadingColumns:
+    def test_gather_and_scatter(self):
+        x = t(np.arange(12).reshape(3, 4), np.float64, grad=True)
+        c = np.random.default_rng(14).normal(size=(3, 2))
+        with Tape() as tape:
+            out = leading_columns(x, 2)
+            assert len(tape) == 1
+            backward(tsum(mul(out, t(c, np.float64))))
+        assert np.array_equal(out.data, x.data[:, :2])
+        assert not np.shares_memory(out.data, x.data)
         expected = np.zeros((3, 4))
-        expected[:, [0, 2]] = 1.0
+        expected[:, :2] = c
         assert np.array_equal(x.grad, expected)
 
-    def test_duplicate_or_out_of_range_rejected(self):
+    def test_full_width_is_the_tensor_itself(self):
+        x = t(np.ones((2, 3)), grad=True)
+        with Tape() as tape:
+            assert leading_columns(x, 3) is x
+            assert len(tape) == 0
+
+    def test_out_of_range_rejected(self):
         x = t(np.zeros((2, 3)))
+        for k in (0, 4):
+            with pytest.raises(ShapeError):
+                leading_columns(x, k)
         with pytest.raises(ShapeError):
-            select_columns(x, [0, 0])
-        with pytest.raises(ShapeError):
-            select_columns(x, [3])
+            leading_columns(t(np.zeros(3)), 1)
 
 
 class TestSliceRows:
@@ -745,9 +768,9 @@ class TestSliceRows:
 
 
 class TestIndexGradients:
-    """Gather ops return index gradients that backward adds in place.
+    """Row slices return index gradients that backward adds in place.
 
-    Every expectation is the dense sum the gather's zero-filled scatter
+    Every expectation is the dense sum the slice's zero-filled scatter
     would give, built here with plain numpy.
     """
 
@@ -790,18 +813,18 @@ class TestIndexGradients:
 
     @pytest.mark.parametrize("gather_first", [True, False])
     def test_dense_and_gather_consumers_of_one_tensor(self, gather_first):
-        x = t(self.weights((3, 5), 6), np.float64, grad=True)
-        cd, cg = self.weights((3, 5), 7), self.weights((3, 2), 8)
+        x = t(self.weights((5, 3), 6), np.float64, grad=True)
+        cd, cg = self.weights((5, 3), 7), self.weights((2, 3), 8)
         with Tape():
             if gather_first:
-                g = select_columns(x, [4, 1])
+                g = slice_rows(x, 1, 3)
                 d = mul(x, t(cd, np.float64))
             else:
                 d = mul(x, t(cd, np.float64))
-                g = select_columns(x, [4, 1])
+                g = slice_rows(x, 1, 3)
             backward(add(tsum(d), tsum(mul(g, t(cg, np.float64)))))
         expected = cd.copy()
-        expected[:, [4, 1]] += cg
+        expected[1:3] += cg
         assert np.array_equal(x.grad, expected)
 
     def test_stale_gradient_is_copied_not_mutated(self):
