@@ -72,7 +72,20 @@ def partition_classes(num_classes: int, num_tasks: int, order="default") -> list
     else:
         ids = [int(c) for c in order]
         if sorted(ids) != list(range(num_classes)):
-            raise ValueError("class order must be a permutation of 0..num_classes-1")
+            counts = Counter(ids)
+            problems = [
+                f"{found} {what}"
+                for found, what in (
+                    (sorted(c for c, k in counts.items() if k > 1), "repeated"),
+                    (sorted(set(range(num_classes)) - counts.keys()), "missing"),
+                    (sorted(c for c in counts if not 0 <= c < num_classes), "out of range"),
+                )
+                if found
+            ]
+            raise ValueError(
+                f"class order must be a permutation of 0..{num_classes - 1} "
+                f"({num_classes} classes); {', '.join(problems)}"
+            )
     size = num_classes // num_tasks
     groups = []
     for t in range(num_tasks):

@@ -27,7 +27,9 @@ central-difference comparisons are meaningful.
 
 from __future__ import annotations
 
+import os
 import threading
+from concurrent.futures import ThreadPoolExecutor
 from typing import Callable
 
 import numpy as np
@@ -395,6 +397,72 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 _CHUNK_BYTES = 1 << 20
 
 
+def _blas_threads(cpus: int) -> int:
+    """Threads a BLAS GEMM runs on, read from the variables BLAS reads at
+    start-up; with none of them set, BLAS takes every CPU."""
+    for var in ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "BLIS_NUM_THREADS", "OMP_NUM_THREADS"):
+        value = os.environ.get(var, "")
+        if value.isdigit() and int(value) > 0:
+            return int(value)
+    return cpus
+
+
+# Threads one conv2d call may split its chunks over, the caller included:
+# the process's CPUs over BLAS's threads, so the two do not oversubscribe
+# the CPUs. The pool of helpers behind them is made with _WORKERS - 1
+# threads on the first call that splits, never at import, and starts a
+# thread only when no idle one is left.
+_CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+_WORKERS = max(1, _CPUS // _blas_threads(_CPUS))
+_POOL: ThreadPoolExecutor | None = None
+_POOL_LOCK = threading.Lock()
+
+
+def _pool() -> ThreadPoolExecutor:
+    global _POOL
+    with _POOL_LOCK:
+        if _POOL is None:
+            _POOL = ThreadPoolExecutor(max(1, _WORKERS - 1), thread_name_prefix="santil-conv2d")
+        return _POOL
+
+
+def _dispenser(items: list[slice]) -> Callable[[], slice | None]:
+    """A function that hands out ``items`` in order, one per call from any
+    thread, and None once they are gone."""
+    it = iter(items)
+    lock = threading.Lock()
+
+    def take():
+        with lock:
+            return next(it, None)
+
+    return take
+
+
+def _run_pieces(pieces: list[Callable[[], None]]) -> None:
+    """Run ``pieces``: the first on the caller, the rest on the pool.
+
+    A single piece runs on the caller and never touches the pool. Otherwise
+    the caller waits for every piece, then raises the first error in piece
+    order. Pieces run numpy on arrays and write disjoint outputs; none
+    records on a tape, which is thread-local anyway.
+    """
+    if len(pieces) == 1:
+        pieces[0]()
+        return
+    pool = _pool()
+    futures = []
+    try:
+        for piece in pieces[1:]:
+            futures.append(pool.submit(piece))
+        pieces[0]()
+    finally:
+        errors = [f.exception() for f in futures]  # waits for each
+    for err in errors:
+        if err is not None:
+            raise err
+
+
 def _im2col(x, padding, kh, kw, stride, ho, wo, xp, cols) -> np.ndarray:
     """Patches of x:[m,C,H,W] as an [m, C*kh*kw, Ho*Wo] view of ``cols``.
 
@@ -441,9 +509,25 @@ def conv2d(
     pre-activation is never kept. Forward and backward do the same
     elementwise arithmetic as the two ops, so the bits are those of the pair.
 
+    A call with several chunks shares them among up to ``_WORKERS`` threads
+    (the process's CPUs over BLAS's threads), the caller included: each
+    thread takes the next chunk as it finishes one, with its own buffers,
+    and writes only that chunk's rows, so a stalled thread holds up one
+    chunk, not a fixed share.
+    The threads share two chunks' budget, and no more of them run than
+    samples fit it, so a call's buffers hold at most two chunks, whatever
+    the CPU count. In backward the caller first computes the whole
+    weight gradient, chunk by chunk, while the other threads take
+    input-gradient chunks; then it takes input-gradient chunks too. When
+    only the weights need a gradient, backward runs on the caller alone.
+    Only the caller records on the tape. If a piece raises, the caller waits
+    for the others and raises the first error, its own counting first, and
+    nothing is recorded.
+
     Each sample is one GEMM in both directions and the per-sample weight
-    gradients are added into one array in sample order, so the bits do not
-    depend on the chunk size. They equal those of one batched im2col GEMM
+    gradients are added into one array in sample order, so for a given BLAS
+    build and thread count the bits depend on neither the chunk size nor
+    the worker count. They equal those of one batched im2col GEMM
     with a windowed scatter only where BLAS picks the same kernel for the
     GEMM widths Ho*Wo and rows*Wp (the padded row pitch); elsewhere the
     input gradient may differ from it in the last bits.
@@ -476,25 +560,35 @@ def conv2d(
     ho = (hp - kh) // stride + 1
     wo = (wp - kw) // stride + 1
     dtype = x.data.dtype
-    step = max(1, min(n, _CHUNK_BYTES // (cin * kh * kw * ho * wo * dtype.itemsize)))
+    # samples whose patches fit one chunk's budget; the threads of a call
+    # share two chunks' budget, so that two threads split it at full chunks
+    fit = max(1, _CHUNK_BYTES // (cin * kh * kw * ho * wo * dtype.itemsize))
+    workers = max(1, min(_WORKERS, -(-n // fit), 2 * fit))
+    step = max(1, min(n, fit, 2 * fit // workers))
     chunks = [slice(s, min(s + step, n)) for s in range(0, n, step)]
 
     def patch_builder():
-        # one chunk's buffers, reused by every chunk of a forward or backward pass
+        # one chunk's buffers, reused by every chunk of one piece of a pass
         xp = np.zeros((step, cin, hp, wp), dtype=dtype) if padding else None
         cols = np.empty((step, cin, kh, kw, ho, wo), dtype=dtype)
         return lambda sl: _im2col(x.data[sl], padding, kh, kw, stride, ho, wo, xp, cols)
 
     wm = w.data.reshape(cout, -1)
     bias = b.data.reshape(cout, 1)
-    chunk_patches = patch_builder()
     out_data = np.empty((n, cout, ho * wo), dtype=dtype)
-    for sl in chunks:
-        o = out_data[sl]
-        np.matmul(wm, chunk_patches(sl), out=o)
-        o += bias
-        if relu:
-            np.maximum(o, 0, out=o)
+
+    take = _dispenser(chunks)
+
+    def forward():
+        chunk_patches = patch_builder()
+        while (sl := take()) is not None:
+            o = out_data[sl]
+            np.matmul(wm, chunk_patches(sl), out=o)
+            o += bias
+            if relu:
+                np.maximum(o, 0, out=o)
+
+    _run_pieces([forward] * workers)
     out_data = out_data.reshape(n, cout, ho, wo)
     out = Tensor(out_data)
 
@@ -502,23 +596,26 @@ def conv2d(
         if relu:
             g = g * (out_data > 0)
         gb = g.sum(axis=(0, 2, 3)) if b.requires_grad else None
-        gw = None
+        gw = gx = None
         if w.requires_grad:
-            gl = g.reshape(n, cout, ho * wo)
-            chunk_patches = patch_builder()
-            gws = np.empty((step, wm.shape[1], cout), dtype=dtype)
-            for sl in chunks:
-                m = sl.stop - sl.start
-                np.matmul(chunk_patches(sl), gl[sl].transpose(0, 2, 1), out=gws[:m])
-                for gs in gws[:m]:
-                    if gw is None:
-                        gw = gs.copy()
-                    else:
-                        gw += gs
-            if gw is None:  # an empty batch
-                gw = np.zeros((wm.shape[1], cout), dtype=dtype)
-            gw = gw.T.reshape(w.data.shape)
-        gx = None
+
+            def weight_grad():
+                nonlocal gw
+                gl = g.reshape(n, cout, ho * wo)
+                chunk_patches = patch_builder()
+                gws = np.empty((step, wm.shape[1], cout), dtype=dtype)
+                for sl in chunks:
+                    m = sl.stop - sl.start
+                    np.matmul(chunk_patches(sl), gl[sl].transpose(0, 2, 1), out=gws[:m])
+                    for gs in gws[:m]:
+                        if gw is None:
+                            gw = gs.copy()
+                        else:
+                            gw += gs
+                if gw is None:  # an empty batch
+                    gw = np.zeros((wm.shape[1], cout), dtype=dtype)
+                gw = gw.T.reshape(w.data.shape)
+
         if x.requires_grad:
             # g as [Cout, rows, wp] a sample, zero outside [ho, wo], and the
             # GEMM's rows in (i, j, c) order: window (i, j) of every channel is
@@ -527,21 +624,34 @@ def conv2d(
             rows = -(-hp // stride)
             span = (cin - 1) * rows * wp + (ho - 1) * wp + wo
             wt = np.ascontiguousarray(w.data.transpose(0, 2, 3, 1)).reshape(cout, -1).T
-            gpad = np.zeros((step, cout, rows, wp), dtype=dtype)
-            gwin = np.empty((step, kh, kw, cin * rows * wp), dtype=dtype)
-            acc = np.empty((step, cin, stride * rows, wp), dtype=dtype)
             gx = np.empty((n, cin, h, wd), dtype=dtype)
-            for sl in chunks:
-                m = sl.stop - sl.start
-                gpad[:m, :, :ho, :wo] = g[sl]
-                np.matmul(wt, gpad[:m].reshape(m, cout, -1), out=gwin[:m].reshape(m, -1, rows * wp))
-                acc[:m].fill(0)
-                flat = acc[:m].reshape(m, -1)
-                for i in range(kh):
-                    for j in range(kw):
-                        off = i * wp + j
-                        flat[:, off : off + stride * span : stride] += gwin[:m, i, j, :span]
-                gx[sl] = acc[:m, :, padding : padding + h, padding : padding + wd]
+            take = _dispenser(chunks)
+
+            def input_grad():
+                gpad = np.zeros((step, cout, rows, wp), dtype=dtype)
+                gwin = np.empty((step, kh, kw, cin * rows * wp), dtype=dtype)
+                acc = np.empty((step, cin, stride * rows, wp), dtype=dtype)
+                while (sl := take()) is not None:
+                    m = sl.stop - sl.start
+                    gpad[:m, :, :ho, :wo] = g[sl]
+                    np.matmul(wt, gpad[:m].reshape(m, cout, -1), out=gwin[:m].reshape(m, -1, rows * wp))
+                    acc[:m].fill(0)
+                    flat = acc[:m].reshape(m, -1)
+                    for i in range(kh):
+                        for j in range(kw):
+                            off = i * wp + j
+                            flat[:, off : off + stride * span : stride] += gwin[:m, i, j, :span]
+                    gx[sl] = acc[:m, :, padding : padding + h, padding : padding + wd]
+
+        def on_caller():
+            # the weight gradient is one piece, so per-sample gradients add in
+            # sample order; then the caller takes input chunks like the helpers
+            if w.requires_grad:
+                weight_grad()
+            if x.requires_grad:
+                input_grad()
+
+        _run_pieces([on_caller] + ([input_grad] * (workers - 1) if x.requires_grad else []))
         return (gx, gw, gb)
 
     return _record(out, (x, w, b), grad_fn)

@@ -70,8 +70,10 @@ class TestPartitionClasses:
     def test_custom_order(self):
         groups = partition_classes(4, 2, order=[3, 1, 0, 2])
         assert groups == [(3, 1), (0, 2)]
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"\[2\] repeated, \[3\] missing$"):
             partition_classes(4, 2, order=[0, 1, 2, 2])
+        with pytest.raises(ValueError, match=r"\(4 classes\); \[0\] missing, \[7\] out of range$"):
+            partition_classes(4, 2, order=[7, 1, 2, 3])
 
 
 def one_task(class_ids):

@@ -57,7 +57,8 @@ def write_config(tmp_path, **overrides) -> Path:
     return path
 
 
-SHIPPED_CONFIGS = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.json"))
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+SHIPPED_CONFIGS = sorted(CONFIG_DIR.glob("*.json"))
 
 
 class TestRunConfig:
@@ -269,6 +270,23 @@ class TestHarnessRun:
         sa = json.dumps(strip_wall_clock(ra), sort_keys=True)
         sb = json.dumps(strip_wall_clock(rb), sort_keys=True)
         assert sa == sb
+
+    def test_smoke_run_bits_do_not_depend_on_worker_count(self, tmp_path, monkeypatch):
+        from santil import tensor
+
+        raw = json.loads((CONFIG_DIR / "synthetic-smoke.json").read_text())
+        raw.update(epochs=5, out_dir=str(tmp_path / "smoke"))
+        cfg = RunConfig.from_dict(raw)
+        # one sample a chunk, so every conv call of the tiny net splits
+        monkeypatch.setattr(tensor, "_CHUNK_BYTES", 1)
+        outputs = []
+        for workers in (1, max(2, tensor._WORKERS)):
+            monkeypatch.setattr(tensor, "_WORKERS", workers)
+            report = harness.run(cfg)
+            ckpt = Path(cfg.out_dir) / "checkpoint_seed1.npz"
+            outputs.append((json.dumps(strip_wall_clock(report), sort_keys=True), ckpt.read_bytes()))
+            ckpt.unlink()
+        assert outputs[0] == outputs[1]
 
 
 class TestAtomicWrites:
@@ -691,7 +709,22 @@ class TestCli:
         cfg_path = write_config(tmp_path, class_order=[0, 0, 1, 2], out_dir=str(tmp_path / "co"))
         assert main(command + ["--config", str(cfg_path)]) == 1
         err = capsys.readouterr().err
-        assert err == "config error: class order must be a permutation of 0..num_classes-1\n"
+        assert err == (
+            "config error: class order must be a permutation of 0..3 (4 classes); "
+            "[0] repeated, [3] missing\n"
+        )
+        assert not (tmp_path / "co").exists()
+
+    def test_smoke_config_class_order_error_names_ids(self, tmp_path, capsys):
+        raw = json.loads((CONFIG_DIR / "synthetic-smoke.json").read_text())
+        raw.update(class_order=[0, 0, 1, 2, 3, 4], out_dir=str(tmp_path / "co"))
+        cfg_path = tmp_path / "smoke.json"
+        cfg_path.write_text(json.dumps(raw))
+        assert main(["run", "--config", str(cfg_path)]) == 1
+        assert capsys.readouterr().err == (
+            "config error: class order must be a permutation of 0..5 (6 classes); "
+            "[0] repeated, [5] missing\n"
+        )
         assert not (tmp_path / "co").exists()
 
     def test_repeated_order_exit_one_before_any_run(self, tmp_path, capsys):

@@ -1,4 +1,10 @@
+import os
+import subprocess
+import sys
+import threading
+import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -34,6 +40,12 @@ def t(data, dtype=np.float32, grad=False):
 
 # ---------------------------------------------------------------------------
 # independent oracles (naive loops, no shared code with the implementation)
+
+
+def use_workers(monkeypatch, k):
+    """Let conv2d split a call over ``k`` threads, on a pool made for them."""
+    monkeypatch.setattr(tensor, "_WORKERS", k)
+    monkeypatch.setattr(tensor, "_POOL", None)
 
 
 def conv_oracle(x, w, b, stride, pad):
@@ -372,6 +384,132 @@ class TestConv2d:
             tracemalloc.stop()
         assert gw is None and gb is None and gx.shape == (64, 32, 16, 16)
         assert peak < stack_bytes / 2
+
+    def test_input_gradient_buffers_do_not_grow_with_worker_count(self, monkeypatch):
+        # three samples' patches fit a chunk: two threads hold a chunk of
+        # three samples each, eight workers cut them to six one-sample chunks
+        rng = np.random.default_rng(6)
+        x = t(rng.normal(size=(64, 32, 16, 16)), grad=True)
+        w = t(rng.normal(size=(64, 32, 3, 3)))
+        b = t(np.zeros(64))
+        g = rng.normal(size=(64, 64, 16, 16)).astype(np.float32)
+        peaks = []
+        for workers in (2, 8):
+            use_workers(monkeypatch, workers)
+            with Tape() as tape:
+                conv2d(x, w, b, 1, 1)
+            (record,) = tape._records
+            tracemalloc.start()
+            try:
+                record.grad_fn(g)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            peaks.append(peak)
+        assert peaks[1] < 1.1 * peaks[0]
+
+    @pytest.mark.parametrize(
+        "bound_test",
+        [
+            "test_recorded_conv_keeps_no_batch_sized_patch_matrix",
+            "test_weight_gradient_keeps_no_per_sample_stack",
+            "test_input_gradient_keeps_no_window_stack",
+        ],
+    )
+    def test_memory_bounds_hold_at_eight_workers(self, monkeypatch, bound_test):
+        # a call's buffers must not grow with the CPU count
+        use_workers(monkeypatch, 8)
+        getattr(self, bound_test)()
+
+    @pytest.mark.parametrize(
+        "case", [ONE_SHOT_CASES[0], ONE_SHOT_CASES[1], ONE_SHOT_CASES[5], ONE_SHOT_CASES[6], ONE_SHOT_CASES[7]]
+    )
+    @pytest.mark.parametrize("fused", [True, False])
+    def test_bits_do_not_depend_on_worker_count(self, monkeypatch, case, fused):
+        # several chunks a call, float64, w-only and x-only gradients
+        shape, cout, k, stride, pad, dtype, _, need_gx, need_gw = case
+        n, cin, h, wd = shape
+        ho = (h + 2 * pad - k) // stride + 1
+        wo = (wd + 2 * pad - k) // stride + 1
+        rng = np.random.default_rng(10)
+        xd = rng.normal(size=shape).astype(dtype)
+        wdata = rng.normal(size=(cout, cin, k, k)).astype(dtype)
+        bd = rng.normal(size=cout).astype(dtype)
+        g = rng.normal(size=(n, cout, ho, wo)).astype(dtype)
+        im2col = tensor._im2col
+        caller = threading.get_ident()
+        helped = threading.Event()
+
+        def im2col_after_a_helper(*args):
+            # the caller's forward chunks wait until a helper has taken one
+            if threading.get_ident() != caller:
+                helped.set()
+            elif tensor._WORKERS > 1:
+                assert helped.wait(10)
+            return im2col(*args)
+
+        monkeypatch.setattr(tensor, "_im2col", im2col_after_a_helper)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # more workers than cores, switching often
+        try:
+            results = []
+            for workers in (1, 2, 3):
+                use_workers(monkeypatch, workers)
+                helped.clear()
+                x = t(xd, dtype, grad=need_gx)
+                w, b = t(wdata, dtype, grad=need_gw), t(bd, dtype, grad=True)
+                with Tape():
+                    out = conv2d(x, w, b, stride, pad, relu=fused)
+                    backward(tsum(mul(out, t(g, dtype))))
+                results.append([None if a is None else a.tobytes() for a in (out.data, x.grad, w.grad, b.grad)])
+        finally:
+            sys.setswitchinterval(interval)
+        assert results[0] == results[1] == results[2]
+
+    def test_failing_helper_error_reaches_the_caller_after_every_piece_ends(self, monkeypatch):
+        # nine one-sample chunks and three workers: each thread holds its
+        # first chunk at the barrier, then one helper raises at once and the
+        # other finishes its first chunk late
+        x = t(np.ones((9, 2, 5, 5)), grad=True)
+        w, b = t(np.ones((3, 2, 3, 3)), grad=True), t(np.zeros(3), grad=True)
+        monkeypatch.setattr(tensor, "_CHUNK_BYTES", 2 * 2 * 9 * 25 * 4)
+        use_workers(monkeypatch, 3)
+        im2col = tensor._im2col
+        caller = threading.get_ident()
+        barrier = threading.Barrier(3, timeout=10)
+        lock = threading.Lock()
+        started, helpers, finished = set(), [], []
+
+        def failing_im2col(*args):
+            me = threading.get_ident()
+            with lock:
+                first_chunk = me not in started
+                started.add(me)
+            if first_chunk:
+                barrier.wait()
+                if me != caller:
+                    with lock:
+                        helpers.append(me)
+                        first_helper = len(helpers) == 1
+                    if first_helper:
+                        raise RuntimeError("helper failed")
+                    time.sleep(0.2)
+            cols = im2col(*args)
+            finished.append(me == caller)
+            return cols
+
+        monkeypatch.setattr(tensor, "_im2col", failing_im2col)
+        with Tape() as tape:
+            with pytest.raises(RuntimeError, match="helper failed"):
+                conv2d(x, w, b, 1, 1)
+            assert len(tape) == 0
+        # eight chunks ran, the late helper's first among them
+        assert len(finished) == 8 and False in finished
+        monkeypatch.setattr(tensor, "_im2col", im2col)
+        with Tape():
+            out = conv2d(x, w, b, 1, 1)
+        use_workers(monkeypatch, 1)
+        assert out.data.tobytes() == conv2d(x, w, b, 1, 1).data.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -878,6 +1016,68 @@ def test_values_stay_finite_through_random_graph():
             backward(loss)
         for arr in (h.data, loss.data, x.grad, w.grad, b.grad):
             assert np.all(np.isfinite(arr))
+
+
+BLAS_VARS = ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "BLIS_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def test_blas_threads_follow_the_blas_variables(monkeypatch):
+    for var in BLAS_VARS:
+        monkeypatch.delenv(var, raising=False)
+    assert tensor._blas_threads(8) == 8  # unset: BLAS takes every CPU
+    monkeypatch.setenv("OMP_NUM_THREADS", "2")
+    assert tensor._blas_threads(8) == 2
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")  # BLAS's own variable first
+    assert tensor._blas_threads(8) == 1
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "0")  # not a thread count
+    assert tensor._blas_threads(8) == 2
+
+
+@pytest.mark.parametrize("pinned", [False, True])
+def test_workers_are_the_cpus_over_the_blas_threads(pinned):
+    # with BLAS on every CPU conv2d does not split; with BLAS pinned to one
+    # thread it splits over every CPU
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_VARS}
+    if pinned:
+        env["OPENBLAS_NUM_THREADS"] = "1"
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parent.parent / "src")
+    code = "from santil import tensor; print(tensor._WORKERS, tensor._CPUS)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60, env=env)
+    workers, cpus = map(int, proc.stdout.split())
+    assert workers == (cpus if pinned else 1)
+
+
+def test_import_and_help_start_no_thread():
+    # conv2d's worker pool starts on the first call that splits, not before
+    code = """
+import threading
+import numpy as np
+import santil
+from santil import tensor
+from santil.cli import main
+counts = [threading.active_count()]
+try:
+    main(["--help"])
+except SystemExit:
+    pass
+counts.append(threading.active_count())
+tensor._WORKERS = 2
+x = tensor.Tensor(np.ones((2, 1, 4, 4), np.float32))
+w, b = tensor.Tensor(np.ones((1, 1, 3, 3), np.float32)), tensor.Tensor(np.zeros(1, np.float32))
+tensor.conv2d(x, w, b)
+counts.append(threading.active_count())
+tensor._CHUNK_BYTES = 1
+tensor.conv2d(x, w, b)
+counts.append(threading.active_count())
+print(counts)
+"""
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[1, 1, 1, 2]"
 
 
 def test_dtype_mismatch_rejected():
