@@ -8,6 +8,7 @@ an equal config, which reports rely on for their config echo.
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
@@ -22,6 +23,7 @@ from .layers import (
     Flatten,
     MaxPool,
     Relu,
+    output_shape,
 )
 
 ENV_DATA_ROOT = "SAN_TIL_DATA_ROOT"
@@ -45,7 +47,14 @@ def _is_int(value) -> bool:
 
 
 def _is_number(value) -> bool:
-    return _is_int(value) or isinstance(value, float)
+    """A finite int or float. JSON parses ``NaN`` and ``Infinity`` as floats;
+    an int too large for a float counts as infinite."""
+    if not (_is_int(value) or isinstance(value, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
 
 
 def _default(f):
@@ -145,7 +154,7 @@ class RunConfig:
             if not _is_int(checked[name]) or checked[name] < 1:
                 problems.append(f"{name}: must be a positive integer, got {checked[name]!r}")
         if not _is_number(checked["lr"]) or checked["lr"] <= 0:
-            problems.append(f"lr: must be a positive number, got {checked['lr']!r}")
+            problems.append(f"lr: must be a finite positive number, got {checked['lr']!r}")
 
         seeds = checked["seeds"]
         if (
@@ -165,7 +174,9 @@ class RunConfig:
                 f"got {checked['checkpoint_selection']!r}"
             )
         if not _is_number(checked["ortho_alpha"]) or checked["ortho_alpha"] < 0:
-            problems.append(f"ortho_alpha: must be a non-negative number, got {checked['ortho_alpha']!r}")
+            problems.append(
+                f"ortho_alpha: must be a finite non-negative number, got {checked['ortho_alpha']!r}"
+            )
         kernel = checked["adjust_kernel"]
         if not _is_int(kernel) or kernel < 1 or kernel % 2 == 0:
             problems.append(f"adjust_kernel: must be an odd positive integer, got {kernel!r}")
@@ -304,7 +315,26 @@ def _layer_from_dict(entry: dict, where: str):
 def resolve_architecture(
     config: RunConfig, input_shape: tuple[int, int, int], first_task_classes: int
 ) -> ArchitectureSpec:
-    """Concrete ArchitectureSpec with the classifier width pinned to task 1."""
+    """Concrete ArchitectureSpec with the classifier width pinned to task 1.
+
+    With the orthogonality penalty on, the adjustment output must flatten to
+    a perfect square, since the penalty views each sample's features as a
+    square matrix.
+    """
+    spec = _spec(config, input_shape, first_task_classes)
+    if config.ortho_alpha > 0:
+        width = math.prod(output_shape(spec.backbone + spec.adjustment, spec.input_shape))
+        if math.isqrt(width) ** 2 != width:
+            raise ConfigError(
+                [
+                    f"ortho_alpha: the adjustment output flattens to {width} features, "
+                    "not a perfect square, so the orthogonality penalty cannot view it as a square matrix"
+                ]
+            )
+    return spec
+
+
+def _spec(config: RunConfig, input_shape: tuple[int, int, int], first_task_classes: int) -> ArchitectureSpec:
     if isinstance(config.architecture, str):
         spec = PRESETS[config.architecture](
             input_shape=input_shape,

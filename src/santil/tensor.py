@@ -392,8 +392,9 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     return _record(out, (x, w, b), grad_fn)
 
 
-# Patch-matrix budget for one chunk of samples. Above a few MiB the chunk's
-# buffers stop fitting in cache and the gain over one batch-sized matrix goes.
+# Budget for one chunk of samples: conv2d's patch matrix, maxpool2d's input.
+# Above a few MiB the chunk's buffers stop fitting in cache and the gain over
+# one batch-sized pass goes.
 _CHUNK_BYTES = 1 << 20
 
 
@@ -407,11 +408,11 @@ def _blas_threads(cpus: int) -> int:
     return cpus
 
 
-# Threads one conv2d call may split its chunks over, the caller included:
-# the process's CPUs over BLAS's threads, so the two do not oversubscribe
-# the CPUs. The pool of helpers behind them is made with _WORKERS - 1
-# threads on the first call that splits, never at import, and starts a
-# thread only when no idle one is left.
+# Threads one conv2d or maxpool2d call may split its chunks over, the
+# caller included: the process's CPUs over BLAS's threads, so the two do not
+# oversubscribe the CPUs. The pool of helpers behind them is made with
+# _WORKERS - 1 threads on the first call that splits, never at import, and
+# starts a thread only when no idle one is left.
 _CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 _WORKERS = max(1, _CPUS // _blas_threads(_CPUS))
 _POOL: ThreadPoolExecutor | None = None
@@ -422,8 +423,23 @@ def _pool() -> ThreadPoolExecutor:
     global _POOL
     with _POOL_LOCK:
         if _POOL is None:
-            _POOL = ThreadPoolExecutor(max(1, _WORKERS - 1), thread_name_prefix="santil-conv2d")
+            _POOL = ThreadPoolExecutor(max(1, _WORKERS - 1), thread_name_prefix="santil")
         return _POOL
+
+
+def _chunks(n: int, sample_bytes: int) -> tuple[int, int, list[slice]]:
+    """How one call walks a batch of ``n`` samples of ``sample_bytes`` each:
+    (samples a chunk, threads, the chunks in order).
+
+    A chunk holds the samples that fit ``_CHUNK_BYTES``, at least one. The
+    threads of a call share two chunks' budget, so that two threads split
+    it at full chunks and a call's buffers hold at most two chunks, whatever
+    the CPU count; no more threads run than there are chunks or ``_WORKERS``.
+    """
+    fit = max(1, _CHUNK_BYTES // sample_bytes)
+    workers = max(1, min(_WORKERS, -(-n // fit), 2 * fit))
+    step = max(1, min(n, fit, 2 * fit // workers))
+    return step, workers, [slice(s, min(s + step, n)) for s in range(0, n, step)]
 
 
 def _dispenser(items: list[slice]) -> Callable[[], slice | None]:
@@ -560,12 +576,7 @@ def conv2d(
     ho = (hp - kh) // stride + 1
     wo = (wp - kw) // stride + 1
     dtype = x.data.dtype
-    # samples whose patches fit one chunk's budget; the threads of a call
-    # share two chunks' budget, so that two threads split it at full chunks
-    fit = max(1, _CHUNK_BYTES // (cin * kh * kw * ho * wo * dtype.itemsize))
-    workers = max(1, min(_WORKERS, -(-n // fit), 2 * fit))
-    step = max(1, min(n, fit, 2 * fit // workers))
-    chunks = [slice(s, min(s + step, n)) for s in range(0, n, step)]
+    step, workers, chunks = _chunks(n, cin * kh * kw * ho * wo * dtype.itemsize)
 
     def patch_builder():
         # one chunk's buffers, reused by every chunk of one piece of a pass
@@ -657,11 +668,41 @@ def conv2d(
     return _record(out, (x, w, b), grad_fn)
 
 
+def _window_max(x, k, mw, out) -> None:
+    """Max of each k x k window of x:[m,C,H,W] into out:[m,C,H/k,W/k].
+
+    Pairwise maxima over slice views (they beat a strided multi-axis
+    reduction): first across each window's columns into ``mw``, an
+    [>=m, C, H, W/k] buffer, then across its rows into ``out``.
+    """
+    m, c, h, w = x.shape
+    xw = x.reshape(m, c, h, w // k, k)
+    mw = mw[:m]
+    np.copyto(mw, xw[..., 0])
+    for j in range(1, k):
+        np.maximum(mw, xw[..., j], out=mw)
+    xh = mw.reshape(m, c, h // k, k, w // k)
+    np.copyto(out, xh[:, :, :, 0])
+    for i in range(1, k):
+        np.maximum(out, xh[:, :, :, i], out=out)
+
+
 def maxpool2d(x: Tensor, k: int) -> Tensor:
     """Non-overlapping k x k max pooling.
 
     Gradient is routed to the first maximum per window, counting in
-    row-major window order, so tie handling is deterministic.
+    row-major window order, so tie handling is deterministic; a window
+    holding a NaN pools to NaN and passes no gradient.
+
+    Forward and backward walk the batch in chunks of about ``_CHUNK_BYTES``
+    of input, chunked and shared among threads as in ``conv2d``: each thread
+    takes the next chunk as it finishes one and writes only that chunk's
+    rows of the output or of the input gradient, so backward's masks and
+    temporaries are chunk-sized and stay in cache. Each sample's arithmetic
+    is the same whichever chunk or thread runs it, so the bits depend on
+    neither the chunk size nor the worker count. Only the caller records on
+    the tape; if a piece raises, the caller waits for the others and raises
+    the first error, and nothing is recorded.
     """
     if x.data.ndim != 4:
         raise ShapeError(f"maxpool2d expects [N,C,H,W], got {x.data.shape}")
@@ -670,28 +711,44 @@ def maxpool2d(x: Tensor, k: int) -> Tensor:
     if k < 1 or h % k or w % k:
         raise ShapeError(f"maxpool2d: extents {h}x{w} not divisible by window {k}")
     ho, wo = h // k, w // k
-    # pairwise maxima over slice views beat a strided multi-axis reduction
-    xw = x.data.reshape(n, c, h, wo, k)
-    mw = xw[..., 0].copy()
-    for j in range(1, k):
-        np.maximum(mw, xw[..., j], out=mw)
-    xh = mw.reshape(n, c, ho, k, wo)
-    mh = xh[:, :, :, 0].copy()
-    for i in range(1, k):
-        np.maximum(mh, xh[:, :, :, i], out=mh)
-    out = Tensor(mh)
+    dtype = x.data.dtype
+    step, workers, chunks = _chunks(n, c * h * w * dtype.itemsize)
+    out_data = np.empty((n, c, ho, wo), dtype=dtype)
+    take = _dispenser(chunks)
+
+    def forward():
+        mw = np.empty((step, c, h, wo), dtype=dtype)
+        while (sl := take()) is not None:
+            _window_max(x.data[sl], k, mw, out_data[sl])
+
+    _run_pieces([forward] * workers)
+    out = Tensor(out_data)
 
     def grad_fn(g):
-        # route g to the first window cell (row-major) equal to the max
-        xv = x.data.reshape(n, c, ho, k, wo, k)
-        gx = np.zeros((n, c, ho, k, wo, k), dtype=g.dtype)
-        taken = np.zeros((n, c, ho, wo), dtype=bool)
-        for i in range(k):
-            for j in range(k):
-                hit = (xv[:, :, :, i, :, j] == out.data) & ~taken
-                gx[:, :, :, i, :, j] = np.where(hit, g, 0)
-                taken |= hit
-        return (gx.reshape(n, c, h, w),)
+        # route g to the first window cell (row-major) equal to the max. Every
+        # cell of a window is written, so gx needs no zero fill. A cell gets
+        # g's bits times the hit mask, as unsigned integers: g where hit, +0.0
+        # elsewhere, the values np.where(hit, g, 0) gives, without its branches
+        gx = np.empty((n, c, h, w), dtype=g.dtype)
+        bits = np.dtype(f"u{g.dtype.itemsize}")
+        take = _dispenser(chunks)
+
+        def route():
+            taken = np.empty((step, c, ho, wo), dtype=bool)
+            while (sl := take()) is not None:
+                m = sl.stop - sl.start
+                xv = x.data[sl].reshape(m, c, ho, k, wo, k)
+                gv = gx[sl].view(bits).reshape(m, c, ho, k, wo, k)
+                mx, gs, seen = out_data[sl], g[sl].view(bits), taken[:m]
+                seen.fill(False)
+                for i in range(k):
+                    for j in range(k):
+                        hit = (xv[:, :, :, i, :, j] == mx) & ~seen
+                        np.multiply(gs, hit, out=gv[:, :, :, i, :, j])
+                        seen |= hit
+
+        _run_pieces([route] * workers)
+        return (gx,)
 
     return _record(out, (x,), grad_fn)
 

@@ -200,6 +200,25 @@ class TestRunConfig:
             synthetic_config(tmp_path, **{field: value})
         assert [p.split(":")[0] for p in err.value.problems] == [field]
 
+    @pytest.mark.parametrize(
+        ("field", "value"),
+        [
+            ("lr", float("nan")),
+            ("lr", float("inf")),
+            ("lr", 10**400),
+            ("ortho_alpha", float("nan")),
+            ("ortho_alpha", float("inf")),
+        ],
+        ids=["lr-nan", "lr-inf", "lr-huge-int", "ortho_alpha-nan", "ortho_alpha-inf"],
+    )
+    def test_non_finite_number_is_config_error(self, tmp_path, field, value):
+        # JSON's NaN and Infinity parse as floats, and a long integer literal
+        # as an int too large for a float
+        with pytest.raises(ConfigError) as err:
+            synthetic_config(tmp_path, **{field: value})
+        assert [p.split(":")[0] for p in err.value.problems] == [field]
+        assert "finite" in err.value.problems[0]
+
     def test_repeated_seed_is_config_error(self, tmp_path):
         with pytest.raises(ConfigError) as err:
             synthetic_config(tmp_path, seeds=[2, 1, 2, 1, 3])
@@ -252,7 +271,8 @@ class TestHarnessRun:
     def test_csv_and_json_agree_to_six_decimals(self, tmp_path):
         cfg = synthetic_config(tmp_path)
         report = harness.run(cfg)
-        rows = list(csv.DictReader(open(Path(cfg.out_dir) / "summary.csv")))
+        with open(Path(cfg.out_dir) / "summary.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
         assert len(rows) == cfg.num_tasks * len(cfg.seeds)
         for row in rows:
             seed_entry = next(e for e in report["seeds"] if e["seed"] == int(row["seed"]))
@@ -502,7 +522,8 @@ class TestDumpEmbeddings:
         out_csv = tmp_path / "emb.csv"
         harness.dump_embeddings(cfg, ck, "test", out_csv)
 
-        rows = list(csv.reader(open(out_csv)))
+        with open(out_csv, newline="") as fh:
+            rows = list(csv.reader(fh))
         header, body = rows[0], rows[1:]
         # 4 classes, 20 per class test pool, 2 tasks of 2 classes: 40 rows each
         assert len(body) == 80
@@ -654,7 +675,8 @@ class TestCli:
     def test_sweep_size_subcommand(self, tmp_path):
         cfg_path = write_config(tmp_path, epochs=1, out_dir=str(tmp_path / "sw"))
         assert main(["sweep-size", "--config", str(cfg_path), "--widths", "1,3"]) == 0
-        rows = list(csv.DictReader(open(tmp_path / "sw" / "sweep.csv")))
+        with open(tmp_path / "sw" / "sweep.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
         assert [r["kernel"] for r in rows] == ["1", "3"]
 
     def test_ablate_order_subcommand(self, tmp_path):
@@ -726,6 +748,36 @@ class TestCli:
             "[0] repeated, [5] missing\n"
         )
         assert not (tmp_path / "co").exists()
+
+    @pytest.mark.parametrize(
+        ("field", "value", "problem"),
+        [
+            ("lr", float("nan"), "lr: must be a finite positive number, got nan"),
+            ("ortho_alpha", float("inf"), "ortho_alpha: must be a finite non-negative number, got inf"),
+        ],
+        ids=["lr", "ortho_alpha"],
+    )
+    def test_smoke_config_non_finite_number_exit_one(self, tmp_path, capsys, field, value, problem):
+        raw = json.loads((CONFIG_DIR / "synthetic-smoke.json").read_text())
+        raw.update({field: value, "out_dir": str(tmp_path / "nf")})
+        cfg_path = tmp_path / "smoke.json"
+        cfg_path.write_text(json.dumps(raw))  # as NaN or Infinity
+        assert main(["run", "--config", str(cfg_path)]) == 1
+        assert capsys.readouterr().err == f"config error: {problem}\n"
+        assert not (tmp_path / "nf").exists()
+
+    def test_ortho_penalty_on_non_square_features_exit_one_before_any_run(self, tmp_path, capsys):
+        # tiny's adjustment output is 8 channels of 4x4, 128 features
+        raw = json.loads((CONFIG_DIR / "synthetic-smoke.json").read_text())
+        raw.update(ortho_alpha=0.001, out_dir=str(tmp_path / "sq"))
+        cfg_path = tmp_path / "smoke.json"
+        cfg_path.write_text(json.dumps(raw))
+        assert main(["run", "--config", str(cfg_path)]) == 1
+        assert capsys.readouterr().err == (
+            "config error: ortho_alpha: the adjustment output flattens to 128 features, not a "
+            "perfect square, so the orthogonality penalty cannot view it as a square matrix\n"
+        )
+        assert not (tmp_path / "sq").exists()
 
     def test_repeated_order_exit_one_before_any_run(self, tmp_path, capsys):
         cfg_path = write_config(tmp_path, epochs=1, out_dir=str(tmp_path / "ro"))

@@ -112,6 +112,23 @@ def maxpool_oracle(x, k):
     return out
 
 
+def maxpool_grad_oracle(x, g, k):
+    """g routed, window by window, to the first cell in row-major order that
+    equals maxpool_oracle's maximum; a NaN maximum equals no cell."""
+    out = maxpool_oracle(x, k)
+    gx = np.zeros_like(x)
+    n, c, ho, wo = out.shape
+    for nn in range(n):
+        for cc in range(c):
+            for yy in range(ho):
+                for xx in range(wo):
+                    for i, j in ((i, j) for i in range(k) for j in range(k)):
+                        if x[nn, cc, yy * k + i, xx * k + j] == out[nn, cc, yy, xx]:
+                            gx[nn, cc, yy * k + i, xx * k + j] = g[nn, cc, yy, xx]
+                            break
+    return gx
+
+
 def matmul_oracle(x, w, b):
     n, din = x.shape
     dout = w.shape[0]
@@ -542,6 +559,132 @@ class TestMaxPool2d:
     def test_non_divisible_rejected(self):
         with pytest.raises(ShapeError, match="divisible"):
             maxpool2d(t(np.zeros((1, 1, 5, 4))), 2)
+
+    @staticmethod
+    def tied_input_with_nan_windows(shape, k, dtype):
+        # few distinct values, so most windows hold ties; NaN opens some
+        # windows, where the oracle's max() and np.maximum agree on NaN
+        rng = np.random.default_rng(11)
+        x = rng.integers(-2, 3, size=shape).astype(dtype)
+        x[::3, :, ::k, ::k][:, :, ::2, ::3] = np.nan
+        g = rng.normal(size=(shape[0], shape[1], shape[2] // k, shape[3] // k)).astype(dtype)
+        return x, g
+
+    @staticmethod
+    def pool_bits(x, g, k):
+        xt = t(x, x.dtype, grad=True)
+        with Tape():
+            out = maxpool2d(xt, k)
+            backward(tsum(mul(out, t(g, g.dtype))))
+        return out.data.tobytes(), xt.grad.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_bits_do_not_depend_on_worker_count(self, monkeypatch, dtype):
+        # two samples a chunk: seven samples leave a remainder chunk, and
+        # three workers cut the chunks to one sample
+        k = 2
+        x, g = self.tied_input_with_nan_windows((7, 3, 8, 8), k, dtype)
+        monkeypatch.setattr(tensor, "_CHUNK_BYTES", 2 * x[0].nbytes)
+        window_max = tensor._window_max
+        caller = threading.get_ident()
+        helped = threading.Event()
+
+        def window_max_after_a_helper(*args):
+            # the caller's forward chunks wait until a helper has taken one
+            if threading.get_ident() != caller:
+                helped.set()
+            elif tensor._WORKERS > 1:
+                assert helped.wait(10)
+            return window_max(*args)
+
+        monkeypatch.setattr(tensor, "_window_max", window_max_after_a_helper)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # more workers than cores, switching often
+        try:
+            results = []
+            for workers in (1, 2, 3):
+                use_workers(monkeypatch, workers)
+                helped.clear()
+                results.append(self.pool_bits(x, g, k))
+        finally:
+            sys.setswitchinterval(interval)
+        assert results[0] == results[1] == results[2]
+        out = np.frombuffer(results[0][0], dtype=dtype).reshape(7, 3, 4, 4)
+        gx = np.frombuffer(results[0][1], dtype=dtype).reshape(x.shape)
+        assert np.isnan(out).any()
+        assert np.array_equal(out, maxpool_oracle(x, k), equal_nan=True)
+        assert np.array_equal(gx, maxpool_grad_oracle(x, g, k))
+
+    def test_bits_do_not_depend_on_chunk_size(self, monkeypatch):
+        use_workers(monkeypatch, 2)
+        x, g = self.tied_input_with_nan_windows((9, 4, 6, 6), 3, np.float32)
+        results = [self.pool_bits(x, g, 3)]
+        for chunk_bytes in (x[0].nbytes, x.nbytes):
+            monkeypatch.setattr(tensor, "_CHUNK_BYTES", chunk_bytes)
+            results.append(self.pool_bits(x, g, 3))
+        assert results[0] == results[1] == results[2]
+
+    @pytest.mark.parametrize("workers", [1, 2, 8])
+    def test_backward_temporaries_are_chunk_sized(self, monkeypatch, workers):
+        # beside gx itself, backward holds chunk-sized masks and values, not
+        # batch-sized ones (a batch-sized np.where result alone is gx/4)
+        use_workers(monkeypatch, workers)
+        rng = np.random.default_rng(12)
+        x = t(rng.normal(size=(64, 64, 32, 32)), grad=True)
+        g = rng.normal(size=(64, 64, 16, 16)).astype(np.float32)
+        with Tape() as tape:
+            maxpool2d(x, 2)
+        (record,) = tape._records
+        tracemalloc.start()
+        try:
+            (gx,) = record.grad_fn(g)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert gx.shape == x.shape
+        assert peak < 1.25 * gx.nbytes
+
+    def test_failing_helper_error_reaches_the_caller_after_every_piece_ends(self, monkeypatch):
+        # nine one-sample chunks and three workers: each thread holds its
+        # first chunk at the barrier, then one helper raises at once and the
+        # other finishes its first chunk late
+        x = t(np.arange(9 * 2 * 4 * 4).reshape(9, 2, 4, 4), grad=True)
+        monkeypatch.setattr(tensor, "_CHUNK_BYTES", 2 * x.data[0].nbytes)
+        use_workers(monkeypatch, 3)
+        window_max = tensor._window_max
+        caller = threading.get_ident()
+        barrier = threading.Barrier(3, timeout=10)
+        lock = threading.Lock()
+        started, helpers, finished = set(), [], []
+
+        def failing_window_max(*args):
+            me = threading.get_ident()
+            with lock:
+                first_chunk = me not in started
+                started.add(me)
+            if first_chunk:
+                barrier.wait()
+                if me != caller:
+                    with lock:
+                        helpers.append(me)
+                        first_helper = len(helpers) == 1
+                    if first_helper:
+                        raise RuntimeError("helper failed")
+                    time.sleep(0.2)
+            window_max(*args)
+            finished.append(me == caller)
+
+        monkeypatch.setattr(tensor, "_window_max", failing_window_max)
+        with Tape() as tape:
+            with pytest.raises(RuntimeError, match="helper failed"):
+                maxpool2d(x, 2)
+            assert len(tape) == 0
+        # eight chunks ran, the late helper's first among them
+        assert len(finished) == 8 and False in finished
+        monkeypatch.setattr(tensor, "_window_max", window_max)
+        with Tape():
+            out = maxpool2d(x, 2)
+        assert np.array_equal(out.data, maxpool_oracle(x.data, 2))
 
 
 # ---------------------------------------------------------------------------
