@@ -57,6 +57,35 @@ def _is_number(value) -> bool:
         return False
 
 
+# what a synthetic dataset's fields must be: a test, and how to say it
+_SYNTHETIC_FIELDS = {
+    "num_classes": (lambda v: _is_int(v) and v >= 1, "a positive integer"),
+    "per_class": (lambda v: _is_int(v) and v >= 2, "an integer >= 2"),
+    "per_class_test": (lambda v: _is_int(v) and v >= 2, "an integer >= 2"),
+    "shape": (
+        lambda v: isinstance(v, list) and len(v) == 3 and all(_is_int(d) and d >= 1 for d in v),
+        "a list of 3 positive integers",
+    ),
+    "data_seed": (lambda v: _is_int(v) and v >= 0, "a non-negative integer"),
+}
+
+
+def _dataset_problems(dataset: dict) -> list[str]:
+    """What is wrong with a named dataset object: a synthetic dataset takes
+    the ``_SYNTHETIC_DEFAULTS`` keys, any other dataset no key but ``name``."""
+    synthetic = dataset["name"] == "synthetic"
+    problems = [
+        f"dataset.{key}: unknown field"
+        for key in dataset
+        if key != "name" and not (synthetic and key in _SYNTHETIC_DEFAULTS)
+    ]
+    if synthetic:
+        for key, (ok, what) in _SYNTHETIC_FIELDS.items():
+            if not ok(dataset[key]):
+                problems.append(f"dataset.{key}: must be {what}, got {dataset[key]!r}")
+    return problems
+
+
 def _default(f):
     """A dataclass field's default value; None for a required field."""
     if f.default_factory is not MISSING:
@@ -123,8 +152,10 @@ class RunConfig:
             problems.append(
                 f"dataset: must name one of {list(DATASET_NAMES)}, got {dataset!r}"
             )
-        elif dataset["name"] == "synthetic":
-            dataset = {**_SYNTHETIC_DEFAULTS, **dataset}
+        else:
+            if dataset["name"] == "synthetic":
+                dataset = {**_SYNTHETIC_DEFAULTS, **dataset}
+            problems += _dataset_problems(dataset)
         checked["dataset"] = dataset
 
         if not _is_int(checked["num_tasks"]) or checked["num_tasks"] < 1:

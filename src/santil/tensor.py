@@ -119,15 +119,8 @@ class Tensor:
     def dtype(self):
         return self.data.dtype
 
-    @property
-    def size(self) -> int:
-        return int(self.data.size)
-
     def item(self) -> float:
         return float(self.data.item())
-
-    def backward(self) -> None:
-        backward(self)
 
     def __repr__(self) -> str:
         return (
@@ -398,10 +391,27 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 _CHUNK_BYTES = 1 << 20
 
 
+def _blas_thread_vars(blas: str) -> tuple[str, ...]:
+    """The variables the BLAS library named ``blas`` reads its thread count
+    from at start-up, in the order it reads them."""
+    blas = blas.lower()
+    if "openblas" in blas:
+        return ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+    if "mkl" in blas:
+        return ("MKL_NUM_THREADS", "OMP_NUM_THREADS")
+    if "blis" in blas:
+        return ("BLIS_NUM_THREADS", "OMP_NUM_THREADS")
+    return ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "BLIS_NUM_THREADS", "OMP_NUM_THREADS")
+
+
 def _blas_threads(cpus: int) -> int:
-    """Threads a BLAS GEMM runs on, read from the variables BLAS reads at
-    start-up; with none of them set, BLAS takes every CPU."""
-    for var in ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "BLIS_NUM_THREADS", "OMP_NUM_THREADS"):
+    """Threads a GEMM of numpy's BLAS runs on, read from the variables that
+    library reads; with none of them set, BLAS takes every CPU."""
+    try:
+        blas = np.__config__.CONFIG["Build Dependencies"]["blas"]["name"]
+    except (AttributeError, KeyError, TypeError):
+        blas = ""
+    for var in _blas_thread_vars(str(blas)):
         value = os.environ.get(var, "")
         if value.isdigit() and int(value) > 0:
             return int(value)
@@ -410,21 +420,11 @@ def _blas_threads(cpus: int) -> int:
 
 # Threads one conv2d or maxpool2d call may split its chunks over, the
 # caller included: the process's CPUs over BLAS's threads, so the two do not
-# oversubscribe the CPUs. The pool of helpers behind them is made with
-# _WORKERS - 1 threads on the first call that splits, never at import, and
-# starts a thread only when no idle one is left.
+# oversubscribe the CPUs. _POOL holds the helpers behind them (see _split).
 _CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 _WORKERS = max(1, _CPUS // _blas_threads(_CPUS))
 _POOL: ThreadPoolExecutor | None = None
 _POOL_LOCK = threading.Lock()
-
-
-def _pool() -> ThreadPoolExecutor:
-    global _POOL
-    with _POOL_LOCK:
-        if _POOL is None:
-            _POOL = ThreadPoolExecutor(max(1, _WORKERS - 1), thread_name_prefix="santil")
-        return _POOL
 
 
 def _chunks(n: int, sample_bytes: int) -> tuple[int, int, list[slice]]:
@@ -442,36 +442,48 @@ def _chunks(n: int, sample_bytes: int) -> tuple[int, int, list[slice]]:
     return step, workers, [slice(s, min(s + step, n)) for s in range(0, n, step)]
 
 
-def _dispenser(items: list[slice]) -> Callable[[], slice | None]:
-    """A function that hands out ``items`` in order, one per call from any
-    thread, and None once they are gone."""
-    it = iter(items)
+def _split(
+    chunks: list[slice],
+    workers: int,
+    piece: Callable[[Callable[[], slice | None]], None],
+    lead: Callable[[], None] | None = None,
+) -> None:
+    """Run ``piece(take)`` on ``workers`` threads, the caller included.
+
+    ``take()`` hands out ``chunks`` in order, one per call from any thread,
+    and None once they are gone. Each piece allocates its own buffers and
+    loops on ``take``, writing only the rows of the chunk it took, so a
+    stalled thread holds up one chunk, not a fixed share. ``lead`` runs on
+    the caller before it takes any chunk, while the helpers already take
+    chunks. With one worker everything runs on the caller and the pool is
+    not touched. Otherwise the helpers run on ``_POOL``, made with
+    ``_WORKERS - 1`` threads on the first call that splits, never at
+    import, which starts a thread only when no idle one is left; numpy
+    releases the interpreter lock in its GEMMs, copies and ufuncs. The
+    caller waits for every helper, then raises the first error, its own
+    first. Pieces do not record on the tape (it is thread-local anyway); an
+    op records after its split returns, so a forward that raises records
+    nothing.
+    """
+    global _POOL
+    it = iter(chunks)
     lock = threading.Lock()
 
-    def take():
+    def take() -> slice | None:
         with lock:
             return next(it, None)
 
-    return take
-
-
-def _run_pieces(pieces: list[Callable[[], None]]) -> None:
-    """Run ``pieces``: the first on the caller, the rest on the pool.
-
-    A single piece runs on the caller and never touches the pool. Otherwise
-    the caller waits for every piece, then raises the first error in piece
-    order. Pieces run numpy on arrays and write disjoint outputs; none
-    records on a tape, which is thread-local anyway.
-    """
-    if len(pieces) == 1:
-        pieces[0]()
-        return
-    pool = _pool()
+    if workers > 1:
+        with _POOL_LOCK:
+            if _POOL is None:
+                _POOL = ThreadPoolExecutor(max(1, _WORKERS - 1), thread_name_prefix="santil")
     futures = []
     try:
-        for piece in pieces[1:]:
-            futures.append(pool.submit(piece))
-        pieces[0]()
+        for _ in range(workers - 1):
+            futures.append(_POOL.submit(piece, take))
+        if lead is not None:
+            lead()
+        piece(take)
     finally:
         errors = [f.exception() for f in futures]  # waits for each
     for err in errors:
@@ -525,28 +537,20 @@ def conv2d(
     pre-activation is never kept. Forward and backward do the same
     elementwise arithmetic as the two ops, so the bits are those of the pair.
 
-    A call with several chunks shares them among up to ``_WORKERS`` threads
-    (the process's CPUs over BLAS's threads), the caller included: each
-    thread takes the next chunk as it finishes one, with its own buffers,
-    and writes only that chunk's rows, so a stalled thread holds up one
-    chunk, not a fixed share.
-    The threads share two chunks' budget, and no more of them run than
-    samples fit it, so a call's buffers hold at most two chunks, whatever
-    the CPU count. In backward the caller first computes the whole
-    weight gradient, chunk by chunk, while the other threads take
-    input-gradient chunks; then it takes input-gradient chunks too. When
-    only the weights need a gradient, backward runs on the caller alone.
-    Only the caller records on the tape. If a piece raises, the caller waits
-    for the others and raises the first error, its own counting first, and
-    nothing is recorded.
+    Forward and the input gradient share their chunks among threads as
+    ``_chunks`` and ``_split`` say. The weight gradient stays one serial
+    piece: the ``lead`` of the input gradient's split, or the whole backward
+    of a conv whose input needs no gradient (a first conv), which then
+    never touches the pool.
 
-    Each sample is one GEMM in both directions and the per-sample weight
-    gradients are added into one array in sample order, so for a given BLAS
-    build and thread count the bits depend on neither the chunk size nor
-    the worker count. They equal those of one batched im2col GEMM
-    with a windowed scatter only where BLAS picks the same kernel for the
-    GEMM widths Ho*Wo and rows*Wp (the padded row pitch); elsewhere the
-    input gradient may differ from it in the last bits.
+    Each sample is one GEMM in both directions, whichever chunk or thread
+    runs it, and the per-sample weight gradients are added into one array
+    in sample order, so for a given BLAS build and thread count the bits
+    depend on neither the chunk size nor the worker count. They equal those
+    of one batched im2col GEMM with a windowed scatter only where BLAS
+    picks the same kernel for the GEMM widths Ho*Wo and rows*Wp (the
+    padded row pitch); elsewhere the input gradient may differ from it in
+    the last bits.
     """
     if x.data.ndim != 4 or w.data.ndim != 4 or b.data.ndim != 1:
         raise ShapeError(
@@ -588,9 +592,7 @@ def conv2d(
     bias = b.data.reshape(cout, 1)
     out_data = np.empty((n, cout, ho * wo), dtype=dtype)
 
-    take = _dispenser(chunks)
-
-    def forward():
+    def forward(take):
         chunk_patches = patch_builder()
         while (sl := take()) is not None:
             o = out_data[sl]
@@ -599,7 +601,7 @@ def conv2d(
             if relu:
                 np.maximum(o, 0, out=o)
 
-    _run_pieces([forward] * workers)
+    _split(chunks, workers, forward)
     out_data = out_data.reshape(n, cout, ho, wo)
     out = Tensor(out_data)
 
@@ -636,9 +638,8 @@ def conv2d(
             span = (cin - 1) * rows * wp + (ho - 1) * wp + wo
             wt = np.ascontiguousarray(w.data.transpose(0, 2, 3, 1)).reshape(cout, -1).T
             gx = np.empty((n, cin, h, wd), dtype=dtype)
-            take = _dispenser(chunks)
 
-            def input_grad():
+            def input_grad(take):
                 gpad = np.zeros((step, cout, rows, wp), dtype=dtype)
                 gwin = np.empty((step, kh, kw, cin * rows * wp), dtype=dtype)
                 acc = np.empty((step, cin, stride * rows, wp), dtype=dtype)
@@ -654,15 +655,10 @@ def conv2d(
                             flat[:, off : off + stride * span : stride] += gwin[:m, i, j, :span]
                     gx[sl] = acc[:m, :, padding : padding + h, padding : padding + wd]
 
-        def on_caller():
-            # the weight gradient is one piece, so per-sample gradients add in
-            # sample order; then the caller takes input chunks like the helpers
-            if w.requires_grad:
-                weight_grad()
-            if x.requires_grad:
-                input_grad()
-
-        _run_pieces([on_caller] + ([input_grad] * (workers - 1) if x.requires_grad else []))
+            # the weight gradient is one piece, so per-sample gradients add in sample order
+            _split(chunks, workers, input_grad, lead=weight_grad if w.requires_grad else None)
+        elif w.requires_grad:
+            weight_grad()
         return (gx, gw, gb)
 
     return _record(out, (x, w, b), grad_fn)
@@ -695,14 +691,10 @@ def maxpool2d(x: Tensor, k: int) -> Tensor:
     holding a NaN pools to NaN and passes no gradient.
 
     Forward and backward walk the batch in chunks of about ``_CHUNK_BYTES``
-    of input, chunked and shared among threads as in ``conv2d``: each thread
-    takes the next chunk as it finishes one and writes only that chunk's
-    rows of the output or of the input gradient, so backward's masks and
-    temporaries are chunk-sized and stay in cache. Each sample's arithmetic
-    is the same whichever chunk or thread runs it, so the bits depend on
-    neither the chunk size nor the worker count. Only the caller records on
-    the tape; if a piece raises, the caller waits for the others and raises
-    the first error, and nothing is recorded.
+    of input, shared among threads as ``_chunks`` and ``_split`` say, so
+    backward's masks and temporaries are chunk-sized and stay in cache.
+    Each sample's arithmetic is the same whichever chunk or thread runs it,
+    so the bits depend on neither the chunk size nor the worker count.
     """
     if x.data.ndim != 4:
         raise ShapeError(f"maxpool2d expects [N,C,H,W], got {x.data.shape}")
@@ -714,14 +706,13 @@ def maxpool2d(x: Tensor, k: int) -> Tensor:
     dtype = x.data.dtype
     step, workers, chunks = _chunks(n, c * h * w * dtype.itemsize)
     out_data = np.empty((n, c, ho, wo), dtype=dtype)
-    take = _dispenser(chunks)
 
-    def forward():
+    def forward(take):
         mw = np.empty((step, c, h, wo), dtype=dtype)
         while (sl := take()) is not None:
             _window_max(x.data[sl], k, mw, out_data[sl])
 
-    _run_pieces([forward] * workers)
+    _split(chunks, workers, forward)
     out = Tensor(out_data)
 
     def grad_fn(g):
@@ -731,9 +722,8 @@ def maxpool2d(x: Tensor, k: int) -> Tensor:
         # elsewhere, the values np.where(hit, g, 0) gives, without its branches
         gx = np.empty((n, c, h, w), dtype=g.dtype)
         bits = np.dtype(f"u{g.dtype.itemsize}")
-        take = _dispenser(chunks)
 
-        def route():
+        def route(take):
             taken = np.empty((step, c, ho, wo), dtype=bool)
             while (sl := take()) is not None:
                 m = sl.stop - sl.start
@@ -747,7 +737,7 @@ def maxpool2d(x: Tensor, k: int) -> Tensor:
                         np.multiply(gs, hit, out=gv[:, :, :, i, :, j])
                         seen |= hit
 
-        _run_pieces([route] * workers)
+        _split(chunks, workers, route)
         return (gx,)
 
     return _record(out, (x,), grad_fn)

@@ -219,6 +219,47 @@ class TestRunConfig:
         assert [p.split(":")[0] for p in err.value.problems] == [field]
         assert "finite" in err.value.problems[0]
 
+    @pytest.mark.parametrize(
+        ("entry", "problem"),
+        [
+            ({"per_clas": 10}, "dataset.per_clas: unknown field"),
+            ({"per_class_test": 0}, "dataset.per_class_test: must be an integer >= 2, got 0"),
+            ({"per_class": -3}, "dataset.per_class: must be an integer >= 2, got -3"),
+            ({"per_class": True}, "dataset.per_class: must be an integer >= 2, got True"),
+            ({"num_classes": 4.5}, "dataset.num_classes: must be a positive integer, got 4.5"),
+            ({"num_classes": 0}, "dataset.num_classes: must be a positive integer, got 0"),
+            ({"shape": "abc"}, "dataset.shape: must be a list of 3 positive integers, got 'abc'"),
+            ({"shape": [1, 8]}, "dataset.shape: must be a list of 3 positive integers, got [1, 8]"),
+            ({"shape": [1, 8, False]}, "dataset.shape: must be a list of 3 positive integers, got [1, 8, False]"),
+            ({"data_seed": True}, "dataset.data_seed: must be a non-negative integer, got True"),
+            ({"data_seed": -1}, "dataset.data_seed: must be a non-negative integer, got -1"),
+            ({"name": "mnist", "per_class": 3}, "dataset.per_class: unknown field"),
+        ],
+        ids=[
+            "per_clas-typo",
+            "per_class_test-0",
+            "per_class-negative",
+            "per_class-bool",
+            "num_classes-float",
+            "num_classes-0",
+            "shape-string",
+            "shape-2-dims",
+            "shape-bool",
+            "data_seed-bool",
+            "data_seed-negative",
+            "mnist-extra-key",
+        ],
+    )
+    def test_bad_dataset_entry_is_one_config_error_line(self, tmp_path, capsys, entry, problem):
+        dataset = {**({} if "name" in entry else synthetic_config(tmp_path).dataset), **entry}
+        with pytest.raises(ConfigError) as err:
+            synthetic_config(tmp_path, dataset=dataset)
+        assert err.value.problems == [problem]
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({**synthetic_config(tmp_path).to_dict(), "dataset": dataset}))
+        assert main(["run", "--config", str(path)]) == 1
+        assert capsys.readouterr().err.splitlines() == [f"config error: {problem}"]
+
     def test_repeated_seed_is_config_error(self, tmp_path):
         with pytest.raises(ConfigError) as err:
             synthetic_config(tmp_path, seeds=[2, 1, 2, 1, 3])

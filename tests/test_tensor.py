@@ -48,6 +48,52 @@ def use_workers(monkeypatch, k):
     monkeypatch.setattr(tensor, "_POOL", None)
 
 
+def fail_a_helper_in_the_next_split(monkeypatch):
+    """Make the next ``_split``, over three threads, fail in one helper.
+
+    Each thread takes its first chunk and holds it at a barrier; then one
+    helper raises at once, without running its chunk, and the other runs
+    its first chunk late. Returns a list that gets, as each chunk ends,
+    whether the caller ran it.
+    """
+    split = tensor._split
+    caller = threading.get_ident()
+    barrier = threading.Barrier(3, timeout=10)
+    lock = threading.Lock()
+    helpers, finished = [], []
+
+    def failing_split(chunks, workers, piece, lead=None):
+        monkeypatch.setattr(tensor, "_split", split)
+
+        def failing_piece(take):
+            me = threading.get_ident()
+            first = True
+
+            def take_one():
+                nonlocal first
+                if not first:
+                    finished.append(me == caller)  # the chunk it took before has ended
+                    return take()
+                first = False
+                sl = take()
+                barrier.wait()
+                if me != caller:
+                    with lock:
+                        helpers.append(me)
+                        first_helper = len(helpers) == 1
+                    if first_helper:
+                        raise RuntimeError("helper failed")
+                    time.sleep(0.2)
+                return sl
+
+            piece(take_one)
+
+        split(chunks, workers, failing_piece, lead)
+
+    monkeypatch.setattr(tensor, "_split", failing_split)
+    return finished
+
+
 def conv_oracle(x, w, b, stride, pad):
     n, cin, h, wd = x.shape
     cout, _, kh, kw = w.shape
@@ -528,6 +574,39 @@ class TestConv2d:
         use_workers(monkeypatch, 1)
         assert out.data.tobytes() == conv2d(x, w, b, 1, 1).data.tobytes()
 
+    def test_failing_input_gradient_helper_error_reaches_the_caller_after_every_piece_ends(self, monkeypatch):
+        # nine one-sample chunks and three workers; the caller runs the
+        # weight gradient first, then takes input-gradient chunks
+        rng = np.random.default_rng(13)
+        xd = rng.normal(size=(9, 2, 5, 5)).astype(np.float32)
+        wdata = rng.normal(size=(3, 2, 3, 3)).astype(np.float32)
+        bd = rng.normal(size=3).astype(np.float32)
+        g = rng.normal(size=(9, 3, 5, 5)).astype(np.float32)
+        monkeypatch.setattr(tensor, "_CHUNK_BYTES", 2 * 2 * 9 * 25 * 4)
+        use_workers(monkeypatch, 3)
+
+        def conv_pass():
+            x, w, b = t(xd, grad=True), t(wdata, grad=True), t(bd, grad=True)
+            with Tape() as tape:
+                out = conv2d(x, w, b, 1, 1)
+                loss = tsum(mul(out, t(g)))
+            return tape, loss, (out, x, w, b)
+
+        tape, loss, _ = conv_pass()
+        finished = fail_a_helper_in_the_next_split(monkeypatch)
+        with pytest.raises(RuntimeError, match="helper failed"):
+            backward(loss)
+        # eight chunks ran, the late helper's first among them
+        assert len(finished) == 8 and False in finished
+        assert len(tape) == 0
+        with pytest.raises(TapeError, match="already replayed"):
+            backward(loss)
+        _, loss, tensors = conv_pass()
+        backward(loss)
+        got = [tensors[0].data] + [a.grad for a in tensors[1:]]
+        for have, want in zip(got, one_shot_conv(xd, wdata, bd, g, 1, 1, True, True)):
+            assert have.tobytes() == want.tobytes()
+
 
 # ---------------------------------------------------------------------------
 # maxpool2d
@@ -685,6 +764,26 @@ class TestMaxPool2d:
         with Tape():
             out = maxpool2d(x, 2)
         assert np.array_equal(out.data, maxpool_oracle(x.data, 2))
+
+    def test_failing_routing_helper_error_reaches_the_caller_after_every_piece_ends(self, monkeypatch):
+        # nine one-sample chunks and three workers
+        x, g = self.tied_input_with_nan_windows((9, 2, 4, 4), 2, np.float32)
+        monkeypatch.setattr(tensor, "_CHUNK_BYTES", 2 * x[0].nbytes)
+        use_workers(monkeypatch, 3)
+        xt = t(x, grad=True)
+        with Tape() as tape:
+            loss = tsum(mul(maxpool2d(xt, 2), t(g)))
+        finished = fail_a_helper_in_the_next_split(monkeypatch)
+        with pytest.raises(RuntimeError, match="helper failed"):
+            backward(loss)
+        # eight chunks ran, the late helper's first among them
+        assert len(finished) == 8 and False in finished
+        assert len(tape) == 0
+        with pytest.raises(TapeError, match="already replayed"):
+            backward(loss)
+        out, gx = self.pool_bits(x, g, 2)
+        assert out == maxpool_oracle(x, 2).tobytes()
+        assert gx == maxpool_grad_oracle(x, g, 2).tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -1161,7 +1260,7 @@ def test_values_stay_finite_through_random_graph():
             assert np.all(np.isfinite(arr))
 
 
-BLAS_VARS = ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "BLIS_NUM_THREADS", "OMP_NUM_THREADS")
+BLAS_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "MKL_NUM_THREADS", "BLIS_NUM_THREADS", "OMP_NUM_THREADS")
 
 
 def test_blas_threads_follow_the_blas_variables(monkeypatch):
@@ -1174,6 +1273,39 @@ def test_blas_threads_follow_the_blas_variables(monkeypatch):
     assert tensor._blas_threads(8) == 1
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "0")  # not a thread count
     assert tensor._blas_threads(8) == 2
+
+
+def numpy_blas_name():
+    return str(np.__config__.CONFIG["Build Dependencies"]["blas"]["name"])
+
+
+@pytest.mark.parametrize(
+    "env, threads",
+    [
+        ({"MKL_NUM_THREADS": "1"}, 8),  # not OpenBLAS's variable
+        ({"GOTO_NUM_THREADS": "1"}, 1),
+        ({"OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "2"}, 1),
+    ],
+)
+def test_blas_threads_read_only_openblas_variables_on_an_openblas_build(monkeypatch, env, threads):
+    if "openblas" not in numpy_blas_name().lower():
+        pytest.skip(f"numpy links {numpy_blas_name()}, not OpenBLAS")
+    for var in BLAS_VARS:
+        monkeypatch.delenv(var, raising=False)
+    for var, value in env.items():
+        monkeypatch.setenv(var, value)
+    assert tensor._blas_threads(8) == threads
+
+
+def test_blas_thread_variables_follow_the_library():
+    assert tensor._blas_thread_vars("scipy-openblas") == (
+        "OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"
+    )
+    assert tensor._blas_thread_vars("mkl-sdl") == ("MKL_NUM_THREADS", "OMP_NUM_THREADS")
+    assert tensor._blas_thread_vars("blis") == ("BLIS_NUM_THREADS", "OMP_NUM_THREADS")
+    assert tensor._blas_thread_vars("accelerate") == (
+        "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "BLIS_NUM_THREADS", "OMP_NUM_THREADS"
+    )
 
 
 @pytest.mark.parametrize("pinned", [False, True])
