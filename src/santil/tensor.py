@@ -390,6 +390,11 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 # one batch-sized pass goes.
 _CHUNK_BYTES = 1 << 20
 
+# Samples in one block of conv2d's weight gradient: each block's per-sample
+# gradients add into one partial, and the partials add in block order. A
+# constant, so the bits depend on neither _CHUNK_BYTES nor _WORKERS.
+_WEIGHT_BLOCK = 8
+
 
 def _blas_thread_vars(blas: str) -> tuple[str, ...]:
     """The variables the BLAS library named ``blas`` reads its thread count
@@ -443,27 +448,22 @@ def _chunks(n: int, sample_bytes: int) -> tuple[int, int, list[slice]]:
 
 
 def _split(
-    chunks: list[slice],
-    workers: int,
-    piece: Callable[[Callable[[], slice | None]], None],
-    lead: Callable[[], None] | None = None,
+    chunks: list[slice], workers: int, piece: Callable[[Callable[[], slice | None]], None]
 ) -> None:
     """Run ``piece(take)`` on ``workers`` threads, the caller included.
 
     ``take()`` hands out ``chunks`` in order, one per call from any thread,
-    and None once they are gone. Each piece allocates its own buffers and
-    loops on ``take``, writing only the rows of the chunk it took, so a
-    stalled thread holds up one chunk, not a fixed share. ``lead`` runs on
-    the caller before it takes any chunk, while the helpers already take
-    chunks. With one worker everything runs on the caller and the pool is
-    not touched. Otherwise the helpers run on ``_POOL``, made with
-    ``_WORKERS - 1`` threads on the first call that splits, never at
-    import, which starts a thread only when no idle one is left; numpy
-    releases the interpreter lock in its GEMMs, copies and ufuncs. The
-    caller waits for every helper, then raises the first error, its own
-    first. Pieces do not record on the tape (it is thread-local anyway); an
-    op records after its split returns, so a forward that raises records
-    nothing.
+    and None once they are gone. Each piece has its own buffers and loops
+    on ``take``, writing only the rows of the chunk it took, so a stalled
+    thread holds up one chunk, not a fixed share. With one worker
+    everything runs on the caller and the pool is not touched. Otherwise
+    the helpers run on ``_POOL``, made with ``_WORKERS - 1`` threads on the
+    first call that splits, never at import, which starts a thread only
+    when no idle one is left; numpy releases the interpreter lock in its
+    GEMMs, copies and ufuncs. The caller waits for every helper, then
+    raises the first error, its own first. Pieces do not record on the tape
+    (it is thread-local anyway); an op records after its split returns, so
+    a forward that raises records nothing.
     """
     global _POOL
     it = iter(chunks)
@@ -481,8 +481,6 @@ def _split(
     try:
         for _ in range(workers - 1):
             futures.append(_POOL.submit(piece, take))
-        if lead is not None:
-            lead()
         piece(take)
     finally:
         errors = [f.exception() for f in futures]  # waits for each
@@ -538,19 +536,21 @@ def conv2d(
     elementwise arithmetic as the two ops, so the bits are those of the pair.
 
     Forward and the input gradient share their chunks among threads as
-    ``_chunks`` and ``_split`` say. The weight gradient stays one serial
-    piece: the ``lead`` of the input gradient's split, or the whole backward
-    of a conv whose input needs no gradient (a first conv), which then
-    never touches the pool.
+    ``_chunks`` and ``_split`` say. The weight gradient is shared in fixed
+    blocks of ``_WEIGHT_BLOCK`` samples instead: a thread takes a block,
+    rebuilds its patches at most a chunk at a time (a chunk here budgets
+    each sample's patches and gradient) and adds the block's per-sample
+    gradients, in sample order, into the block's own [K, Cout] partial; the
+    caller then adds the partials in block order. A batch of at most
+    ``_WEIGHT_BLOCK`` samples is thus summed in plain sample order.
 
     Each sample is one GEMM in both directions, whichever chunk or thread
-    runs it, and the per-sample weight gradients are added into one array
-    in sample order, so for a given BLAS build and thread count the bits
-    depend on neither the chunk size nor the worker count. They equal those
-    of one batched im2col GEMM with a windowed scatter only where BLAS
-    picks the same kernel for the GEMM widths Ho*Wo and rows*Wp (the
-    padded row pitch); elsewhere the input gradient may differ from it in
-    the last bits.
+    runs it, and the block size is a constant, so for a given BLAS build
+    and thread count the bits depend on neither the chunk size nor the
+    worker count. They equal those of one batched im2col GEMM with a
+    windowed scatter only where BLAS picks the same kernel for the GEMM
+    widths Ho*Wo and rows*Wp (the padded row pitch); elsewhere the input
+    gradient may differ from it in the last bits.
     """
     if x.data.ndim != 4 or w.data.ndim != 4 or b.data.ndim != 1:
         raise ShapeError(
@@ -580,20 +580,21 @@ def conv2d(
     ho = (hp - kh) // stride + 1
     wo = (wp - kw) // stride + 1
     dtype = x.data.dtype
-    step, workers, chunks = _chunks(n, cin * kh * kw * ho * wo * dtype.itemsize)
+    k = cin * kh * kw
+    step, workers, chunks = _chunks(n, k * ho * wo * dtype.itemsize)
 
-    def patch_builder():
+    def patch_builder(rows):
         # one chunk's buffers, reused by every chunk of one piece of a pass
-        xp = np.zeros((step, cin, hp, wp), dtype=dtype) if padding else None
-        cols = np.empty((step, cin, kh, kw, ho, wo), dtype=dtype)
+        xp = np.zeros((rows, cin, hp, wp), dtype=dtype) if padding else None
+        cols = np.empty((rows, cin, kh, kw, ho, wo), dtype=dtype)
         return lambda sl: _im2col(x.data[sl], padding, kh, kw, stride, ho, wo, xp, cols)
 
-    wm = w.data.reshape(cout, -1)
+    wm = w.data.reshape(cout, k)
     bias = b.data.reshape(cout, 1)
     out_data = np.empty((n, cout, ho * wo), dtype=dtype)
 
     def forward(take):
-        chunk_patches = patch_builder()
+        chunk_patches = patch_builder(step)
         while (sl := take()) is not None:
             o = out_data[sl]
             np.matmul(wm, chunk_patches(sl), out=o)
@@ -611,23 +612,39 @@ def conv2d(
         gb = g.sum(axis=(0, 2, 3)) if b.requires_grad else None
         gw = gx = None
         if w.requires_grad:
+            gl = g.reshape(n, cout, ho * wo)
+            blocks = [slice(s, min(s + _WEIGHT_BLOCK, n)) for s in range(0, n, _WEIGHT_BLOCK)]
+            partials = np.empty((len(blocks), k, cout), dtype=dtype)
+            # a sample's patches and its gradient share the chunk budget here
+            wstep, wworkers, _ = _chunks(n, k * (ho * wo + cout) * dtype.itemsize)
+            # each thread's buffers are made here, on the caller, so the memory
+            # goes back to the caller's heap, not to a helper's malloc arena
+            buffers = [
+                (patch_builder(wstep), np.empty((wstep, k, cout), dtype=dtype))
+                for _ in range(max(1, min(wworkers, len(blocks))))
+            ]
 
-            def weight_grad():
-                nonlocal gw
-                gl = g.reshape(n, cout, ho * wo)
-                chunk_patches = patch_builder()
-                gws = np.empty((step, wm.shape[1], cout), dtype=dtype)
-                for sl in chunks:
-                    m = sl.stop - sl.start
-                    np.matmul(chunk_patches(sl), gl[sl].transpose(0, 2, 1), out=gws[:m])
-                    for gs in gws[:m]:
-                        if gw is None:
-                            gw = gs.copy()
-                        else:
-                            gw += gs
-                if gw is None:  # an empty batch
-                    gw = np.zeros((wm.shape[1], cout), dtype=dtype)
-                gw = gw.T.reshape(w.data.shape)
+            def weight_grad(take):
+                chunk_patches, gws = buffers.pop()
+                while (blk := take()) is not None:
+                    partial = partials[blk.start // _WEIGHT_BLOCK]
+                    for s in range(blk.start, blk.stop, wstep):
+                        sl = slice(s, min(s + wstep, blk.stop))
+                        m = sl.stop - sl.start
+                        np.matmul(chunk_patches(sl), gl[sl].transpose(0, 2, 1), out=gws[:m])
+                        for i, gs in enumerate(gws[:m], s):
+                            if i == blk.start:
+                                partial[...] = gs
+                            else:
+                                partial += gs
+
+            _split(blocks, len(buffers), weight_grad)
+            # a copy, so the gradient does not hold every block's partial
+            gw = partials[0].copy() if blocks else np.zeros(partials.shape[1:], dtype=dtype)
+            for partial in partials[1:]:
+                gw += partial
+            del partials  # before the input gradient's buffers are made
+            gw = gw.T.reshape(w.data.shape)
 
         if x.requires_grad:
             # g as [Cout, rows, wp] a sample, zero outside [ho, wo], and the
@@ -655,10 +672,7 @@ def conv2d(
                             flat[:, off : off + stride * span : stride] += gwin[:m, i, j, :span]
                     gx[sl] = acc[:m, :, padding : padding + h, padding : padding + wd]
 
-            # the weight gradient is one piece, so per-sample gradients add in sample order
-            _split(chunks, workers, input_grad, lead=weight_grad if w.requires_grad else None)
-        elif w.requires_grad:
-            weight_grad()
+            _split(chunks, workers, input_grad)
         return (gx, gw, gb)
 
     return _record(out, (x, w, b), grad_fn)

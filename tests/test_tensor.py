@@ -48,8 +48,9 @@ def use_workers(monkeypatch, k):
     monkeypatch.setattr(tensor, "_POOL", None)
 
 
-def fail_a_helper_in_the_next_split(monkeypatch):
-    """Make the next ``_split``, over three threads, fail in one helper.
+def fail_a_helper_in_the_next_split(monkeypatch, skip=0):
+    """Let ``skip`` calls of ``_split`` run as they are, then make the next
+    one, over three threads, fail in one helper.
 
     Each thread takes its first chunk and holds it at a barrier; then one
     helper raises at once, without running its chunk, and the other runs
@@ -61,8 +62,13 @@ def fail_a_helper_in_the_next_split(monkeypatch):
     barrier = threading.Barrier(3, timeout=10)
     lock = threading.Lock()
     helpers, finished = [], []
+    skipped = 0
 
-    def failing_split(chunks, workers, piece, lead=None):
+    def failing_split(chunks, workers, piece):
+        nonlocal skipped
+        if skipped < skip:
+            skipped += 1
+            return split(chunks, workers, piece)
         monkeypatch.setattr(tensor, "_split", split)
 
         def failing_piece(take):
@@ -88,7 +94,7 @@ def fail_a_helper_in_the_next_split(monkeypatch):
 
             piece(take_one)
 
-        split(chunks, workers, failing_piece, lead)
+        split(chunks, workers, failing_piece)
 
     monkeypatch.setattr(tensor, "_split", failing_split)
     return finished
@@ -114,10 +120,12 @@ def conv_oracle(x, w, b, stride, pad):
     return out
 
 
-def one_shot_conv(x, w, b, g, stride, pad, need_gx, need_gw):
+def one_shot_conv(x, w, b, g, stride, pad, need_gx, need_gw, block=None):
     """The unchunked im2col algorithm: np.pad, one batch-sized patch matrix,
-    batched GEMMs and a windowed scatter. Returns out, gx, gw, gb for the
-    upstream gradient g; chunked conv2d must equal it bit for bit."""
+    batched GEMMs and a windowed scatter. The per-sample weight gradients are
+    summed in sample order within blocks of ``block`` samples (conv2d's
+    ``_WEIGHT_BLOCK`` by default), then block by block. Returns out, gx, gw,
+    gb for the upstream gradient g; chunked conv2d must equal it bit for bit."""
     n, cin, h, wd = x.shape
     cout, _, kh, kw = w.shape
     xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
@@ -133,7 +141,12 @@ def one_shot_conv(x, w, b, g, stride, pad, need_gx, need_gw):
     out += b.reshape(1, cout, 1, 1)
     gl = g.reshape(n, cout, ho * wo)
     gb = g.sum(axis=(0, 2, 3))
-    gw = np.matmul(gl, cols.transpose(0, 2, 1)).sum(axis=0).reshape(w.shape) if need_gw else None
+    gw = None
+    if need_gw:
+        per_sample = np.matmul(gl, cols.transpose(0, 2, 1))
+        block = block or tensor._WEIGHT_BLOCK
+        partials = [per_sample[s : s + block].sum(axis=0) for s in range(0, n, block)]
+        gw = np.stack(partials).sum(axis=0).reshape(w.shape)
     gx = None
     if need_gx:
         gwin = np.matmul(w.reshape(cout, -1).T, gl).reshape(n, cin, kh, kw, ho, wo)
@@ -575,8 +588,8 @@ class TestConv2d:
         assert out.data.tobytes() == conv2d(x, w, b, 1, 1).data.tobytes()
 
     def test_failing_input_gradient_helper_error_reaches_the_caller_after_every_piece_ends(self, monkeypatch):
-        # nine one-sample chunks and three workers; the caller runs the
-        # weight gradient first, then takes input-gradient chunks
+        # nine one-sample chunks and three workers; the weight gradient's
+        # split runs first, as it is, then a helper of the input gradient's fails
         rng = np.random.default_rng(13)
         xd = rng.normal(size=(9, 2, 5, 5)).astype(np.float32)
         wdata = rng.normal(size=(3, 2, 3, 3)).astype(np.float32)
@@ -593,7 +606,7 @@ class TestConv2d:
             return tape, loss, (out, x, w, b)
 
         tape, loss, _ = conv_pass()
-        finished = fail_a_helper_in_the_next_split(monkeypatch)
+        finished = fail_a_helper_in_the_next_split(monkeypatch, skip=1)
         with pytest.raises(RuntimeError, match="helper failed"):
             backward(loss)
         # eight chunks ran, the late helper's first among them
@@ -606,6 +619,122 @@ class TestConv2d:
         got = [tensors[0].data] + [a.grad for a in tensors[1:]]
         for have, want in zip(got, one_shot_conv(xd, wdata, bd, g, 1, 1, True, True)):
             assert have.tobytes() == want.tobytes()
+
+    def test_failing_weight_block_helper_error_reaches_the_caller_after_every_piece_ends(self, monkeypatch):
+        # nine weight-gradient blocks and three workers; x needs no gradient,
+        # so the blocks' split is the backward's only one
+        block = tensor._WEIGHT_BLOCK
+        rng = np.random.default_rng(14)
+        xd = rng.normal(size=(9 * block, 2, 5, 5)).astype(np.float32)
+        wdata = rng.normal(size=(3, 2, 3, 3)).astype(np.float32)
+        bd = rng.normal(size=3).astype(np.float32)
+        g = rng.normal(size=(9 * block, 3, 5, 5)).astype(np.float32)
+        # two samples' patches and gradients fit a chunk
+        monkeypatch.setattr(tensor, "_CHUNK_BYTES", 2 * 2 * 9 * (25 + 3) * 4)
+        use_workers(monkeypatch, 3)
+
+        def conv_pass():
+            w, b = t(wdata, grad=True), t(bd, grad=True)
+            with Tape() as tape:
+                loss = tsum(mul(conv2d(t(xd), w, b, 1, 1), t(g)))
+            return tape, loss, w
+
+        tape, loss, w = conv_pass()
+        finished = fail_a_helper_in_the_next_split(monkeypatch)
+        with pytest.raises(RuntimeError, match="helper failed"):
+            backward(loss)
+        # eight blocks ran, the late helper's first among them
+        assert len(finished) == 8 and False in finished
+        assert len(tape) == 0 and w.grad is None
+        with pytest.raises(TapeError, match="already replayed"):
+            backward(loss)
+        grads = []
+        for workers in (3, 1):
+            use_workers(monkeypatch, workers)
+            _, loss, w = conv_pass()
+            backward(loss)
+            grads.append(w.grad.tobytes())
+        assert grads[0] == grads[1] == one_shot_conv(xd, wdata, bd, g, 1, 1, False, True)[2].tobytes()
+
+    def test_weight_only_backward_is_shared_with_a_helper(self, monkeypatch):
+        # x needs no gradient, as for the first conv of F_t in a later san
+        # task: the caller's blocks wait until a helper has taken one
+        rng = np.random.default_rng(15)
+        xd = rng.normal(size=(70, 16, 14, 14)).astype(np.float32)
+        wdata = rng.normal(size=(16, 16, 3, 3)).astype(np.float32)
+        bd = rng.normal(size=16).astype(np.float32)
+        g = rng.normal(size=(70, 16, 14, 14)).astype(np.float32)
+        im2col = tensor._im2col
+        caller = threading.get_ident()
+        helped = threading.Event()
+
+        def im2col_after_a_helper(*args):
+            if threading.get_ident() != caller:
+                helped.set()
+            elif tensor._WORKERS > 1:
+                assert helped.wait(10)
+            return im2col(*args)
+
+        grads = []
+        for workers in (1, 2):
+            use_workers(monkeypatch, workers)
+            w, b = t(wdata, grad=True), t(bd, grad=True)
+            with Tape():
+                loss = tsum(mul(conv2d(t(xd), w, b, 1, 1), t(g)))
+            helped.clear()
+            monkeypatch.setattr(tensor, "_im2col", im2col_after_a_helper)
+            backward(loss)
+            monkeypatch.setattr(tensor, "_im2col", im2col)
+            assert helped.is_set() == (workers > 1)
+            grads.append(w.grad.tobytes())
+        assert grads[0] == grads[1] == one_shot_conv(xd, wdata, bd, g, 1, 1, False, True)[2].tobytes()
+
+    @pytest.mark.parametrize("n", [1, 5, tensor._WEIGHT_BLOCK])
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_batch_of_one_block_sums_its_weight_gradient_in_sample_order(self, monkeypatch, n, workers):
+        # up to _WEIGHT_BLOCK samples, the blocks change no bit: the weight
+        # gradient is the plain sample-order sum, over chunks of one sample
+        rng = np.random.default_rng(16)
+        xd = rng.normal(size=(n, 8, 9, 9)).astype(np.float32)
+        wdata = rng.normal(size=(6, 8, 3, 3)).astype(np.float32)
+        bd = rng.normal(size=6).astype(np.float32)
+        g = rng.normal(size=(n, 6, 9, 9)).astype(np.float32)
+        monkeypatch.setattr(tensor, "_CHUNK_BYTES", 1)
+        use_workers(monkeypatch, workers)
+        x, w, b = t(xd, grad=True), t(wdata, grad=True), t(bd, grad=True)
+        with Tape():
+            backward(tsum(mul(conv2d(x, w, b, 1, 1), t(g))))
+        plain = one_shot_conv(xd, wdata, bd, g, 1, 1, True, True, block=n)[2]
+        assert w.grad.tobytes() == plain.tobytes()
+
+    @pytest.mark.parametrize("workers", [1, 2, 8])
+    def test_weight_gradient_peak_is_its_partials_and_two_chunks(self, monkeypatch, workers):
+        # 256 samples: the only batch-sized buffer is one [K, Cout] partial a
+        # block; the threads share two chunks, each at most _CHUNK_BYTES of
+        # patches and per-sample gradients plus its samples' padded input,
+        # whatever the worker count
+        n, cin, hw, cout = 256, 64, 8, 64
+        k = cin * 3 * 3
+        use_workers(monkeypatch, workers)
+        rng = np.random.default_rng(17)
+        x = t(rng.normal(size=(n, cin, hw, hw)))
+        w = t(rng.normal(size=(cout, cin, 3, 3)), grad=True)
+        b = t(np.zeros(cout))
+        g = rng.normal(size=(n, cout, hw, hw)).astype(np.float32)
+        with Tape() as tape:
+            conv2d(x, w, b, 1, 1)
+        (record,) = tape._records
+        tracemalloc.start()
+        try:
+            gx, gw, gb = record.grad_fn(g)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert gx is None and gb is None and gw.shape == (cout, cin, 3, 3)
+        blocks = -(-n // tensor._WEIGHT_BLOCK)
+        fit = tensor._CHUNK_BYTES // (k * (hw * hw + cout) * 4)
+        chunk = tensor._CHUNK_BYTES + fit * cin * (hw + 2) ** 2 * 4
+        assert peak < blocks * k * cout * 4 + 2 * chunk
 
 
 # ---------------------------------------------------------------------------
