@@ -15,7 +15,7 @@ from .checkpoint import CheckpointMismatchError
 from .config import ConfigError, DataFilesError, RunConfig, resolve_data_root
 from .data import DatasetError
 from .engine import TrainingDivergedError
-from .fetch import FetchError, fetch_dataset
+from .fetch import REGISTRY, FetchError, fetch_dataset
 from .gradcheck import gradient_suite
 
 EXIT_OK = 0
@@ -145,7 +145,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_dump_embeddings)
 
     p = sub.add_parser("fetch-data", help="download and verify dataset files")
-    p.add_argument("--dataset", required=True, choices=["mnist", "fashion-mnist", "cifar10", "cifar100"])
+    p.add_argument("--dataset", required=True, choices=sorted(REGISTRY))
     p.add_argument("--data-root", help="target directory (default: $SAN_TIL_DATA_ROOT or ./data)")
     p.add_argument("--skip-verify", action="store_true", help="skip checksum verification")
     p.set_defaults(func=cmd_fetch_data)

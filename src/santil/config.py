@@ -13,7 +13,7 @@ import os
 from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
 
-from .data import Dataset, load_cifar, load_idx, synthetic_dataset
+from .data import CIFAR_VARIANTS, DATASET_FILES, Dataset, load_cifar, load_idx, synthetic_dataset
 from .engine import StrategyKind
 from .layers import (
     PRESETS,
@@ -29,16 +29,16 @@ from .layers import (
 ENV_DATA_ROOT = "SAN_TIL_DATA_ROOT"
 
 STRATEGIES = tuple(kind.value for kind in StrategyKind)
-DATASET_NAMES = ("mnist", "fashion-mnist", "permuted-mnist", "cifar10", "cifar100", "synthetic")
-SELECTION_MODES = ("best-val", "last")
-
-_SYNTHETIC_DEFAULTS = {
-    "num_classes": 4,
-    "per_class": 150,
-    "per_class_test": 50,
-    "shape": [1, 8, 8],
-    "data_seed": 7,
+# config dataset name -> (the recipe whose files it reads, the sequence kind it makes)
+_SOURCES = {
+    "mnist": ("mnist", "split"),
+    "fashion-mnist": ("fashion-mnist", "split"),
+    "permuted-mnist": ("mnist", "permuted"),
+    "cifar10": ("cifar10", "split"),
+    "cifar100": ("cifar100", "split"),
 }
+DATASET_NAMES = (*_SOURCES, "synthetic")
+SELECTION_MODES = ("best-val", "last")
 
 
 def _is_int(value) -> bool:
@@ -57,30 +57,31 @@ def _is_number(value) -> bool:
         return False
 
 
-# what a synthetic dataset's fields must be: a test, and how to say it
+# a synthetic dataset's fields: default, test, and how to say what the test wants
 _SYNTHETIC_FIELDS = {
-    "num_classes": (lambda v: _is_int(v) and v >= 1, "a positive integer"),
-    "per_class": (lambda v: _is_int(v) and v >= 2, "an integer >= 2"),
-    "per_class_test": (lambda v: _is_int(v) and v >= 2, "an integer >= 2"),
+    "num_classes": (4, lambda v: _is_int(v) and v >= 1, "a positive integer"),
+    "per_class": (150, lambda v: _is_int(v) and v >= 2, "an integer >= 2"),
+    "per_class_test": (50, lambda v: _is_int(v) and v >= 2, "an integer >= 2"),
     "shape": (
+        [1, 8, 8],
         lambda v: isinstance(v, list) and len(v) == 3 and all(_is_int(d) and d >= 1 for d in v),
         "a list of 3 positive integers",
     ),
-    "data_seed": (lambda v: _is_int(v) and v >= 0, "a non-negative integer"),
+    "data_seed": (7, lambda v: _is_int(v) and v >= 0, "a non-negative integer"),
 }
 
 
 def _dataset_problems(dataset: dict) -> list[str]:
     """What is wrong with a named dataset object: a synthetic dataset takes
-    the ``_SYNTHETIC_DEFAULTS`` keys, any other dataset no key but ``name``."""
+    the ``_SYNTHETIC_FIELDS`` keys, any other dataset no key but ``name``."""
     synthetic = dataset["name"] == "synthetic"
     problems = [
         f"dataset.{key}: unknown field"
         for key in dataset
-        if key != "name" and not (synthetic and key in _SYNTHETIC_DEFAULTS)
+        if key != "name" and not (synthetic and key in _SYNTHETIC_FIELDS)
     ]
     if synthetic:
-        for key, (ok, what) in _SYNTHETIC_FIELDS.items():
+        for key, (_, ok, what) in _SYNTHETIC_FIELDS.items():
             if not ok(dataset[key]):
                 problems.append(f"dataset.{key}: must be {what}, got {dataset[key]!r}")
     return problems
@@ -107,12 +108,13 @@ class ConfigError(ValueError):
 
 
 class DataFilesError(Exception):
-    """Dataset files are missing from the data root."""
+    """Dataset files are missing from the data root; ``dataset`` names the
+    fetch-data recipe that writes them."""
 
-    def __init__(self, dataset: str, missing):
+    def __init__(self, dataset: str, missing, data_root):
         self.dataset = dataset
         self.missing = [str(p) for p in missing]
-        hint = f"run `santil fetch-data --dataset {dataset}` to download them"
+        hint = f"run `santil fetch-data --dataset {dataset} --data-root {data_root}` to download them"
         super().__init__(
             f"missing {dataset} files: {', '.join(self.missing)} ({hint})"
         )
@@ -154,7 +156,7 @@ class RunConfig:
             )
         else:
             if dataset["name"] == "synthetic":
-                dataset = {**_SYNTHETIC_DEFAULTS, **dataset}
+                dataset = {key: default for key, (default, _, _) in _SYNTHETIC_FIELDS.items()} | dataset
             problems += _dataset_problems(dataset)
         checked["dataset"] = dataset
 
@@ -243,55 +245,11 @@ def resolve_data_root(data_root: str | None) -> Path:
 # ---------------------------------------------------------------------------
 # dataset resolution
 
-MNIST_FILES = {
-    "train_images": "train-images-idx3-ubyte",
-    "train_labels": "train-labels-idx1-ubyte",
-    "test_images": "t10k-images-idx3-ubyte",
-    "test_labels": "t10k-labels-idx1-ubyte",
-}
-
-
-def _idx_path(directory: Path, stem: str) -> Path:
-    # fetch-data stores unpacked files, but a .gz drop-in also loads
-    plain = directory / stem
-    return plain if plain.exists() else directory / (stem + ".gz")
-
-
-def _load_idx_pools(directory: Path, dataset_name: str) -> tuple[Dataset, Dataset]:
-    paths = {key: _idx_path(directory, stem) for key, stem in MNIST_FILES.items()}
-    missing = [p for p in paths.values() if not p.exists()]
-    if missing:
-        raise DataFilesError(dataset_name, missing)
-    train = load_idx(paths["train_images"], paths["train_labels"])
-    test = load_idx(paths["test_images"], paths["test_labels"])
-    return train, test
-
 
 def load_pools(config: RunConfig) -> tuple[Dataset, Dataset, str]:
     """(train pool, test pool, sequence kind) for the configured dataset."""
     name = config.dataset["name"]
     root = resolve_data_root(config.data_root)
-    if name in ("mnist", "permuted-mnist"):
-        train, test = _load_idx_pools(root / "mnist", "mnist")
-        return train, test, ("permuted" if name == "permuted-mnist" else "split")
-    if name == "fashion-mnist":
-        train, test = _load_idx_pools(root / "fashion-mnist", "fashion-mnist")
-        return train, test, "split"
-    if name == "cifar10":
-        directory = root / "cifar-10-batches-bin"
-        train_paths = [directory / f"data_batch_{i}.bin" for i in range(1, 6)]
-        test_paths = [directory / "test_batch.bin"]
-        missing = [p for p in train_paths + test_paths if not p.exists()]
-        if missing:
-            raise DataFilesError("cifar10", missing)
-        return load_cifar(train_paths, "cifar10"), load_cifar(test_paths, "cifar10"), "split"
-    if name == "cifar100":
-        directory = root / "cifar-100-binary"
-        train_path, test_path = directory / "train.bin", directory / "test.bin"
-        missing = [p for p in (train_path, test_path) if not p.exists()]
-        if missing:
-            raise DataFilesError("cifar100", missing)
-        return load_cifar([train_path], "cifar100"), load_cifar([test_path], "cifar100"), "split"
     if name == "synthetic":
         opts = config.dataset
         train = synthetic_dataset(
@@ -305,7 +263,25 @@ def load_pools(config: RunConfig) -> tuple[Dataset, Dataset, str]:
             pattern_seed=opts["data_seed"],
         )
         return train, test, "split"
-    raise ConfigError([f"dataset: unsupported name {name!r}"])
+    if name not in _SOURCES:
+        raise ConfigError([f"dataset: unsupported name {name!r}"])
+    recipe, kind = _SOURCES[name]
+    layout = DATASET_FILES[recipe]
+    directory = root / layout.directory
+    cifar = recipe in CIFAR_VARIANTS
+
+    def located(file: str) -> Path:
+        # fetch-data stores unpacked files, but an IDX .gz drop-in also loads
+        path, gz = directory / file, directory / (file + ".gz")
+        return gz if not (cifar or path.exists()) and gz.exists() else path
+
+    train, test = [located(f) for f in layout.train], [located(f) for f in layout.test]
+    missing = [p for p in train + test if not p.exists()]
+    if missing:
+        raise DataFilesError(recipe, missing, root)
+    if cifar:
+        return load_cifar(train, recipe), load_cifar(test, recipe), kind
+    return load_idx(*train), load_idx(*test), kind
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
-"""Dataset ingestion: IDX and CIFAR binary formats, permutations, splits, synthetic blobs.
+"""Dataset ingestion: IDX and CIFAR binary formats, where each dataset's files
+live under the data root, permutations, splits, synthetic blobs.
 
 File formats are handled bit-exactly:
 
@@ -17,7 +18,7 @@ import hashlib
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -141,9 +142,12 @@ def load_idx(images_path, labels_path) -> Dataset:
 # CIFAR binary
 
 
+CIFAR_VARIANTS = ("cifar10", "cifar100")
+
+
 def load_cifar(binary_paths: Sequence, variant: str) -> Dataset:
     """Load CIFAR-10/100 binary batch files (channel-major 3x32x32 records)."""
-    if variant not in ("cifar10", "cifar100"):
+    if variant not in CIFAR_VARIANTS:
         raise ValueError(f"variant must be 'cifar10' or 'cifar100', got {variant!r}")
     record_len = 3073 if variant == "cifar10" else 3074
     label_offset = 0 if variant == "cifar10" else 1  # cifar100 keeps the fine label
@@ -165,6 +169,34 @@ def load_cifar(binary_paths: Sequence, variant: str) -> Dataset:
 
     provenance = {"format": variant, "files": files, "normalization": "scale_1_255"}
     return Dataset(np.concatenate(all_images), np.concatenate(all_labels), provenance=provenance)
+
+
+# ---------------------------------------------------------------------------
+# on-disk layout
+
+
+class DataFiles(NamedTuple):
+    """Where a dataset's files live: a directory under the data root and the
+    file names of each split. An IDX split is (images, labels); a CIFAR
+    split is its batch files, read as the variant of the same name."""
+
+    directory: str
+    train: tuple[str, ...]
+    test: tuple[str, ...]
+
+
+_IDX_TRAIN = ("train-images-idx3-ubyte", "train-labels-idx1-ubyte")
+_IDX_TEST = ("t10k-images-idx3-ubyte", "t10k-labels-idx1-ubyte")
+
+# the files `fetch-data` leaves under the data root, per recipe; `config.load_pools` reads them
+DATASET_FILES = {
+    "mnist": DataFiles("mnist", _IDX_TRAIN, _IDX_TEST),
+    "fashion-mnist": DataFiles("fashion-mnist", _IDX_TRAIN, _IDX_TEST),
+    "cifar10": DataFiles(
+        "cifar-10-batches-bin", tuple(f"data_batch_{i}.bin" for i in range(1, 6)), ("test_batch.bin",)
+    ),
+    "cifar100": DataFiles("cifar-100-binary", ("train.bin",), ("test.bin",)),
+}
 
 
 # ---------------------------------------------------------------------------

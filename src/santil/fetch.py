@@ -19,7 +19,7 @@ import urllib.request
 from dataclasses import dataclass
 from pathlib import Path
 
-from .data import file_sha256
+from .data import DATASET_FILES, file_sha256
 from .fileio import atomic_open
 
 
@@ -40,77 +40,31 @@ class RemoteFile:
     target_dir: str
 
 
-_MNIST_BASE = "https://ossci-datasets.s3.amazonaws.com/mnist/"
-_FASHION_BASE = "http://fashion-mnist.s3-website.eu-central-1.amazonaws.com/"
+# IDX recipes: base URL and one pin per file of the layout, train then test
+_IDX_SOURCES = {
+    "mnist": (
+        "https://ossci-datasets.s3.amazonaws.com/mnist/",
+        (
+            "440fcabf73cc546fa21475e81ea370265605f56be210a4024d2ca8f203523609",
+            "3552534a0a558bbed6aed32b30c495cca23d567ec52cac8be1a0730e8010255c",
+            "8d422c7b0a1c1c79245a5bcf07fe86e33eeafee792b84584aec276f5a2dbc4e6",
+            "f7ae60f92e00ec6debd23a6088c31dbd2371eca3ffa0defaefb259924204aec6",
+        ),
+    ),
+    "fashion-mnist": ("http://fashion-mnist.s3-website.eu-central-1.amazonaws.com/", (None,) * 4),
+}
 _CIFAR_BASE = "https://www.cs.toronto.edu/~kriz/"
 
 REGISTRY: dict[str, list[RemoteFile]] = {
-    "mnist": [
-        RemoteFile(
-            _MNIST_BASE + "train-images-idx3-ubyte.gz",
-            "train-images-idx3-ubyte.gz",
-            "440fcabf73cc546fa21475e81ea370265605f56be210a4024d2ca8f203523609",
-            "gunzip",
-            "mnist",
-        ),
-        RemoteFile(
-            _MNIST_BASE + "train-labels-idx1-ubyte.gz",
-            "train-labels-idx1-ubyte.gz",
-            "3552534a0a558bbed6aed32b30c495cca23d567ec52cac8be1a0730e8010255c",
-            "gunzip",
-            "mnist",
-        ),
-        RemoteFile(
-            _MNIST_BASE + "t10k-images-idx3-ubyte.gz",
-            "t10k-images-idx3-ubyte.gz",
-            "8d422c7b0a1c1c79245a5bcf07fe86e33eeafee792b84584aec276f5a2dbc4e6",
-            "gunzip",
-            "mnist",
-        ),
-        RemoteFile(
-            _MNIST_BASE + "t10k-labels-idx1-ubyte.gz",
-            "t10k-labels-idx1-ubyte.gz",
-            "f7ae60f92e00ec6debd23a6088c31dbd2371eca3ffa0defaefb259924204aec6",
-            "gunzip",
-            "mnist",
-        ),
-    ],
-    "fashion-mnist": [
-        RemoteFile(
-            _FASHION_BASE + "train-images-idx3-ubyte.gz",
-            "train-images-idx3-ubyte.gz",
-            None,
-            "gunzip",
-            "fashion-mnist",
-        ),
-        RemoteFile(
-            _FASHION_BASE + "train-labels-idx1-ubyte.gz",
-            "train-labels-idx1-ubyte.gz",
-            None,
-            "gunzip",
-            "fashion-mnist",
-        ),
-        RemoteFile(
-            _FASHION_BASE + "t10k-images-idx3-ubyte.gz",
-            "t10k-images-idx3-ubyte.gz",
-            None,
-            "gunzip",
-            "fashion-mnist",
-        ),
-        RemoteFile(
-            _FASHION_BASE + "t10k-labels-idx1-ubyte.gz",
-            "t10k-labels-idx1-ubyte.gz",
-            None,
-            "gunzip",
-            "fashion-mnist",
-        ),
-    ],
-    "cifar10": [
-        RemoteFile(_CIFAR_BASE + "cifar-10-binary.tar.gz", "cifar-10-binary.tar.gz", None, "untar", "."),
-    ],
-    "cifar100": [
-        RemoteFile(_CIFAR_BASE + "cifar-100-binary.tar.gz", "cifar-100-binary.tar.gz", None, "untar", "."),
-    ],
+    recipe: [
+        RemoteFile(base + stem + ".gz", stem + ".gz", pin, "gunzip", DATASET_FILES[recipe].directory)
+        for stem, pin in zip(DATASET_FILES[recipe].train + DATASET_FILES[recipe].test, pins, strict=True)
+    ]
+    for recipe, (base, pins) in _IDX_SOURCES.items()
+} | {
+    # a CIFAR archive holds its layout directory, so it unpacks into the data root
+    variant: [RemoteFile(_CIFAR_BASE + archive, archive, None, "untar", ".")]
+    for variant, archive in (("cifar10", "cifar-10-binary.tar.gz"), ("cifar100", "cifar-100-binary.tar.gz"))
 }
 
 

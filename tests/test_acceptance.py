@@ -19,8 +19,7 @@ import numpy as np
 import pytest
 
 from santil.cli import main as cli_main
-from santil.config import MNIST_FILES
-from santil.data import load_cifar, load_idx, synthetic_dataset
+from santil.data import DATASET_FILES, load_cifar, load_idx, synthetic_dataset
 from santil.engine import IncrementalState, predict_logits, run_sequence, train_task
 from santil.gradcheck import grad_check, gradient_suite
 from santil.layers import PRESETS, assert_frozen
@@ -39,37 +38,24 @@ def report_line(criterion, ok, detail):
     assert ok, f"criterion {criterion}: {detail}"
 
 
-def mnist_paths():
-    base = DATA_ROOT / "mnist"
-    return {key: base / stem for key, stem in MNIST_FILES.items()}
-
-
-def require_mnist():
-    missing = [str(p) for p in mnist_paths().values() if not p.exists()]
-    if missing:
+def dataset_paths(recipe, what):
+    """(train paths, test paths) of a recipe's files under the data root;
+    skips with a fetch hint when one is missing."""
+    layout = DATASET_FILES[recipe]
+    base = DATA_ROOT / layout.directory
+    train, test = [base / f for f in layout.train], [base / f for f in layout.test]
+    if any(not p.exists() for p in train + test):
         pytest.skip(
-            f"MNIST files missing under {DATA_ROOT}/mnist; run "
-            f"`santil fetch-data --dataset mnist --data-root {DATA_ROOT}`"
+            f"{what} missing under {base}; run "
+            f"`santil fetch-data --dataset {recipe} --data-root {DATA_ROOT}`"
         )
-
-
-def require_cifar10():
-    base = DATA_ROOT / "cifar-10-batches-bin"
-    needed = [base / f"data_batch_{i}.bin" for i in range(1, 6)] + [base / "test_batch.bin"]
-    if any(not p.exists() for p in needed):
-        pytest.skip(
-            f"CIFAR-10 binaries missing under {base}; run "
-            f"`santil fetch-data --dataset cifar10 --data-root {DATA_ROOT}`"
-        )
+    return train, test
 
 
 @pytest.fixture(scope="module")
 def mnist_pools():
-    require_mnist()
-    paths = mnist_paths()
-    train = load_idx(paths["train_images"], paths["train_labels"])
-    test = load_idx(paths["test_images"], paths["test_labels"])
-    return train, test
+    train, test = dataset_paths("mnist", "MNIST files")
+    return load_idx(*train), load_idx(*test)
 
 
 _RUN_CACHE = {}
@@ -272,10 +258,8 @@ def test_criterion_07b_permuted_mnist_long_run(mnist_pools):
 def test_criterion_09_cifar10_smoke():
     if os.environ.get("SAN_TIL_RUN_CIFAR_SMOKE") != "1":
         pytest.skip("long-running CIFAR smoke; set SAN_TIL_RUN_CIFAR_SMOKE=1 to enable")
-    require_cifar10()
-    base = DATA_ROOT / "cifar-10-batches-bin"
-    train = load_cifar([base / f"data_batch_{i}.bin" for i in range(1, 6)], "cifar10")
-    test = load_cifar([base / "test_batch.bin"], "cifar10")
+    train_paths, test_paths = dataset_paths("cifar10", "CIFAR-10 binaries")
+    train, test = load_cifar(train_paths, "cifar10"), load_cifar(test_paths, "cifar10")
     seq = build_split_sequence(train, test, partition_classes(10, 5), master_seed=1)
     arch = PRESETS["cifar-small"]((3, 32, 32), base_classes=2)
     result, _ = run_sequence("san", arch, seq, 1, epochs=30, batch_size=64, lr=0.001)
@@ -334,10 +318,8 @@ def test_criterion_10b_mnist_counts_and_histograms(mnist_pools):
 
 
 def test_criterion_10c_cifar_counts_and_balance():
-    require_cifar10()
-    base = DATA_ROOT / "cifar-10-batches-bin"
-    train = load_cifar([base / f"data_batch_{i}.bin" for i in range(1, 6)], "cifar10")
-    test = load_cifar([base / "test_batch.bin"], "cifar10")
+    train_paths, test_paths = dataset_paths("cifar10", "CIFAR-10 binaries")
+    train, test = load_cifar(train_paths, "cifar10"), load_cifar(test_paths, "cifar10")
     ok = (
         train.images.shape == (50000, 3, 32, 32)
         and test.images.shape == (10000, 3, 32, 32)

@@ -14,13 +14,15 @@ from santil import cli, harness
 from santil.checkpoint import CheckpointMismatchError, load_state, read_meta, save_state
 from santil.cli import main
 from santil.config import (
+    DATASET_NAMES,
     ConfigError,
     DataFilesError,
     RunConfig,
     load_pools,
     resolve_architecture,
 )
-from santil.fetch import ChecksumError, FetchError, RemoteFile, fetch_dataset, unpack, verify_checksum
+from santil.data import DATASET_FILES
+from santil.fetch import REGISTRY, ChecksumError, FetchError, RemoteFile, fetch_dataset, unpack, verify_checksum
 from santil.report import strip_wall_clock, write_summary_csv
 from santil.tasks import partition_classes
 
@@ -1103,3 +1105,90 @@ class TestFetchLogic:
             fetch_dataset("fashion-mnist", root, quiet=True)
         assert list((root / "archives").iterdir()) == []
         assert not (root / "checksums.json").exists()
+
+
+class TestDataLayout:
+    """One table says where each dataset's files live; fetch-data writes
+    there, load_pools reads there, and the CLI offers its recipes."""
+
+    MNIST_STEMS = ("train-images-idx3-ubyte", "train-labels-idx1-ubyte", "t10k-images-idx3-ubyte", "t10k-labels-idx1-ubyte")
+
+    @pytest.mark.parametrize("name", ["mnist", "permuted-mnist"])
+    def test_missing_files_message_lists_what_fetch_writes_and_the_data_root(self, tmp_path, capsys, name):
+        root = tmp_path / "void"
+        cfg_path = write_config(tmp_path, dataset=name, data_root=str(root))
+        assert main(["run", "--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        missing = ", ".join(str(root / "mnist" / stem) for stem in self.MNIST_STEMS)
+        assert f"missing mnist files: {missing} (" in err
+        assert f"run `santil fetch-data --dataset mnist --data-root {root}` to download them" in err
+
+    @pytest.mark.parametrize("name", [n for n in DATASET_NAMES if n != "synthetic"])
+    def test_every_file_dataset_names_a_fetch_recipe(self, tmp_path, name):
+        root = tmp_path / "empty"
+        with pytest.raises(DataFilesError) as info:
+            load_pools(synthetic_config(tmp_path, dataset=name, data_root=str(root)))
+        recipe = info.value.dataset
+        assert recipe in REGISTRY
+        assert recipe == ("mnist" if name == "permuted-mnist" else name)
+        layout = DATASET_FILES[recipe]
+        assert info.value.missing == [str(root / layout.directory / f) for f in layout.train + layout.test]
+
+    def test_fetch_data_offers_every_recipe(self):
+        def action(parser, dest):
+            return next(a for a in parser._actions if a.dest == dest)
+
+        fetch = action(cli.build_parser(), "command").choices["fetch-data"]
+        assert action(fetch, "dataset").choices == sorted(REGISTRY)
+
+    @staticmethod
+    def fetch_fixture(recipe, root, scratch, seed):
+        """Unpack gzipped IDX fixtures named as `recipe`'s downloads into `root`;
+        returns the (train, test) datasets they hold."""
+        from dataset_writers import save_idx
+
+        pools = {
+            "train": synthetic_blobs(seed=seed, per_class=3),
+            "t10k": synthetic_blobs(seed=seed + 1, per_class=2, pattern_seed=seed),
+        }
+        scratch.mkdir()
+        for split, pool in pools.items():
+            save_idx(pool, scratch / f"{split}-images", scratch / f"{split}-labels")
+        archives = root / "archives"
+        archives.mkdir(parents=True, exist_ok=True)
+        for remote in REGISTRY[recipe]:
+            split = remote.filename.split("-")[0]
+            part = "images" if "-images-" in remote.filename else "labels"
+            archive = archives / remote.filename
+            archive.write_bytes(gzip.compress((scratch / f"{split}-{part}").read_bytes()))
+            unpack(archive, remote, root)
+        return pools["train"], pools["t10k"]
+
+    def test_what_fetch_writes_is_what_load_pools_reads(self, tmp_path):
+        root = tmp_path / "data"
+        expected = {
+            "mnist": self.fetch_fixture("mnist", root, tmp_path / "m", seed=300),
+            "fashion-mnist": self.fetch_fixture("fashion-mnist", root, tmp_path / "f", seed=400),
+        }
+        for name, recipe, kind in [
+            ("mnist", "mnist", "split"),
+            ("permuted-mnist", "mnist", "permuted"),
+            ("fashion-mnist", "fashion-mnist", "split"),
+        ]:
+            train, test, got_kind = load_pools(synthetic_config(tmp_path, dataset=name, data_root=str(root)))
+            assert got_kind == kind
+            for pool, fixture in zip((train, test), expected[recipe]):
+                assert np.array_equal(pool.labels, fixture.labels)
+                assert np.array_equal(np.rint(pool.images * 255), np.rint(fixture.images * 255))
+                assert all(Path(p).parent == root / recipe for p in pool.provenance["files"])
+                assert not any(p.endswith(".gz") for p in pool.provenance["files"])
+
+    def test_idx_gz_drop_in_loads(self, tmp_path):
+        root = tmp_path / "data"
+        train, _ = self.fetch_fixture("mnist", tmp_path / "fetched", tmp_path / "m", seed=500)
+        (root / "mnist").mkdir(parents=True)
+        for archive in (tmp_path / "fetched" / "archives").iterdir():
+            (root / "mnist" / archive.name).write_bytes(archive.read_bytes())
+        pool, _, _ = load_pools(synthetic_config(tmp_path, dataset="mnist", data_root=str(root)))
+        assert np.array_equal(pool.labels, train.labels)
+        assert all(p.endswith(".gz") for p in pool.provenance["files"])
