@@ -104,9 +104,8 @@ def cmd_grad_check(args) -> int:
     return EXIT_OK
 
 
-def _add_common(parser: argparse.ArgumentParser, needs_config: bool = True) -> None:
-    if needs_config:
-        parser.add_argument("--config", required=True, help="path to a JSON run config")
+def _add_common(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--config", required=True, help="path to a JSON run config")
     parser.add_argument("--seed", help="comma-separated seed list override")
     parser.add_argument("--data-root", help="dataset directory (default: $SAN_TIL_DATA_ROOT or ./data)")
     parser.add_argument("--out", help="output directory override")

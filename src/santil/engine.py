@@ -385,6 +385,11 @@ def train_task(
     validation accuracy on this task (ties go to the earliest epoch);
     "last" keeps the final epoch.
     """
+    if state._active_task:
+        raise TrainingOrderError(
+            f"task {state._active_task} did not finish training and its parts hold that "
+            "attempt's values; start again from a new state or a checkpoint"
+        )
     if task_index != state.trained_upto + 1:
         raise TrainingOrderError(
             f"task {task_index} out of order; next trainable task is {state.trained_upto + 1}"

@@ -142,7 +142,7 @@ def download(url: str, dest: Path) -> None:
         raise FetchError(f"download failed for {url}: {exc}") from exc
 
 
-def fetch_dataset(dataset: str, data_root, skip_verify: bool = False, quiet: bool = False) -> list[Path]:
+def fetch_dataset(dataset: str, data_root, skip_verify: bool = False) -> list[Path]:
     """Download, verify, and unpack one dataset; returns the archive paths."""
     if dataset not in REGISTRY:
         raise FetchError(f"no fetch recipe for {dataset!r}; recipes exist for {sorted(REGISTRY)}")
@@ -153,12 +153,10 @@ def fetch_dataset(dataset: str, data_root, skip_verify: bool = False, quiet: boo
     for remote in REGISTRY[dataset]:
         archive = archive_dir / remote.filename
         if not archive.exists():
-            if not quiet:
-                print(f"fetching {remote.url}")
+            print(f"fetching {remote.url}")
             download(remote.url, archive)
         digest = verify_checksum(archive, remote, data_root, skip_verify=skip_verify)
-        if not quiet:
-            print(f"  {archive.name} sha256={digest[:16]}... ok")
+        print(f"  {archive.name} sha256={digest[:16]}... ok")
         unpack(archive, remote, data_root)
         fetched.append(archive)
     return fetched

@@ -40,15 +40,8 @@ def _resolve_groups(config: RunConfig, train_pool: Dataset, kind: str):
         raise ConfigError([str(exc)]) from None
 
 
-def _build_sequence(
-    config: RunConfig,
-    train_pool: Dataset,
-    test_pool: Dataset,
-    kind: str,
-    groups,
-    seed: int,
-) -> TaskSequence:
-    if kind == "permuted":
+def _build_sequence(config: RunConfig, train_pool: Dataset, test_pool: Dataset, groups, seed: int) -> TaskSequence:
+    if groups is None:  # permuted tasks take every class
         return build_permuted_sequence(train_pool, test_pool, config.num_tasks, seed)
     return build_split_sequence(train_pool, test_pool, groups, seed)
 
@@ -65,16 +58,16 @@ def _dataset_info(config: RunConfig, train_pool: Dataset, test_pool: Dataset, ki
     }
 
 
-def _architecture(config: RunConfig, train_pool: Dataset, kind: str, groups) -> ArchitectureSpec:
-    first_task_classes = train_pool.num_classes if kind == "permuted" else len(groups[0])
+def _architecture(config: RunConfig, train_pool: Dataset, groups) -> ArchitectureSpec:
+    first_task_classes = train_pool.num_classes if groups is None else len(groups[0])
     return resolve_architecture(config, train_pool.image_shape, first_task_classes)
 
 
-def _seed_runs(config: RunConfig, train_pool: Dataset, test_pool: Dataset, kind: str, groups):
+def _seed_runs(config: RunConfig, train_pool: Dataset, test_pool: Dataset, groups):
     """run_sequence for every configured seed over one task grouping; yields (seed, result, state)."""
-    arch = _architecture(config, train_pool, kind, groups)
+    arch = _architecture(config, train_pool, groups)
     for seed in config.seeds:
-        seq = _build_sequence(config, train_pool, test_pool, kind, groups, seed)
+        seq = _build_sequence(config, train_pool, test_pool, groups, seed)
         result, state = run_sequence(
             config.strategy,
             arch,
@@ -106,7 +99,7 @@ def run(config: RunConfig, echo=None) -> dict:
     train_pool, test_pool, kind = load_pools(config)
     groups = _resolve_groups(config, train_pool, kind)
     results = []
-    for seed, result, state in _seed_runs(config, train_pool, test_pool, kind, groups):
+    for seed, result, state in _seed_runs(config, train_pool, test_pool, groups):
         ckpt.save_state(state, config, Path(config.out_dir) / f"checkpoint_seed{seed}.npz")
         results.append(result)
     report = _write_report(config, train_pool, test_pool, kind, results)
@@ -188,7 +181,7 @@ def ablate_order(config: RunConfig, orders, echo=None) -> list[dict]:
     summaries = []
     for i, (order, groups) in enumerate(zip(orders, regrouped)):
         sub = dataclasses.replace(config, out_dir=str(out_dir / f"order{i}"))
-        results = [result for _, result, _ in _seed_runs(sub, train_pool, test_pool, kind, groups)]
+        results = [result for _, result, _ in _seed_runs(sub, train_pool, test_pool, groups)]
         report = _write_report(sub, train_pool, test_pool, kind, results, task_order=order)
         summaries.append(
             {
@@ -226,8 +219,8 @@ def dump_embeddings(config: RunConfig, checkpoint_path, split: str, out_path, ec
         raise ConfigError(mismatched)
     train_pool, test_pool, kind = load_pools(config)
     groups = _resolve_groups(config, train_pool, kind)
-    arch = _architecture(config, train_pool, kind, groups)
-    seq = _build_sequence(config, train_pool, test_pool, kind, groups, meta["seed"])
+    arch = _architecture(config, train_pool, groups)
+    seq = _build_sequence(config, train_pool, test_pool, groups, meta["seed"])
     state = ckpt.load_state(checkpoint_path, arch, seq)
 
     out_path = Path(out_path)

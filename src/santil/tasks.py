@@ -17,7 +17,6 @@ class Task:
     """One task: a class subset with train/val/test index lists into the pools."""
 
     index: int  # 1-based position in the training order
-    name: str
     class_ids: tuple[int, ...]
     train_idx: np.ndarray
     val_idx: np.ndarray
@@ -40,15 +39,14 @@ class Task:
 class TaskSequence:
     """Ordered tasks over a train pool (train/val indices) and a test pool.
 
-    For kind="split" the class sets are pairwise disjoint. For
-    kind="permuted" every task shares the label set and differs by a fixed
-    pixel permutation; the task identity disambiguates.
+    Class-split sequences give each task its own classes. Permuted
+    sequences give every task all classes under its own fixed pixel
+    permutation; the task identity disambiguates.
     """
 
     train_pool: Dataset
     test_pool: Dataset
     tasks: list[Task]
-    kind: str = "split"
 
     @property
     def num_tasks(self) -> int:
@@ -104,40 +102,38 @@ def reorder_groups(groups: Sequence[Sequence[int]], order: Sequence[int]) -> lis
     return [tuple(groups[int(i)]) for i in order]
 
 
+# share of a task's training-pool samples it trains on; the rest is its val split
+TRAIN_FRACTION = 0.85
+
+
+def _build_tasks(train_pool: Dataset, test_pool: Dataset, specs, master_seed: int) -> TaskSequence:
+    """One task per (class ids, pixel permutation or None) in ``specs``, in training order."""
+    tasks = []
+    for t, (classes, perm) in enumerate(specs, start=1):
+        candidates = np.flatnonzero(np.isin(train_pool.labels, classes))
+        seed = derive_seed(master_seed, TAG_SPLIT, t)
+        rel_train, rel_val = split_indices(candidates.size, TRAIN_FRACTION, seed)
+        test_idx = np.flatnonzero(np.isin(test_pool.labels, classes))
+        tasks.append(Task(t, classes, candidates[rel_train], candidates[rel_val], test_idx, perm))
+    return TaskSequence(train_pool, test_pool, tasks)
+
+
 def build_split_sequence(
     train_pool: Dataset,
     test_pool: Dataset,
     groups: Sequence[Sequence[int]],
     master_seed: int,
-    val_fraction: float = 0.85,
 ) -> TaskSequence:
-    """Per-task train/val/test index lists for disjoint class groups."""
-    counts = Counter(int(c) for g in groups for c in g)
+    """One task per disjoint class group, pixels as loaded."""
+    groups = [tuple(int(c) for c in g) for g in groups]
+    counts = Counter(c for g in groups for c in g)
     repeated = sorted(c for c, k in counts.items() if k > 1)
     if repeated:
         raise ValueError(f"class sets must be disjoint; {repeated} repeated")
-
-    tasks = []
-    for t, group in enumerate(groups, start=1):
-        classes = tuple(int(c) for c in group)
-        train_candidates = np.flatnonzero(np.isin(train_pool.labels, classes))
-        test_idx = np.flatnonzero(np.isin(test_pool.labels, classes))
-        if train_candidates.size < 2:
+    for t, classes in enumerate(groups, start=1):
+        if np.count_nonzero(np.isin(train_pool.labels, classes)) < 2:
             raise ValueError(f"task {t}: classes {classes} have too few training samples")
-        rel_train, rel_val = split_indices(
-            train_candidates.size, val_fraction, derive_seed(master_seed, TAG_SPLIT, t)
-        )
-        tasks.append(
-            Task(
-                index=t,
-                name=f"task{t}",
-                class_ids=classes,
-                train_idx=train_candidates[rel_train],
-                val_idx=train_candidates[rel_val],
-                test_idx=test_idx,
-            )
-        )
-    return TaskSequence(train_pool, test_pool, tasks, kind="split")
+    return _build_tasks(train_pool, test_pool, [(g, None) for g in groups], master_seed)
 
 
 def build_permuted_sequence(
@@ -145,32 +141,12 @@ def build_permuted_sequence(
     test_pool: Dataset,
     num_tasks: int,
     master_seed: int,
-    val_fraction: float = 0.85,
 ) -> TaskSequence:
-    """Permuted-pixel tasks: full label set each, task 1 unpermuted."""
+    """Permuted-pixel tasks: every class in each task, task 1 unpermuted."""
     c, h, w = train_pool.image_shape
     perms = make_permutations(num_tasks, derive_seed(master_seed, TAG_PERM), num_pixels=h * w)
     classes = tuple(range(train_pool.num_classes))
-    n_train = train_pool.num_samples
-    all_test = np.arange(test_pool.num_samples)
-
-    tasks = []
-    for t in range(1, num_tasks + 1):
-        rel_train, rel_val = split_indices(
-            n_train, val_fraction, derive_seed(master_seed, TAG_SPLIT, t)
-        )
-        tasks.append(
-            Task(
-                index=t,
-                name=f"task{t}",
-                class_ids=classes,
-                train_idx=rel_train,
-                val_idx=rel_val,
-                test_idx=all_test,
-                pixel_permutation=perms[t - 1],
-            )
-        )
-    return TaskSequence(train_pool, test_pool, tasks, kind="permuted")
+    return _build_tasks(train_pool, test_pool, [(classes, p) for p in perms], master_seed)
 
 
 def task_arrays(seq: TaskSequence, task: Task, split: str) -> tuple[np.ndarray, np.ndarray]:

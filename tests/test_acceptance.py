@@ -345,7 +345,7 @@ def test_criterion_11_byte_identical_reports(tmp_path):
         "out_dir": "",
     }
     cfg_path = tmp_path / "cfg.json"
-    reports = []
+    reports, params = [], []
     for run_dir in ("r1", "r2"):
         cfg["out_dir"] = str(tmp_path / run_dir)
         cfg_path.write_text(json.dumps(cfg))
@@ -353,8 +353,16 @@ def test_criterion_11_byte_identical_reports(tmp_path):
         raw = json.loads((tmp_path / run_dir / "report.json").read_text())
         raw["config"]["out_dir"] = ""
         reports.append(json.dumps(strip_wall_clock(raw), sort_keys=True).encode())
-    ok = reports[0] == reports[1]
-    report_line(11, ok, "repeated runs byte-identical outside wall-clock fields")
+        # __meta__ holds the run's out_dir; every other array is a parameter
+        with np.load(tmp_path / run_dir / "checkpoint_seed1.npz") as bundle:
+            params.append({k: (bundle[k].dtype.str, bundle[k].shape, bundle[k].tobytes()) for k in bundle.files if k != "__meta__"})
+    ok = reports[0] == reports[1] and params[0] == params[1]
+    report_line(
+        11,
+        ok,
+        "repeated runs byte-identical: report.json outside wall-clock fields, "
+        f"{len(params[0])} checkpoint parameter arrays",
+    )
 
 
 # ---------------------------------------------------------------------------

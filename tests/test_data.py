@@ -148,10 +148,10 @@ def permuted_sequence(perms, images):
     pool = Dataset(images, np.zeros(images.shape[0], dtype=np.int64))
     idx = np.arange(images.shape[0])
     tasks = [
-        Task(t, f"task{t}", (0,), idx, idx, idx, pixel_permutation=perm)
+        Task(t, (0,), idx, idx, idx, pixel_permutation=perm)
         for t, perm in enumerate(perms, start=1)
     ]
-    return TaskSequence(pool, pool, tasks, kind="permuted")
+    return TaskSequence(pool, pool, tasks)
 
 
 class TestPermutations:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from santil import engine, layers
-from santil.data import synthetic_dataset
+from santil.data import Dataset, DatasetError, make_permutations, split_indices, synthetic_dataset
 from santil.engine import (
     IncrementalState,
     TrainingDivergedError,
@@ -17,6 +17,7 @@ from santil.engine import (
     train_task,
 )
 from santil.layers import PRESETS, Dense, tiny
+from santil.seeding import TAG_PERM, TAG_SPLIT, derive_seed
 from santil.tensor import (
     Tape,
     Tensor,
@@ -78,7 +79,7 @@ class TestPartitionClasses:
 
 def one_task(class_ids):
     empty = np.arange(0)
-    return Task(1, "task1", tuple(class_ids), empty, empty, empty)
+    return Task(1, tuple(class_ids), empty, empty, empty)
 
 
 class TestTaskHead:
@@ -336,6 +337,9 @@ class TestTrainTaskContracts:
         with pytest.raises(TrainingDivergedError, match=r"seed 4, task 1, epoch 1, step \d+$"):
             train_task(state, 1, epochs=2, batch_size=16, lr=1e20)
         assert state.trained_upto == 0
+        # task 1's parts now hold the diverged values; a retry must not start from them
+        with pytest.raises(TrainingOrderError, match=r"^task 1 did not finish .* new state or a checkpoint$"):
+            train_task(state, 1, epochs=2, batch_size=16)
 
 
 class TestRunSequence:
@@ -456,12 +460,63 @@ class TestOrderAblation:
             reorder_groups([(0,), (1,)], [0, 0])
 
 
+def shuffled_pool(num_classes, per_class, seed):
+    pool = synthetic_dataset(num_classes, per_class, (1, 4, 4), seed=seed)
+    order = np.random.default_rng(seed).permutation(pool.num_samples)
+    return Dataset(pool.images[order], pool.labels[order])
+
+
+class TestSequenceIndices:
+    """Task t trains on 85% of its classes' train-pool samples, split by its TAG_SPLIT
+    seed, validates on the rest, and tests on every test-pool sample of its classes."""
+
+    @staticmethod
+    def assert_indices(seq, train, test, groups, seed):
+        for t, (task, classes) in enumerate(zip(seq.tasks, groups), start=1):
+            assert task.index == t and task.class_ids == tuple(classes)
+            candidates = np.flatnonzero(np.isin(train.labels, classes))
+            rel_train, rel_val = split_indices(candidates.size, 0.85, derive_seed(seed, TAG_SPLIT, t))
+            expected = (candidates[rel_train], candidates[rel_val], np.flatnonzero(np.isin(test.labels, classes)))
+            for got, want in zip((task.train_idx, task.val_idx, task.test_idx), expected):
+                assert (got.dtype, got.tobytes()) == (want.dtype, want.tobytes())
+
+    @pytest.mark.parametrize("seed", [1, 7, 2024])
+    def test_split_tasks(self, seed):
+        train, test = shuffled_pool(6, 23, seed=30), shuffled_pool(6, 9, seed=31)
+        groups = [(4, 1), (0, 2, 5), (3,)]
+        seq = build_split_sequence(train, test, groups, seed)
+        assert len(seq.tasks) == 3
+        assert all(task.pixel_permutation is None for task in seq.tasks)
+        self.assert_indices(seq, train, test, groups, seed)
+
+    @pytest.mark.parametrize("seed", [1, 7, 2024])
+    def test_permuted_tasks(self, seed):
+        train, test = shuffled_pool(5, 23, seed=32), shuffled_pool(5, 9, seed=33)
+        seq = build_permuted_sequence(train, test, 4, seed)
+        assert len(seq.tasks) == 4
+        self.assert_indices(seq, train, test, [tuple(range(5))] * 4, seed)
+        perms = make_permutations(4, derive_seed(seed, TAG_PERM), 16)
+        for task, want in zip(seq.tasks, perms):
+            got = task.pixel_permutation
+            assert (got.dtype, got.tobytes()) == (want.dtype, want.tobytes())
+        assert all(np.array_equal(task.test_idx, np.arange(test.num_samples)) for task in seq.tasks)
+
+    def test_split_task_with_one_training_sample_names_its_classes(self):
+        pool = Dataset(np.zeros((4, 1, 2, 2), dtype=np.float32), np.array([0, 1, 0, 0]))
+        with pytest.raises(ValueError, match=r"^task 2: classes \(1,\) have too few training samples$"):
+            build_split_sequence(pool, pool, [(0,), (1,)], master_seed=1)
+
+    def test_permuted_task_with_one_training_sample_is_a_dataset_error(self):
+        pool = Dataset(np.zeros((1, 1, 2, 2), dtype=np.float32), np.array([0]))
+        with pytest.raises(DatasetError, match=r"^task too small: 1 samples"):
+            build_permuted_sequence(pool, pool, 2, master_seed=1)
+
+
 class TestPermutedTasks:
     def test_permuted_sequence_trains_all_digits_per_task(self):
         train = synthetic_dataset(4, 100, (1, 6, 6), seed=70)
         test = synthetic_dataset(4, 25, (1, 6, 6), seed=71, pattern_seed=70)
         seq = build_permuted_sequence(train, test, num_tasks=3, master_seed=6)
-        assert seq.kind == "permuted"
         assert all(t.class_ids == (0, 1, 2, 3) for t in seq.tasks)
         assert seq.tasks[0].pixel_permutation is not None
         assert np.array_equal(seq.tasks[0].pixel_permutation, np.arange(36))

@@ -1102,7 +1102,7 @@ class TestFetchLogic:
         monkeypatch.setattr("santil.fetch.urllib.request.urlopen", lambda url: FailingResponse())
         root = tmp_path / "data"
         with pytest.raises(FetchError, match="connection reset mid-stream"):
-            fetch_dataset("fashion-mnist", root, quiet=True)
+            fetch_dataset("fashion-mnist", root)
         assert list((root / "archives").iterdir()) == []
         assert not (root / "checksums.json").exists()
 
