@@ -114,6 +114,8 @@ def _build_tasks(train_pool: Dataset, test_pool: Dataset, specs, master_seed: in
         seed = derive_seed(master_seed, TAG_SPLIT, t)
         rel_train, rel_val = split_indices(candidates.size, TRAIN_FRACTION, seed)
         test_idx = np.flatnonzero(np.isin(test_pool.labels, classes))
+        if not test_idx.size:  # evaluating the task would divide by zero
+            raise ValueError(f"task {t}: classes {classes} have no test samples")
         tasks.append(Task(t, classes, candidates[rel_train], candidates[rel_val], test_idx, perm))
     return TaskSequence(train_pool, test_pool, tasks)
 

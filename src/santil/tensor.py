@@ -530,10 +530,19 @@ def conv2d(
     input as one strided run, in row-major window order.
 
     With ``relu`` the op is ``relu(conv2d(...))`` in one tape record: backward
-    first gates grad by ``out > 0``, which holds exactly where the
-    pre-activation is positive (both are False for NaN), so the
-    pre-activation is never kept. Forward and backward do the same
-    elementwise arithmetic as the two ops, so the bits are those of the pair.
+    gates grad by ``out > 0``, which holds exactly where the pre-activation
+    is positive (both are False for NaN), so the pre-activation is never
+    kept. The gate is applied piece by piece, never to the whole batch at
+    once: the weight pass gates each block into its thread's own block
+    buffer, and the input pass gates each chunk as it pads it. Only a bias
+    gradient without a weight gradient (which ``freeze`` never leaves)
+    gates the whole batch. Forward and backward do the same elementwise
+    arithmetic as the two ops, so the bits are those of the pair.
+
+    The bias gradient is each sample's sum over Ho*Wo (taken in the weight
+    pass), added in sample order. For more than one output channel that is
+    the order of numpy's ``g.sum(axis=(0, 2, 3))``; for one, numpy's sum is
+    a single pairwise sum over the batch and may differ in the last bits.
 
     Forward and the input gradient share their chunks among threads as
     ``_chunks`` and ``_split`` say. The weight gradient is shared in fixed
@@ -607,31 +616,54 @@ def conv2d(
     out = Tensor(out_data)
 
     def grad_fn(g):
-        if relu:
-            g = g * (out_data > 0)
-        gb = g.sum(axis=(0, 2, 3)) if b.requires_grad else None
+        gate = relu  # whether each pass still has to gate its piece of g
         gw = gx = None
+        # each sample's bias gradient (its sum over Ho*Wo), added in sample order
+        brows = np.empty((n, cout), dtype=dtype) if b.requires_grad else None
+        if b.requires_grad and not w.requires_grad:
+            # no weight pass to take the bias rows in: gate the whole batch
+            if gate:
+                g = g * (out_data > 0)
+                gate = False
+            g.reshape(n, cout, ho * wo).sum(axis=2, out=brows)
         if w.requires_grad:
             gl = g.reshape(n, cout, ho * wo)
+            ol = out_data.reshape(n, cout, ho * wo)
             blocks = [slice(s, min(s + _WEIGHT_BLOCK, n)) for s in range(0, n, _WEIGHT_BLOCK)]
             partials = np.empty((len(blocks), k, cout), dtype=dtype)
             # a sample's patches and its gradient share the chunk budget here
             wstep, wworkers, _ = _chunks(n, k * (ho * wo + cout) * dtype.itemsize)
             # each thread's buffers are made here, on the caller, so the memory
-            # goes back to the caller's heap, not to a helper's malloc arena
+            # goes back to the caller's heap, not to a helper's malloc arena;
+            # with relu, a block's gated gradient and its mask are among them
+            block_shape = (_WEIGHT_BLOCK, cout, ho * wo)
             buffers = [
-                (patch_builder(wstep), np.empty((wstep, k, cout), dtype=dtype))
+                (
+                    patch_builder(wstep),
+                    np.empty((wstep, k, cout), dtype=dtype),
+                    np.empty(block_shape, dtype=dtype) if gate else None,
+                    np.empty(block_shape, dtype=bool) if gate else None,
+                )
                 for _ in range(max(1, min(wworkers, len(blocks))))
             ]
 
             def weight_grad(take):
-                chunk_patches, gws = buffers.pop()
+                chunk_patches, gws, gblk, mask = buffers.pop()
                 while (blk := take()) is not None:
+                    if gate:
+                        size = blk.stop - blk.start
+                        np.greater(ol[blk], 0, out=mask[:size])
+                        gblock = np.multiply(gl[blk], mask[:size], out=gblk[:size])
+                    else:
+                        gblock = gl[blk]
+                    if brows is not None:
+                        gblock.sum(axis=2, out=brows[blk])
                     partial = partials[blk.start // _WEIGHT_BLOCK]
                     for s in range(blk.start, blk.stop, wstep):
                         sl = slice(s, min(s + wstep, blk.stop))
                         m = sl.stop - sl.start
-                        np.matmul(chunk_patches(sl), gl[sl].transpose(0, 2, 1), out=gws[:m])
+                        gsl = gblock[s - blk.start : s - blk.start + m]
+                        np.matmul(chunk_patches(sl), gsl.transpose(0, 2, 1), out=gws[:m])
                         for i, gs in enumerate(gws[:m], s):
                             if i == blk.start:
                                 partial[...] = gs
@@ -662,7 +694,10 @@ def conv2d(
                 acc = np.empty((step, cin, stride * rows, wp), dtype=dtype)
                 while (sl := take()) is not None:
                     m = sl.stop - sl.start
-                    gpad[:m, :, :ho, :wo] = g[sl]
+                    if gate:
+                        np.multiply(g[sl], out_data[sl] > 0, out=gpad[:m, :, :ho, :wo])
+                    else:
+                        gpad[:m, :, :ho, :wo] = g[sl]
                     np.matmul(wt, gpad[:m].reshape(m, cout, -1), out=gwin[:m].reshape(m, -1, rows * wp))
                     acc[:m].fill(0)
                     flat = acc[:m].reshape(m, -1)
@@ -673,6 +708,10 @@ def conv2d(
                     gx[sl] = acc[:m, :, padding : padding + h, padding : padding + wd]
 
             _split(chunks, workers, input_grad)
+        gb = None
+        if brows is not None:
+            # accumulate adds each row onto the sum of the rows before it
+            gb = np.add.accumulate(brows)[-1].copy() if n else np.zeros(cout, dtype=dtype)
         return (gx, gw, gb)
 
     return _record(out, (x, w, b), grad_fn)

@@ -506,6 +506,21 @@ class TestSequenceIndices:
         with pytest.raises(ValueError, match=r"^task 2: classes \(1,\) have too few training samples$"):
             build_split_sequence(pool, pool, [(0,), (1,)], master_seed=1)
 
+    def test_split_task_without_test_samples_names_its_classes(self):
+        # the test pool holds classes 0-1 only: task 2 would train, then
+        # divide by its empty test split
+        train = synthetic_dataset(4, 5, (1, 2, 2), seed=1)
+        test = Dataset(np.zeros((4, 1, 2, 2), dtype=np.float32), np.array([0, 1, 0, 1]))
+        with pytest.raises(ValueError, match=r"^task 2: classes \(2, 3\) have no test samples$"):
+            build_split_sequence(train, test, [(0, 1), (2, 3)], master_seed=1)
+
+    def test_permuted_task_without_test_samples_names_its_classes(self):
+        # no test sample has a class of the training pool
+        train = synthetic_dataset(2, 5, (1, 2, 2), seed=1)
+        test = Dataset(np.zeros((2, 1, 2, 2), dtype=np.float32), np.array([4, 4]))
+        with pytest.raises(ValueError, match=r"^task 1: classes \(0, 1\) have no test samples$"):
+            build_permuted_sequence(train, test, 2, master_seed=1)
+
     def test_permuted_task_with_one_training_sample_is_a_dataset_error(self):
         pool = Dataset(np.zeros((1, 1, 2, 2), dtype=np.float32), np.array([0]))
         with pytest.raises(DatasetError, match=r"^task too small: 1 samples"):

@@ -48,6 +48,18 @@ def use_workers(monkeypatch, k):
     monkeypatch.setattr(tensor, "_POOL", None)
 
 
+def traced_peak(fn):
+    """Run ``fn()`` with tracemalloc on: (its result, the peak bytes traced
+    during the call, numpy's buffers included)."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
 def fail_a_helper_in_the_next_split(monkeypatch, skip=0):
     """Let ``skip`` calls of ``_split`` run as they are, then make the next
     one, over three threads, fail in one helper.
@@ -120,12 +132,14 @@ def conv_oracle(x, w, b, stride, pad):
     return out
 
 
-def one_shot_conv(x, w, b, g, stride, pad, need_gx, need_gw, block=None):
+def one_shot_conv(x, w, b, g, stride, pad, need_gx, need_gw, block=None, relu=False):
     """The unchunked im2col algorithm: np.pad, one batch-sized patch matrix,
     batched GEMMs and a windowed scatter. The per-sample weight gradients are
     summed in sample order within blocks of ``block`` samples (conv2d's
-    ``_WEIGHT_BLOCK`` by default), then block by block. Returns out, gx, gw,
-    gb for the upstream gradient g; chunked conv2d must equal it bit for bit."""
+    ``_WEIGHT_BLOCK`` by default), then block by block. With ``relu``, out is
+    clamped at 0 and g gated by out > 0 for the whole batch at once. Returns
+    out, gx, gw, gb for the upstream gradient g; chunked conv2d must equal it
+    bit for bit."""
     n, cin, h, wd = x.shape
     cout, _, kh, kw = w.shape
     xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
@@ -139,6 +153,9 @@ def one_shot_conv(x, w, b, g, stride, pad, need_gx, need_gw, block=None):
     cols = cols.reshape(n, cin * kh * kw, ho * wo)
     out = np.matmul(w.reshape(cout, -1), cols).reshape(n, cout, ho, wo)
     out += b.reshape(1, cout, 1, 1)
+    if relu:
+        g = g * (out > 0)
+        out = np.maximum(out, 0)
     gl = g.reshape(n, cout, ho * wo)
     gb = g.sum(axis=(0, 2, 3))
     gw = None
@@ -156,6 +173,15 @@ def one_shot_conv(x, w, b, g, stride, pad, need_gx, need_gw, block=None):
                 gxp[:, :, i : i + stride * ho : stride, j : j + stride * wo : stride] += gwin[:, :, i, j]
         gx = gxp[:, :, pad : pad + h, pad : pad + wd]
     return out, gx, gw, gb
+
+
+def sample_order_sum(g):
+    """g:[N,C,H,W] summed over H*W a sample, then the samples added in order."""
+    rows = g.reshape(g.shape[0], g.shape[1], -1).sum(axis=2)
+    total = rows[0].copy()
+    for row in rows[1:]:
+        total += row
+    return total
 
 
 def maxpool_oracle(x, k):
@@ -296,12 +322,37 @@ class TestConv2d:
     def test_chunked_bitwise_equals_one_shot(self, monkeypatch, case):
         self.assert_bitwise_equals_one_shot(monkeypatch, case)
 
-    @pytest.mark.parametrize("case", [ONE_SHOT_CASES[1], ONE_SHOT_CASES[3]])
+    # a one-shot case, then: workers, _CHUNK_BYTES (None: as the case says),
+    # bias trainable
+    GATED_CASES = [
+        (ONE_SHOT_CASES[1], 2, None, True),  # 70 samples: 8 blocks and 6 left
+        (ONE_SHOT_CASES[3], 2, None, True),  # stride 2, 4 samples a chunk
+        (ONE_SHOT_CASES[1], 1, None, True),
+        (ONE_SHOT_CASES[1], 8, None, True),
+        (ONE_SHOT_CASES[1], 2, 1, True),  # one sample a chunk in both passes
+        (ONE_SHOT_CASES[5], 2, None, True),  # float64
+        (ONE_SHOT_CASES[6], 1, None, True),  # weight only
+        (ONE_SHOT_CASES[6], 2, None, True),
+        (ONE_SHOT_CASES[6], 8, None, True),
+        (ONE_SHOT_CASES[6], 2, None, False),  # weight only, bias frozen
+        (ONE_SHOT_CASES[7], 2, None, True),  # input and bias: the whole batch is gated
+        (ONE_SHOT_CASES[7], 1, None, False),  # input only: its pass gates alone
+        (ONE_SHOT_CASES[7], 8, None, False),
+    ]
+
+    @pytest.mark.parametrize("case", GATED_CASES)
     def test_relu_gated_gradient_bitwise_equals_one_shot(self, monkeypatch, case):
-        self.assert_bitwise_equals_one_shot(monkeypatch, case, gated=True)
+        # a gradient gated upstream (signed zeros) into a plain conv, and the
+        # fused conv's own gate, block by block and chunk by chunk
+        conv_case, workers, chunk_bytes, bias_grad = case
+        use_workers(monkeypatch, workers)
+        for relu in (False, True):
+            self.assert_bitwise_equals_one_shot(
+                monkeypatch, conv_case, gated=True, relu=relu, chunk_bytes=chunk_bytes, bias_grad=bias_grad
+            )
 
     @staticmethod
-    def assert_bitwise_equals_one_shot(monkeypatch, case, gated=False):
+    def assert_bitwise_equals_one_shot(monkeypatch, case, gated=False, relu=False, chunk_bytes=None, bias_grad=True):
         shape, cout, k, stride, pad, dtype, per_chunk, need_gx, need_gw = case
         n, cin, h, wd = shape
         ho = (h + 2 * pad - k) // stride + 1
@@ -312,6 +363,8 @@ class TestConv2d:
             assert 1 <= per_chunk < n, "case should span several chunks"
         else:
             monkeypatch.setattr(tensor, "_CHUNK_BYTES", per_chunk * sample_bytes)
+        if chunk_bytes is not None:
+            monkeypatch.setattr(tensor, "_CHUNK_BYTES", chunk_bytes)
         rng = np.random.default_rng(3)
         xd = rng.normal(size=shape).astype(dtype)
         wdata = rng.normal(size=(cout, cin, k, k)).astype(dtype)
@@ -322,11 +375,15 @@ class TestConv2d:
             g *= rng.random(size=g.shape) < 0.5
             zeros = g[g == 0]
             assert np.signbit(zeros).any() and not np.signbit(zeros).all()
-        x, w, b = t(xd, dtype, grad=need_gx), t(wdata, dtype, grad=need_gw), t(bd, dtype, grad=True)
+        x, w, b = t(xd, dtype, grad=need_gx), t(wdata, dtype, grad=need_gw), t(bd, dtype, grad=bias_grad)
         with Tape():
-            out = conv2d(x, w, b, stride, pad)
+            out = conv2d(x, w, b, stride, pad, relu=relu)
             backward(tsum(mul(out, t(g, dtype))))
-        expected = one_shot_conv(xd, wdata, bd, g, stride, pad, need_gx, need_gw)
+        expected = list(one_shot_conv(xd, wdata, bd, g, stride, pad, need_gx, need_gw, relu=relu))
+        if relu:
+            assert 0 < (expected[0] > 0).mean() < 1
+        if not bias_grad:
+            expected[3] = None
         for got, want in zip((out.data, x.grad, w.grad, b.grad), expected):
             assert (got is None) == (want is None)
             if want is not None:
@@ -409,13 +466,14 @@ class TestConv2d:
         w = t(rng.normal(size=(32, 32, 3, 3)), grad=True)
         b = t(np.zeros(32), grad=True)
         patch_bytes = 16 * (32 * 3 * 3) * (32 * 32) * 4
-        tracemalloc.start()
-        try:
+
+        def record():
             with Tape() as tape:
                 out = conv2d(x, w, b, 1, 1)
-                held, _ = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+            # what the tape and the output hold once the op has returned
+            return tape, out, tracemalloc.get_traced_memory()[0]
+
+        (tape, out, held), _ = traced_peak(record)
         assert len(tape) == 1 and out.shape == (16, 32, 32, 32)
         assert held < patch_bytes / 4
 
@@ -431,12 +489,7 @@ class TestConv2d:
         with Tape() as tape:
             conv2d(x, w, b, 1, 1)
         (record,) = tape._records
-        tracemalloc.start()
-        try:
-            gx, gw, _ = record.grad_fn(g)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        (gx, gw, _), peak = traced_peak(lambda: record.grad_fn(g))
         assert gx is None and gw.shape == (64, 32, 3, 3)
         assert peak < stack_bytes / 2
 
@@ -452,14 +505,26 @@ class TestConv2d:
         with Tape() as tape:
             conv2d(x, w, b, 1, 1)
         (record,) = tape._records
-        tracemalloc.start()
-        try:
-            gx, gw, gb = record.grad_fn(g)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        (gx, gw, gb), peak = traced_peak(lambda: record.grad_fn(g))
         assert gw is None and gb is None and gx.shape == (64, 32, 16, 16)
         assert peak < stack_bytes / 2
+
+    def test_fused_relu_backward_keeps_no_gated_copy_of_the_gradient(self):
+        # backward gates g by out > 0 a block or chunk at a time, inside the
+        # weight and input passes: a batch-sized gated g (and its mask) would
+        # take the peak past gx plus half of g
+        rng = np.random.default_rng(18)
+        x = t(rng.normal(size=(64, 32, 32, 32)), grad=True)
+        w = t(rng.normal(size=(64, 32, 3, 3)), grad=True)
+        b = t(rng.normal(size=64), grad=True)
+        g = rng.normal(size=(64, 64, 32, 32)).astype(np.float32)
+        with Tape() as tape:
+            out = conv2d(x, w, b, 1, 1, relu=True)
+        assert 0 < (out.data > 0).mean() < 1
+        (record,) = tape._records
+        (gx, gw, gb), peak = traced_peak(lambda: record.grad_fn(g))
+        assert gx.shape == x.shape and gw.shape == w.shape and gb.shape == b.shape
+        assert peak < gx.nbytes + g.nbytes / 2
 
     def test_input_gradient_buffers_do_not_grow_with_worker_count(self, monkeypatch):
         # three samples' patches fit a chunk: two threads hold a chunk of
@@ -475,13 +540,7 @@ class TestConv2d:
             with Tape() as tape:
                 conv2d(x, w, b, 1, 1)
             (record,) = tape._records
-            tracemalloc.start()
-            try:
-                record.grad_fn(g)
-                _, peak = tracemalloc.get_traced_memory()
-            finally:
-                tracemalloc.stop()
-            peaks.append(peak)
+            peaks.append(traced_peak(lambda: record.grad_fn(g))[1])
         assert peaks[1] < 1.1 * peaks[0]
 
     @pytest.mark.parametrize(
@@ -490,6 +549,7 @@ class TestConv2d:
             "test_recorded_conv_keeps_no_batch_sized_patch_matrix",
             "test_weight_gradient_keeps_no_per_sample_stack",
             "test_input_gradient_keeps_no_window_stack",
+            "test_fused_relu_backward_keeps_no_gated_copy_of_the_gradient",
         ],
     )
     def test_memory_bounds_hold_at_eight_workers(self, monkeypatch, bound_test):
@@ -707,6 +767,37 @@ class TestConv2d:
         plain = one_shot_conv(xd, wdata, bd, g, 1, 1, True, True, block=n)[2]
         assert w.grad.tobytes() == plain.tobytes()
 
+    @pytest.mark.parametrize(
+        "shape", [(64, 64, 32, 32), (64, 16, 28, 28), (37, 8, 5, 7), (70, 16, 14, 14), (9, 3, 1, 1)]
+    )
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_whole_batch_bias_sum_runs_in_sample_order(self, shape, dtype):
+        # conv2d's bias gradient has one_shot_conv's g.sum(axis=(0, 2, 3))
+        # bits only while numpy's reduction takes this order: a pairwise sum
+        # over Ho*Wo a sample, the samples added in order
+        rng = np.random.default_rng(19)
+        g = rng.normal(size=shape).astype(dtype)
+        g *= rng.random(size=shape) < 0.5  # signed zeros, as from a ReLU gate
+        assert g.sum(axis=(0, 2, 3)).tobytes() == sample_order_sum(g).tobytes()
+
+    @pytest.mark.parametrize("need_gw", [True, False])
+    @pytest.mark.parametrize("cout", [1, 6])
+    def test_bias_gradient_adds_per_sample_sums_in_sample_order(self, monkeypatch, cout, need_gw):
+        # in the weight pass, or gated whole when there is none; at Cout = 1
+        # numpy's whole-batch sum is one pairwise sum, and conv2d's is not
+        n = 70
+        rng = np.random.default_rng(20)
+        xd = rng.normal(size=(n, 3, 9, 9)).astype(np.float32)
+        wdata = rng.normal(size=(cout, 3, 3, 3)).astype(np.float32)
+        bd = rng.normal(size=cout).astype(np.float32)
+        g = rng.normal(size=(n, cout, 9, 9)).astype(np.float32)
+        use_workers(monkeypatch, 2)
+        w, b = t(wdata, grad=need_gw), t(bd, grad=True)
+        with Tape():
+            out = conv2d(t(xd), w, b, 1, 1, relu=True)
+            backward(tsum(mul(out, t(g))))
+        assert b.grad.tobytes() == sample_order_sum(g * (out.data > 0)).tobytes()
+
     @pytest.mark.parametrize("workers", [1, 2, 8])
     def test_weight_gradient_peak_is_its_partials_and_two_chunks(self, monkeypatch, workers):
         # 256 samples: the only batch-sized buffer is one [K, Cout] partial a
@@ -724,12 +815,7 @@ class TestConv2d:
         with Tape() as tape:
             conv2d(x, w, b, 1, 1)
         (record,) = tape._records
-        tracemalloc.start()
-        try:
-            gx, gw, gb = record.grad_fn(g)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        (gx, gw, gb), peak = traced_peak(lambda: record.grad_fn(g))
         assert gx is None and gb is None and gw.shape == (cout, cin, 3, 3)
         blocks = -(-n // tensor._WEIGHT_BLOCK)
         fit = tensor._CHUNK_BYTES // (k * (hw * hw + cout) * 4)
@@ -843,12 +929,7 @@ class TestMaxPool2d:
         with Tape() as tape:
             maxpool2d(x, 2)
         (record,) = tape._records
-        tracemalloc.start()
-        try:
-            (gx,) = record.grad_fn(g)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        (gx,), peak = traced_peak(lambda: record.grad_fn(g))
         assert gx.shape == x.shape
         assert peak < 1.25 * gx.nbytes
 
