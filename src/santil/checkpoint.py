@@ -56,9 +56,10 @@ def read_meta(path) -> dict:
 def load_state(path, arch: ArchitectureSpec, seq: TaskSequence) -> IncrementalState:
     """Rebuild a state for evaluation/embedding from a checkpoint file.
 
-    The sequence must be the one the checkpoint was trained on: it needs at
-    least as many tasks, each with the stored classes in the stored order,
-    or this raises CheckpointMismatchError naming where they differ.
+    The sequence must be the one the checkpoint was trained on: at least as
+    many tasks, each with the stored classes in the stored order. The stored
+    arrays must be exactly the rebuilt model's parameters, at their shapes.
+    Otherwise this raises CheckpointMismatchError naming where they differ.
     """
     path = Path(path)
     with np.load(path) as bundle:
@@ -86,17 +87,19 @@ def load_state(path, arch: ArchitectureSpec, seq: TaskSequence) -> IncrementalSt
                     f"the sequence has classes {list(task.class_ids)}"
                 )
             prepare_task_blocks(state, task)
-        for block in state.model_blocks():
-            for p in block.parameters():
-                if p.name not in bundle:
-                    raise CheckpointMismatchError(f"checkpoint {path} lacks parameter {p.name!r}")
-                stored = bundle[p.name]
-                if stored.shape != p.data.shape:
-                    raise CheckpointMismatchError(
-                        f"checkpoint parameter {p.name!r} has shape {stored.shape}, "
-                        f"expected {p.data.shape}"
-                    )
-                p.data = stored.astype(p.data.dtype, copy=True)
+        params = [p for block in state.model_blocks() for p in block.parameters()]
+        for p in params:
+            if p.name not in bundle:
+                raise CheckpointMismatchError(f"checkpoint {path} lacks parameter {p.name!r}")
+            stored = bundle[p.name]
+            if stored.shape != p.data.shape:
+                raise CheckpointMismatchError(
+                    f"checkpoint parameter {p.name!r} has shape {stored.shape}, expected {p.data.shape}"
+                )
+            p.data = stored.astype(p.data.dtype, copy=True)
+        surplus = sorted(set(bundle.files) - {"__meta__"} - {p.name for p in params})
+        if surplus:
+            raise CheckpointMismatchError(f"checkpoint {path} holds parameter {surplus[0]!r}, which the model lacks")
     for t in range(1, len(trained) + 1):
         freeze_task(state, t)
     state.trained_upto = len(trained)

@@ -14,7 +14,7 @@ from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
 
 from .data import CIFAR_VARIANTS, DATASET_FILES, Dataset, load_cifar, load_idx, synthetic_dataset
-from .engine import StrategyKind
+from .engine import SELECTION_MODES, StrategyKind
 from .layers import (
     PRESETS,
     ArchitectureSpec,
@@ -25,6 +25,7 @@ from .layers import (
     Relu,
     output_shape,
 )
+from .tensor import ShapeError
 
 ENV_DATA_ROOT = "SAN_TIL_DATA_ROOT"
 
@@ -38,7 +39,7 @@ _SOURCES = {
     "cifar100": ("cifar100", "split"),
 }
 DATASET_NAMES = (*_SOURCES, "synthetic")
-SELECTION_MODES = ("best-val", "last")
+_ARCH_PARTS = ("backbone", "adjustment", "classifier")
 
 
 def _is_int(value) -> bool:
@@ -170,9 +171,10 @@ class RunConfig:
                     f"architecture: unknown preset {architecture!r}; presets are {sorted(PRESETS)}"
                 )
         elif isinstance(architecture, dict):
-            for part in ("backbone", "adjustment", "classifier"):
+            for part in _ARCH_PARTS:
                 if part not in architecture:
                     problems.append(f"architecture.{part}: required for inline specs")
+            problems += [f"architecture.{key}: unknown field" for key in architecture if key not in _ARCH_PARTS]
         else:
             problems.append("architecture: must be a preset name or an inline spec object")
 
@@ -324,36 +326,40 @@ def resolve_architecture(
 ) -> ArchitectureSpec:
     """Concrete ArchitectureSpec with the classifier width pinned to task 1.
 
-    With the orthogonality penalty on, the adjustment output must flatten to
-    a perfect square, since the penalty views each sample's features as a
-    square matrix.
+    Each part must fit the shape it receives, or this is a config error
+    naming the part and layer. With the orthogonality penalty on, the
+    adjustment output must flatten to a perfect square, since the penalty
+    views each sample's features as a square matrix.
     """
     spec = _spec(config, input_shape, first_task_classes)
-    if config.ortho_alpha > 0:
-        width = math.prod(output_shape(spec.backbone + spec.adjustment, spec.input_shape))
-        if math.isqrt(width) ** 2 != width:
-            raise ConfigError(
-                [
-                    f"ortho_alpha: the adjustment output flattens to {width} features, "
-                    "not a perfect square, so the orthogonality penalty cannot view it as a square matrix"
-                ]
-            )
+    shapes = [spec.input_shape]
+    for part in _ARCH_PARTS:
+        try:
+            shapes.append(output_shape(getattr(spec, part), shapes[-1]))
+        except ShapeError as exc:
+            raise ConfigError([f"architecture.{part}: {exc}"]) from None
+    width = math.prod(shapes[2])
+    if config.ortho_alpha > 0 and math.isqrt(width) ** 2 != width:
+        raise ConfigError(
+            [
+                f"ortho_alpha: the adjustment output flattens to {width} features, "
+                "not a perfect square, so the orthogonality penalty cannot view it as a square matrix"
+            ]
+        )
     return spec
 
 
 def _spec(config: RunConfig, input_shape: tuple[int, int, int], first_task_classes: int) -> ArchitectureSpec:
     if isinstance(config.architecture, str):
-        spec = PRESETS[config.architecture](
+        return PRESETS[config.architecture](
             input_shape=input_shape,
             base_classes=first_task_classes,
             adjust_kernel=config.adjust_kernel,
         )
-        spec.validate()
-        return spec
 
     raw = config.architecture
     parts = {}
-    for part in ("backbone", "adjustment", "classifier"):
+    for part in _ARCH_PARTS:
         layers = raw.get(part, [])
         if not isinstance(layers, list):
             raise ConfigError([f"architecture.{part}: must be a list of layers"])
@@ -372,12 +378,10 @@ def _spec(config: RunConfig, input_shape: tuple[int, int, int], first_task_class
                 f"{first_task_classes} classes of task 1"
             ]
         )
-    spec = ArchitectureSpec(
+    return ArchitectureSpec(
         input_shape=tuple(input_shape),
         backbone=parts["backbone"],
         adjustment=parts["adjustment"],
         classifier=classifier,
         base_classes=base,
     )
-    spec.validate()
-    return spec

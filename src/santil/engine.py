@@ -81,6 +81,7 @@ class StrategyKind(str, Enum):
     INDEPENDENT = "independent"
 
 
+SELECTION_MODES = ("best-val", "last")
 PARTS = ("backbone", "adjust", "classifier")
 _COMPONENTS = (COMPONENT_BACKBONE, COMPONENT_ADJUST, COMPONENT_CLASSIFIER)
 
@@ -394,7 +395,7 @@ def train_task(
         raise TrainingOrderError(
             f"task {task_index} out of order; next trainable task is {state.trained_upto + 1}"
         )
-    if selection not in ("best-val", "last"):
+    if selection not in SELECTION_MODES:
         raise ValueError(f"selection must be 'best-val' or 'last', got {selection!r}")
     if epochs < 1:
         raise ValueError("epochs must be >= 1")

@@ -3,13 +3,11 @@
 from __future__ import annotations
 
 import csv
-import dataclasses
 import json
 from pathlib import Path
 
 from . import checkpoint as ckpt
 from .config import ConfigError, RunConfig, load_pools, resolve_architecture
-from .data import Dataset
 from .engine import run_sequence
 from .fileio import atomic_open
 from .layers import ArchitectureSpec
@@ -29,7 +27,8 @@ from .tasks import (
 )
 
 
-def _resolve_groups(config: RunConfig, train_pool: Dataset, kind: str):
+def _resolve_groups(config: RunConfig, pools):
+    train_pool, _, kind = pools
     if kind == "permuted":
         if config.class_order != "default":
             raise ConfigError(["class_order: not applicable to permuted tasks"])
@@ -40,34 +39,30 @@ def _resolve_groups(config: RunConfig, train_pool: Dataset, kind: str):
         raise ConfigError([str(exc)]) from None
 
 
-def _build_sequence(config: RunConfig, train_pool: Dataset, test_pool: Dataset, groups, seed: int) -> TaskSequence:
+def _build_sequence(config: RunConfig, pools, groups, seed: int) -> TaskSequence:
     if groups is None:  # permuted tasks take every class
-        return build_permuted_sequence(train_pool, test_pool, config.num_tasks, seed)
-    return build_split_sequence(train_pool, test_pool, groups, seed)
+        return build_permuted_sequence(*pools[:2], config.num_tasks, seed)
+    return build_split_sequence(*pools[:2], groups, seed)
 
 
-def _dataset_info(config: RunConfig, train_pool: Dataset, test_pool: Dataset, kind: str) -> dict:
-    return {
-        "name": config.dataset["name"],
-        "kind": kind,
-        "train_size": train_pool.num_samples,
-        "test_size": test_pool.num_samples,
-        "num_classes": train_pool.num_classes,
-        "normalization": train_pool.provenance.get("normalization", "scale_1_255"),
-        "files": train_pool.provenance.get("files", {}),
-    }
+def _architecture(config: RunConfig, pools, groups) -> ArchitectureSpec:
+    first_task_classes = pools[0].num_classes if groups is None else len(groups[0])
+    return resolve_architecture(config, pools[0].image_shape, first_task_classes)
 
 
-def _architecture(config: RunConfig, train_pool: Dataset, groups) -> ArchitectureSpec:
-    first_task_classes = train_pool.num_classes if groups is None else len(groups[0])
-    return resolve_architecture(config, train_pool.image_shape, first_task_classes)
+def _variant(config: RunConfig, **changes) -> RunConfig:
+    return RunConfig.from_dict(config.to_dict() | changes)
 
 
-def _seed_runs(config: RunConfig, train_pool: Dataset, test_pool: Dataset, groups):
-    """run_sequence for every configured seed over one task grouping; yields (seed, result, state)."""
-    arch = _architecture(config, train_pool, groups)
+def _run_variant(config: RunConfig, pools, groups, **extra) -> dict:
+    """The one seed loop: run_sequence per seed over one task grouping, saving
+    checkpoint_seed<N>.npz each; then report.json (plus ``extra`` keys) and summary.csv."""
+    train_pool, test_pool, kind = pools
+    out_dir = Path(config.out_dir)
+    arch = _architecture(config, pools, groups)
+    results = []
     for seed in config.seeds:
-        seq = _build_sequence(config, train_pool, test_pool, groups, seed)
+        seq = _build_sequence(config, pools, groups, seed)
         result, state = run_sequence(
             config.strategy,
             arch,
@@ -79,16 +74,18 @@ def _seed_runs(config: RunConfig, train_pool: Dataset, test_pool: Dataset, group
             selection=config.checkpoint_selection,
             ortho_alpha=config.ortho_alpha,
         )
-        yield seed, result, state
-
-
-def _write_report(
-    config: RunConfig, train_pool: Dataset, test_pool: Dataset, kind: str, results, **extra
-) -> dict:
-    """Build the report, plus any ``extra`` keys, and write report.json and summary.csv."""
-    report = build_report(config, _dataset_info(config, train_pool, test_pool, kind), results)
-    report.update(extra)
-    out_dir = Path(config.out_dir)
+        ckpt.save_state(state, config, out_dir / f"checkpoint_seed{seed}.npz")
+        results.append(result)
+    dataset = {
+        "name": config.dataset["name"],
+        "kind": kind,
+        "train_size": train_pool.num_samples,
+        "test_size": test_pool.num_samples,
+        "num_classes": train_pool.num_classes,
+        "normalization": train_pool.provenance.get("normalization", "scale_1_255"),
+        "files": train_pool.provenance.get("files", {}),
+    }
+    report = build_report(config, dataset, results) | extra
     write_report_json(report, out_dir / "report.json")
     write_summary_csv(report, out_dir / "summary.csv")
     return report
@@ -96,13 +93,8 @@ def _write_report(
 
 def run(config: RunConfig, echo=None) -> dict:
     """Execute run_sequence per seed; write report.json, summary.csv, checkpoints."""
-    train_pool, test_pool, kind = load_pools(config)
-    groups = _resolve_groups(config, train_pool, kind)
-    results = []
-    for seed, result, state in _seed_runs(config, train_pool, test_pool, groups):
-        ckpt.save_state(state, config, Path(config.out_dir) / f"checkpoint_seed{seed}.npz")
-        results.append(result)
-    report = _write_report(config, train_pool, test_pool, kind, results)
+    pools = load_pools(config)
+    report = _run_variant(config, pools, _resolve_groups(config, pools))
     if echo is not None:
         echo(render_console_table(report))
     return report
@@ -117,18 +109,18 @@ def sweep_size(config: RunConfig, kernels, echo=None) -> list[dict]:
     if not isinstance(config.architecture, str):
         raise ConfigError(["sweep-size requires a preset architecture"])
     kernels = [int(k) for k in kernels]
-    for k in kernels:
-        if k < 1 or k % 2 == 0:
-            raise ConfigError([f"widths: adjustment kernels must be odd and positive, got {k}"])
+    out_dir = Path(config.out_dir)
+    # every width is checked before the first run writes anything
+    variants = [_variant(config, adjust_kernel=k, out_dir=str(out_dir / f"kernel{k}")) for k in kernels]
     repeated = sorted({k for k in kernels if kernels.count(k) > 1})
     if repeated:
         raise ConfigError([f"widths: each kernel may appear once; {repeated} repeated"])
-    out_dir = Path(config.out_dir)
+    pools = load_pools(config)
+    groups = _resolve_groups(config, pools)
 
     rows = []
-    for k in kernels:
-        sub = dataclasses.replace(config, adjust_kernel=k, out_dir=str(out_dir / f"kernel{k}"))
-        report = run(sub, echo=None)
+    for k, sub in zip(kernels, variants):
+        report = _run_variant(sub, pools, groups)
         final = report["seeds"][0]["per_task"][-1]
         rows.append(
             {
@@ -164,10 +156,10 @@ def sweep_size(config: RunConfig, kernels, echo=None) -> list[dict]:
 
 def ablate_order(config: RunConfig, orders, echo=None) -> list[dict]:
     """One full run per task-order permutation, same seeds, side by side."""
-    train_pool, test_pool, kind = load_pools(config)
-    if kind == "permuted":
+    pools = load_pools(config)
+    if pools[2] == "permuted":
         raise ConfigError(["ablate-order applies to split datasets only"])
-    base_groups = _resolve_groups(config, train_pool, kind)
+    base_groups = _resolve_groups(config, pools)
     try:  # every order is checked before the first run writes anything
         regrouped = [reorder_groups(base_groups, order) for order in orders]
     except ValueError as exc:
@@ -177,12 +169,11 @@ def ablate_order(config: RunConfig, orders, echo=None) -> list[dict]:
     if repeated:
         raise ConfigError([f"orders: each order may appear once; {repeated} repeated"])
     out_dir = Path(config.out_dir)
+    variants = [_variant(config, out_dir=str(out_dir / f"order{i}")) for i in range(len(orders))]
 
     summaries = []
-    for i, (order, groups) in enumerate(zip(orders, regrouped)):
-        sub = dataclasses.replace(config, out_dir=str(out_dir / f"order{i}"))
-        results = [result for _, result, _ in _seed_runs(sub, train_pool, test_pool, groups)]
-        report = _write_report(sub, train_pool, test_pool, kind, results, task_order=order)
+    for order, groups, sub in zip(orders, regrouped, variants):
+        report = _run_variant(sub, pools, groups, task_order=order)
         summaries.append(
             {
                 "order": order,
@@ -217,10 +208,10 @@ def dump_embeddings(config: RunConfig, checkpoint_path, split: str, out_path, ec
     ]
     if mismatched:
         raise ConfigError(mismatched)
-    train_pool, test_pool, kind = load_pools(config)
-    groups = _resolve_groups(config, train_pool, kind)
-    arch = _architecture(config, train_pool, groups)
-    seq = _build_sequence(config, train_pool, test_pool, groups, meta["seed"])
+    pools = load_pools(config)
+    groups = _resolve_groups(config, pools)
+    arch = _architecture(config, pools, groups)
+    seq = _build_sequence(config, pools, groups, meta["seed"])
     state = ckpt.load_state(checkpoint_path, arch, seq)
 
     out_path = Path(out_path)

@@ -161,6 +161,17 @@ class TestRunConfig:
         with pytest.raises(ConfigError, match="architecture.backbone: conv layer has unknown field.*kernal"):
             resolve_architecture(cfg, (1, 8, 8), 2)
 
+    def test_inline_architecture_unknown_key_is_config_error(self, tmp_path):
+        inline = {
+            "backbone": [{"kind": "conv", "out_channels": 4}],
+            "adjustment": [],
+            "classifier": [{"kind": "flatten"}, {"kind": "linear", "out_features": "base"}],
+            "input_shape": [9, 9, 9],
+        }
+        with pytest.raises(ConfigError) as info:
+            synthetic_config(tmp_path, architecture=inline)
+        assert info.value.problems == ["architecture.input_shape: unknown field"]
+
     @pytest.mark.parametrize(("field", "value"), [("out_channels", 4.7), ("kernel", True), ("kernel", "3")])
     def test_inline_layer_non_integer_field_is_config_error(self, tmp_path, field, value):
         inline = {
@@ -405,6 +416,27 @@ class TestSweepSize:
         with pytest.raises(ConfigError, match="odd"):
             harness.sweep_size(cfg, [2])
 
+    def test_two_widths_load_the_dataset_once(self, tmp_path, monkeypatch):
+        calls = []
+
+        def counting_load_pools(config):
+            calls.append(config.out_dir)
+            return load_pools(config)
+
+        monkeypatch.setattr(harness, "load_pools", counting_load_pools)
+        cfg = synthetic_config(tmp_path, out_dir=str(tmp_path / "once"), epochs=1)
+        harness.sweep_size(cfg, [1, 3])
+        assert calls == [cfg.out_dir]
+        for k in (1, 3):
+            assert (tmp_path / "once" / f"kernel{k}" / "checkpoint_seed1.npz").exists()
+
+    def test_even_later_width_rejected_before_any_run(self, tmp_path):
+        cfg = synthetic_config(tmp_path, out_dir=str(tmp_path / "even"), epochs=1)
+        with pytest.raises(ConfigError, match="odd") as info:
+            harness.sweep_size(cfg, [3, 2])
+        assert info.value.problems == ["adjust_kernel: must be an odd positive integer, got 2"]
+        assert not (tmp_path / "even").exists()
+
 
 class TestAblateOrder:
     def test_two_orders_reported_side_by_side(self, tmp_path):
@@ -426,6 +458,25 @@ class TestAblateOrder:
         cfg = synthetic_config(tmp_path)
         with pytest.raises(ValueError):
             harness.ablate_order(cfg, [[0, 0]])
+
+    def test_every_order_writes_checkpoints_that_rescore_its_report(self, tmp_path):
+        from santil.engine import evaluate
+        from santil.tasks import build_split_sequence, reorder_groups
+
+        cfg = synthetic_config(tmp_path, out_dir=str(tmp_path / "ck"), epochs=1, seeds=[1, 2])
+        harness.ablate_order(cfg, [[0, 1], [1, 0]])
+        for i in (0, 1):
+            names = sorted(p.name for p in (tmp_path / "ck" / f"order{i}").glob("checkpoint_seed*.npz"))
+            assert names == ["checkpoint_seed1.npz", "checkpoint_seed2.npz"]
+        report = json.loads((tmp_path / "ck" / "order1" / "report.json").read_text())
+        assert report["task_order"] == [1, 0]
+        train, test, _ = load_pools(cfg)
+        groups = reorder_groups(partition_classes(train.num_classes, cfg.num_tasks), [1, 0])
+        arch = resolve_architecture(cfg, train.image_shape, len(groups[0]))
+        for entry, seed in zip(report["seeds"], cfg.seeds):
+            seq = build_split_sequence(train, test, groups, master_seed=seed)
+            state = load_state(tmp_path / "ck" / "order1" / f"checkpoint_seed{seed}.npz", arch, seq)
+            assert [evaluate(state, t, "test") for t in (1, 2)] == entry["final_per_task"]
 
 
 class TestCheckpoints:
@@ -555,6 +606,24 @@ class TestCheckpoints:
         shorter = build_split_sequence(train, test, groups[:2], master_seed=1)
         with pytest.raises(CheckpointMismatchError, match="3 trained tasks.* only 2"):
             load_state(path, arch, shorter)
+
+    def test_checkpoint_with_surplus_parameters_rejected(self, tmp_path):
+        import dataclasses
+
+        from santil.data import synthetic_dataset
+        from santil.engine import run_sequence
+        from santil.layers import Conv, Relu, tiny
+        from santil.tasks import build_split_sequence
+
+        train = synthetic_dataset(4, 30, (1, 8, 8), seed=94)
+        test = synthetic_dataset(4, 10, (1, 8, 8), seed=95, pattern_seed=94)
+        seq = build_split_sequence(train, test, [(0, 1), (2, 3)], master_seed=5)
+        arch = tiny((1, 8, 8), base_classes=2)
+        deeper = dataclasses.replace(arch, backbone=arch.backbone + (Conv(6), Relu()))
+        _, state = run_sequence("san", deeper, seq, seed=5, epochs=1, batch_size=16)
+        path = save_state(state, synthetic_config(tmp_path), tmp_path / "deep.npz")
+        with pytest.raises(CheckpointMismatchError, match="holds parameter 'backbone.3.bias'"):
+            load_state(path, arch, seq)
 
 
 class TestDumpEmbeddings:
@@ -821,6 +890,28 @@ class TestCli:
             "perfect square, so the orthogonality penalty cannot view it as a square matrix\n"
         )
         assert not (tmp_path / "sq").exists()
+
+    @pytest.mark.parametrize(
+        ("architecture", "problem"),
+        [
+            ("tiny", "architecture.backbone: layer 2: extents 7x7 not divisible by pool window 2"),
+            (
+                {
+                    "backbone": [],
+                    "adjustment": [{"kind": "maxpool"}],
+                    "classifier": [{"kind": "flatten"}, {"kind": "linear", "out_features": "base"}],
+                },
+                "architecture.adjustment: layer 0: extents 7x7 not divisible by pool window 2",
+            ),
+        ],
+        ids=["preset", "inline"],
+    )
+    def test_architecture_that_does_not_fit_the_images_exit_one(self, tmp_path, capsys, architecture, problem):
+        dataset = {"name": "synthetic", "num_classes": 4, "per_class": 10, "per_class_test": 4, "shape": [1, 7, 7]}
+        cfg_path = write_config(tmp_path, dataset=dataset, architecture=architecture, out_dir=str(tmp_path / "fit"))
+        assert main(["run", "--config", str(cfg_path)]) == 1
+        assert capsys.readouterr().err == f"config error: {problem}\n"
+        assert not (tmp_path / "fit").exists()
 
     def test_repeated_order_exit_one_before_any_run(self, tmp_path, capsys):
         cfg_path = write_config(tmp_path, epochs=1, out_dir=str(tmp_path / "ro"))
