@@ -13,6 +13,8 @@ parameters exactly like the trained one. Format-1 files are rejected.
 from __future__ import annotations
 
 import json
+import zipfile
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -48,9 +50,33 @@ def save_state(state: IncrementalState, config: RunConfig, path) -> Path:
     return path
 
 
+@contextmanager
+def _open(path):
+    """The open archive of a format-2 checkpoint and its metadata; anything
+    else raises CheckpointMismatchError naming the file."""
+    try:
+        bundle = np.load(path)
+    except (ValueError, EOFError, zipfile.BadZipFile, IsADirectoryError):  # text, empty, bad zip, a directory
+        bundle = None
+    if not isinstance(bundle, np.lib.npyio.NpzFile):  # or a bare .npy array
+        raise CheckpointMismatchError(f"checkpoint {path} is not an .npz archive")
+    with bundle:
+        try:
+            meta = json.loads(bytes(bundle["__meta__"]).decode("utf-8"))
+        except (KeyError, ValueError):  # absent, pickled, not UTF-8 or not JSON
+            raise CheckpointMismatchError(f"checkpoint {path} has no readable __meta__ entry") from None
+        version = meta.get("format_version") if isinstance(meta, dict) else None
+        if version != FORMAT_VERSION:
+            raise CheckpointMismatchError(
+                f"checkpoint {path} has format version {version}; "
+                f"this version of santil reads format {FORMAT_VERSION}"
+            )
+        yield bundle, meta
+
+
 def read_meta(path) -> dict:
-    with np.load(path) as bundle:
-        return json.loads(bytes(bundle["__meta__"]).decode("utf-8"))
+    with _open(path) as (_, meta):
+        return meta
 
 
 def load_state(path, arch: ArchitectureSpec, seq: TaskSequence) -> IncrementalState:
@@ -61,15 +87,7 @@ def load_state(path, arch: ArchitectureSpec, seq: TaskSequence) -> IncrementalSt
     arrays must be exactly the rebuilt model's parameters, at their shapes.
     Otherwise this raises CheckpointMismatchError naming where they differ.
     """
-    path = Path(path)
-    with np.load(path) as bundle:
-        meta = json.loads(bytes(bundle["__meta__"]).decode("utf-8"))
-        version = meta.get("format_version")
-        if version != FORMAT_VERSION:
-            raise CheckpointMismatchError(
-                f"checkpoint {path} has format version {version}; "
-                f"this version of santil reads format {FORMAT_VERSION}"
-            )
+    with _open(path) as (bundle, meta):
         trained = meta["task_classes"]
         if len(trained) > seq.num_tasks:
             raise CheckpointMismatchError(

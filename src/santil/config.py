@@ -228,11 +228,15 @@ class RunConfig:
     @classmethod
     def from_json(cls, path) -> "RunConfig":
         try:
-            raw = json.loads(Path(path).read_text())
+            raw = json.loads(Path(path).read_text(encoding="utf-8"))
         except FileNotFoundError:
             raise ConfigError([f"config file not found: {path}"]) from None
+        except OSError as exc:  # a directory, or no permission to read
+            raise ConfigError([f"config file {path} cannot be read: {exc.strerror}"]) from None
+        except UnicodeDecodeError as exc:
+            raise ConfigError([f"config file {path} is not UTF-8 text: {exc.reason} at byte {exc.start}"]) from None
         except json.JSONDecodeError as exc:
-            raise ConfigError([f"config is not valid JSON: {exc}"]) from None
+            raise ConfigError([f"config file {path} is not valid JSON: {exc}"]) from None
         return cls.from_dict(raw)
 
     def to_dict(self) -> dict:

@@ -234,14 +234,16 @@ def split_indices(n: int, fraction: float, seed: int) -> tuple[np.ndarray, np.nd
 # ---------------------------------------------------------------------------
 # synthetic corpus
 
+# pixel noise (standard deviation) and the gap between two class means
+SYNTHETIC_SIGMA = 0.05
+SYNTHETIC_AMPLITUDE = 0.25
+
 
 def synthetic_dataset(
     num_classes: int,
     per_class: int,
     shape: Sequence[int] = (1, 8, 8),
     seed: int = 0,
-    sigma: float = 0.05,
-    amplitude: float = 0.25,
     pattern_seed: int | None = None,
 ) -> Dataset:
     """Gaussian blobs around class-specific sign patterns, clipped to [0, 1].
@@ -249,8 +251,8 @@ def synthetic_dataset(
     Class c gets mean 0.5 + (amplitude/2) * s_c with s_c a random +/-1
     pattern, so two class means differ by `amplitude` on about half the
     pixels: mean separation ~= amplitude * sqrt(d/2), which dwarfs 4*sigma
-    at the defaults for any d >= 8. Labels are exactly balanced and the
-    whole corpus is a pure function of the seeds.
+    for any d >= 8 (SYNTHETIC_AMPLITUDE, SYNTHETIC_SIGMA). Labels are
+    exactly balanced and the whole corpus is a pure function of the seeds.
 
     ``pattern_seed`` fixes the class means independently of the sampling
     noise, so a train/test pool pair shares its class structure by using
@@ -263,13 +265,13 @@ def synthetic_dataset(
     rng = np.random.default_rng(seed)
     pattern_rng = np.random.default_rng(seed if pattern_seed is None else pattern_seed)
     signs = pattern_rng.integers(0, 2, size=(num_classes, d)).astype(np.float32) * 2 - 1
-    means = 0.5 + (amplitude / 2.0) * signs
+    means = 0.5 + (SYNTHETIC_AMPLITUDE / 2.0) * signs
 
     images = np.empty((num_classes * per_class, d), dtype=np.float32)
     labels = np.empty(num_classes * per_class, dtype=np.int64)
     for c in range(num_classes):
         lo = c * per_class
-        noise = rng.normal(0.0, sigma, size=(per_class, d)).astype(np.float32)
+        noise = rng.normal(0.0, SYNTHETIC_SIGMA, size=(per_class, d)).astype(np.float32)
         images[lo : lo + per_class] = means[c] + noise
         labels[lo : lo + per_class] = c
     np.clip(images, 0.0, 1.0, out=images)
@@ -277,8 +279,8 @@ def synthetic_dataset(
         "format": "synthetic",
         "seed": int(seed),
         "pattern_seed": int(seed if pattern_seed is None else pattern_seed),
-        "sigma": sigma,
-        "amplitude": amplitude,
+        "sigma": SYNTHETIC_SIGMA,
+        "amplitude": SYNTHETIC_AMPLITUDE,
         "normalization": "scale_1_255",
     }
     return Dataset(images.reshape(-1, *shape), labels, provenance=provenance)

@@ -73,6 +73,9 @@ from .tensor import (
 # training split (about 0.56 and 0.64 GB) does not.
 _FEATURE_CACHE_BYTES = 256 << 20
 
+# rows per forward pass when scoring, predicting or embedding (training uses its batch size)
+EVAL_ROWS = 512
+
 
 class StrategyKind(str, Enum):
     SAN = "san"
@@ -465,24 +468,22 @@ def train_task(
     )
 
 
-def evaluate(state: IncrementalState, task_index: int, split: str = "test", batch_size: int = 512) -> float:
+def evaluate(state: IncrementalState, task_index: int, split: str = "test") -> float:
     """Fraction of correctly argmax-classified samples over the task's head."""
     state._check_trained(task_index)
     task = state.seq.tasks[task_index - 1]
     images, raw_labels = task_arrays(state.seq, task, split)
     labels = task.local_labels(raw_labels)
-    depth, rows = _prefix_features(state, task_index, split, images, batch_size)
-    logits = _forward_rows(state._forward_blocks(task_index)[depth:], rows, batch_size)
+    depth, rows = _prefix_features(state, task_index, split, images, EVAL_ROWS)
+    logits = _forward_rows(state._forward_blocks(task_index)[depth:], rows, EVAL_ROWS)
     pred = logits[:, : len(task.class_ids)].argmax(axis=1)
     return int((pred == labels).sum()) / images.shape[0]
 
 
-def predict_logits(
-    state: IncrementalState, task_index: int, images: np.ndarray, batch_size: int = 512
-) -> np.ndarray:
+def predict_logits(state: IncrementalState, task_index: int, images: np.ndarray) -> np.ndarray:
     """The task's head logits for arbitrary inputs through the task's network."""
     state._check_trained(task_index)
-    logits = _forward_rows(state._forward_blocks(task_index), images, batch_size)
+    logits = _forward_rows(state._forward_blocks(task_index), images, EVAL_ROWS)
     return np.ascontiguousarray(logits[:, : len(state.seq.tasks[task_index - 1].class_ids)])
 
 

@@ -4,11 +4,12 @@ from __future__ import annotations
 
 import csv
 import json
+import numbers
 from pathlib import Path
 
 from . import checkpoint as ckpt
 from .config import ConfigError, RunConfig, load_pools, resolve_architecture
-from .engine import run_sequence
+from .engine import EVAL_ROWS, run_sequence
 from .fileio import atomic_open
 from .layers import ArchitectureSpec
 from .report import (
@@ -108,7 +109,8 @@ def sweep_size(config: RunConfig, kernels, echo=None) -> list[dict]:
     """
     if not isinstance(config.architecture, str):
         raise ConfigError(["sweep-size requires a preset architecture"])
-    kernels = [int(k) for k in kernels]
+    # numpy integers become ints; anything else goes to the validator as given
+    kernels = [int(k) if isinstance(k, numbers.Integral) and not isinstance(k, bool) else k for k in kernels]
     out_dir = Path(config.out_dir)
     # every width is checked before the first run writes anything
     variants = [_variant(config, adjust_kernel=k, out_dir=str(out_dir / f"kernel{k}")) for k in kernels]
@@ -164,7 +166,7 @@ def ablate_order(config: RunConfig, orders, echo=None) -> list[dict]:
         regrouped = [reorder_groups(base_groups, order) for order in orders]
     except ValueError as exc:
         raise ConfigError([f"orders: {exc}"]) from None
-    orders = [[int(v) for v in order] for order in orders]
+    orders = [[int(v) for v in order] for order in orders]  # numpy integers to ints, for the report
     repeated = [list(o) for o in sorted({tuple(o) for o in orders if orders.count(o) > 1})]
     if repeated:
         raise ConfigError([f"orders: each order may appear once; {repeated} repeated"])
@@ -222,12 +224,12 @@ def dump_embeddings(config: RunConfig, checkpoint_path, split: str, out_path, ec
         header_written = False
         for t in range(1, state.trained_upto + 1):
             images, labels = task_arrays(seq, seq.tasks[t - 1], split)
-            for lo in range(0, images.shape[0], 512):
-                emb = state.embed(images[lo : lo + 512], t)
+            for lo in range(0, images.shape[0], EVAL_ROWS):
+                emb = state.embed(images[lo : lo + EVAL_ROWS], t)
                 if not header_written:
                     writer.writerow(["task", "label"] + [f"f{i}" for i in range(emb.shape[1])])
                     header_written = True
-                for row, label in zip(emb, labels[lo : lo + 512]):
+                for row, label in zip(emb, labels[lo : lo + EVAL_ROWS]):
                     writer.writerow([t, int(label)] + [f"{v:.8e}" for v in row])
                     rows += 1
     if echo is not None:

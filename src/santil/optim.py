@@ -24,21 +24,16 @@ class Adam(object):
     Frozen parameters are skipped entirely and never get moment buffers.
     A parameter with a trainable_mask has its gradient zeroed outside the
     mask, so masked entries keep moments at zero and values bit-identical.
+    The moment decay rates and epsilon are fixed at Adam's usual values.
     """
 
-    def __init__(
-        self,
-        params: Iterable[Parameter],
-        lr: float = 0.001,
-        beta1: float = 0.9,
-        beta2: float = 0.999,
-        eps: float = 1e-8,
-    ):
+    beta1 = 0.9
+    beta2 = 0.999
+    eps = 1e-8
+
+    def __init__(self, params: Iterable[Parameter], lr: float = 0.001):
         self.params = list(params)
         self.lr = float(lr)
-        self.beta1 = float(beta1)
-        self.beta2 = float(beta2)
-        self.eps = float(eps)
         self.step_count = 0
         self._m: dict[int, np.ndarray] = {}
         self._v: dict[int, np.ndarray] = {}

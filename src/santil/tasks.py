@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numbers
 from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
@@ -94,12 +95,13 @@ def partition_classes(num_classes: int, num_tasks: int, order="default") -> list
 
 
 def reorder_groups(groups: Sequence[Sequence[int]], order: Sequence[int]) -> list[tuple[int, ...]]:
-    """Reorder task groups by a permutation of task positions."""
-    if sorted(int(i) for i in order) != list(range(len(groups))):
+    """Reorder task groups by a permutation of task positions (ints or numpy ints, not bools)."""
+    exact = all(isinstance(i, numbers.Integral) and not isinstance(i, bool) for i in order)
+    if not exact or sorted(order) != list(range(len(groups))):
         raise ValueError(
             f"order must be a permutation of 0..{len(groups) - 1}, got {list(order)}"
         )
-    return [tuple(groups[int(i)]) for i in order]
+    return [tuple(groups[i]) for i in order]
 
 
 # share of a task's training-pool samples it trains on; the rest is its val split

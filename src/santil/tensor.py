@@ -119,9 +119,6 @@ class Tensor:
     def dtype(self):
         return self.data.dtype
 
-    def item(self) -> float:
-        return float(self.data.item())
-
     def __repr__(self) -> str:
         return (
             f"Tensor(shape={tuple(self.data.shape)}, dtype={self.data.dtype.name}, "

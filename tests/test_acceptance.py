@@ -370,8 +370,8 @@ def test_criterion_11_byte_identical_reports(tmp_path):
 
 
 def test_criterion_12_orthogonality_loss():
-    at_identity = orthogonality_penalty(Tensor(np.eye(64), dtype=np.float64)).item()
-    at_two_i = orthogonality_penalty(Tensor(2 * np.eye(64), dtype=np.float64)).item()
+    at_identity = orthogonality_penalty(Tensor(np.eye(64), dtype=np.float64)).data.item()
+    at_two_i = orthogonality_penalty(Tensor(2 * np.eye(64), dtype=np.float64)).data.item()
     a = Tensor(np.random.default_rng(5).normal(size=(4, 4)) * 0.5, requires_grad=True, dtype=np.float64)
     grad_err = grad_check(orthogonality_penalty, [a])
     ok = abs(at_identity) <= 1e-8 and abs(at_two_i - 576.0) <= 1e-8 and grad_err <= 1e-5

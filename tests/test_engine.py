@@ -459,6 +459,14 @@ class TestOrderAblation:
         with pytest.raises(ValueError):
             reorder_groups([(0,), (1,)], [0, 0])
 
+    @pytest.mark.parametrize("order", [[0, 1.5, 2], [True, 0, 2], [0.0, 1, 2]])
+    def test_float_or_bool_position_rejected_not_truncated(self, order):
+        with pytest.raises(ValueError, match="permutation of 0..2"):
+            reorder_groups([(0,), (1,), (2,)], order)
+
+    def test_numpy_integer_positions_accepted(self):
+        assert reorder_groups([(0,), (1,), (2,)], np.array([2, 0, 1])) == [(2,), (0,), (1,)]
+
 
 def shuffled_pool(num_classes, per_class, seed):
     pool = synthetic_dataset(num_classes, per_class, (1, 4, 4), seed=seed)

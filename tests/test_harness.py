@@ -3,6 +3,7 @@ import gzip
 import hashlib
 import io
 import json
+import re
 import struct
 import tarfile
 from pathlib import Path
@@ -57,6 +58,23 @@ def write_config(tmp_path, **overrides) -> Path:
     path = tmp_path / "config.json"
     path.write_text(json.dumps(cfg.to_dict()))
     return path
+
+
+def npy_bytes(array) -> bytes:
+    """``array`` in .npy format (np.save would append ".npy" to a path's name)."""
+    buf = io.BytesIO()
+    np.save(buf, array)
+    return buf.getvalue()
+
+
+# files that are not santil checkpoints: how to write each, and what the reader says of it
+FOREIGN_CHECKPOINTS = {
+    "no-meta": (lambda path: np.savez(path, w=np.zeros(3)), "has no readable __meta__ entry"),
+    "text": (lambda path: path.write_text("not an archive"), "is not an .npz archive"),
+    "empty": (lambda path: path.write_bytes(b""), "is not an .npz archive"),
+    "npy": (lambda path: path.write_bytes(npy_bytes(np.zeros(3))), "is not an .npz archive"),
+    "directory": (lambda path: path.mkdir(), "is not an .npz archive"),
+}
 
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -437,6 +455,21 @@ class TestSweepSize:
         assert info.value.problems == ["adjust_kernel: must be an odd positive integer, got 2"]
         assert not (tmp_path / "even").exists()
 
+    @pytest.mark.parametrize("width", [3.5, 3.0, True])
+    def test_non_integer_width_rejected_not_truncated(self, tmp_path, width):
+        cfg = synthetic_config(tmp_path, out_dir=str(tmp_path / "float"), epochs=1)
+        with pytest.raises(ConfigError) as info:
+            harness.sweep_size(cfg, [1, width])
+        assert info.value.problems == [f"adjust_kernel: must be an odd positive integer, got {width!r}"]
+        assert not (tmp_path / "float").exists()
+
+    def test_numpy_integer_width_accepted(self, tmp_path):
+        cfg = synthetic_config(tmp_path, out_dir=str(tmp_path / "np"), epochs=1)
+        rows = harness.sweep_size(cfg, np.array([3]))
+        assert rows[0]["kernel"] == 3 and type(rows[0]["kernel"]) is int
+        report = json.loads((tmp_path / "np" / "kernel3" / "report.json").read_text())
+        assert report["config"]["adjust_kernel"] == 3
+
 
 class TestAblateOrder:
     def test_two_orders_reported_side_by_side(self, tmp_path):
@@ -458,6 +491,20 @@ class TestAblateOrder:
         cfg = synthetic_config(tmp_path)
         with pytest.raises(ValueError):
             harness.ablate_order(cfg, [[0, 0]])
+
+    @pytest.mark.parametrize("order", [[0.0, 1], [1.5, 0], [True, 0]])
+    def test_float_or_bool_entry_rejected_before_any_run(self, tmp_path, order):
+        cfg = synthetic_config(tmp_path, out_dir=str(tmp_path / "bad"), epochs=1)
+        with pytest.raises(ConfigError, match="orders: order must be a permutation of 0..1"):
+            harness.ablate_order(cfg, [[0, 1], order])
+        assert not (tmp_path / "bad").exists()
+
+    def test_numpy_integer_order_accepted(self, tmp_path):
+        cfg = synthetic_config(tmp_path, out_dir=str(tmp_path / "np"), epochs=1)
+        summaries = harness.ablate_order(cfg, [np.array([1, 0])])
+        assert summaries[0]["order"] == [1, 0]
+        report = json.loads((tmp_path / "np" / "order0" / "report.json").read_text())
+        assert report["task_order"] == [1, 0]
 
     def test_every_order_writes_checkpoints_that_rescore_its_report(self, tmp_path):
         from santil.engine import evaluate
@@ -625,6 +672,14 @@ class TestCheckpoints:
         with pytest.raises(CheckpointMismatchError, match="holds parameter 'backbone.3.bias'"):
             load_state(path, arch, seq)
 
+    @pytest.mark.parametrize("write, problem", FOREIGN_CHECKPOINTS.values(), ids=FOREIGN_CHECKPOINTS)
+    def test_file_that_is_no_checkpoint_rejected_naming_it(self, tmp_path, write, problem):
+        path = tmp_path / "foreign.npz"
+        write(path)
+        for read in (read_meta, lambda p: load_state(p, None, None)):
+            with pytest.raises(CheckpointMismatchError, match=re.escape(f"checkpoint {path} {problem}")):
+                read(path)
+
 
 class TestDumpEmbeddings:
     def test_rows_columns_and_round_trip(self, tmp_path):
@@ -742,6 +797,29 @@ class TestCli:
         path.write_text(json.dumps({"strategy": "nope"}))
         assert main(["run", "--config", str(path)]) == 1
         assert "config error" in capsys.readouterr().err
+
+    def test_config_that_is_a_directory_exit_one(self, tmp_path, capsys):
+        assert main(["run", "--config", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == f"config error: config file {tmp_path} cannot be read: Is a directory\n"
+
+    def test_config_that_is_not_utf8_exit_one(self, tmp_path, capsys):
+        path = tmp_path / "latin1.json"
+        path.write_bytes('{"strategy": "san", "out_dir": "café"}'.encode("latin-1"))
+        assert main(["run", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: config file {path} is not UTF-8 text: invalid")
+        assert err.count("\n") == 1
+
+    def test_unreadable_config_exit_one(self, tmp_path, capsys, monkeypatch):
+        path = write_config(tmp_path)
+
+        def denied(self, *args, **kwargs):
+            raise PermissionError(13, "Permission denied", str(self))
+
+        # a chmod would not stop a reader running as root
+        monkeypatch.setattr(Path, "read_text", denied)
+        assert main(["run", "--config", str(path)]) == 1
+        assert capsys.readouterr().err == f"config error: config file {path} cannot be read: Permission denied\n"
 
     def test_missing_data_exit_two_names_fetch(self, tmp_path, capsys):
         cfg_path = write_config(tmp_path, dataset="mnist", data_root=str(tmp_path / "void"))
@@ -1000,6 +1078,15 @@ class TestCli:
         assert err.startswith("checkpoint mismatch: ")
         assert "at task 1: it was trained on classes [0, 1], the sequence has classes [3, 2]" in err
         assert not (tmp_path / "e.csv").exists()
+
+    @pytest.mark.parametrize("write, problem", FOREIGN_CHECKPOINTS.values(), ids=FOREIGN_CHECKPOINTS)
+    def test_dump_embeddings_foreign_checkpoint_exit_one(self, tmp_path, capsys, write, problem):
+        cfg_path = write_config(tmp_path)
+        path = tmp_path / "foreign.npz"
+        write(path)
+        code = main(["dump-embeddings", "--config", str(cfg_path), "--checkpoint", str(path)])
+        assert code == 1
+        assert capsys.readouterr().err == f"checkpoint mismatch: checkpoint {path} {problem}\n"
 
     def test_dump_embeddings_missing_checkpoint_exit_two(self, tmp_path, capsys):
         cfg_path = write_config(tmp_path)

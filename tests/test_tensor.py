@@ -1079,19 +1079,19 @@ class TestFlatten:
 class TestSoftmaxCrossEntropy:
     def test_uniform_logits_give_log_k(self):
         out = softmax_cross_entropy(t(np.zeros((3, 10))), [0, 5, 9])
-        assert abs(out.item() - np.log(10)) < 1e-6
+        assert abs(out.data.item() - np.log(10)) < 1e-6
 
     def test_huge_logits_do_not_overflow(self):
         out = softmax_cross_entropy(t([[1000.0, 0.0]]), [0])
         assert np.isfinite(out.data)
-        assert out.item() < 1e-6
+        assert out.data.item() < 1e-6
 
     def test_matches_unstabilized_oracle(self):
         rng = np.random.default_rng(6)
         z = rng.normal(size=(4, 6))
         labels = rng.integers(0, 6, size=4)
         out = softmax_cross_entropy(t(z, np.float64), labels)
-        assert abs(out.item() - ce_oracle(z, labels)) < 1e-6
+        assert abs(out.data.item() - ce_oracle(z, labels)) < 1e-6
 
     def test_out_of_range_label_rejected(self):
         with pytest.raises(ValueError, match="label out of range"):
@@ -1101,9 +1101,9 @@ class TestSoftmaxCrossEntropy:
         rng = np.random.default_rng(7)
         z = rng.normal(size=(5, 4))
         labels = rng.integers(0, 4, size=5)
-        base = softmax_cross_entropy(t(z, np.float64), labels).item()
+        base = softmax_cross_entropy(t(z, np.float64), labels).data.item()
         for c in (-100.0, -1.0, 0.5, 1e3):
-            shifted = softmax_cross_entropy(t(z + c, np.float64), labels).item()
+            shifted = softmax_cross_entropy(t(z + c, np.float64), labels).data.item()
             assert abs(shifted - base) < 1e-6
 
 
@@ -1114,17 +1114,17 @@ class TestSoftmaxCrossEntropy:
 class TestOrthogonalityPenalty:
     def test_identity_is_zero(self):
         for d in (1, 3, 8):
-            assert orthogonality_penalty(t(np.eye(d), np.float64)).item() == 0.0
+            assert orthogonality_penalty(t(np.eye(d), np.float64)).data.item() == 0.0
 
     def test_two_i_at_d64(self):
         out = orthogonality_penalty(t(2 * np.eye(64), np.float64))
-        assert abs(out.item() - 576.0) < 1e-8
+        assert abs(out.data.item() - 576.0) < 1e-8
 
     def test_matches_double_loop_oracle(self):
         rng = np.random.default_rng(8)
         a = rng.normal(size=(5, 5))
         out = orthogonality_penalty(t(a, np.float64))
-        assert abs(out.item() - ortho_oracle(a)) < 1e-8
+        assert abs(out.data.item() - ortho_oracle(a)) < 1e-8
 
     def test_non_square_rejected(self):
         with pytest.raises(ShapeError, match="square"):
@@ -1134,7 +1134,7 @@ class TestOrthogonalityPenalty:
         rng = np.random.default_rng(9)
         for _ in range(10):
             a = rng.normal(size=(4, 4))
-            assert orthogonality_penalty(t(a, np.float64)).item() >= 0.0
+            assert orthogonality_penalty(t(a, np.float64)).data.item() >= 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -1563,6 +1563,18 @@ print(counts)
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "[1, 1, 1, 2]"
+
+
+def test_package_root_loads_no_module():
+    # the API is the modules; importing one loads none of the others
+    code = "import sys, santil.tensor; print(sorted(m for m in sys.modules if m.startswith('santil')))"
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "['santil', 'santil.tensor']\n"
 
 
 def test_dtype_mismatch_rejected():
