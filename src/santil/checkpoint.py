@@ -37,7 +37,7 @@ def save_state(state: IncrementalState, config: RunConfig, path) -> Path:
     arrays = {p.name: p.data for block in state.model_blocks() for p in block.parameters()}
     meta = {
         "format_version": FORMAT_VERSION,
-        "strategy": state.strategy.value,
+        "strategy": state.strategy,
         "seed": state.master_seed,
         "ortho_alpha": state.ortho_alpha,
         "config": config.to_dict(),

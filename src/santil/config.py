@@ -1,8 +1,9 @@
 """Run configuration: JSON schema, validation, dataset and architecture resolution.
 
 A config file is a single JSON object; unknown keys are rejected so typos
-surface immediately. ``RunConfig.from_dict(cfg.to_dict())`` round-trips to
-an equal config, which reports rely on for their config echo.
+surface immediately, and ``_FIELD_CHECKS`` holds each field's one check, in
+field order. ``RunConfig.from_dict(cfg.to_dict())`` round-trips to an equal
+config, which reports rely on for their config echo.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
 
 from .data import CIFAR_VARIANTS, DATASET_FILES, Dataset, load_cifar, load_idx, synthetic_dataset
-from .engine import SELECTION_MODES, StrategyKind
+from .engine import SELECTION_MODES, STRATEGY_TABLE
 from .layers import (
     PRESETS,
     ArchitectureSpec,
@@ -29,7 +30,7 @@ from .tensor import ShapeError
 
 ENV_DATA_ROOT = "SAN_TIL_DATA_ROOT"
 
-STRATEGIES = tuple(kind.value for kind in StrategyKind)
+STRATEGIES = tuple(STRATEGY_TABLE)
 # config dataset name -> (the recipe whose files it reads, the sequence kind it makes)
 _SOURCES = {
     "mnist": ("mnist", "split"),
@@ -58,34 +59,93 @@ def _is_number(value) -> bool:
         return False
 
 
-# a synthetic dataset's fields: default, test, and how to say what the test wants
+def _rule(ok, what: str):
+    """A field check, (name, value) -> problems: ``<name>: must be <what>, got <value!r>`` unless ok."""
+    return lambda name, value: [] if ok(value) else [f"{name}: must be {what}, got {value!r}"]
+
+
+_POSITIVE_INT = _rule(lambda v: _is_int(v) and v >= 1, "a positive integer")
+_AT_LEAST_TWO = _rule(lambda v: _is_int(v) and v >= 2, "an integer >= 2")
+
+# a synthetic dataset's fields: default and check
 _SYNTHETIC_FIELDS = {
-    "num_classes": (4, lambda v: _is_int(v) and v >= 1, "a positive integer"),
-    "per_class": (150, lambda v: _is_int(v) and v >= 2, "an integer >= 2"),
-    "per_class_test": (50, lambda v: _is_int(v) and v >= 2, "an integer >= 2"),
+    "num_classes": (4, _POSITIVE_INT),
+    "per_class": (150, _AT_LEAST_TWO),
+    "per_class_test": (50, _AT_LEAST_TWO),
     "shape": (
         [1, 8, 8],
-        lambda v: isinstance(v, list) and len(v) == 3 and all(_is_int(d) and d >= 1 for d in v),
-        "a list of 3 positive integers",
+        _rule(
+            lambda v: isinstance(v, list) and len(v) == 3 and all(_is_int(d) and d >= 1 for d in v),
+            "a list of 3 positive integers",
+        ),
     ),
-    "data_seed": (7, lambda v: _is_int(v) and v >= 0, "a non-negative integer"),
+    "data_seed": (7, _rule(lambda v: _is_int(v) and v >= 0, "a non-negative integer")),
 }
 
 
-def _dataset_problems(dataset: dict) -> list[str]:
-    """What is wrong with a named dataset object: a synthetic dataset takes
-    the ``_SYNTHETIC_FIELDS`` keys, any other dataset no key but ``name``."""
+def _with_defaults(dataset):
+    """A dataset name as a dataset object; a synthetic one with its omitted fields filled in."""
+    dataset = {"name": dataset} if isinstance(dataset, str) else dataset
+    if isinstance(dataset, dict) and dataset.get("name") == "synthetic":
+        return {key: default for key, (default, _) in _SYNTHETIC_FIELDS.items()} | dataset
+    return dataset
+
+
+def _dataset_problems(name: str, dataset) -> list[str]:
+    """It must name a dataset; a synthetic one takes ``_SYNTHETIC_FIELDS``, any other only ``name``."""
+    if not isinstance(dataset, dict) or dataset.get("name") not in DATASET_NAMES:
+        return [f"{name}: must name one of {list(DATASET_NAMES)}, got {dataset!r}"]
     synthetic = dataset["name"] == "synthetic"
     problems = [
-        f"dataset.{key}: unknown field"
+        f"{name}.{key}: unknown field"
         for key in dataset
         if key != "name" and not (synthetic and key in _SYNTHETIC_FIELDS)
     ]
     if synthetic:
-        for key, (_, ok, what) in _SYNTHETIC_FIELDS.items():
-            if not ok(dataset[key]):
-                problems.append(f"dataset.{key}: must be {what}, got {dataset[key]!r}")
+        for key, (_, check) in _SYNTHETIC_FIELDS.items():
+            problems += check(f"{name}.{key}", dataset[key])
     return problems
+
+
+def _architecture_problems(name: str, arch) -> list[str]:
+    if isinstance(arch, str):
+        return [] if arch in PRESETS else [f"{name}: unknown preset {arch!r}; presets are {sorted(PRESETS)}"]
+    if not isinstance(arch, dict):
+        return [f"{name}: must be a preset name or an inline spec object"]
+    missing = [f"{name}.{part}: required for inline specs" for part in _ARCH_PARTS if part not in arch]
+    return missing + [f"{name}.{key}: unknown field" for key in arch if key not in _ARCH_PARTS]
+
+
+def _class_order_problems(name: str, order) -> list[str]:
+    if isinstance(order, list):
+        return [] if all(_is_int(v) for v in order) else [f"{name}: list entries must be integers"]
+    return [] if order == "default" else [f"{name}: 'default' or a class-id list, got {order!r}"]
+
+
+def _seeds_problems(name: str, seeds) -> list[str]:
+    if not (isinstance(seeds, list) and seeds and all(_is_int(s) and s >= 0 for s in seeds)):
+        return [f"{name}: must be a non-empty list of non-negative ints, got {seeds!r}"]
+    repeated = sorted({s for s in seeds if seeds.count(s) > 1})
+    return [f"{name}: each seed may appear once; {repeated} repeated"] if repeated else []
+
+
+# one check per RunConfig field, in field order
+_FIELD_CHECKS = {
+    "strategy": _rule(lambda v: v in STRATEGIES, f"one of {list(STRATEGIES)}"),
+    "dataset": _dataset_problems,
+    "num_tasks": _POSITIVE_INT,
+    "architecture": _architecture_problems,
+    "class_order": _class_order_problems,
+    "epochs": _POSITIVE_INT,
+    "batch_size": _POSITIVE_INT,
+    "lr": _rule(lambda v: _is_number(v) and v > 0, "a finite positive number"),
+    "seeds": _seeds_problems,
+    "checkpoint_selection": _rule(lambda v: v in SELECTION_MODES, f"one of {list(SELECTION_MODES)}"),
+    "ortho_alpha": _rule(lambda v: _is_number(v) and v >= 0, "a finite non-negative number"),
+    "adjust_kernel": _rule(lambda v: _is_int(v) and v >= 1 and v % 2 == 1, "an odd positive integer"),
+    "data_root": _rule(lambda v: v is None or isinstance(v, str), "a string path"),
+    "out_dir": _rule(lambda v: isinstance(v, str), "a string path"),
+}
 
 
 def _default(f):
@@ -144,85 +204,13 @@ class RunConfig:
             raise ConfigError(["config must be a JSON object"])
         problems = [f"{key}: unknown field" for key in raw if key not in cls.__dataclass_fields__]
         checked = {f.name: raw[f.name] if f.name in raw else _default(f) for f in fields(cls)}
-
-        if checked["strategy"] not in STRATEGIES:
-            problems.append(f"strategy: must be one of {list(STRATEGIES)}, got {checked['strategy']!r}")
-
-        dataset = checked["dataset"]
-        if isinstance(dataset, str):
-            dataset = {"name": dataset}
-        if not isinstance(dataset, dict) or dataset.get("name") not in DATASET_NAMES:
-            problems.append(
-                f"dataset: must name one of {list(DATASET_NAMES)}, got {dataset!r}"
-            )
-        else:
-            if dataset["name"] == "synthetic":
-                dataset = {key: default for key, (default, _, _) in _SYNTHETIC_FIELDS.items()} | dataset
-            problems += _dataset_problems(dataset)
-        checked["dataset"] = dataset
-
-        if not _is_int(checked["num_tasks"]) or checked["num_tasks"] < 1:
-            problems.append(f"num_tasks: must be a positive integer, got {checked['num_tasks']!r}")
-
-        architecture = checked["architecture"]
-        if isinstance(architecture, str):
-            if architecture not in PRESETS:
-                problems.append(
-                    f"architecture: unknown preset {architecture!r}; presets are {sorted(PRESETS)}"
-                )
-        elif isinstance(architecture, dict):
-            for part in _ARCH_PARTS:
-                if part not in architecture:
-                    problems.append(f"architecture.{part}: required for inline specs")
-            problems += [f"architecture.{key}: unknown field" for key in architecture if key not in _ARCH_PARTS]
-        else:
-            problems.append("architecture: must be a preset name or an inline spec object")
-
-        class_order = checked["class_order"]
-        if isinstance(class_order, list):
-            if not all(_is_int(v) for v in class_order):
-                problems.append("class_order: list entries must be integers")
-        elif class_order != "default":
-            problems.append(f"class_order: 'default' or a class-id list, got {class_order!r}")
-
-        for name in ("epochs", "batch_size"):
-            if not _is_int(checked[name]) or checked[name] < 1:
-                problems.append(f"{name}: must be a positive integer, got {checked[name]!r}")
-        if not _is_number(checked["lr"]) or checked["lr"] <= 0:
-            problems.append(f"lr: must be a finite positive number, got {checked['lr']!r}")
-
-        seeds = checked["seeds"]
-        if (
-            not isinstance(seeds, list)
-            or not seeds
-            or not all(_is_int(s) and s >= 0 for s in seeds)
-        ):
-            problems.append(f"seeds: must be a non-empty list of non-negative ints, got {seeds!r}")
-        else:
-            repeated = sorted({s for s in seeds if seeds.count(s) > 1})
-            if repeated:
-                problems.append(f"seeds: each seed may appear once; {repeated} repeated")
-
-        if checked["checkpoint_selection"] not in SELECTION_MODES:
-            problems.append(
-                f"checkpoint_selection: must be one of {list(SELECTION_MODES)}, "
-                f"got {checked['checkpoint_selection']!r}"
-            )
-        if not _is_number(checked["ortho_alpha"]) or checked["ortho_alpha"] < 0:
-            problems.append(
-                f"ortho_alpha: must be a finite non-negative number, got {checked['ortho_alpha']!r}"
-            )
-        kernel = checked["adjust_kernel"]
-        if not _is_int(kernel) or kernel < 1 or kernel % 2 == 0:
-            problems.append(f"adjust_kernel: must be an odd positive integer, got {kernel!r}")
-        if checked["data_root"] is not None and not isinstance(checked["data_root"], str):
-            problems.append(f"data_root: must be a string path, got {checked['data_root']!r}")
-        if not isinstance(checked["out_dir"], str):
-            problems.append(f"out_dir: must be a string path, got {checked['out_dir']!r}")
-
+        checked["dataset"] = _with_defaults(checked["dataset"])
+        for name, value in checked.items():
+            problems += _FIELD_CHECKS[name](name, value)
         if problems:
             raise ConfigError(problems)
-        checked.update(lr=float(checked["lr"]), ortho_alpha=float(checked["ortho_alpha"]), seeds=list(seeds))
+        seeds = list(checked["seeds"])
+        checked.update(lr=float(checked["lr"]), ortho_alpha=float(checked["ortho_alpha"]), seeds=seeds)
         return cls(**checked)
 
     @classmethod
@@ -330,19 +318,17 @@ def resolve_architecture(
 ) -> ArchitectureSpec:
     """Concrete ArchitectureSpec with the classifier width pinned to task 1.
 
-    Each part must fit the shape it receives, or this is a config error
-    naming the part and layer. With the orthogonality penalty on, the
-    adjustment output must flatten to a perfect square, since the penalty
-    views each sample's features as a square matrix.
+    The ShapeError a spec raises when made (a part that does not fit, or a
+    classifier not ending in a linear layer) becomes a config error naming
+    the part. With the orthogonality penalty on, the adjustment output must
+    flatten to a perfect square, since the penalty views each sample's
+    features as a square matrix.
     """
-    spec = _spec(config, input_shape, first_task_classes)
-    shapes = [spec.input_shape]
-    for part in _ARCH_PARTS:
-        try:
-            shapes.append(output_shape(getattr(spec, part), shapes[-1]))
-        except ShapeError as exc:
-            raise ConfigError([f"architecture.{part}: {exc}"]) from None
-    width = math.prod(shapes[2])
+    try:
+        spec = _spec(config, input_shape, first_task_classes)
+    except ShapeError as exc:  # "backbone: layer 2: ..."
+        raise ConfigError([f"architecture.{exc}"]) from None
+    width = math.prod(output_shape(spec.adjustment, output_shape(spec.backbone, spec.input_shape)))
     if config.ortho_alpha > 0 and math.isqrt(width) ** 2 != width:
         raise ConfigError(
             [
@@ -369,13 +355,10 @@ def _spec(config: RunConfig, input_shape: tuple[int, int, int], first_task_class
             raise ConfigError([f"architecture.{part}: must be a list of layers"])
         parts[part] = tuple(_layer_from_dict(e, f"architecture.{part}") for e in layers)
     classifier = parts["classifier"]
-    if not classifier or not isinstance(classifier[-1], Dense):
-        raise ConfigError(["architecture.classifier: must end with a linear layer"])
-    base = classifier[-1].out_features
+    base = classifier[-1].out_features if classifier and isinstance(classifier[-1], Dense) else None
     if base == "base":
-        base = first_task_classes
-        classifier = classifier[:-1] + (Dense(base),)
-    elif base < first_task_classes:
+        classifier = classifier[:-1] + (Dense(first_task_classes),)
+    elif base is not None and base < first_task_classes:
         raise ConfigError(
             [
                 f"architecture.classifier: width {base} is narrower than the "
@@ -387,5 +370,4 @@ def _spec(config: RunConfig, input_shape: tuple[int, int, int], first_task_class
         backbone=parts["backbone"],
         adjustment=parts["adjustment"],
         classifier=classifier,
-        base_classes=base,
     )

@@ -1,9 +1,9 @@
 """Incremental-learning state machine: the strategy table, training loops, freezing.
 
-Every network is backbone -> adjustment -> classifier. Strategies differ
-only in their row of ``STRATEGY_TABLE``: which parts each task builds fresh
-(the rest are built at task 1 and shared), whether what a task trained
-freezes once the task is done, and how wide a fresh classifier head is.
+Every network is backbone -> adjustment -> classifier. The strategies are
+the keys of ``STRATEGY_TABLE`` and differ only in their row: which parts each
+task builds fresh (the rest are built at task 1 and shared), whether what a
+task trained freezes once it is done, and how wide a fresh classifier head is.
 
   san          a fresh adjustment block per task between a backbone and a
                classifier that task 1 trains and then freezes.
@@ -27,7 +27,6 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from enum import Enum
 
 import numpy as np
 
@@ -77,13 +76,6 @@ _FEATURE_CACHE_BYTES = 256 << 20
 EVAL_ROWS = 512
 
 
-class StrategyKind(str, Enum):
-    SAN = "san"
-    BASELINE = "baseline"
-    FINETUNE = "finetune"
-    INDEPENDENT = "independent"
-
-
 SELECTION_MODES = ("best-val", "last")
 PARTS = ("backbone", "adjust", "classifier")
 _COMPONENTS = (COMPONENT_BACKBONE, COMPONENT_ADJUST, COMPONENT_CLASSIFIER)
@@ -117,10 +109,10 @@ class StrategySpec:
 
 
 STRATEGY_TABLE = {
-    StrategyKind.SAN: StrategySpec(per_task=("adjust",), freezes=True, head="base"),
-    StrategyKind.BASELINE: StrategySpec(per_task=("classifier",), freezes=True, head="task"),
-    StrategyKind.FINETUNE: StrategySpec(per_task=(), freezes=False, head="widest"),
-    StrategyKind.INDEPENDENT: StrategySpec(per_task=PARTS, freezes=True, head="base"),
+    "san": StrategySpec(per_task=("adjust",), freezes=True, head="base"),
+    "baseline": StrategySpec(per_task=("classifier",), freezes=True, head="task"),
+    "finetune": StrategySpec(per_task=(), freezes=False, head="widest"),
+    "independent": StrategySpec(per_task=PARTS, freezes=True, head="base"),
 }
 
 
@@ -164,19 +156,20 @@ class IncrementalState:
 
     def __init__(
         self,
-        strategy,
+        strategy: str,
         arch: ArchitectureSpec,
         seq: TaskSequence,
         master_seed: int,
         ortho_alpha: float = 0.0,
     ):
-        self.strategy = StrategyKind(strategy)
-        self.spec = STRATEGY_TABLE[self.strategy]
+        if not isinstance(strategy, str) or strategy not in STRATEGY_TABLE:
+            raise ValueError(f"strategy must be one of {list(STRATEGY_TABLE)}, got {strategy!r}")
+        self.strategy = strategy
+        self.spec = STRATEGY_TABLE[strategy]
         self.arch = arch
         self.seq = seq
         self.master_seed = int(master_seed)
         self.ortho_alpha = float(ortho_alpha)
-        arch.validate()
 
         first = seq.tasks[0]
         width = self.spec.head_width(arch, seq, first)
@@ -198,7 +191,7 @@ class IncrementalState:
 
     def _forward_blocks(self, task_index: int) -> list[ModelBlock]:
         if not 1 <= task_index <= self.prepared:
-            raise UnknownTaskError(f"unknown task {task_index} for strategy {self.strategy.value}")
+            raise UnknownTaskError(f"unknown task {task_index} for strategy {self.strategy}")
         return [
             self.per_task[task_index][part] if part in self.spec.per_task else self.shared[part]
             for part in PARTS
@@ -503,7 +496,7 @@ class SeedRunResult:
 
 
 def run_sequence(
-    strategy,
+    strategy: str,
     arch: ArchitectureSpec,
     seq: TaskSequence,
     seed: int,
@@ -515,7 +508,7 @@ def run_sequence(
 ) -> tuple[SeedRunResult, IncrementalState]:
     """Train every task in order, scoring all earlier tasks after each one."""
     state = IncrementalState(strategy, arch, seq, seed, ortho_alpha=ortho_alpha)
-    result = SeedRunResult(seed=int(seed), strategy=state.strategy.value)
+    result = SeedRunResult(seed=int(seed), strategy=state.strategy)
     start = time.perf_counter()
     for t in range(1, seq.num_tasks + 1):
         log = train_task(state, t, epochs=epochs, batch_size=batch_size, lr=lr, selection=selection)

@@ -1,10 +1,11 @@
 """Layer kinds, the three-part network builder, freezing and head extension.
 
 Every network here is backbone -> adjustment -> classifier. Each layer kind
-is one spec dataclass that states its output shape, its initial parameter
-arrays and its op. A block is a list of (spec, parameters) pairs built
-against a declared input shape, with He-uniform weights and zero biases
-drawn deterministically from a seed.
+is one spec dataclass that states its output shape (sizes >= 1, padding >= 0),
+its initial parameter arrays and its op; an ``ArchitectureSpec`` is checked
+when it is made. A block is a list of (spec, parameters) pairs built against
+a declared input shape, with He-uniform weights and zero biases drawn
+deterministically from a seed.
 
 The ops are looked up as this module's globals when a layer runs, so a
 wrapper installed on ``layers.conv2d`` (and the like) sees every call.
@@ -59,6 +60,8 @@ class Conv:
     padding: int = 1
 
     def out_shape(self, shape: tuple[int, ...]) -> tuple[int, ...]:
+        if min(self.out_channels, self.kernel, self.stride) < 1 or self.padding < 0:
+            raise ShapeError(f"conv sizes must be positive and padding >= 0, got {self}")
         if len(shape) != 3:
             raise ShapeError(f"conv needs a (C,H,W) input, got {shape}")
         _, h, w = shape
@@ -82,6 +85,8 @@ class MaxPool(_Parameterless):
     k: int = 2
 
     def out_shape(self, shape: tuple[int, ...]) -> tuple[int, ...]:
+        if self.k < 1:
+            raise ShapeError(f"maxpool window must be positive, got {self}")
         if len(shape) != 3:
             raise ShapeError(f"maxpool needs a (C,H,W) input, got {shape}")
         c, h, w = shape
@@ -107,6 +112,8 @@ class Dense:
     out_features: int
 
     def out_shape(self, shape: tuple[int, ...]) -> tuple[int, ...]:
+        if self.out_features < 1:
+            raise ShapeError(f"dense out_features must be positive, got {self}")
         if len(shape) != 1:
             raise ShapeError(f"dense needs a flat input, got {shape}")
         return (self.out_features,)
@@ -281,25 +288,26 @@ def model_size(blocks: Sequence[ModelBlock]) -> tuple[int, float]:
 
 @dataclass(frozen=True)
 class ArchitectureSpec:
-    """Declarative three-part network: backbone, adjustment, classifier."""
+    """Backbone, adjustment, classifier; made only if the parts fit and the classifier ends in linear."""
 
     input_shape: tuple[int, int, int]
     backbone: tuple[LayerSpec, ...]
     adjustment: tuple[LayerSpec, ...]
     classifier: tuple[LayerSpec, ...]
-    base_classes: int
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if not self.classifier or not isinstance(self.classifier[-1], Dense):
-            raise ShapeError("classifier must end with a linear layer")
-        if self.classifier[-1].out_features != self.base_classes:
-            raise ShapeError(
-                f"classifier width {self.classifier[-1].out_features} "
-                f"!= base_classes {self.base_classes}"
-            )
-        shape = output_shape(self.backbone, self.input_shape)
-        shape = output_shape(self.adjustment, shape)
-        output_shape(self.classifier, shape)
+            raise ShapeError("classifier: must end with a linear layer")
+        shape = self.input_shape
+        for part in ("backbone", "adjustment", "classifier"):
+            try:
+                shape = output_shape(getattr(self, part), shape)
+            except ShapeError as exc:
+                raise ShapeError(f"{part}: {exc}") from None
+
+    @property
+    def base_classes(self) -> int:  # the task-1 head width
+        return self.classifier[-1].out_features
 
 
 def _same_pad(kernel: int) -> int:
@@ -316,7 +324,6 @@ def mnist_small(input_shape=(1, 28, 28), base_classes: int = 2, adjust_kernel: i
         backbone=(Conv(16, 3, 1, 1), Relu(), MaxPool(2)),
         adjustment=(Conv(16, adjust_kernel, 1, pad), Relu()),
         classifier=(Flatten(), Dense(100), Relu(), Dense(50), Relu(), Dense(base_classes)),
-        base_classes=base_classes,
     )
 
 
@@ -332,7 +339,6 @@ def cifar_small(input_shape=(3, 32, 32), base_classes: int = 2, adjust_kernel: i
         backbone=(Conv(32, 3, 1, 1), Relu(), Conv(32, 3, 1, 1), Relu(), Conv(64, 3, 1, 1), Relu(), MaxPool(2)),
         adjustment=adj,
         classifier=(Flatten(), Dense(512), Relu(), Dense(256), Relu(), Dense(base_classes)),
-        base_classes=base_classes,
     )
 
 
@@ -344,7 +350,6 @@ def tiny(input_shape=(1, 8, 8), base_classes: int = 2, adjust_kernel: int = 3) -
         backbone=(Conv(6, 3, 1, 1), Relu(), MaxPool(2)),
         adjustment=(Conv(8, adjust_kernel, 1, pad), Relu()),
         classifier=(Flatten(), Dense(24), Relu(), Dense(12), Relu(), Dense(base_classes)),
-        base_classes=base_classes,
     )
 
 

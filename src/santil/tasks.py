@@ -54,6 +54,11 @@ class TaskSequence:
         return len(self.tasks)
 
 
+def _is_int(value) -> bool:
+    """An int or numpy integer, not a bool (nor a float, which ``int()`` would truncate)."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 def partition_classes(num_classes: int, num_tasks: int, order="default") -> list[tuple[int, ...]]:
     """Contiguous equal-size class groups over the given order.
 
@@ -69,15 +74,16 @@ def partition_classes(num_classes: int, num_tasks: int, order="default") -> list
             raise ValueError(f"unknown class order {order!r}")
         ids = list(range(num_classes))
     else:
-        ids = [int(c) for c in order]
-        if sorted(ids) != list(range(num_classes)):
+        ids = [int(c) if _is_int(c) else c for c in order]
+        if not all(map(_is_int, ids)) or sorted(ids) != list(range(num_classes)):
             counts = Counter(ids)
             problems = [
                 f"{found} {what}"
                 for found, what in (
-                    (sorted(c for c, k in counts.items() if k > 1), "repeated"),
+                    (sorted(c for c, k in counts.items() if k > 1 and _is_int(c)), "repeated"),
                     (sorted(set(range(num_classes)) - counts.keys()), "missing"),
-                    (sorted(c for c in counts if not 0 <= c < num_classes), "out of range"),
+                    (sorted(c for c in counts if _is_int(c) and not 0 <= c < num_classes), "out of range"),
+                    ([c for c in ids if not _is_int(c)], "not integers"),
                 )
                 if found
             ]
@@ -96,8 +102,7 @@ def partition_classes(num_classes: int, num_tasks: int, order="default") -> list
 
 def reorder_groups(groups: Sequence[Sequence[int]], order: Sequence[int]) -> list[tuple[int, ...]]:
     """Reorder task groups by a permutation of task positions (ints or numpy ints, not bools)."""
-    exact = all(isinstance(i, numbers.Integral) and not isinstance(i, bool) for i in order)
-    if not exact or sorted(order) != list(range(len(groups))):
+    if not all(map(_is_int, order)) or sorted(order) != list(range(len(groups))):
         raise ValueError(
             f"order must be a permutation of 0..{len(groups) - 1}, got {list(order)}"
         )
@@ -129,6 +134,9 @@ def build_split_sequence(
     master_seed: int,
 ) -> TaskSequence:
     """One task per disjoint class group, pixels as loaded."""
+    for t, classes in enumerate(groups, start=1):
+        if not all(map(_is_int, classes)):
+            raise ValueError(f"task {t}: class ids must be integers, got {list(classes)}")
     groups = [tuple(int(c) for c in g) for g in groups]
     counts = Counter(c for g in groups for c in g)
     repeated = sorted(c for c, k in counts.items() if k > 1)

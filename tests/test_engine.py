@@ -76,6 +76,23 @@ class TestPartitionClasses:
         with pytest.raises(ValueError, match=r"\(4 classes\); \[0\] missing, \[7\] out of range$"):
             partition_classes(4, 2, order=[7, 1, 2, 3])
 
+    @pytest.mark.parametrize(
+        ("order", "problem"),
+        [
+            ([0.5, 1, 2, 3, 4, 5.9], r"\(6 classes\); \[0, 5\] missing, \[0.5, 5.9\] not integers$"),
+            ([True, 0, 2], r"\(3 classes\); \[True\] not integers$"),
+        ],
+        ids=["floats", "bool"],
+    )
+    def test_float_or_bool_class_id_rejected_not_truncated(self, order, problem):
+        with pytest.raises(ValueError, match=problem):
+            partition_classes(len(order), 3, order=order)
+
+    def test_numpy_integer_class_ids_accepted_as_ints(self):
+        groups = partition_classes(4, 2, order=np.array([3, 1, 0, 2]))
+        assert groups == [(3, 1), (0, 2)]
+        assert all(type(c) is int for g in groups for c in g)
+
 
 def one_task(class_ids):
     empty = np.arange(0)
@@ -100,6 +117,19 @@ class TestTaskHead:
         pool = synthetic_dataset(3, 10, (1, 8, 8), seed=1)
         with pytest.raises(ValueError, match=r"\[0\] repeated"):
             build_split_sequence(pool, pool, [(0, 0), (1, 2)], master_seed=1)
+
+    @pytest.mark.parametrize(
+        ("groups", "problem"),
+        [
+            ([(0.7, 1), (2, 3)], r"task 1: class ids must be integers, got \[0.7, 1\]$"),
+            ([(0, 1), (2, True)], r"task 2: class ids must be integers, got \[2, True\]$"),
+        ],
+        ids=["float", "bool"],
+    )
+    def test_float_or_bool_class_id_in_a_group_rejected_not_truncated(self, groups, problem):
+        pool = synthetic_dataset(4, 10, (1, 8, 8), seed=1)
+        with pytest.raises(ValueError, match=problem):
+            build_split_sequence(pool, pool, groups, master_seed=1)
 
     def test_head_is_the_first_outputs_of_a_wider_classifier(self):
         # finetune sizes its one head for the widest task, so task 1 uses 2 of 4 outputs
@@ -287,6 +317,14 @@ class TestTrainTaskContracts:
         state = IncrementalState("san", tiny_arch(), seq, master_seed=1)
         with pytest.raises(UnknownTaskError):
             evaluate(state, 7, "test")
+
+    def test_unknown_strategy_rejected_naming_the_table_keys(self):
+        with pytest.raises(ValueError) as err:
+            IncrementalState("sgd", tiny_arch(), blob_sequence(), master_seed=1)
+        assert str(err.value) == (
+            "strategy must be one of ['san', 'baseline', 'finetune', 'independent'], got 'sgd'"
+        )
+        assert list(engine.STRATEGY_TABLE) == ["san", "baseline", "finetune", "independent"]
 
     def test_trainable_param_growth_constant_for_san(self):
         seq = blob_sequence()
@@ -565,7 +603,6 @@ class TestOrthoRegularizer:
             backbone=(Conv(4, 3, 1, 1), Relu(), MaxPool(2)),
             adjustment=(Conv(4, 3, 1, 1), Relu()),
             classifier=(Flatten(), Dense(16), Relu(), Dense(2)),
-            base_classes=2,
         )
 
     def test_composite_loss_trains_and_stays_finite(self):

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import gzip
 import hashlib
 import io
@@ -11,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from santil import cli, harness
+from santil import cli, config, harness
 from santil.checkpoint import CheckpointMismatchError, load_state, read_meta, save_state
 from santil.cli import main
 from santil.config import (
@@ -135,6 +136,56 @@ class TestRunConfig:
         for field in ("strategy", "dataset", "num_tasks", "architecture", "epochs", "typo_field"):
             assert field in text
 
+    def test_every_field_has_one_check_in_field_order(self):
+        # a field without an entry would go unchecked
+        assert list(config._FIELD_CHECKS) == [f.name for f in dataclasses.fields(RunConfig)]
+
+    def test_every_field_wrong_gives_one_problem_list_in_field_order(self):
+        raw = {
+            "typo": 1,
+            "strategy": "sgd",
+            "dataset": {"name": "synthetic", "extra": 1, "num_classes": 0, "per_class": 1,
+                        "per_class_test": True, "shape": [1, 8], "data_seed": -1},
+            "num_tasks": 0,
+            "architecture": {"backbone": [], "head": []},
+            "class_order": [0, 1.5],
+            "epochs": 0,
+            "batch_size": -1,
+            "lr": 0,
+            "seeds": [1, 1],
+            "checkpoint_selection": "first",
+            "ortho_alpha": -0.5,
+            "adjust_kernel": 4,
+            "data_root": 3,
+            "out_dir": None,
+        }
+        with pytest.raises(ConfigError) as err:
+            RunConfig.from_dict(raw)
+        assert err.value.problems == [
+            "typo: unknown field",
+            "strategy: must be one of ['san', 'baseline', 'finetune', 'independent'], got 'sgd'",
+            "dataset.extra: unknown field",
+            "dataset.num_classes: must be a positive integer, got 0",
+            "dataset.per_class: must be an integer >= 2, got 1",
+            "dataset.per_class_test: must be an integer >= 2, got True",
+            "dataset.shape: must be a list of 3 positive integers, got [1, 8]",
+            "dataset.data_seed: must be a non-negative integer, got -1",
+            "num_tasks: must be a positive integer, got 0",
+            "architecture.adjustment: required for inline specs",
+            "architecture.classifier: required for inline specs",
+            "architecture.head: unknown field",
+            "class_order: list entries must be integers",
+            "epochs: must be a positive integer, got 0",
+            "batch_size: must be a positive integer, got -1",
+            "lr: must be a finite positive number, got 0",
+            "seeds: each seed may appear once; [1] repeated",
+            "checkpoint_selection: must be one of ['best-val', 'last'], got 'first'",
+            "ortho_alpha: must be a finite non-negative number, got -0.5",
+            "adjust_kernel: must be an odd positive integer, got 4",
+            "data_root: must be a string path, got 3",
+            "out_dir: must be a string path, got None",
+        ]
+
     def test_unknown_preset_rejected(self, tmp_path):
         with pytest.raises(ConfigError, match="preset"):
             synthetic_config(tmp_path, architecture="resnet")
@@ -157,7 +208,6 @@ class TestRunConfig:
         cfg = synthetic_config(tmp_path, architecture=inline)
         spec = resolve_architecture(cfg, (1, 8, 8), 2)
         assert spec.base_classes == 2
-        spec.validate()
 
     def test_inline_layer_missing_field_is_config_error(self, tmp_path):
         inline = {
@@ -990,6 +1040,52 @@ class TestCli:
         assert main(["run", "--config", str(cfg_path)]) == 1
         assert capsys.readouterr().err == f"config error: {problem}\n"
         assert not (tmp_path / "fit").exists()
+
+    def test_inline_classifier_not_ending_in_linear_exit_one(self, tmp_path, capsys):
+        inline = {
+            "backbone": [{"kind": "conv", "out_channels": 4}],
+            "adjustment": [],
+            "classifier": [{"kind": "flatten"}, {"kind": "linear", "out_features": "base"}, {"kind": "relu"}],
+        }
+        cfg_path = write_config(tmp_path, architecture=inline, out_dir=str(tmp_path / "end"))
+        assert main(["run", "--config", str(cfg_path)]) == 1
+        assert capsys.readouterr().err == "config error: architecture.classifier: must end with a linear layer\n"
+        assert not (tmp_path / "end").exists()
+
+    @pytest.mark.parametrize(
+        ("part", "index", "layer", "problem"),
+        [
+            ("backbone", 0, {"kind": "conv", "out_channels": 0}, "out_channels=0, kernel=3, stride=1, padding=1"),
+            ("adjustment", 0, {"kind": "conv", "out_channels": -2}, "out_channels=-2, kernel=3, stride=1, padding=1"),
+            ("backbone", 0, {"kind": "conv", "out_channels": 4, "kernel": 0}, "out_channels=4, kernel=0, stride=1, padding=1"),
+            ("backbone", 0, {"kind": "conv", "out_channels": 4, "stride": 0}, "out_channels=4, kernel=3, stride=0, padding=1"),
+            ("adjustment", 0, {"kind": "conv", "out_channels": 4, "padding": -1}, "out_channels=4, kernel=3, stride=1, padding=-1"),
+            ("backbone", 2, {"kind": "maxpool", "k": 0}, "maxpool window must be positive, got MaxPool(k=0)"),
+            ("classifier", 1, {"kind": "linear", "out_features": 0}, "dense out_features must be positive, got Dense(out_features=0)"),
+            ("classifier", 1, {"kind": "linear", "out_features": -1}, "dense out_features must be positive, got Dense(out_features=-1)"),
+        ],
+        ids=["conv-out-0", "conv-out-neg", "conv-kernel-0", "conv-stride-0", "conv-padding-neg",
+             "maxpool-k-0", "linear-out-0", "linear-out-neg"],
+    )
+    def test_zero_or_negative_layer_size_exit_one_before_any_run(self, tmp_path, capsys, part, index, layer, problem):
+        # each case ended in a runtime failure (exit 3) once task 1 built its blocks
+        inline = {
+            "backbone": [{"kind": "conv", "out_channels": 4}, {"kind": "relu"}, {"kind": "maxpool"}],
+            "adjustment": [{"kind": "conv", "out_channels": 4}, {"kind": "relu"}],
+            "classifier": [
+                {"kind": "flatten"},
+                {"kind": "linear", "out_features": 8},
+                {"kind": "relu"},
+                {"kind": "linear", "out_features": "base"},
+            ],
+        }
+        inline[part][index] = layer
+        if layer["kind"] == "conv":
+            problem = f"conv sizes must be positive and padding >= 0, got Conv({problem})"
+        cfg_path = write_config(tmp_path, architecture=inline, out_dir=str(tmp_path / "size"))
+        assert main(["run", "--config", str(cfg_path)]) == 1
+        assert capsys.readouterr().err == f"config error: architecture.{part}: layer {index}: {problem}\n"
+        assert not (tmp_path / "size").exists()
 
     def test_repeated_order_exit_one_before_any_run(self, tmp_path, capsys):
         cfg_path = write_config(tmp_path, epochs=1, out_dir=str(tmp_path / "ro"))

@@ -54,7 +54,6 @@ class TestBuildBlock:
 
     def test_cifar_small_instantiates_on_3x32x32(self):
         spec = cifar_small((3, 32, 32), base_classes=5)
-        spec.validate()
         backbone = build_block(spec.backbone, spec.input_shape, 0, "b")
         adjust = build_block(spec.adjustment, backbone.output_shape, 1, "a")
         classifier = build_block(spec.classifier, adjust.output_shape, 2, "c")
@@ -138,7 +137,6 @@ class TestFusedConvRelu:
             backbone=(Conv(4, 3, 1, 1), MaxPool(2), Relu(), Conv(6, 3, 1, 1), Relu()),
             adjustment=(Conv(6, 1, 1, 0),),
             classifier=(Flatten(), Dense(5), Relu(), Dense(3)),
-            base_classes=3,
         ),
     }
 
@@ -337,21 +335,34 @@ def test_forward_never_mutates_parameters():
 
 
 class TestArchitectureSpec:
-    def test_width_mismatch_rejected(self):
-        spec = ArchitectureSpec(
-            input_shape=(1, 8, 8),
-            backbone=(Conv(4),),
-            adjustment=(),
-            classifier=(Flatten(), Dense(3)),
-            base_classes=2,
-        )
-        with pytest.raises(ShapeError, match="base_classes"):
-            spec.validate()
+    @pytest.mark.parametrize(
+        ("parts", "problem"),
+        [
+            (
+                {"input_shape": (1, 7, 7), "backbone": (Conv(4), MaxPool(2))},
+                "backbone: layer 1: extents 7x7 not divisible by pool window 2",
+            ),
+            ({"adjustment": (Relu(), Dense(3))}, r"adjustment: layer 1: dense needs a flat input, got \(4, 8, 8\)"),
+            ({"classifier": (Dense(2),)}, r"classifier: layer 0: dense needs a flat input, got \(4, 8, 8\)"),
+            ({"classifier": (Flatten(), Dense(2), Relu())}, "classifier: must end with a linear layer"),
+            ({"classifier": ()}, "classifier: must end with a linear layer"),
+        ],
+        ids=["backbone", "adjustment", "classifier", "classifier-end", "classifier-empty"],
+    )
+    def test_part_that_does_not_fit_rejected_when_made(self, parts, problem):
+        fields = {
+            "input_shape": (1, 8, 8),
+            "backbone": (Conv(4),),
+            "adjustment": (),
+            "classifier": (Flatten(), Dense(2)),
+        }
+        with pytest.raises(ShapeError, match=f"^{problem}$"):
+            ArchitectureSpec(**(fields | parts))
 
     def test_presets_validate(self):
         for name, factory in PRESETS.items():
             shape = (3, 32, 32) if name == "cifar-small" else (1, 28, 28)
-            factory(shape, base_classes=4).validate()
+            assert factory(shape, base_classes=4).base_classes == 4
 
     def test_even_adjust_kernel_rejected(self):
         with pytest.raises(ShapeError, match="odd"):
