@@ -15,7 +15,7 @@ from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
 
 from .data import CIFAR_VARIANTS, DATASET_FILES, Dataset, load_cifar, load_idx, synthetic_dataset
-from .engine import SELECTION_MODES, STRATEGY_TABLE
+from .engine import STRATEGY_TABLE
 from .layers import (
     PRESETS,
     ArchitectureSpec,
@@ -140,7 +140,6 @@ _FIELD_CHECKS = {
     "batch_size": _POSITIVE_INT,
     "lr": _rule(lambda v: _is_number(v) and v > 0, "a finite positive number"),
     "seeds": _seeds_problems,
-    "checkpoint_selection": _rule(lambda v: v in SELECTION_MODES, f"one of {list(SELECTION_MODES)}"),
     "ortho_alpha": _rule(lambda v: _is_number(v) and v >= 0, "a finite non-negative number"),
     "adjust_kernel": _rule(lambda v: _is_int(v) and v >= 1 and v % 2 == 1, "an odd positive integer"),
     "data_root": _rule(lambda v: v is None or isinstance(v, str), "a string path"),
@@ -192,7 +191,6 @@ class RunConfig:
     batch_size: int = 64
     lr: float = 0.001
     seeds: list[int] = field(default_factory=lambda: [1, 2, 3])
-    checkpoint_selection: str = "best-val"
     ortho_alpha: float = 0.0
     adjust_kernel: int = 3
     data_root: str | None = None
@@ -284,12 +282,13 @@ def load_pools(config: RunConfig) -> tuple[Dataset, Dataset, str]:
 _LAYER_KINDS = {"conv": Conv, "maxpool": MaxPool, "relu": Relu, "linear": Dense, "flatten": Flatten}
 
 
-def _layer_from_dict(entry: dict, where: str):
+def _layer_from_dict(entry: dict, where: str, base: int | None):
     """A layer spec; omitted fields take the spec's defaults, given ones are ints.
 
-    A linear layer's ``out_features`` may also be the ``"base"`` placeholder.
     Booleans, floats and strings are rejected rather than coerced, so 4.7 or
-    ``true`` cannot silently become 4 or 1.
+    ``true`` cannot silently become 4 or 1. The one exception is a linear
+    ``out_features`` of ``"base"``, which becomes ``base``; only the
+    classifier's last layer is given one.
     """
     if not isinstance(entry, dict) or "kind" not in entry:
         raise ConfigError([f"{where}: each layer needs a 'kind' field, got {entry!r}"])
@@ -302,9 +301,11 @@ def _layer_from_dict(entry: dict, where: str):
     if unknown:
         raise ConfigError([f"{where}: {kind} layer has unknown field(s) {unknown}; fields are {sorted(names)}"])
     given = {key: value for key, value in entry.items() if key != "kind"}
+    if (kind, given.get("out_features")) == ("linear", "base"):
+        if base is None:
+            raise ConfigError([f"{where}: 'base' is accepted only as the classifier's last linear width"])
+        given["out_features"] = base
     for key, value in given.items():
-        if (kind, value) == ("linear", "base"):
-            continue
         if not _is_int(value):
             raise ConfigError([f"{where}: {kind} layer field {key!r} must be an integer, got {value!r}"])
     try:
@@ -353,21 +354,18 @@ def _spec(config: RunConfig, input_shape: tuple[int, int, int], first_task_class
         layers = raw.get(part, [])
         if not isinstance(layers, list):
             raise ConfigError([f"architecture.{part}: must be a list of layers"])
-        parts[part] = tuple(_layer_from_dict(e, f"architecture.{part}") for e in layers)
+        last = len(layers) - 1 if part == "classifier" else None
+        parts[part] = tuple(
+            _layer_from_dict(e, f"architecture.{part}: layer {i}", first_task_classes if i == last else None)
+            for i, e in enumerate(layers)
+        )
     classifier = parts["classifier"]
-    base = classifier[-1].out_features if classifier and isinstance(classifier[-1], Dense) else None
-    if base == "base":
-        classifier = classifier[:-1] + (Dense(first_task_classes),)
-    elif base is not None and base < first_task_classes:
+    width = classifier[-1].out_features if classifier and isinstance(classifier[-1], Dense) else None
+    if width is not None and width < first_task_classes:
         raise ConfigError(
             [
-                f"architecture.classifier: width {base} is narrower than the "
+                f"architecture.classifier: width {width} is narrower than the "
                 f"{first_task_classes} classes of task 1"
             ]
         )
-    return ArchitectureSpec(
-        input_shape=tuple(input_shape),
-        backbone=parts["backbone"],
-        adjustment=parts["adjustment"],
-        classifier=classifier,
-    )
+    return ArchitectureSpec(input_shape=tuple(input_shape), **parts)

@@ -76,7 +76,6 @@ _FEATURE_CACHE_BYTES = 256 << 20
 EVAL_ROWS = 512
 
 
-SELECTION_MODES = ("best-val", "last")
 PARTS = ("backbone", "adjust", "classifier")
 _COMPONENTS = (COMPONENT_BACKBONE, COMPONENT_ADJUST, COMPONENT_CLASSIFIER)
 
@@ -200,8 +199,7 @@ class IncrementalState:
     def embed(self, images: np.ndarray, task_index: int) -> np.ndarray:
         """Flattened pre-classifier feature embedding, one row per sample."""
         self._check_trained(task_index)
-        backbone, adjust, _ = self._forward_blocks(task_index)
-        out = adjust.forward(backbone.forward(Tensor(images))).data
+        out = _forward_rows(self._forward_blocks(task_index)[:2], images, EVAL_ROWS)
         return out.reshape(out.shape[0], -1)
 
     def model_blocks(self) -> list[ModelBlock]:
@@ -374,13 +372,11 @@ def train_task(
     epochs: int = 30,
     batch_size: int = 64,
     lr: float = 0.001,
-    selection: str = "best-val",
 ) -> TrainLog:
     """Train one task in sequence order, then freeze it as the strategy table says.
 
-    Model selection: "best-val" restores the epoch with the highest
-    validation accuracy on this task (ties go to the earliest epoch);
-    "last" keeps the final epoch.
+    The task keeps the epoch with the highest validation accuracy on it;
+    ties go to the earliest epoch.
     """
     if state._active_task:
         raise TrainingOrderError(
@@ -391,8 +387,6 @@ def train_task(
         raise TrainingOrderError(
             f"task {task_index} out of order; next trainable task is {state.trained_upto + 1}"
         )
-    if selection not in SELECTION_MODES:
-        raise ValueError(f"selection must be 'best-val' or 'last', got {selection!r}")
     if epochs < 1:
         raise ValueError("epochs must be >= 1")
 
@@ -413,9 +407,6 @@ def train_task(
     shuffle_rng = np.random.default_rng(derive_seed(state.master_seed, TAG_SHUFFLE, task_index))
 
     best_acc = -1.0
-    best_epoch = 0
-    best_params: list[np.ndarray] | None = None
-    val_acc = 0.0
     for epoch in range(1, epochs + 1):
         order = shuffle_rng.permutation(n)
         for step, lo in enumerate(range(0, n, batch_size), start=1):
@@ -436,17 +427,12 @@ def train_task(
             opt.step()
             opt.zero_grad()
         val_acc = evaluate(state, task_index, "val")
-        if selection == "best-val" and val_acc > best_acc:
+        if val_acc > best_acc:
             best_acc = val_acc
             best_epoch = epoch
             best_params = [p.data.copy() for p in params]
-
-    if selection == "best-val" and best_params is not None:
-        for p, saved in zip(params, best_params):
-            p.data = saved
-        val_acc = best_acc
-    else:
-        best_epoch = epochs
+    for p, saved in zip(params, best_params):
+        p.data = saved
 
     freeze_task(state, task_index)
     state.trained_upto = task_index
@@ -455,7 +441,7 @@ def train_task(
         task_index=task_index,
         epochs=epochs,
         best_epoch=best_epoch,
-        val_accuracy=float(val_acc),
+        val_accuracy=float(best_acc),
         train_seconds=time.perf_counter() - start,
         trainable_params=trainable_count,
     )
@@ -503,7 +489,6 @@ def run_sequence(
     epochs: int = 30,
     batch_size: int = 64,
     lr: float = 0.001,
-    selection: str = "best-val",
     ortho_alpha: float = 0.0,
 ) -> tuple[SeedRunResult, IncrementalState]:
     """Train every task in order, scoring all earlier tasks after each one."""
@@ -511,7 +496,7 @@ def run_sequence(
     result = SeedRunResult(seed=int(seed), strategy=state.strategy)
     start = time.perf_counter()
     for t in range(1, seq.num_tasks + 1):
-        log = train_task(state, t, epochs=epochs, batch_size=batch_size, lr=lr, selection=selection)
+        log = train_task(state, t, epochs=epochs, batch_size=batch_size, lr=lr)
         row = [evaluate(state, s, "test") for s in range(1, t + 1)]
         result.forgetting.append(row)
         count, megabytes = model_size(state.model_blocks())

@@ -9,7 +9,7 @@ from pathlib import Path
 
 from . import checkpoint as ckpt
 from .config import ConfigError, RunConfig, load_pools, resolve_architecture
-from .engine import EVAL_ROWS, run_sequence
+from .engine import run_sequence
 from .fileio import atomic_open
 from .layers import ArchitectureSpec
 from .report import (
@@ -72,7 +72,6 @@ def _run_variant(config: RunConfig, pools, groups, **extra) -> dict:
             epochs=config.epochs,
             batch_size=config.batch_size,
             lr=config.lr,
-            selection=config.checkpoint_selection,
             ortho_alpha=config.ortho_alpha,
         )
         ckpt.save_state(state, config, out_dir / f"checkpoint_seed{seed}.npz")
@@ -221,17 +220,14 @@ def dump_embeddings(config: RunConfig, checkpoint_path, split: str, out_path, ec
     # rows are written as they are computed, so a failure must not leave them behind
     with atomic_open(out_path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        header_written = False
         for t in range(1, state.trained_upto + 1):
             images, labels = task_arrays(seq, seq.tasks[t - 1], split)
-            for lo in range(0, images.shape[0], EVAL_ROWS):
-                emb = state.embed(images[lo : lo + EVAL_ROWS], t)
-                if not header_written:
-                    writer.writerow(["task", "label"] + [f"f{i}" for i in range(emb.shape[1])])
-                    header_written = True
-                for row, label in zip(emb, labels[lo : lo + EVAL_ROWS]):
-                    writer.writerow([t, int(label)] + [f"{v:.8e}" for v in row])
-                    rows += 1
+            emb = state.embed(images, t)
+            if t == 1:
+                writer.writerow(["task", "label"] + [f"f{i}" for i in range(emb.shape[1])])
+            for row, label in zip(emb, labels):
+                writer.writerow([t, int(label)] + [f"{v:.8e}" for v in row])
+            rows += len(emb)
     if echo is not None:
         echo(f"wrote {rows} embedding rows to {out_path}")
     return out_path

@@ -358,15 +358,25 @@ class TestTrainTaskContracts:
     def test_best_val_restores_best_epoch(self):
         seq = blob_sequence()
         state = IncrementalState("san", tiny_arch(), seq, master_seed=4)
-        log = train_task(state, 1, epochs=3, batch_size=16, selection="best-val")
+        log = train_task(state, 1, epochs=3, batch_size=16)
         assert 1 <= log.best_epoch <= 3
         assert log.val_accuracy == evaluate(state, 1, "val")
 
-    def test_last_epoch_mode(self):
+    def test_tied_validation_keeps_earliest_epoch(self, monkeypatch):
         seq = blob_sequence()
         state = IncrementalState("san", tiny_arch(), seq, master_seed=4)
-        log = train_task(state, 1, epochs=2, batch_size=16, selection="last")
-        assert log.best_epoch == 2
+        after_epoch = []
+
+        def constant_val(_, task_index, split):
+            after_epoch.append([p.data.copy() for b in state._forward_blocks(task_index) for p in b.parameters()])
+            return 0.5
+
+        monkeypatch.setattr(engine, "evaluate", constant_val)
+        log = train_task(state, 1, epochs=3, batch_size=16)
+        assert (log.best_epoch, log.val_accuracy, len(after_epoch)) == (1, 0.5, 3)
+        kept = [p.data for b in state._forward_blocks(1) for p in b.parameters()]
+        assert all(np.array_equal(k, e) for k, e in zip(kept, after_epoch[0], strict=True))
+        assert not all(np.array_equal(k, e) for k, e in zip(kept, after_epoch[-1], strict=True))
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_finite_loss_stops_training_and_names_position(self):

@@ -99,7 +99,6 @@ class TestRunConfig:
             "batch_size",
             "lr",
             "seeds",
-            "checkpoint_selection",
             "ortho_alpha",
             "adjust_kernel",
             "data_root",
@@ -153,7 +152,6 @@ class TestRunConfig:
             "batch_size": -1,
             "lr": 0,
             "seeds": [1, 1],
-            "checkpoint_selection": "first",
             "ortho_alpha": -0.5,
             "adjust_kernel": 4,
             "data_root": 3,
@@ -179,7 +177,6 @@ class TestRunConfig:
             "batch_size: must be a positive integer, got -1",
             "lr: must be a finite positive number, got 0",
             "seeds: each seed may appear once; [1] repeated",
-            "checkpoint_selection: must be one of ['best-val', 'last'], got 'first'",
             "ortho_alpha: must be a finite non-negative number, got -0.5",
             "adjust_kernel: must be an odd positive integer, got 4",
             "data_root: must be a string path, got 3",
@@ -216,7 +213,7 @@ class TestRunConfig:
             "classifier": [{"kind": "flatten"}, {"kind": "linear", "out_features": "base"}],
         }
         cfg = synthetic_config(tmp_path, architecture=inline)
-        with pytest.raises(ConfigError, match="bad conv layer"):
+        with pytest.raises(ConfigError, match="architecture.backbone: layer 0: bad conv layer"):
             resolve_architecture(cfg, (1, 8, 8), 2)
 
     def test_inline_layer_unknown_field_is_config_error(self, tmp_path):
@@ -226,7 +223,7 @@ class TestRunConfig:
             "classifier": [{"kind": "flatten"}, {"kind": "linear", "out_features": "base"}],
         }
         cfg = synthetic_config(tmp_path, architecture=inline)
-        with pytest.raises(ConfigError, match="architecture.backbone: conv layer has unknown field.*kernal"):
+        with pytest.raises(ConfigError, match="architecture.backbone: layer 0: conv layer has unknown field.*kernal"):
             resolve_architecture(cfg, (1, 8, 8), 2)
 
     def test_inline_architecture_unknown_key_is_config_error(self, tmp_path):
@@ -248,7 +245,7 @@ class TestRunConfig:
             "classifier": [{"kind": "flatten"}, {"kind": "linear", "out_features": "base"}],
         }
         cfg = synthetic_config(tmp_path, architecture=inline)
-        message = f"architecture.backbone: conv layer field '{field}' must be an integer"
+        message = f"architecture.backbone: layer 0: conv layer field '{field}' must be an integer"
         with pytest.raises(ConfigError, match=message):
             resolve_architecture(cfg, (1, 8, 8), 2)
 
@@ -803,16 +800,16 @@ class TestDumpEmbeddings:
         real_embed = IncrementalState.embed
         calls = []
 
-        def embed_fails_on_second_chunk(self, images, task_index):
+        def embed_fails_on_second_task(self, images, task_index):
             calls.append(task_index)
             if len(calls) == 2:
                 raise MemoryError("out of memory")
             return real_embed(self, images, task_index)
 
-        monkeypatch.setattr(IncrementalState, "embed", embed_fails_on_second_chunk)
+        monkeypatch.setattr(IncrementalState, "embed", embed_fails_on_second_task)
         with pytest.raises(MemoryError):
             harness.dump_embeddings(cfg, ck, "test", out_csv)
-        assert len(calls) == 2  # the first chunk's rows were already written
+        assert calls == [1, 2]  # task 1's rows were already written
         assert out_csv.read_bytes() == before
         assert sorted(p.name for p in out_dir.iterdir()) == ["emb.csv"]
 
@@ -1045,7 +1042,7 @@ class TestCli:
         inline = {
             "backbone": [{"kind": "conv", "out_channels": 4}],
             "adjustment": [],
-            "classifier": [{"kind": "flatten"}, {"kind": "linear", "out_features": "base"}, {"kind": "relu"}],
+            "classifier": [{"kind": "flatten"}, {"kind": "linear", "out_features": 2}, {"kind": "relu"}],
         }
         cfg_path = write_config(tmp_path, architecture=inline, out_dir=str(tmp_path / "end"))
         assert main(["run", "--config", str(cfg_path)]) == 1
@@ -1086,6 +1083,41 @@ class TestCli:
         assert main(["run", "--config", str(cfg_path)]) == 1
         assert capsys.readouterr().err == f"config error: architecture.{part}: layer {index}: {problem}\n"
         assert not (tmp_path / "size").exists()
+
+    @pytest.mark.parametrize(
+        ("part", "index"), [("classifier", 1), ("backbone", 1)], ids=["classifier", "backbone"]
+    )
+    def test_base_width_off_the_classifiers_last_layer_exit_one(self, tmp_path, capsys, part, index):
+        # a "base" classifier layer 1 ended in a runtime failure (exit 3) once task 1 built its blocks
+        inline = {
+            "backbone": [{"kind": "flatten"}, {"kind": "linear", "out_features": 16}],
+            "adjustment": [],
+            "classifier": [
+                {"kind": "flatten"},
+                {"kind": "linear", "out_features": 8},
+                {"kind": "relu"},
+                {"kind": "linear", "out_features": 2},
+            ],
+        }
+        inline[part][index] = {"kind": "linear", "out_features": "base"}
+        cfg_path = write_config(tmp_path, architecture=inline, out_dir=str(tmp_path / "base"))
+        assert main(["run", "--config", str(cfg_path)]) == 1
+        assert capsys.readouterr().err == (
+            f"config error: architecture.{part}: layer {index}: "
+            "'base' is accepted only as the classifier's last linear width\n"
+        )
+        assert not (tmp_path / "base").exists()
+
+    def test_checkpoint_selection_is_an_unknown_field_exit_one(self, tmp_path, capsys):
+        raw = synthetic_config(tmp_path).to_dict() | {
+            "checkpoint_selection": "best-val",
+            "out_dir": str(tmp_path / "sel"),
+        }
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(raw))
+        assert main(["run", "--config", str(cfg_path)]) == 1
+        assert capsys.readouterr().err == "config error: checkpoint_selection: unknown field\n"
+        assert not (tmp_path / "sel").exists()
 
     def test_repeated_order_exit_one_before_any_run(self, tmp_path, capsys):
         cfg_path = write_config(tmp_path, epochs=1, out_dir=str(tmp_path / "ro"))
