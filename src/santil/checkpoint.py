@@ -2,12 +2,11 @@
 
 Format 2 stores every parameter array under its dotted name, next to a JSON
 metadata blob that holds the run's config and each trained task's class
-list. Frozen flags, trainable masks and the frozen snapshot are not stored:
-loading replays the per-task preparation (which is deterministic and
-re-creates an extended classifier's masks), overwrites every parameter
-bit-exactly, and then replays the engine's freeze step for each trained
-task. A reloaded state therefore evaluates, embeds and verifies its frozen
-parameters exactly like the trained one. Format-1 files are rejected.
+list. Frozen flags and the frozen snapshot are not stored: loading replays
+the per-task preparation (which is deterministic), overwrites every
+parameter bit-exactly, and then replays the engine's freeze step for each
+trained task. A reloaded state therefore evaluates, embeds and verifies its
+frozen parameters exactly like the trained one. Format-1 files are rejected.
 """
 
 from __future__ import annotations

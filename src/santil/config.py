@@ -15,7 +15,7 @@ from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
 
 from .data import CIFAR_VARIANTS, DATASET_FILES, Dataset, load_cifar, load_idx, synthetic_dataset
-from .engine import STRATEGY_TABLE
+from .engine import STRATEGY_TABLE, check_head_fit
 from .layers import (
     PRESETS,
     ArchitectureSpec,
@@ -315,10 +315,12 @@ def _layer_from_dict(entry: dict, where: str, base: int | None):
 
 
 def resolve_architecture(
-    config: RunConfig, input_shape: tuple[int, int, int], first_task_classes: int
+    config: RunConfig, input_shape: tuple[int, int, int], first_task_classes: int, *later_task_classes: int
 ) -> ArchitectureSpec:
     """Concrete ArchitectureSpec with the classifier width pinned to task 1.
 
+    The class counts are those of the tasks in training order, task 1's
+    first; each task must fit the head it uses (``engine.check_head_fit``).
     The ShapeError a spec raises when made (a part that does not fit, or a
     classifier not ending in a linear layer) becomes a config error naming
     the part. With the orthogonality penalty on, the adjustment output must
@@ -329,6 +331,10 @@ def resolve_architecture(
         spec = _spec(config, input_shape, first_task_classes)
     except ShapeError as exc:  # "backbone: layer 2: ..."
         raise ConfigError([f"architecture.{exc}"]) from None
+    try:
+        check_head_fit(config.strategy, spec, (first_task_classes, *later_task_classes))
+    except ValueError as exc:
+        raise ConfigError([f"architecture.classifier: {exc}"]) from None
     width = math.prod(output_shape(spec.adjustment, output_shape(spec.backbone, spec.input_shape)))
     if config.ortho_alpha > 0 and math.isqrt(width) ** 2 != width:
         raise ConfigError(
@@ -358,14 +364,5 @@ def _spec(config: RunConfig, input_shape: tuple[int, int, int], first_task_class
         parts[part] = tuple(
             _layer_from_dict(e, f"architecture.{part}: layer {i}", first_task_classes if i == last else None)
             for i, e in enumerate(layers)
-        )
-    classifier = parts["classifier"]
-    width = classifier[-1].out_features if classifier and isinstance(classifier[-1], Dense) else None
-    if width is not None and width < first_task_classes:
-        raise ConfigError(
-            [
-                f"architecture.classifier: width {width} is narrower than the "
-                f"{first_task_classes} classes of task 1"
-            ]
         )
     return ArchitectureSpec(input_shape=tuple(input_shape), **parts)

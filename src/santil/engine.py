@@ -4,6 +4,7 @@ Every network is backbone -> adjustment -> classifier. The strategies are
 the keys of ``STRATEGY_TABLE`` and differ only in their row: which parts each
 task builds fresh (the rest are built at task 1 and shared), whether what a
 task trained freezes once it is done, and how wide a fresh classifier head is.
+No task may have more classes than the head it uses (``check_head_fit``).
 
   san          a fresh adjustment block per task between a backbone and a
                classifier that task 1 trains and then freezes.
@@ -27,6 +28,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
@@ -36,7 +38,6 @@ from .layers import (
     ModelBlock,
     assert_frozen,
     build_block,
-    extend_classifier,
     freeze,
     model_size,
     snapshot_block,
@@ -90,21 +91,24 @@ class StrategySpec:
     ``head``: the width of a fresh classifier. ``"widest"`` sizes it for the
     widest task of the sequence. Otherwise task 1's head is base_classes
     wide and a later task's is its class count (``"task"``) or at least
-    base_classes (``"base"``). A shared head too narrow for a later task is
-    extended instead.
+    base_classes (``"base"``).
     """
 
     per_task: tuple[str, ...]
     freezes: bool
     head: str
 
-    def head_width(self, arch: ArchitectureSpec, seq: TaskSequence, task: Task) -> int:
+    def head_width(self, arch: ArchitectureSpec, counts: Sequence[int], t: int) -> int:
+        """Width of the head task t uses, given every task's class count.
+
+        A task's head is built fresh for it, or is task 1's when the
+        classifier is shared.
+        """
         if self.head == "widest":
-            return max(len(t.class_ids) for t in seq.tasks)
-        if task.index == 1:
+            return max(counts)
+        if t == 1 or "classifier" not in self.per_task:
             return arch.base_classes
-        n = len(task.class_ids)
-        return n if self.head == "task" else max(arch.base_classes, n)
+        return counts[t - 1] if self.head == "task" else max(arch.base_classes, counts[t - 1])
 
 
 STRATEGY_TABLE = {
@@ -113,6 +117,24 @@ STRATEGY_TABLE = {
     "finetune": StrategySpec(per_task=(), freezes=False, head="widest"),
     "independent": StrategySpec(per_task=PARTS, freezes=True, head="base"),
 }
+
+
+def check_head_fit(strategy: str, arch: ArchitectureSpec, counts: Sequence[int]) -> None:
+    """The head-fit rule: no task may have more classes than the head it uses.
+
+    ``counts`` holds every task's class count, in training order. Only a
+    head as wide as the classifier's last linear layer can be too narrow:
+    task 1's, and the one a ``san`` task shares with it. Raises ValueError
+    naming the first task that does not fit.
+    """
+    spec = STRATEGY_TABLE[strategy]
+    for t, n in enumerate(counts, start=1):
+        width = spec.head_width(arch, counts, t)
+        if n > width:
+            raise ValueError(
+                f"task {t} has {n} classes, but the head it uses is narrower: "
+                f"the classifier's last linear width is {width}"
+            )
 
 
 class UnknownTaskError(LookupError):
@@ -146,9 +168,8 @@ class IncrementalState:
 
     ``shared`` holds the parts built at task 1, ``per_task[t]`` the parts
     built for task t, ``prepared`` the number of tasks whose parts are
-    built, and ``snapshot`` every frozen parameter as it was when it froze
-    (a widened classifier is snapshotted again once its task ends). A
-    task's head is the first ``len(task.class_ids)`` classifier outputs.
+    built, and ``snapshot`` every frozen parameter as it was when it froze.
+    A task's head is the first ``len(task.class_ids)`` classifier outputs.
     ``features`` maps (task, split) to (prefix depth, features): the output
     of the task's first ``depth`` blocks for every sample of the split.
     """
@@ -169,14 +190,7 @@ class IncrementalState:
         self.seq = seq
         self.master_seed = int(master_seed)
         self.ortho_alpha = float(ortho_alpha)
-
-        first = seq.tasks[0]
-        width = self.spec.head_width(arch, seq, first)
-        if len(first.class_ids) > width:
-            raise ValueError(
-                f"first task brings {len(first.class_ids)} classes but the classifier head "
-                f"is only {width} wide; widen base_classes"
-            )
+        check_head_fit(strategy, arch, [len(task.class_ids) for task in seq.tasks])
 
         self.shared: dict[str, ModelBlock] = {}
         self.per_task: dict[int, dict[str, ModelBlock]] = {}
@@ -224,7 +238,7 @@ class IncrementalState:
 
 
 def prepare_task_blocks(state: IncrementalState, task: Task) -> None:
-    """Build the parts the strategy table makes fresh for the task; widen a shared head it outgrows."""
+    """Build the parts the strategy table makes fresh for the task."""
     t = task.index
     if t > state.prepared + 1:
         raise TrainingOrderError(f"task {t} cannot be prepared before task {state.prepared + 1}")
@@ -236,17 +250,12 @@ def prepare_task_blocks(state: IncrementalState, task: Task) -> None:
         owner = state.per_task.setdefault(t, {}) if part in spec.per_task else state.shared
         if part not in owner:
             if part == "classifier":
-                stack = stack[:-1] + (Dense(spec.head_width(arch, state.seq, task)),)
+                counts = [len(other.class_ids) for other in state.seq.tasks]
+                stack = stack[:-1] + (Dense(spec.head_width(arch, counts, t)),)
             name = part if owner is state.shared else f"task{t}.{part}"
             seed = derive_seed(state.master_seed, TAG_INIT, t, component)
             owner[part] = build_block(stack, shape, seed, name)
         shape = owner[part].output_shape
-
-    extra = len(task.class_ids) - shape[0]
-    if extra > 0:
-        # only a shared head can be too narrow; a fresh one is sized for its task
-        seed = derive_seed(state.master_seed, TAG_INIT, t, COMPONENT_CLASSIFIER)
-        state.shared["classifier"] = extend_classifier(state.shared["classifier"], extra, seed)
     state.prepared = max(state.prepared, t)
 
 
@@ -266,9 +275,7 @@ def freeze_task(state: IncrementalState, task_index: int) -> None:
     for block in state._forward_blocks(task_index):
         freeze(block)
         for name, value in snapshot_block(block).items():
-            ref = state.snapshot.get(name)
-            if ref is None or ref.shape != value.shape:
-                state.snapshot[name] = value
+            state.snapshot.setdefault(name, value)
 
 
 # ---------------------------------------------------------------------------

@@ -47,8 +47,9 @@ def _build_sequence(config: RunConfig, pools, groups, seed: int) -> TaskSequence
 
 
 def _architecture(config: RunConfig, pools, groups) -> ArchitectureSpec:
-    first_task_classes = pools[0].num_classes if groups is None else len(groups[0])
-    return resolve_architecture(config, pools[0].image_shape, first_task_classes)
+    """The grouping's architecture; a config error unless every task fits the head it uses."""
+    counts = [pools[0].num_classes] * config.num_tasks if groups is None else [len(g) for g in groups]
+    return resolve_architecture(config, pools[0].image_shape, *counts)
 
 
 def _variant(config: RunConfig, **changes) -> RunConfig:
@@ -169,6 +170,11 @@ def ablate_order(config: RunConfig, orders, echo=None) -> list[dict]:
     repeated = [list(o) for o in sorted({tuple(o) for o in orders if orders.count(o) > 1})]
     if repeated:
         raise ConfigError([f"orders: each order may appear once; {repeated} repeated"])
+    for i, (order, groups) in enumerate(zip(orders, regrouped)):
+        try:
+            _architecture(config, pools, groups)
+        except ConfigError as exc:
+            raise ConfigError([f"orders: order {i} {order}: {problem}" for problem in exc.problems]) from None
     out_dir = Path(config.out_dir)
     variants = [_variant(config, out_dir=str(out_dir / f"order{i}")) for i in range(len(orders))]
 
@@ -211,6 +217,9 @@ def dump_embeddings(config: RunConfig, checkpoint_path, split: str, out_path, ec
         raise ConfigError(mismatched)
     pools = load_pools(config)
     groups = _resolve_groups(config, pools)
+    trained = [tuple(classes) for classes in meta["task_classes"]]
+    if groups is not None and sorted(trained) == sorted(groups):
+        groups = trained  # an ablate-order checkpoint trained the config's groups in another order
     arch = _architecture(config, pools, groups)
     seq = _build_sequence(config, pools, groups, meta["seed"])
     state = ckpt.load_state(checkpoint_path, arch, seq)

@@ -1,4 +1,4 @@
-"""Layer kinds, the three-part network builder, freezing and head extension.
+"""Layer kinds, the three-part network builder, freezing and snapshots.
 
 Every network here is backbone -> adjustment -> classifier. Each layer kind
 is one spec dataclass that states its output shape (sizes >= 1, padding >= 0),
@@ -225,48 +225,16 @@ def assert_frozen(
 ) -> tuple[bool, str | None]:
     """Bitwise comparison against a snapshot; returns (ok, first differing path).
 
-    Parameters absent from the snapshot are not frozen and are skipped. A
-    parameter widened since its snapshot (an extended classifier) is
-    compared on the snapshotted slice; the appended rows are new.
+    Parameters absent from the snapshot are not frozen and are skipped.
     """
     for block in blocks:
         for p in block.parameters():
             ref = snapshot.get(p.name)
             if ref is None:
                 continue
-            cur = p.data[tuple(slice(0, n) for n in ref.shape)]
-            if ref.dtype != cur.dtype or ref.shape != cur.shape or ref.tobytes() != cur.tobytes():
+            if ref.dtype != p.data.dtype or ref.shape != p.data.shape or ref.tobytes() != p.data.tobytes():
                 return False, p.name
     return True, None
-
-
-# ---------------------------------------------------------------------------
-# classifier extension
-
-
-def extend_classifier(classifier: ModelBlock, extra: int, seed: int) -> ModelBlock:
-    """Widen the final linear layer by ``extra`` freshly initialized rows.
-
-    The returned block shares every earlier layer (and its parameters) with
-    the input block. Original output rows keep their exact values and are
-    masked out of optimizer updates; only the appended rows are trainable.
-    """
-    if extra < 1:
-        raise ValueError("extend_classifier needs extra >= 1")
-    if not classifier.layers or not isinstance(classifier.layers[-1][0], Dense):
-        raise ShapeError("classifier must end with a linear layer to be extended")
-    spec, old = classifier.layers[-1]
-    weight = old[0].data
-    fresh = Dense(extra).init(weight.shape[1:], np.random.default_rng(seed), weight.dtype)
-    widened = []
-    for p, rows in zip(old, fresh.values()):
-        wide = Parameter(np.concatenate([p.data, rows]), p.name)
-        wide.trainable_mask = np.zeros(wide.data.shape, dtype=bool)
-        wide.trainable_mask[p.data.shape[0] :] = True
-        widened.append(wide)
-    width = spec.out_features + extra
-    layers = classifier.layers[:-1] + [(Dense(width), tuple(widened))]
-    return ModelBlock(classifier.name, layers, classifier.input_shape, (width,))
 
 
 def model_size(blocks: Sequence[ModelBlock]) -> tuple[int, float]:

@@ -1,8 +1,7 @@
 """Bias-corrected Adam, aware of parameter freezing.
 
 Frozen parameters are constants to the tape and get no gradient, so Adam
-skips them. A masked parameter (an extended classifier) keeps its full
-gradient; Adam zeroes it outside the mask before the update.
+skips them.
 """
 
 from __future__ import annotations
@@ -22,8 +21,6 @@ class Adam(object):
     """Adam over a fixed parameter list.
 
     Frozen parameters are skipped entirely and never get moment buffers.
-    A parameter with a trainable_mask has its gradient zeroed outside the
-    mask, so masked entries keep moments at zero and values bit-identical.
     The moment decay rates and epsilon are fixed at Adam's usual values.
     """
 
@@ -52,8 +49,6 @@ class Adam(object):
             g = p.grad
             if g is None:
                 raise MissingGradientError(f"no gradient for trainable parameter '{p.name}'")
-            if p.trainable_mask is not None:
-                g = np.where(p.trainable_mask, g, 0)
             key = id(p)
             m = self._m.get(key)
             v = self._v.get(key)

@@ -63,7 +63,8 @@ def partition_classes(num_classes: int, num_tasks: int, order="default") -> list
     """Contiguous equal-size class groups over the given order.
 
     "default" means ascending class id. When num_classes is not divisible
-    by num_tasks the last task absorbs the remainder.
+    by num_tasks task 1 takes the remainder, so no later task is wider
+    than the first (10 classes in 3 tasks become 4, 3, 3).
     """
     if num_tasks < 1:
         raise ValueError("num_tasks must be >= 1")
@@ -91,13 +92,9 @@ def partition_classes(num_classes: int, num_tasks: int, order="default") -> list
                 f"class order must be a permutation of 0..{num_classes - 1} "
                 f"({num_classes} classes); {', '.join(problems)}"
             )
-    size = num_classes // num_tasks
-    groups = []
-    for t in range(num_tasks):
-        lo = t * size
-        hi = (t + 1) * size if t < num_tasks - 1 else num_classes
-        groups.append(tuple(ids[lo:hi]))
-    return groups
+    size, extra = divmod(num_classes, num_tasks)
+    bounds = [0] + [extra + size * t for t in range(1, num_tasks + 1)]
+    return [tuple(ids[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
 
 
 def reorder_groups(groups: Sequence[Sequence[int]], order: Sequence[int]) -> list[tuple[int, ...]]:

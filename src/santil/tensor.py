@@ -132,19 +132,14 @@ class Parameter(Tensor):
     Ops take a parameter as they take any tensor. ``frozen`` is the
     negation of ``requires_grad``: a frozen parameter is a constant to the
     tape, so it never gets a gradient, ops fed only by constants are not
-    recorded, and the optimizer skips it. ``trainable_mask`` (bool array,
-    True = trainable entry) restricts updates to a subset; the parameter is
-    not frozen and keeps its full gradient. Classifier extension uses it so
-    appended output rows can train while the original rows stay
-    bit-identical.
+    recorded, and the optimizer skips it.
     """
 
-    __slots__ = ("name", "trainable_mask")
+    __slots__ = ("name",)
 
     def __init__(self, data: np.ndarray, name: str):
         super().__init__(data, requires_grad=True)
         self.name = name
-        self.trainable_mask: np.ndarray | None = None
 
     @property
     def frozen(self) -> bool:
@@ -155,11 +150,7 @@ class Parameter(Tensor):
         self.requires_grad = not value
 
     def trainable_count(self) -> int:
-        if self.frozen:
-            return 0
-        if self.trainable_mask is not None:
-            return int(self.trainable_mask.sum())
-        return int(self.data.size)
+        return 0 if self.frozen else int(self.data.size)
 
     def __repr__(self) -> str:
         return f"Parameter({self.name!r}, shape={tuple(self.data.shape)}, frozen={self.frozen})"

@@ -16,7 +16,7 @@ from santil.engine import (
     run_sequence,
     train_task,
 )
-from santil.layers import PRESETS, Dense, tiny
+from santil.layers import PRESETS, tiny
 from santil.seeding import TAG_PERM, TAG_SPLIT, derive_seed
 from santil.tensor import (
     Tape,
@@ -61,8 +61,9 @@ class TestPartitionClasses:
     def test_single_task_takes_all(self):
         assert partition_classes(10, 1) == [tuple(range(10))]
 
-    def test_remainder_goes_to_last_task(self):
-        assert partition_classes(10, 3) == [(0, 1, 2), (3, 4, 5), (6, 7, 8, 9)]
+    def test_remainder_goes_to_first_task(self):
+        assert partition_classes(10, 3) == [(0, 1, 2, 3), (4, 5, 6), (7, 8, 9)]
+        assert partition_classes(7, 3, order=[6, 5, 4, 3, 2, 1, 0]) == [(6, 5, 4), (3, 2), (1, 0)]
 
     def test_too_many_tasks_rejected(self):
         with pytest.raises(ValueError):
@@ -420,49 +421,58 @@ class TestRunSequence:
 
 
 class TestHeadExtension:
-    def test_wider_later_task_extends_frozen_classifier(self):
-        # 2+2+4 classes: task 3 needs two extra head neurons
-        train = synthetic_dataset(8, 80, (1, 8, 8), seed=50)
-        test = synthetic_dataset(8, 20, (1, 8, 8), seed=51, pattern_seed=50)
-        groups = [(0, 1), (2, 3), (4, 5, 6, 7)]
-        seq = build_split_sequence(train, test, groups, master_seed=2)
-        state = IncrementalState("san", tiny_arch(2), seq, master_seed=2)
-        train_task(state, 1, epochs=2, batch_size=16)
-        c1_weight = state.shared["classifier"].parameters()[-2].data.copy()
-        images, _ = task_arrays(seq, seq.tasks[0], "test")
-        logits_t1 = predict_logits(state, 1, images)
-        train_task(state, 2, epochs=2, batch_size=16)
-        train_task(state, 3, epochs=2, batch_size=16)
-        spec, (wide_weight, _) = state.shared["classifier"].layers[-1]
-        assert spec == Dense(4)
-        wide = wide_weight.data
-        assert wide.shape[0] == 4
-        assert wide[:2].tobytes() == c1_weight.tobytes()
-        # earlier task logits unaffected by the widened head
-        assert predict_logits(state, 1, images).tobytes() == logits_t1.tobytes()
-        ok, path = state.verify_frozen()
-        assert ok, path
+    # san's task 2 shares task 1's 2-wide head but brings 3 classes
+    WIDER_LATER = r"^task 2 has 3 classes, but the head it uses is narrower: the classifier's last linear width is 2$"
+
+    def _wider_later_sequence(self):
+        train = synthetic_dataset(5, 40, (1, 8, 8), seed=50)
+        test = synthetic_dataset(5, 10, (1, 8, 8), seed=51, pattern_seed=50)
+        return build_split_sequence(train, test, [(0, 1), (2, 3, 4)], master_seed=2)
+
+    def test_wider_later_task_refused_before_training(self, monkeypatch):
+        seq = self._wider_later_sequence()
+        trained = []
+        monkeypatch.setattr(engine, "train_task", lambda state, t, **kw: trained.append(t))
+        with pytest.raises(ValueError, match=self.WIDER_LATER):
+            run_sequence("san", tiny_arch(2), seq, seed=2, epochs=1, batch_size=16)
+        assert trained == []
+
+    def test_state_refuses_wider_later_task_before_preparing_any(self, monkeypatch):
+        seq = self._wider_later_sequence()
+        prepared = []
+        monkeypatch.setattr(engine, "prepare_task_blocks", lambda state, task: prepared.append(task))
+        with pytest.raises(ValueError, match=self.WIDER_LATER):
+            IncrementalState("san", tiny_arch(2), seq, master_seed=2)
+        assert prepared == []
+        # a fresh head per task, or one sized for the widest task, fits
+        for strategy in ("baseline", "finetune", "independent"):
+            assert IncrementalState(strategy, tiny_arch(2), seq, master_seed=2).prepared == 0
 
     @pytest.mark.parametrize(
         "order, widths",
         [
             (
                 [0, 1, 2],
-                {"san": [2, 2, 3], "baseline": [2, 2, 3], "finetune": [3, 3, 3], "independent": [2, 2, 3]},
+                {"san": [3, 3, 3], "baseline": [3, 2, 2], "finetune": [3, 3, 3], "independent": [3, 3, 3]},
             ),
             (
                 [2, 0, 1],
-                {"san": [3, 3, 3], "baseline": [3, 2, 2], "finetune": [3, 3, 3], "independent": [3, 3, 3]},
+                {"san": None, "baseline": [2, 3, 2], "finetune": [3, 3, 3], "independent": [2, 3, 2]},
             ),
         ],
     )
     def test_head_widths_per_strategy(self, order, widths):
-        # groups of 2, 2 and 3 classes; task 1's class count sets base_classes
+        # groups of 3, 2 and 2 classes; task 1's class count sets the classifier's
+        # last linear width, and None marks a task 2 too wide for the head it shares
         train = synthetic_dataset(7, 20, (1, 8, 8), seed=54)
         test = synthetic_dataset(7, 5, (1, 8, 8), seed=55, pattern_seed=54)
         groups = reorder_groups(partition_classes(7, 3), order)
         seq = build_split_sequence(train, test, groups, master_seed=1)
         for strategy, expected in widths.items():
+            if expected is None:
+                with pytest.raises(ValueError, match="task 2 has 3 classes"):
+                    IncrementalState(strategy, tiny_arch(len(groups[0])), seq, master_seed=1)
+                continue
             state = IncrementalState(strategy, tiny_arch(len(groups[0])), seq, master_seed=1)
             got = []
             for task in seq.tasks:
@@ -474,7 +484,7 @@ class TestHeadExtension:
         train = synthetic_dataset(4, 40, (1, 8, 8), seed=52)
         test = synthetic_dataset(4, 20, (1, 8, 8), seed=53, pattern_seed=52)
         seq = build_split_sequence(train, test, [(0, 1, 2), (3,)], master_seed=1)
-        with pytest.raises(ValueError, match="base_classes"):
+        with pytest.raises(ValueError, match=r"task 1 has 3 classes.*classifier's last linear width is 2$"):
             IncrementalState("san", tiny_arch(2), seq, master_seed=1)
 
 
@@ -604,7 +614,7 @@ class TestOrthoRegularizer:
         test = synthetic_dataset(2, 20, (1, 8, 8), seed=81, pattern_seed=80)
         return build_split_sequence(train, test, [(0, 1)], master_seed=7)
 
-    def _square_embedding_arch(self):
+    def _square_embedding_arch(self, base_classes=2):
         from santil.layers import ArchitectureSpec, Conv, Dense, Flatten, MaxPool, Relu
 
         # adjustment output is 4x4x4 -> flattened width 64 = 8^2
@@ -612,7 +622,7 @@ class TestOrthoRegularizer:
             input_shape=(1, 8, 8),
             backbone=(Conv(4, 3, 1, 1), Relu(), MaxPool(2)),
             adjustment=(Conv(4, 3, 1, 1), Relu()),
-            classifier=(Flatten(), Dense(16), Relu(), Dense(2)),
+            classifier=(Flatten(), Dense(16), Relu(), Dense(base_classes)),
         )
 
     def test_composite_loss_trains_and_stays_finite(self):
@@ -676,14 +686,14 @@ class TestFrozenPrefixCache:
         def spied_run():
             served.clear()
             # the penalty is on, so baseline's is computed from cached features
-            arch = TestOrthoRegularizer()._square_embedding_arch()
+            arch = TestOrthoRegularizer()._square_embedding_arch(base_classes=3)
             result, state = run_sequence(
                 strategy, arch, seq, seed=4, epochs=2, batch_size=16, ortho_alpha=0.001
             )
             return result, state, list(served)
 
         monkeypatch.setattr(engine, "_prefix_features", spy)
-        # 7 classes in 3 tasks: san widens its shared classifier at task 3
+        # 7 classes in 3 tasks of 3, 2 and 2: baseline's later heads are narrower than task 1's
         seq = blob_sequence(num_classes=7, num_tasks=3)
         budget = engine._FEATURE_CACHE_BYTES
         monkeypatch.setattr(engine, "_FEATURE_CACHE_BYTES", 0)

@@ -621,30 +621,6 @@ class TestCheckpoints:
         assert meta["seed"] == 1
         assert RunConfig.from_dict(meta["config"]) == cfg
 
-    def test_reload_after_head_extension(self, tmp_path):
-        from santil.data import synthetic_dataset
-        from santil.engine import predict_logits, run_sequence
-        from santil.layers import tiny
-        from santil.tasks import build_split_sequence, task_arrays
-
-        cfg = synthetic_config(tmp_path)  # config echo only; data built directly
-        train = synthetic_dataset(6, 60, (1, 8, 8), seed=90)
-        test = synthetic_dataset(6, 20, (1, 8, 8), seed=91, pattern_seed=90)
-        seq = build_split_sequence(train, test, [(0, 1), (2, 3, 4, 5)], master_seed=3)
-        arch = tiny((1, 8, 8), base_classes=2)
-        _, state = run_sequence("san", arch, seq, seed=3, epochs=1, batch_size=16)
-        assert state.shared["classifier"].output_shape == (4,)
-        path = tmp_path / "ext.npz"
-        save_state(state, cfg, path)
-        reloaded = load_state(path, arch, seq)
-        assert reloaded.shared["classifier"].output_shape == (4,)
-        for t in (1, 2):
-            images, _ = task_arrays(seq, seq.tasks[t - 1], "test")
-            assert (
-                predict_logits(state, t, images).tobytes()
-                == predict_logits(reloaded, t, images).tobytes()
-            )
-
     @pytest.mark.parametrize("strategy", ["san", "baseline", "finetune", "independent"])
     def test_reload_rebuilds_frozen_flags_masks_and_snapshot(self, tmp_path, strategy):
         from santil.data import synthetic_dataset
@@ -652,27 +628,22 @@ class TestCheckpoints:
         from santil.layers import tiny
         from santil.tasks import build_split_sequence, partition_classes
 
-        # 2+2+3 classes: san widens its shared C1 at task 3, which masks the old rows
+        # 3+2+2 classes: baseline's later heads are narrower than task 1's
         train = synthetic_dataset(7, 30, (1, 8, 8), seed=92)
         test = synthetic_dataset(7, 10, (1, 8, 8), seed=93, pattern_seed=92)
         seq = build_split_sequence(train, test, partition_classes(7, 3), master_seed=4)
-        arch = tiny((1, 8, 8), base_classes=2)
+        arch = tiny((1, 8, 8), base_classes=3)
         _, state = run_sequence(strategy, arch, seq, seed=4, epochs=1, batch_size=16)
         path = save_state(state, synthetic_config(tmp_path), tmp_path / "ck.npz")
         reloaded = load_state(path, arch, seq)
 
         def structure(s):
-            return [
-                (p.name, p.frozen, None if p.trainable_mask is None else p.trainable_mask.tobytes())
-                for block in s.model_blocks()
-                for p in block.parameters()
-            ]
+            return [(p.name, p.frozen) for block in s.model_blocks() for p in block.parameters()]
 
         def snapshot(s):
             return {name: (v.dtype, v.shape, v.tobytes()) for name, v in s.snapshot.items()}
 
         assert structure(reloaded) == structure(state)
-        assert any(mask is not None for _, _, mask in structure(state)) == (strategy == "san")
         assert snapshot(reloaded) == snapshot(state)
         assert bool(state.snapshot) == (strategy != "finetune")
         assert reloaded.verify_frozen() == (True, None)
@@ -929,6 +900,44 @@ class TestCli:
         assert err == "config error: orders: order must be a permutation of 0..1, got [0]\n"
         assert not (tmp_path / "bo").exists()
 
+    def test_ablate_order_task_wider_than_shared_head_exit_one_before_any_run(self, tmp_path, capsys):
+        # 7 classes in groups of 3, 2 and 2: order 1 trains a 2-class task first,
+        # so san's shared head is 2 wide when the 3-class task comes second
+        raw = json.loads((CONFIG_DIR / "synthetic-smoke.json").read_text())
+        raw["dataset"]["num_classes"] = 7
+        raw["out_dir"] = str(tmp_path / "wide")
+        cfg_path = tmp_path / "smoke.json"
+        cfg_path.write_text(json.dumps(raw))
+        assert main(["ablate-order", "--config", str(cfg_path), "--fast", "--orders", "0,1,2;1,0,2"]) == 1
+        assert capsys.readouterr().err == (
+            "config error: orders: order 1 [1, 0, 2]: architecture.classifier: task 2 has 3 classes, "
+            "but the head it uses is narrower: the classifier's last linear width is 2\n"
+        )
+        assert [p.name for p in tmp_path.iterdir()] == ["smoke.json"]
+
+    def test_san_on_an_uneven_split_gives_task_one_the_remainder(self, tmp_path, monkeypatch):
+        from santil import engine
+
+        raw = json.loads((CONFIG_DIR / "synthetic-smoke.json").read_text())
+        raw["dataset"]["num_classes"] = 7
+        raw["out_dir"] = str(tmp_path / "uneven")
+        cfg_path = tmp_path / "smoke.json"
+        cfg_path.write_text(json.dumps(raw))
+        shapes = []  # C1's weight shape as each task freezes
+        real_freeze = engine.freeze_task
+
+        def spy(state, task_index):
+            shapes.append(state.shared["classifier"].parameters()[-2].data.shape)
+            real_freeze(state, task_index)
+
+        monkeypatch.setattr(engine, "freeze_task", spy)
+        assert main(["run", "--config", str(cfg_path), "--epochs", "1"]) == 0
+        report = json.loads((tmp_path / "uneven" / "report.json").read_text())
+        assert [row["classes"] for row in report["seeds"][0]["per_task"]] == [[0, 1, 2], [3, 4], [5, 6]]
+        assert shapes == [(3, 12)] * 3
+        with np.load(tmp_path / "uneven" / "checkpoint_seed1.npz") as bundle:
+            assert bundle["classifier.5.weight"].shape == (3, 12)
+
     @pytest.mark.parametrize("instances", ["0", "-1"])
     def test_grad_check_without_instances_exit_one(self, capsys, instances):
         assert main(["grad-check", "--instances", instances]) == 1
@@ -1037,6 +1046,20 @@ class TestCli:
         assert main(["run", "--config", str(cfg_path)]) == 1
         assert capsys.readouterr().err == f"config error: {problem}\n"
         assert not (tmp_path / "fit").exists()
+
+    def test_inline_head_narrower_than_task_one_exit_one_before_any_run(self, tmp_path, capsys):
+        inline = {
+            "backbone": [],
+            "adjustment": [],
+            "classifier": [{"kind": "flatten"}, {"kind": "linear", "out_features": 1}],
+        }
+        cfg_path = write_config(tmp_path, architecture=inline, out_dir=str(tmp_path / "narrow"))
+        assert main(["run", "--config", str(cfg_path)]) == 1
+        assert capsys.readouterr().err == (
+            "config error: architecture.classifier: task 1 has 2 classes, but the head it uses is "
+            "narrower: the classifier's last linear width is 1\n"
+        )
+        assert not (tmp_path / "narrow").exists()
 
     def test_inline_classifier_not_ending_in_linear_exit_one(self, tmp_path, capsys):
         inline = {
@@ -1167,6 +1190,33 @@ class TestCli:
         assert out_csv.exists()
         header = out_csv.read_text().splitlines()[0]
         assert header.startswith("task,label,f0")
+
+    def test_dump_embeddings_of_an_ablate_order_checkpoint(self, tmp_path):
+        from santil.tasks import build_split_sequence, reorder_groups, task_arrays
+
+        raw = json.loads((CONFIG_DIR / "synthetic-smoke.json").read_text())
+        raw["out_dir"] = str(tmp_path / "ab")
+        cfg_path = tmp_path / "smoke.json"
+        cfg_path.write_text(json.dumps(raw))
+        assert main(["ablate-order", "--config", str(cfg_path), "--epochs", "1", "--orders", "0,1,2;2,0,1"]) == 0
+        ck = tmp_path / "ab" / "order1" / "checkpoint_seed1.npz"
+        out_csv = tmp_path / "emb.csv"
+        assert main(["dump-embeddings", "--config", str(cfg_path), "--checkpoint", str(ck), "--out-file", str(out_csv)]) == 0
+        with open(out_csv, newline="") as fh:
+            body = list(csv.reader(fh))[1:]
+
+        cfg = RunConfig.from_dict(raw)
+        train, test, _ = load_pools(cfg)
+        groups = reorder_groups(partition_classes(train.num_classes, cfg.num_tasks), [2, 0, 1])
+        arch = resolve_architecture(cfg, train.image_shape, *map(len, groups))
+        seq = build_split_sequence(train, test, groups, master_seed=1)
+        state = load_state(ck, arch, seq)
+        expected = []
+        for task in seq.tasks:
+            images, labels = task_arrays(seq, task, "test")
+            for row, label in zip(state.embed(images, task.index), labels):
+                expected.append([str(task.index), str(label)] + [f"{v:.8e}" for v in row])
+        assert body == expected
 
     def test_dump_embeddings_config_mismatch_exit_one(self, tmp_path, capsys):
         cfg_path = write_config(tmp_path, out_dir=str(tmp_path / "dm"))

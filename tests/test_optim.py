@@ -64,19 +64,6 @@ def test_missing_gradient_rejected():
         Adam([p]).step()
 
 
-def test_trainable_mask_keeps_masked_rows_bit_identical():
-    p = make_param(np.arange(6, dtype=np.float32).reshape(3, 2))
-    p.trainable_mask = np.zeros((3, 2), dtype=bool)
-    p.trainable_mask[2] = True
-    frozen_rows = p.data[:2].copy()
-    opt = Adam([p])
-    for _ in range(4):
-        p.grad = np.ones_like(p.data)
-        opt.step()
-    assert p.data[:2].tobytes() == frozen_rows.tobytes()
-    assert not np.array_equal(p.data[2], np.array([4.0, 5.0], dtype=np.float32))
-
-
 def test_step_count_strictly_increases():
     p = make_param([0.0])
     opt = Adam([p])

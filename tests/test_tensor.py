@@ -1219,31 +1219,17 @@ class TestBackward:
         w1.frozen = b1.frozen = True
         assert not w1.requires_grad and not b1.requires_grad
 
-        head_w = rng.normal(size=(3, 5)).astype(np.float32)
-
-        def head_grads(mask_rows):
-            # an extended classifier: old rows masked out, the parameter itself not frozen
-            w2 = Parameter(head_w.copy(), "head.weight")
-            b2 = Parameter(np.zeros(3, dtype=np.float32), "head.bias")
-            if mask_rows:
-                w2.trainable_mask = np.zeros(w2.data.shape, dtype=bool)
-                w2.trainable_mask[2:] = True
-                b2.trainable_mask = np.arange(3) >= 2
-            assert not w2.frozen and w2.trainable_count() == (5 if mask_rows else 15)
-            with Tape() as tape:
-                h = relu(linear(x, w1, b1))
-                assert len(tape) == 0  # every input is a constant
-                loss = softmax_cross_entropy(linear(h, w2, b2), [0, 1, 2, 0])
-                assert len(tape) == 2
-                backward(loss)
-            return w2.grad, b2.grad
-
-        gw, gb = head_grads(True)
-        ref_w, ref_b = head_grads(False)
+        w2 = Parameter(rng.normal(size=(3, 5)).astype(np.float32), "head.weight")
+        b2 = Parameter(np.zeros(3, dtype=np.float32), "head.bias")
+        assert not w2.frozen and w2.trainable_count() == 15 and w1.trainable_count() == 0
+        with Tape() as tape:
+            h = relu(linear(x, w1, b1))
+            assert len(tape) == 0  # every input is a constant
+            loss = softmax_cross_entropy(linear(h, w2, b2), [0, 1, 2, 0])
+            assert len(tape) == 2
+            backward(loss)
         assert w1.grad is None and b1.grad is None
-        # the mask restricts updates, not the gradient: masked rows get theirs too
-        assert gw.tobytes() == ref_w.tobytes() and gb.tobytes() == ref_b.tobytes()
-        assert np.any(gw[:2]) and np.all(gb[:2] != 0)
+        assert np.any(w2.grad) and np.all(b2.grad != 0)
 
     def test_replay_frees_each_record_once_its_gradient_is_passed_on(self):
         # eight same-size ops on a 4 MiB tensor: replay holds what the tape
