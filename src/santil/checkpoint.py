@@ -18,8 +18,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import RunConfig
-from .engine import IncrementalState, freeze_task, prepare_task_blocks
+from .config import RunConfig, _is_int
+from .engine import STRATEGY_TABLE, IncrementalState, freeze_task, prepare_task_blocks
 from .fileio import atomic_open
 from .layers import ArchitectureSpec
 from .tasks import TaskSequence
@@ -31,6 +31,18 @@ class CheckpointMismatchError(ValueError):
     """A checkpoint does not fit the format, task sequence or model it is loaded into."""
 
 
+# every __meta__ entry a reader takes, besides format_version: what it must be, and its check
+_META_ENTRIES = {
+    "strategy": (f"one of {list(STRATEGY_TABLE)}", lambda v: isinstance(v, str) and v in STRATEGY_TABLE),
+    "seed": ("a non-negative integer", lambda v: _is_int(v) and v >= 0),
+    "task_classes": (
+        "a list of class-id lists",
+        lambda v: isinstance(v, list) and all(isinstance(c, list) and all(map(_is_int, c)) for c in v),
+    ),
+    "config": ("an object", lambda v: isinstance(v, dict)),
+}
+
+
 def save_state(state: IncrementalState, config: RunConfig, path) -> Path:
     path = Path(path)
     arrays = {p.name: p.data for block in state.model_blocks() for p in block.parameters()}
@@ -38,7 +50,7 @@ def save_state(state: IncrementalState, config: RunConfig, path) -> Path:
         "format_version": FORMAT_VERSION,
         "strategy": state.strategy,
         "seed": state.master_seed,
-        "ortho_alpha": state.ortho_alpha,
+        "ortho_alpha": config.ortho_alpha,
         "config": config.to_dict(),
         "task_classes": [list(task.class_ids) for task in state.seq.tasks[: state.trained_upto]],
     }
@@ -52,7 +64,8 @@ def save_state(state: IncrementalState, config: RunConfig, path) -> Path:
 @contextmanager
 def _open(path):
     """The open archive of a format-2 checkpoint and its metadata; anything
-    else raises CheckpointMismatchError naming the file."""
+    else, or metadata lacking a ``_META_ENTRIES`` entry, raises
+    CheckpointMismatchError naming the file (and the entry)."""
     try:
         bundle = np.load(path)
     except (ValueError, EOFError, zipfile.BadZipFile, IsADirectoryError):  # text, empty, bad zip, a directory
@@ -70,6 +83,11 @@ def _open(path):
                 f"checkpoint {path} has format version {version}; "
                 f"this version of santil reads format {FORMAT_VERSION}"
             )
+        for key, (what, ok) in _META_ENTRIES.items():
+            if key not in meta:
+                raise CheckpointMismatchError(f"checkpoint {path} has no {key!r} in its __meta__")
+            if not ok(meta[key]):
+                raise CheckpointMismatchError(f"checkpoint {path} has a __meta__ {key!r} that is not {what}")
         yield bundle, meta
 
 
@@ -93,9 +111,7 @@ def load_state(path, arch: ArchitectureSpec, seq: TaskSequence) -> IncrementalSt
                 f"checkpoint {path} holds {len(trained)} trained tasks, "
                 f"the task sequence has only {seq.num_tasks}"
             )
-        state = IncrementalState(
-            meta["strategy"], arch, seq, meta["seed"], ortho_alpha=meta["ortho_alpha"]
-        )
+        state = IncrementalState(meta["strategy"], arch, seq, meta["seed"])
         for task, classes in zip(seq.tasks, trained):
             if list(task.class_ids) != classes:
                 raise CheckpointMismatchError(
@@ -111,7 +127,7 @@ def load_state(path, arch: ArchitectureSpec, seq: TaskSequence) -> IncrementalSt
             stored = bundle[p.name]
             if stored.shape != p.data.shape:
                 raise CheckpointMismatchError(
-                    f"checkpoint parameter {p.name!r} has shape {stored.shape}, expected {p.data.shape}"
+                    f"checkpoint {path} parameter {p.name!r} has shape {stored.shape}, expected {p.data.shape}"
                 )
             p.data = stored.astype(p.data.dtype, copy=True)
         surplus = sorted(set(bundle.files) - {"__meta__"} - {p.name for p in params})

@@ -2,8 +2,10 @@
 
 A config file is a single JSON object; unknown keys are rejected so typos
 surface immediately, and ``_FIELD_CHECKS`` holds each field's one check, in
-field order. ``RunConfig.from_dict(cfg.to_dict())`` round-trips to an equal
-config, which reports rely on for their config echo.
+field order. The one rule across fields, that ``adjust_kernel`` applies to a
+preset architecture only, is checked once every field passes.
+``RunConfig.from_dict(cfg.to_dict())`` round-trips to an equal config, which
+reports rely on for their config echo.
 """
 
 from __future__ import annotations
@@ -207,6 +209,13 @@ class RunConfig:
             problems += _FIELD_CHECKS[name](name, value)
         if problems:
             raise ConfigError(problems)
+        if isinstance(checked["architecture"], dict) and checked["adjust_kernel"] != cls.adjust_kernel:
+            raise ConfigError(
+                [
+                    "adjust_kernel: applies to a preset architecture only; an inline architecture "
+                    f"sets each conv's kernel itself, got {checked['adjust_kernel']!r}"
+                ]
+            )
         seeds = list(checked["seeds"])
         checked.update(lr=float(checked["lr"]), ortho_alpha=float(checked["ortho_alpha"]), seeds=seeds)
         return cls(**checked)

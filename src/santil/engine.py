@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -180,7 +180,6 @@ class IncrementalState:
         arch: ArchitectureSpec,
         seq: TaskSequence,
         master_seed: int,
-        ortho_alpha: float = 0.0,
     ):
         if not isinstance(strategy, str) or strategy not in STRATEGY_TABLE:
             raise ValueError(f"strategy must be one of {list(STRATEGY_TABLE)}, got {strategy!r}")
@@ -189,7 +188,6 @@ class IncrementalState:
         self.arch = arch
         self.seq = seq
         self.master_seed = int(master_seed)
-        self.ortho_alpha = float(ortho_alpha)
         check_head_fit(strategy, arch, [len(task.class_ids) for task in seq.tasks])
 
         self.shared: dict[str, ModelBlock] = {}
@@ -379,11 +377,13 @@ def train_task(
     epochs: int = 30,
     batch_size: int = 64,
     lr: float = 0.001,
+    ortho_alpha: float = 0.0,
 ) -> TrainLog:
     """Train one task in sequence order, then freeze it as the strategy table says.
 
-    The task keeps the epoch with the highest validation accuracy on it;
-    ties go to the earliest epoch.
+    The loss adds ``ortho_alpha`` times the orthogonality penalty of the
+    adjustment output when that weight is above 0. The task keeps the epoch
+    with the highest validation accuracy on it; ties go to the earliest epoch.
     """
     if state._active_task:
         raise TrainingOrderError(
@@ -404,7 +404,6 @@ def train_task(
     prepare_task_blocks(state, task)
     blocks = state._forward_blocks(task_index)
     params = [p for blk in blocks for p in blk.parameters() if not p.frozen]
-    trainable_count = sum(p.trainable_count() for p in params)
 
     images, raw_labels = task_arrays(state.seq, task, "train")
     labels = task.local_labels(raw_labels)
@@ -422,9 +421,9 @@ def train_task(
             with Tape():
                 logits, feats = _forward_from(blocks, x, depth)
                 loss = softmax_cross_entropy(leading_columns(logits, len(task.class_ids)), labels[idx])
-                if state.ortho_alpha > 0.0:
+                if ortho_alpha > 0.0:
                     penalty = _mean_square_feature_penalty(flatten(feats))
-                    loss = add(loss, scale(penalty, state.ortho_alpha))
+                    loss = add(loss, scale(penalty, ortho_alpha))
                 if not np.isfinite(loss.data):
                     raise TrainingDivergedError(
                         f"non-finite loss {float(loss.data)} at seed {state.master_seed}, "
@@ -450,7 +449,7 @@ def train_task(
         best_epoch=best_epoch,
         val_accuracy=float(best_acc),
         train_seconds=time.perf_counter() - start,
-        trainable_params=trainable_count,
+        trainable_params=sum(p.data.size for p in params),
     )
 
 
@@ -479,13 +478,18 @@ def predict_logits(state: IncrementalState, task_index: int, images: np.ndarray)
 
 @dataclass
 class SeedRunResult:
+    """One seed's run; ``dataclasses.asdict`` of it is the seed's report.json entry.
+
+    ``forgetting_matrix[t - 1][s - 1]`` is task s's test accuracy after task t.
+    """
+
     seed: int
     strategy: str
-    forgetting: list[list[float]] = field(default_factory=list)
-    final_per_task: list[float] = field(default_factory=list)
-    mean_final: float = 0.0
-    per_task: list[dict] = field(default_factory=list)
-    wall_clock_sec: float = 0.0
+    forgetting_matrix: list[list[float]]
+    final_per_task: list[float]
+    mean_final: float
+    per_task: list[dict]
+    wall_clock_sec: float
 
 
 def run_sequence(
@@ -499,15 +503,14 @@ def run_sequence(
     ortho_alpha: float = 0.0,
 ) -> tuple[SeedRunResult, IncrementalState]:
     """Train every task in order, scoring all earlier tasks after each one."""
-    state = IncrementalState(strategy, arch, seq, seed, ortho_alpha=ortho_alpha)
-    result = SeedRunResult(seed=int(seed), strategy=state.strategy)
+    state = IncrementalState(strategy, arch, seq, seed)
     start = time.perf_counter()
+    forgetting, per_task = [], []
     for t in range(1, seq.num_tasks + 1):
-        log = train_task(state, t, epochs=epochs, batch_size=batch_size, lr=lr)
-        row = [evaluate(state, s, "test") for s in range(1, t + 1)]
-        result.forgetting.append(row)
+        log = train_task(state, t, epochs=epochs, batch_size=batch_size, lr=lr, ortho_alpha=ortho_alpha)
+        forgetting.append([evaluate(state, s, "test") for s in range(1, t + 1)])
         count, megabytes = model_size(state.model_blocks())
-        result.per_task.append(
+        per_task.append(
             {
                 "task": t,
                 "classes": list(seq.tasks[t - 1].class_ids),
@@ -519,8 +522,15 @@ def run_sequence(
                 "train_seconds": log.train_seconds,
             }
         )
-    result.final_per_task = list(result.forgetting[-1])
-    result.mean_final = sum(result.final_per_task) / len(result.final_per_task)
-    result.wall_clock_sec = time.perf_counter() - start
+    final = list(forgetting[-1])
+    result = SeedRunResult(
+        seed=int(seed),
+        strategy=state.strategy,
+        forgetting_matrix=forgetting,
+        final_per_task=final,
+        mean_final=sum(final) / len(final),
+        per_task=per_task,
+        wall_clock_sec=time.perf_counter() - start,
+    )
     return result, state
 

@@ -36,7 +36,7 @@ class RemoteFile:
     url: str
     filename: str
     sha256: str | None  # None: pin on first fetch via the local manifest
-    unpack: str  # "gunzip" | "untar" | "none"
+    unpack: str  # "gunzip" | "untar"
     target_dir: str
 
 
@@ -130,7 +130,7 @@ def unpack(archive: Path, remote: RemoteFile, data_root: Path) -> None:
             shutil.copyfileobj(src, dst)
     elif remote.unpack == "untar":
         _safe_extract_tar(archive, target_dir)
-    elif remote.unpack != "none":
+    else:
         raise FetchError(f"unknown unpack mode {remote.unpack!r}")
 
 

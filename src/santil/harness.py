@@ -209,9 +209,9 @@ def dump_embeddings(config: RunConfig, checkpoint_path, split: str, out_path, ec
     meta = ckpt.read_meta(checkpoint_path)
     stored, requested = meta["config"], config.to_dict()
     mismatched = [
-        f"{key}: checkpoint was trained with {stored[key]!r}, config asks for {requested[key]!r}"
+        f"{key}: checkpoint was trained with {stored.get(key)!r}, config asks for {requested[key]!r}"
         for key in ("strategy", "dataset", "num_tasks", "architecture", "adjust_kernel")
-        if stored[key] != requested[key]
+        if stored.get(key) != requested[key]
     ]
     if mismatched:
         raise ConfigError(mismatched)

@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+from dataclasses import asdict
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Sequence
@@ -22,26 +23,14 @@ from .fileio import atomic_open
 WALL_CLOCK_FIELDS = ("wall_clock_sec", "train_seconds", "started_at")
 
 
-def _seed_entry(result: SeedRunResult) -> dict:
-    return {
-        "seed": result.seed,
-        "strategy": result.strategy,
-        "forgetting_matrix": [[float(a) for a in row] for row in result.forgetting],
-        "final_per_task": [float(a) for a in result.final_per_task],
-        "mean_final": float(result.mean_final),
-        "per_task": [dict(rec) for rec in result.per_task],
-        "wall_clock_sec": float(result.wall_clock_sec),
-    }
-
-
 def build_report(config: RunConfig, dataset_info: dict, results: Sequence[SeedRunResult]) -> dict:
-    means = [float(r.mean_final) for r in results]
+    means = [r.mean_final for r in results]
     mean = sum(means) / len(means)
     std = math.sqrt(sum((m - mean) ** 2 for m in means) / len(means))
     return {
         "config": config.to_dict(),
         "dataset": dict(dataset_info),
-        "seeds": [_seed_entry(r) for r in results],
+        "seeds": [asdict(r) for r in results],
         "aggregate": {
             "num_seeds": len(results),
             "mean_final_mean": mean,

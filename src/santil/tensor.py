@@ -149,9 +149,6 @@ class Parameter(Tensor):
     def frozen(self, value: bool) -> None:
         self.requires_grad = not value
 
-    def trainable_count(self) -> int:
-        return 0 if self.frozen else int(self.data.size)
-
     def __repr__(self) -> str:
         return f"Parameter({self.name!r}, shape={tuple(self.data.shape)}, frozen={self.frozen})"
 

@@ -224,7 +224,7 @@ class TestFreezingAndForgetting:
         seq = blob_sequence()
         result, _ = run_sequence("san", tiny_arch(), seq, seed=5, epochs=2, batch_size=16)
         for s in range(3):
-            column = [row[s] for row in result.forgetting if len(row) > s]
+            column = [row[s] for row in result.forgetting_matrix if len(row) > s]
             assert all(v == column[0] for v in column)
 
     def test_per_task_blocks_never_retrained(self):
@@ -395,8 +395,8 @@ class TestRunSequence:
     def test_single_task_report(self):
         seq = blob_sequence(num_classes=2, num_tasks=1)
         result, _ = run_sequence("san", tiny_arch(), seq, seed=1, epochs=2, batch_size=16)
-        assert len(result.forgetting) == 1
-        assert len(result.forgetting[0]) == 1
+        assert len(result.forgetting_matrix) == 1
+        assert len(result.forgetting_matrix[0]) == 1
         assert result.mean_final == result.final_per_task[0]
 
     def test_mean_is_exact_arithmetic_mean(self):
@@ -409,7 +409,7 @@ class TestRunSequence:
         seq_b = blob_sequence(seed=6)
         r1, _ = run_sequence("san", tiny_arch(), seq_a, seed=6, epochs=2, batch_size=16)
         r2, _ = run_sequence("san", tiny_arch(), seq_b, seed=6, epochs=2, batch_size=16)
-        assert r1.forgetting == r2.forgetting
+        assert r1.forgetting_matrix == r2.forgetting_matrix
         assert r1.final_per_task == r2.final_per_task
 
     def test_strategies_learn_separable_blobs(self):
@@ -497,7 +497,7 @@ class TestOrderAblation:
         r_plain, _ = run_sequence("san", tiny_arch(), plain, seed=4, epochs=2, batch_size=16)
         seq_id = build_split_sequence(train, test, reorder_groups(groups, [0, 1, 2]), master_seed=4)
         r_id = run_sequence("san", tiny_arch(), seq_id, seed=4, epochs=2, batch_size=16)[0]
-        assert r_plain.forgetting == r_id.forgetting
+        assert r_plain.forgetting_matrix == r_id.forgetting_matrix
 
     def test_two_orders_both_learn(self):
         train = synthetic_dataset(6, 150, (1, 8, 8), seed=62)
@@ -627,19 +627,15 @@ class TestOrthoRegularizer:
 
     def test_composite_loss_trains_and_stays_finite(self):
         seq = self._sequence()
-        state = IncrementalState(
-            "san", self._square_embedding_arch(), seq, master_seed=7, ortho_alpha=0.001
-        )
-        log = train_task(state, 1, epochs=2, batch_size=16)
+        state = IncrementalState("san", self._square_embedding_arch(), seq, master_seed=7)
+        log = train_task(state, 1, epochs=2, batch_size=16, ortho_alpha=0.001)
         assert np.isfinite(log.val_accuracy)
         assert evaluate(state, 1, "test") > 0.4
 
     def test_penalty_gradient_bitwise_equals_dense_scatter(self):
         seq = self._sequence()
-        state = IncrementalState(
-            "san", self._square_embedding_arch(), seq, master_seed=7, ortho_alpha=0.001
-        )
-        train_task(state, 1, epochs=1, batch_size=16)
+        state = IncrementalState("san", self._square_embedding_arch(), seq, master_seed=7)
+        train_task(state, 1, epochs=1, batch_size=16, ortho_alpha=0.001)
         images, _ = task_arrays(seq, seq.tasks[0], "train")
         emb = state.embed(images[:24], 1)
         n, d2 = emb.shape
@@ -667,9 +663,9 @@ class TestOrthoRegularizer:
 
     def test_non_square_embedding_rejected_when_alpha_set(self):
         seq = self._sequence()
-        state = IncrementalState("san", tiny_arch(2), seq, master_seed=7, ortho_alpha=0.001)
+        state = IncrementalState("san", tiny_arch(2), seq, master_seed=7)
         with pytest.raises(ValueError, match="square"):
-            train_task(state, 1, epochs=1, batch_size=16)
+            train_task(state, 1, epochs=1, batch_size=16, ortho_alpha=0.001)
 
 
 class TestFrozenPrefixCache:
@@ -702,7 +698,7 @@ class TestFrozenPrefixCache:
         cached, state, served = spied_run()
 
         assert plain_state.features == {} and all(d == 0 for _, _, d in plain_served)
-        assert cached.forgetting == plain.forgetting
+        assert cached.forgetting_matrix == plain.forgetting_matrix
         strip = lambda rows: [{k: v for k, v in r.items() if k != "train_seconds"} for r in rows]
         assert strip(cached.per_task) == strip(plain.per_task)
         params = [p for b in state.model_blocks() for p in b.parameters()]

@@ -78,6 +78,30 @@ FOREIGN_CHECKPOINTS = {
 }
 
 
+# an inline architecture whose adjustment output flattens to 64 = 8^2 features on 1x8x8 images
+SQUARE_INLINE = {
+    "backbone": [{"kind": "conv", "out_channels": 4}, {"kind": "relu"}, {"kind": "maxpool", "k": 2}],
+    "adjustment": [{"kind": "conv", "out_channels": 4}, {"kind": "relu"}],
+    "classifier": [
+        {"kind": "flatten"},
+        {"kind": "linear", "out_features": 16},
+        {"kind": "relu"},
+        {"kind": "linear", "out_features": "base"},
+    ],
+}
+
+
+def rewrite_checkpoint(path, change) -> None:
+    """Rewrite a checkpoint after ``change(meta, arrays)`` edits its metadata and arrays in place."""
+    with np.load(path) as bundle:
+        arrays = {key: bundle[key] for key in bundle.files if key != "__meta__"}
+    meta = read_meta(path)
+    change(meta, arrays)
+    arrays["__meta__"] = np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)
+    with open(path, "wb") as fh:
+        np.savez(fh, **arrays)
+
+
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 SHIPPED_CONFIGS = sorted(CONFIG_DIR.glob("*.json"))
 
@@ -258,6 +282,12 @@ class TestRunConfig:
         cfg = synthetic_config(tmp_path, architecture=inline)
         with pytest.raises(ConfigError, match="narrower"):
             resolve_architecture(cfg, (1, 8, 8), 2)
+
+    def test_inline_architecture_keeps_the_default_adjust_kernel_through_a_variant(self, tmp_path):
+        cfg = synthetic_config(tmp_path, architecture=SQUARE_INLINE)
+        assert cfg.to_dict()["adjust_kernel"] == 3
+        variant = harness._variant(cfg, out_dir=str(tmp_path / "variant"))
+        assert variant == dataclasses.replace(cfg, out_dir=str(tmp_path / "variant"))
 
     @pytest.mark.parametrize(
         ("field", "value"),
@@ -502,6 +532,12 @@ class TestSweepSize:
         assert info.value.problems == ["adjust_kernel: must be an odd positive integer, got 2"]
         assert not (tmp_path / "even").exists()
 
+    def test_inline_architecture_exit_one_writes_nothing(self, tmp_path, capsys):
+        cfg_path = write_config(tmp_path, architecture=SQUARE_INLINE, out_dir=str(tmp_path / "inline"))
+        assert main(["sweep-size", "--config", str(cfg_path), "--widths", "3,5"]) == 1
+        assert capsys.readouterr().err == "config error: sweep-size requires a preset architecture\n"
+        assert not (tmp_path / "inline").exists()
+
     @pytest.mark.parametrize("width", [3.5, 3.0, True])
     def test_non_integer_width_rejected_not_truncated(self, tmp_path, width):
         cfg = synthetic_config(tmp_path, out_dir=str(tmp_path / "float"), epochs=1)
@@ -574,6 +610,63 @@ class TestAblateOrder:
 
 
 class TestCheckpoints:
+    @pytest.mark.parametrize("strategy", ["san", "baseline", "finetune", "independent"])
+    def test_reloaded_state_trains_the_next_task_bit_for_bit(self, tmp_path, strategy):
+        from santil.engine import IncrementalState, train_task
+        from santil.tasks import build_split_sequence
+
+        # the penalty is on, so the reloaded state must take it from train_task's arguments too
+        cfg = synthetic_config(tmp_path, strategy=strategy, architecture=SQUARE_INLINE, ortho_alpha=0.001)
+        train, test, _ = load_pools(cfg)
+        groups = partition_classes(train.num_classes, cfg.num_tasks)
+        arch = resolve_architecture(cfg, train.image_shape, len(groups[0]))
+        seq = build_split_sequence(train, test, groups, master_seed=1)
+        settings = dict(epochs=cfg.epochs, batch_size=cfg.batch_size, lr=cfg.lr, ortho_alpha=cfg.ortho_alpha)
+
+        def params(state):
+            return [(p.name, p.data.tobytes()) for block in state.model_blocks() for p in block.parameters()]
+
+        straight = IncrementalState(strategy, arch, seq, 1)
+        train_task(straight, 1, **settings)
+        path = save_state(straight, cfg, tmp_path / "task1.npz")
+        train_task(straight, 2, **settings)
+        resumed = load_state(path, arch, seq)
+        train_task(resumed, 2, **settings)
+        assert params(resumed) == params(straight)
+
+        # the penalty moves task 2's bits wherever it reaches a trainable part;
+        # baseline's task 2 trains only its head, behind the penalised features
+        unpenalised = load_state(path, arch, seq)
+        train_task(unpenalised, 2, **settings | {"ortho_alpha": 0.0})
+        assert (params(unpenalised) == params(straight)) == (strategy == "baseline")
+
+    @pytest.mark.parametrize("fault", ["missing", "reshaped"])
+    def test_checkpoint_parameter_missing_or_reshaped_exit_one(self, tmp_path, capsys, fault):
+        cfg_path = write_config(tmp_path)
+        assert main(["run", "--config", str(cfg_path)]) == 0
+        ck = tmp_path / "out" / "checkpoint_seed1.npz"
+        name = "task2.adjust.0.weight"
+        with np.load(ck) as bundle:
+            shape = bundle[name].shape
+
+        def change(meta, arrays):
+            if fault == "missing":
+                del arrays[name]
+            else:
+                arrays[name] = arrays[name].reshape(shape[0], -1)
+
+        rewrite_checkpoint(ck, change)
+        capsys.readouterr()
+        argv = ["dump-embeddings", "--config", str(cfg_path), "--checkpoint", str(ck), "--out-file", str(tmp_path / "e.csv")]
+        assert main(argv) == 1
+        problem = (
+            f"lacks parameter {name!r}"
+            if fault == "missing"
+            else f"parameter {name!r} has shape {(shape[0], int(np.prod(shape[1:])))}, expected {shape}"
+        )
+        assert capsys.readouterr().err == f"checkpoint mismatch: checkpoint {ck} {problem}\n"
+        assert not (tmp_path / "e.csv").exists()
+
     @pytest.mark.parametrize("strategy", ["san", "baseline", "finetune", "independent"])
     def test_reload_reproduces_logits_bit_exactly(self, tmp_path, strategy):
         from santil.engine import predict_logits, run_sequence
@@ -788,14 +881,50 @@ class TestDumpEmbeddings:
         cfg = synthetic_config(tmp_path)
         harness.run(cfg)
         ck = Path(cfg.out_dir) / "checkpoint_seed1.npz"
-        with np.load(ck) as bundle:
-            arrays = {key: bundle[key] for key in bundle.files}
-        meta = dict(read_meta(ck), format_version=1)
-        arrays["__meta__"] = np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)
-        with open(ck, "wb") as fh:
-            np.savez(fh, **arrays)
+        rewrite_checkpoint(ck, lambda meta, arrays: meta.update(format_version=1))
         with pytest.raises(ValueError, match="format version 1; .* reads format 2"):
             harness.dump_embeddings(cfg, ck, "test", tmp_path / "e.csv")
+
+    def test_checkpoint_config_echo_lacking_a_compared_key_rejected(self, tmp_path):
+        cfg = synthetic_config(tmp_path)
+        harness.run(cfg)
+        ck = Path(cfg.out_dir) / "checkpoint_seed1.npz"
+        rewrite_checkpoint(ck, lambda meta, arrays: meta["config"].pop("adjust_kernel"))
+        with pytest.raises(ConfigError) as info:
+            harness.dump_embeddings(cfg, ck, "test", tmp_path / "e.csv")
+        assert info.value.problems == ["adjust_kernel: checkpoint was trained with None, config asks for 3"]
+
+    # (__meta__ entry, a value it may not hold or None to drop it, the problem named)
+    META_FAULTS = {
+        "strategy-missing": ("strategy", None, "has no 'strategy' in its __meta__"),
+        "strategy-unknown": (
+            "strategy",
+            "sgd",
+            "has a __meta__ 'strategy' that is not one of ['san', 'baseline', 'finetune', 'independent']",
+        ),
+        "seed-missing": ("seed", None, "has no 'seed' in its __meta__"),
+        "seed-string": ("seed", "1", "has a __meta__ 'seed' that is not a non-negative integer"),
+        "task_classes-missing": ("task_classes", None, "has no 'task_classes' in its __meta__"),
+        "task_classes-string-id": (
+            "task_classes",
+            [[0, "1"]],
+            "has a __meta__ 'task_classes' that is not a list of class-id lists",
+        ),
+        "config-missing": ("config", None, "has no 'config' in its __meta__"),
+        "config-string": ("config", "san", "has a __meta__ 'config' that is not an object"),
+    }
+
+    @pytest.mark.parametrize("key, value, problem", META_FAULTS.values(), ids=META_FAULTS)
+    def test_meta_entry_missing_or_mistyped_exit_one(self, tmp_path, capsys, key, value, problem):
+        cfg_path = write_config(tmp_path)
+        assert main(["run", "--config", str(cfg_path)]) == 0
+        ck = tmp_path / "out" / "checkpoint_seed1.npz"
+        rewrite_checkpoint(ck, lambda meta, arrays: meta.pop(key) if value is None else meta.update({key: value}))
+        capsys.readouterr()
+        argv = ["dump-embeddings", "--config", str(cfg_path), "--checkpoint", str(ck), "--out-file", str(tmp_path / "e.csv")]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"checkpoint mismatch: checkpoint {ck} {problem}\n"
+        assert not (tmp_path / "e.csv").exists()
 
     def test_missing_checkpoint_errors(self, tmp_path):
         cfg = synthetic_config(tmp_path)
@@ -815,6 +944,25 @@ class TestCli:
         path.write_text(json.dumps({"strategy": "nope"}))
         assert main(["run", "--config", str(path)]) == 1
         assert "config error" in capsys.readouterr().err
+
+    def test_config_that_is_not_json_exit_one(self, tmp_path, capsys):
+        path = tmp_path / "broken.json"
+        path.write_text('{"strategy": "san",')
+        assert main(["run", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: config file {path} is not valid JSON: ")
+        assert err.count("\n") == 1
+
+    def test_inline_architecture_with_adjust_kernel_exit_one_writes_nothing(self, tmp_path, capsys):
+        raw = synthetic_config(tmp_path, architecture=SQUARE_INLINE, out_dir=str(tmp_path / "k7")).to_dict()
+        path = tmp_path / "k7.json"
+        path.write_text(json.dumps(raw | {"adjust_kernel": 7}))
+        assert main(["run", "--config", str(path)]) == 1
+        assert capsys.readouterr().err == (
+            "config error: adjust_kernel: applies to a preset architecture only; an inline "
+            "architecture sets each conv's kernel itself, got 7\n"
+        )
+        assert not (tmp_path / "k7").exists()
 
     def test_config_that_is_a_directory_exit_one(self, tmp_path, capsys):
         assert main(["run", "--config", str(tmp_path)]) == 1
@@ -1350,6 +1498,32 @@ class TestMnistShapedPipeline:
         assert len(report["seeds"][0]["final_per_task"]) == 3
         assert report["seeds"][0]["per_task"][0]["classes"] == list(range(10))
 
+    @pytest.mark.parametrize(
+        "command, extra, problem",
+        [
+            ("run", {"class_order": list(range(9, -1, -1))}, "class_order: not applicable to permuted tasks"),
+            ("ablate-order", {}, "ablate-order applies to split datasets only"),
+        ],
+        ids=["class_order", "ablate-order"],
+    )
+    def test_split_only_requests_on_permuted_tasks_exit_one(self, tmp_path, capsys, command, extra, problem):
+        raw = {
+            "strategy": "san",
+            "dataset": "permuted-mnist",
+            "num_tasks": 2,
+            "architecture": "mnist-small",
+            "epochs": 1,
+            "seeds": [1],
+            "data_root": str(self._write_fake_mnist(tmp_path)),
+            "out_dir": str(tmp_path / "permuted"),
+        }
+        cfg_path = tmp_path / "permuted.json"
+        cfg_path.write_text(json.dumps(raw | extra))
+        argv = [command, "--config", str(cfg_path)] + (["--orders", "0,1;1,0"] if command == "ablate-order" else [])
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"config error: {problem}\n"
+        assert not (tmp_path / "permuted").exists()
+
 
 class TestFetchLogic:
     def test_checksum_match_and_mismatch(self, tmp_path):
@@ -1357,9 +1531,9 @@ class TestFetchLogic:
         path = tmp_path / "file.gz"
         path.write_bytes(payload)
         digest = hashlib.sha256(payload).hexdigest()
-        remote = RemoteFile("http://x/file.gz", "file.gz", digest, "none", ".")
+        remote = RemoteFile("http://x/file.gz", "file.gz", digest, "gunzip", ".")
         assert verify_checksum(path, remote, tmp_path) == digest
-        bad = RemoteFile("http://x/file.gz", "file.gz", "0" * 64, "none", ".")
+        bad = RemoteFile("http://x/file.gz", "file.gz", "0" * 64, "gunzip", ".")
         with pytest.raises(ChecksumError, match="sha256"):
             verify_checksum(path, bad, tmp_path)
 
@@ -1367,7 +1541,7 @@ class TestFetchLogic:
         payload = b"data"
         path = tmp_path / "blob"
         path.write_bytes(payload)
-        remote = RemoteFile("http://x/blob", "blob", None, "none", ".")
+        remote = RemoteFile("http://x/blob", "blob", None, "gunzip", ".")
         first = verify_checksum(path, remote, tmp_path)
         manifest = json.loads((tmp_path / "checksums.json").read_text())
         assert manifest["blob"] == first
@@ -1439,6 +1613,49 @@ class TestFetchLogic:
         with pytest.raises(EOFError):
             unpack(gz, remote, tmp_path)
         assert list((tmp_path / "mnist").iterdir()) == []
+
+    def test_fetch_over_file_urls_downloads_pins_unpacks_then_reverifies(self, tmp_path, monkeypatch):
+        import urllib.request
+
+        upstream = tmp_path / "upstream"
+        upstream.mkdir()
+        idx = struct.pack(">IIII", 0x803, 1, 2, 2) + bytes(range(4))
+        (upstream / "train-images-idx3-ubyte.gz").write_bytes(gzip.compress(idx))
+        self.write_tar(upstream / "set.tar.gz", [("set/a.bin", "file", b"abc")])
+        recipes = {
+            "mnist": RemoteFile((upstream / "train-images-idx3-ubyte.gz").as_uri(), "train-images-idx3-ubyte.gz", None, "gunzip", "mnist"),
+            "cifar10": RemoteFile((upstream / "set.tar.gz").as_uri(), "set.tar.gz", None, "untar", "."),
+        }
+        for recipe, remote in recipes.items():
+            monkeypatch.setitem(REGISTRY, recipe, [remote])
+        opened = []
+        real_urlopen = urllib.request.urlopen
+
+        def urlopen(url):
+            opened.append(url)
+            return real_urlopen(url)
+
+        monkeypatch.setattr("santil.fetch.urllib.request.urlopen", urlopen)
+        root = tmp_path / "data"
+        for recipe in recipes:
+            fetch_dataset(recipe, root)
+        assert opened == [remote.url for remote in recipes.values()]
+        for remote in recipes.values():
+            assert (root / "archives" / remote.filename).read_bytes() == (upstream / remote.filename).read_bytes()
+        pins = {remote.filename: hashlib.sha256((upstream / remote.filename).read_bytes()).hexdigest() for remote in recipes.values()}
+        assert json.loads((root / "checksums.json").read_text()) == pins
+        assert (root / "mnist" / "train-images-idx3-ubyte").read_bytes() == idx
+        assert (root / "set" / "a.bin").read_bytes() == b"abc"
+
+        # a second fetch opens no URL, and checks each archive against its pin
+        opened.clear()
+        for recipe in recipes:
+            fetch_dataset(recipe, root)
+        (root / "archives" / "set.tar.gz").write_bytes(b"tampered")
+        with pytest.raises(ChecksumError, match="set.tar.gz"):
+            fetch_dataset("cifar10", root)
+        assert opened == []
+        assert json.loads((root / "checksums.json").read_text()) == pins
 
     def test_download_failing_mid_stream_leaves_no_archive(self, tmp_path, monkeypatch):
         class FailingResponse:
@@ -1538,6 +1755,26 @@ class TestDataLayout:
                 assert np.array_equal(np.rint(pool.images * 255), np.rint(fixture.images * 255))
                 assert all(Path(p).parent == root / recipe for p in pool.provenance["files"])
                 assert not any(p.endswith(".gz") for p in pool.provenance["files"])
+
+    def test_cifar10_layout_loads_what_was_written(self, tmp_path):
+        from dataset_writers import save_cifar
+        from santil.data import synthetic_dataset
+
+        layout = DATASET_FILES["cifar10"]
+        directory = tmp_path / "data" / layout.directory
+        directory.mkdir(parents=True)
+        written = {}
+        for i, name in enumerate(layout.train + layout.test):
+            written[name] = synthetic_dataset(10, 2, (3, 32, 32), seed=600 + i)
+            save_cifar(written[name], directory / name, "cifar10")
+        cfg = synthetic_config(tmp_path, dataset="cifar10", data_root=str(tmp_path / "data"))
+        train, test, kind = load_pools(cfg)
+        assert kind == "split"
+        for pool, names in ((train, layout.train), (test, layout.test)):
+            assert np.array_equal(pool.labels, np.concatenate([written[n].labels for n in names]))
+            pixels = np.concatenate([np.rint(written[n].images * 255) for n in names])
+            assert np.array_equal(np.rint(pool.images * 255), pixels)
+            assert list(pool.provenance["files"]) == [str(directory / n) for n in names]
 
     def test_idx_gz_drop_in_loads(self, tmp_path):
         root = tmp_path / "data"
