@@ -6,7 +6,8 @@ list. Frozen flags and the frozen snapshot are not stored: loading replays
 the per-task preparation (which is deterministic), overwrites every
 parameter bit-exactly, and then replays the engine's freeze step for each
 trained task. A reloaded state therefore evaluates, embeds and verifies its
-frozen parameters exactly like the trained one. Format-1 files are rejected.
+frozen parameters exactly like the trained one. Format-1 files are rejected;
+the top-level ``strategy`` and ``ortho_alpha`` of older format-2 files are ignored.
 """
 
 from __future__ import annotations
@@ -18,8 +19,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import RunConfig, _is_int
-from .engine import STRATEGY_TABLE, IncrementalState, freeze_task, prepare_task_blocks
+from .config import ConfigError, RunConfig, _is_int
+from .engine import IncrementalState, freeze_task, prepare_task_blocks
 from .fileio import atomic_open
 from .layers import ArchitectureSpec
 from .tasks import TaskSequence
@@ -33,7 +34,6 @@ class CheckpointMismatchError(ValueError):
 
 # every __meta__ entry a reader takes, besides format_version: what it must be, and its check
 _META_ENTRIES = {
-    "strategy": (f"one of {list(STRATEGY_TABLE)}", lambda v: isinstance(v, str) and v in STRATEGY_TABLE),
     "seed": ("a non-negative integer", lambda v: _is_int(v) and v >= 0),
     "task_classes": (
         "a list of class-id lists",
@@ -48,9 +48,7 @@ def save_state(state: IncrementalState, config: RunConfig, path) -> Path:
     arrays = {p.name: p.data for block in state.model_blocks() for p in block.parameters()}
     meta = {
         "format_version": FORMAT_VERSION,
-        "strategy": state.strategy,
         "seed": state.master_seed,
-        "ortho_alpha": config.ortho_alpha,
         "config": config.to_dict(),
         "task_classes": [list(task.class_ids) for task in state.seq.tasks[: state.trained_upto]],
     }
@@ -64,8 +62,9 @@ def save_state(state: IncrementalState, config: RunConfig, path) -> Path:
 @contextmanager
 def _open(path):
     """The open archive of a format-2 checkpoint and its metadata; anything
-    else, or metadata lacking a ``_META_ENTRIES`` entry, raises
-    CheckpointMismatchError naming the file (and the entry)."""
+    else, metadata lacking a ``_META_ENTRIES`` entry or a config that
+    ``RunConfig.from_dict`` rejects raises CheckpointMismatchError naming the
+    file (and the entry). The metadata's config is yielded as a RunConfig."""
     try:
         bundle = np.load(path)
     except (ValueError, EOFError, zipfile.BadZipFile, IsADirectoryError):  # text, empty, bad zip, a directory
@@ -88,6 +87,12 @@ def _open(path):
                 raise CheckpointMismatchError(f"checkpoint {path} has no {key!r} in its __meta__")
             if not ok(meta[key]):
                 raise CheckpointMismatchError(f"checkpoint {path} has a __meta__ {key!r} that is not {what}")
+        try:
+            meta["config"] = RunConfig.from_dict(meta["config"])
+        except ConfigError as exc:
+            raise CheckpointMismatchError(
+                f"checkpoint {path} has a __meta__ 'config' that is not a valid run config: {exc}"
+            ) from None
         yield bundle, meta
 
 
@@ -111,7 +116,7 @@ def load_state(path, arch: ArchitectureSpec, seq: TaskSequence) -> IncrementalSt
                 f"checkpoint {path} holds {len(trained)} trained tasks, "
                 f"the task sequence has only {seq.num_tasks}"
             )
-        state = IncrementalState(meta["strategy"], arch, seq, meta["seed"])
+        state = IncrementalState(meta["config"].strategy, arch, seq, meta["seed"])
         for task, classes in zip(seq.tasks, trained):
             if list(task.class_ids) != classes:
                 raise CheckpointMismatchError(

@@ -77,8 +77,7 @@ def cmd_ablate_order(args) -> int:
 
 
 def cmd_dump_embeddings(args) -> int:
-    config = _load_config(args)
-    harness.dump_embeddings(config, args.checkpoint, args.split, args.out_file, echo=print)
+    harness.dump_embeddings(args.checkpoint, args.split, args.out_file, data_root=args.data_root, echo=print)
     return EXIT_OK
 
 
@@ -136,9 +135,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(func=cmd_ablate_order)
 
-    p = sub.add_parser("dump-embeddings", help="export pre-classifier embeddings as CSV")
-    _add_common(p)
+    # no abbreviations, so a run's --out is not taken for --out-file
+    p = sub.add_parser("dump-embeddings", help="export pre-classifier embeddings as CSV", allow_abbrev=False)
     p.add_argument("--checkpoint", required=True, help="checkpoint .npz from a previous run")
+    p.add_argument("--data-root", help="dataset directory (default: the stored config's, else as for run)")
     p.add_argument("--split", default="test", choices=["train", "val", "test"])
     p.add_argument("--out-file", default="embeddings.csv")
     p.set_defaults(func=cmd_dump_embeddings)

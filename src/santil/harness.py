@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import json
 import numbers
+from datetime import datetime, timezone
 from pathlib import Path
 
 from . import checkpoint as ckpt
@@ -56,12 +57,22 @@ def _variant(config: RunConfig, **changes) -> RunConfig:
     return RunConfig.from_dict(config.to_dict() | changes)
 
 
-def _run_variant(config: RunConfig, pools, groups, **extra) -> dict:
+def _make_out_dirs(configs) -> None:
+    """Create each config's out_dir once every config check has passed and before
+    any task trains; one that is not a directory or cannot be made is a config error."""
+    for config in configs:
+        try:
+            Path(config.out_dir).mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError([f"out_dir: cannot make directory {config.out_dir}: {exc.strerror}"]) from None
+
+
+def _run_variant(config: RunConfig, pools, groups, arch: ArchitectureSpec, **extra) -> dict:
     """The one seed loop: run_sequence per seed over one task grouping, saving
     checkpoint_seed<N>.npz each; then report.json (plus ``extra`` keys) and summary.csv."""
+    started_at = datetime.now(timezone.utc).isoformat()
     train_pool, test_pool, kind = pools
     out_dir = Path(config.out_dir)
-    arch = _architecture(config, pools, groups)
     results = []
     for seed in config.seeds:
         seq = _build_sequence(config, pools, groups, seed)
@@ -86,7 +97,7 @@ def _run_variant(config: RunConfig, pools, groups, **extra) -> dict:
         "normalization": train_pool.provenance.get("normalization", "scale_1_255"),
         "files": train_pool.provenance.get("files", {}),
     }
-    report = build_report(config, dataset, results) | extra
+    report = build_report(config, dataset, results, started_at) | extra
     write_report_json(report, out_dir / "report.json")
     write_summary_csv(report, out_dir / "summary.csv")
     return report
@@ -95,7 +106,10 @@ def _run_variant(config: RunConfig, pools, groups, **extra) -> dict:
 def run(config: RunConfig, echo=None) -> dict:
     """Execute run_sequence per seed; write report.json, summary.csv, checkpoints."""
     pools = load_pools(config)
-    report = _run_variant(config, pools, _resolve_groups(config, pools))
+    groups = _resolve_groups(config, pools)
+    arch = _architecture(config, pools, groups)
+    _make_out_dirs([config])
+    report = _run_variant(config, pools, groups, arch)
     if echo is not None:
         echo(render_console_table(report))
     return report
@@ -119,10 +133,12 @@ def sweep_size(config: RunConfig, kernels, echo=None) -> list[dict]:
         raise ConfigError([f"widths: each kernel may appear once; {repeated} repeated"])
     pools = load_pools(config)
     groups = _resolve_groups(config, pools)
+    archs = [_architecture(sub, pools, groups) for sub in variants]
+    _make_out_dirs(variants)
 
     rows = []
-    for k, sub in zip(kernels, variants):
-        report = _run_variant(sub, pools, groups)
+    for k, sub, arch in zip(kernels, variants, archs):
+        report = _run_variant(sub, pools, groups, arch)
         final = report["seeds"][0]["per_task"][-1]
         rows.append(
             {
@@ -170,17 +186,19 @@ def ablate_order(config: RunConfig, orders, echo=None) -> list[dict]:
     repeated = [list(o) for o in sorted({tuple(o) for o in orders if orders.count(o) > 1})]
     if repeated:
         raise ConfigError([f"orders: each order may appear once; {repeated} repeated"])
+    archs = []
     for i, (order, groups) in enumerate(zip(orders, regrouped)):
         try:
-            _architecture(config, pools, groups)
+            archs.append(_architecture(config, pools, groups))
         except ConfigError as exc:
             raise ConfigError([f"orders: order {i} {order}: {problem}" for problem in exc.problems]) from None
     out_dir = Path(config.out_dir)
     variants = [_variant(config, out_dir=str(out_dir / f"order{i}")) for i in range(len(orders))]
+    _make_out_dirs(variants)
 
     summaries = []
-    for order, groups, sub in zip(orders, regrouped, variants):
-        report = _run_variant(sub, pools, groups, task_order=order)
+    for order, groups, sub, arch in zip(orders, regrouped, variants, archs):
+        report = _run_variant(sub, pools, groups, arch, task_order=order)
         summaries.append(
             {
                 "order": order,
@@ -199,22 +217,16 @@ def ablate_order(config: RunConfig, orders, echo=None) -> list[dict]:
     return summaries
 
 
-def dump_embeddings(config: RunConfig, checkpoint_path, split: str, out_path, echo=None) -> Path:
-    """Write one CSV row per sample: task id, true label, feature embedding."""
+def dump_embeddings(checkpoint_path, split: str, out_path, data_root=None, echo=None) -> Path:
+    """Write one CSV row per sample (task id, true label, feature embedding) of the run
+    the checkpoint stores; ``data_root``, if given, replaces its config's data root."""
     if split not in ("train", "val", "test"):
         raise ConfigError([f"split: must be train/val/test, got {split!r}"])
     checkpoint_path = Path(checkpoint_path)
     if not checkpoint_path.exists():
         raise FileNotFoundError(f"checkpoint not found: {checkpoint_path}")
     meta = ckpt.read_meta(checkpoint_path)
-    stored, requested = meta["config"], config.to_dict()
-    mismatched = [
-        f"{key}: checkpoint was trained with {stored.get(key)!r}, config asks for {requested[key]!r}"
-        for key in ("strategy", "dataset", "num_tasks", "architecture", "adjust_kernel")
-        if stored.get(key) != requested[key]
-    ]
-    if mismatched:
-        raise ConfigError(mismatched)
+    config = meta["config"] if data_root is None else _variant(meta["config"], data_root=data_root)
     pools = load_pools(config)
     groups = _resolve_groups(config, pools)
     trained = [tuple(classes) for classes in meta["task_classes"]]

@@ -12,7 +12,6 @@ import csv
 import json
 import math
 from dataclasses import asdict
-from datetime import datetime, timezone
 from pathlib import Path
 from typing import Sequence
 
@@ -23,7 +22,7 @@ from .fileio import atomic_open
 WALL_CLOCK_FIELDS = ("wall_clock_sec", "train_seconds", "started_at")
 
 
-def build_report(config: RunConfig, dataset_info: dict, results: Sequence[SeedRunResult]) -> dict:
+def build_report(config: RunConfig, dataset_info: dict, results: Sequence[SeedRunResult], started_at: str) -> dict:
     means = [r.mean_final for r in results]
     mean = sum(means) / len(means)
     std = math.sqrt(sum((m - mean) ** 2 for m in means) / len(means))
@@ -36,7 +35,7 @@ def build_report(config: RunConfig, dataset_info: dict, results: Sequence[SeedRu
             "mean_final_mean": mean,
             "mean_final_std": std,
         },
-        "started_at": datetime.now(timezone.utc).isoformat(),
+        "started_at": started_at,
     }
 
 

@@ -94,8 +94,8 @@ SQUARE_INLINE = {
 def rewrite_checkpoint(path, change) -> None:
     """Rewrite a checkpoint after ``change(meta, arrays)`` edits its metadata and arrays in place."""
     with np.load(path) as bundle:
-        arrays = {key: bundle[key] for key in bundle.files if key != "__meta__"}
-    meta = read_meta(path)
+        arrays = {key: bundle[key] for key in bundle.files}
+    meta = json.loads(bytes(arrays.pop("__meta__")))
     change(meta, arrays)
     arrays["__meta__"] = np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)
     with open(path, "wb") as fh:
@@ -657,7 +657,7 @@ class TestCheckpoints:
 
         rewrite_checkpoint(ck, change)
         capsys.readouterr()
-        argv = ["dump-embeddings", "--config", str(cfg_path), "--checkpoint", str(ck), "--out-file", str(tmp_path / "e.csv")]
+        argv = ["dump-embeddings", "--checkpoint", str(ck), "--out-file", str(tmp_path / "e.csv")]
         assert main(argv) == 1
         problem = (
             f"lacks parameter {name!r}"
@@ -709,10 +709,63 @@ class TestCheckpoints:
     def test_meta_echo(self, tmp_path):
         cfg = synthetic_config(tmp_path)
         harness.run(cfg)
-        meta = read_meta(Path(cfg.out_dir) / "checkpoint_seed1.npz")
-        assert meta["strategy"] == "san"
+        ck = Path(cfg.out_dir) / "checkpoint_seed1.npz"
+        with np.load(ck) as bundle:
+            stored = json.loads(bytes(bundle["__meta__"]))
+        # the strategy and ortho_alpha are stated once, in the config
+        assert list(stored) == ["format_version", "seed", "config", "task_classes"]
+        meta = read_meta(ck)
         assert meta["seed"] == 1
-        assert RunConfig.from_dict(meta["config"]) == cfg
+        assert meta["config"] == cfg
+        assert meta["task_classes"] == [[0, 1], [2, 3]]
+
+    def test_legacy_top_level_strategy_and_ortho_alpha_ignored(self, tmp_path):
+        from santil.engine import evaluate
+        from santil.tasks import build_split_sequence
+
+        cfg = synthetic_config(tmp_path, architecture=SQUARE_INLINE, ortho_alpha=0.001)
+        harness.run(cfg)
+        ck = Path(cfg.out_dir) / "checkpoint_seed1.npz"
+        legacy = tmp_path / "legacy.npz"
+        legacy.write_bytes(ck.read_bytes())
+
+        def older_format_two(meta, arrays):
+            # the key order and values an older format-2 file holds
+            items = list(meta.items())
+            items[1:1] = [("strategy", meta["config"]["strategy"])]
+            items[3:3] = [("ortho_alpha", meta["config"]["ortho_alpha"])]
+            meta.clear()
+            meta.update(items)
+
+        rewrite_checkpoint(legacy, older_format_two)
+        with np.load(legacy) as bundle:
+            assert list(json.loads(bytes(bundle["__meta__"]))) == [
+                "format_version", "strategy", "seed", "ortho_alpha", "config", "task_classes"
+            ]
+        train, test, _ = load_pools(cfg)
+        groups = partition_classes(train.num_classes, cfg.num_tasks)
+        arch = resolve_architecture(cfg, train.image_shape, len(groups[0]))
+        seq = build_split_sequence(train, test, groups, master_seed=1)
+        states = [load_state(path, arch, seq) for path in (ck, legacy)]
+
+        def arrays(state):
+            return [(p.name, p.data.tobytes()) for block in state.model_blocks() for p in block.parameters()]
+
+        assert arrays(states[1]) == arrays(states[0])
+        assert [evaluate(states[1], t, "test") for t in (1, 2)] == [evaluate(states[0], t, "test") for t in (1, 2)]
+        assert read_meta(legacy)["config"] == read_meta(ck)["config"] == cfg
+
+    def test_checkpoint_loaded_into_another_class_order_rejected(self, tmp_path):
+        from santil.tasks import build_split_sequence
+
+        cfg = synthetic_config(tmp_path)
+        harness.run(cfg)
+        train, test, _ = load_pools(cfg)
+        groups = partition_classes(train.num_classes, cfg.num_tasks, [3, 2, 1, 0])
+        arch = resolve_architecture(cfg, train.image_shape, len(groups[0]))
+        seq = build_split_sequence(train, test, groups, master_seed=1)
+        with pytest.raises(CheckpointMismatchError, match=r"task 1: .*\[0, 1\].*\[3, 2\]"):
+            load_state(Path(cfg.out_dir) / "checkpoint_seed1.npz", arch, seq)
 
     @pytest.mark.parametrize("strategy", ["san", "baseline", "finetune", "independent"])
     def test_reload_rebuilds_frozen_flags_masks_and_snapshot(self, tmp_path, strategy):
@@ -727,7 +780,7 @@ class TestCheckpoints:
         seq = build_split_sequence(train, test, partition_classes(7, 3), master_seed=4)
         arch = tiny((1, 8, 8), base_classes=3)
         _, state = run_sequence(strategy, arch, seq, seed=4, epochs=1, batch_size=16)
-        path = save_state(state, synthetic_config(tmp_path), tmp_path / "ck.npz")
+        path = save_state(state, synthetic_config(tmp_path, strategy=strategy), tmp_path / "ck.npz")
         reloaded = load_state(path, arch, seq)
 
         def structure(s):
@@ -798,7 +851,7 @@ class TestDumpEmbeddings:
         harness.run(cfg)
         ck = Path(cfg.out_dir) / "checkpoint_seed1.npz"
         out_csv = tmp_path / "emb.csv"
-        harness.dump_embeddings(cfg, ck, "test", out_csv)
+        harness.dump_embeddings(ck, "test", out_csv)
 
         with open(out_csv, newline="") as fh:
             rows = list(csv.reader(fh))
@@ -823,32 +876,39 @@ class TestDumpEmbeddings:
         assert int(body[0][1]) == labels[0]
         assert np.abs(got - expect).max() < 1e-6
 
+    @pytest.mark.parametrize("strategy", ["san", "baseline", "finetune", "independent"])
+    def test_csv_from_the_checkpoint_alone_equals_the_trained_embeddings(self, tmp_path, strategy):
+        from santil.engine import run_sequence
+        from santil.tasks import build_split_sequence, task_arrays
+
+        cfg = synthetic_config(tmp_path, strategy=strategy)
+        train, test, _ = load_pools(cfg)
+        groups = partition_classes(train.num_classes, cfg.num_tasks)
+        arch = resolve_architecture(cfg, train.image_shape, len(groups[0]))
+        seq = build_split_sequence(train, test, groups, master_seed=1)
+        _, state = run_sequence(strategy, arch, seq, seed=1, epochs=cfg.epochs, batch_size=cfg.batch_size)
+        ck = save_state(state, cfg, tmp_path / "ck.npz")
+        out_csv = tmp_path / "emb.csv"
+        harness.dump_embeddings(ck, "test", out_csv)
+        with open(out_csv, newline="") as fh:
+            body = list(csv.reader(fh))[1:]
+        for t in (1, 2):
+            rows = [row for row in body if row[0] == str(t)]
+            images, labels = task_arrays(seq, seq.tasks[t - 1], "test")
+            emb = state.embed(images, t)
+            # 9 significant digits bring a float32 back bit for bit
+            assert np.array([row[2:] for row in rows], dtype=np.float32).tobytes() == emb.tobytes()
+            assert [int(row[1]) for row in rows] == [int(label) for label in labels]
+
     def test_checkpoint_from_another_class_order_rejected(self, tmp_path):
         cfg = synthetic_config(tmp_path)
         harness.run(cfg)
         ck = Path(cfg.out_dir) / "checkpoint_seed1.npz"
-        reordered = synthetic_config(tmp_path, class_order=[3, 2, 1, 0])
+        # the stored config names one class order, the arrays were trained on another
+        rewrite_checkpoint(ck, lambda meta, arrays: meta["config"].update(class_order=[3, 2, 1, 0]))
         with pytest.raises(ValueError, match=r"task 1: .*\[0, 1\].*\[3, 2\]"):
-            harness.dump_embeddings(reordered, ck, "test", tmp_path / "e.csv")
+            harness.dump_embeddings(ck, "test", tmp_path / "e.csv")
         assert not (tmp_path / "e.csv").exists()
-
-    @pytest.mark.parametrize(
-        "field, value",
-        [
-            ("strategy", "baseline"),
-            ("dataset", "mnist"),
-            ("num_tasks", 1),
-            ("architecture", "mnist-small"),
-            ("adjust_kernel", 5),
-        ],
-    )
-    def test_checkpoint_from_another_config_rejected(self, tmp_path, field, value):
-        cfg = synthetic_config(tmp_path)
-        harness.run(cfg)
-        ck = Path(cfg.out_dir) / "checkpoint_seed1.npz"
-        other = synthetic_config(tmp_path, **{field: value})
-        with pytest.raises(ConfigError, match=field):
-            harness.dump_embeddings(other, ck, "test", tmp_path / "e.csv")
 
     def test_failure_part_way_keeps_previous_csv_and_no_temporary(self, tmp_path, monkeypatch):
         from santil.engine import IncrementalState
@@ -858,7 +918,7 @@ class TestDumpEmbeddings:
         ck = Path(cfg.out_dir) / "checkpoint_seed1.npz"
         out_dir = tmp_path / "emb"
         out_csv = out_dir / "emb.csv"
-        harness.dump_embeddings(cfg, ck, "test", out_csv)
+        harness.dump_embeddings(ck, "test", out_csv)
         before = out_csv.read_bytes()
 
         real_embed = IncrementalState.embed
@@ -872,7 +932,7 @@ class TestDumpEmbeddings:
 
         monkeypatch.setattr(IncrementalState, "embed", embed_fails_on_second_task)
         with pytest.raises(MemoryError):
-            harness.dump_embeddings(cfg, ck, "test", out_csv)
+            harness.dump_embeddings(ck, "test", out_csv)
         assert calls == [1, 2]  # task 1's rows were already written
         assert out_csv.read_bytes() == before
         assert sorted(p.name for p in out_dir.iterdir()) == ["emb.csv"]
@@ -883,53 +943,69 @@ class TestDumpEmbeddings:
         ck = Path(cfg.out_dir) / "checkpoint_seed1.npz"
         rewrite_checkpoint(ck, lambda meta, arrays: meta.update(format_version=1))
         with pytest.raises(ValueError, match="format version 1; .* reads format 2"):
-            harness.dump_embeddings(cfg, ck, "test", tmp_path / "e.csv")
+            harness.dump_embeddings(ck, "test", tmp_path / "e.csv")
 
     def test_checkpoint_config_echo_lacking_a_compared_key_rejected(self, tmp_path):
         cfg = synthetic_config(tmp_path)
         harness.run(cfg)
         ck = Path(cfg.out_dir) / "checkpoint_seed1.npz"
-        rewrite_checkpoint(ck, lambda meta, arrays: meta["config"].pop("adjust_kernel"))
-        with pytest.raises(ConfigError) as info:
-            harness.dump_embeddings(cfg, ck, "test", tmp_path / "e.csv")
-        assert info.value.problems == ["adjust_kernel: checkpoint was trained with None, config asks for 3"]
+        rewrite_checkpoint(ck, lambda meta, arrays: meta["config"].pop("dataset"))
+        with pytest.raises(CheckpointMismatchError) as info:
+            harness.dump_embeddings(ck, "test", tmp_path / "e.csv")
+        assert str(info.value) == (
+            f"checkpoint {ck} has a __meta__ 'config' that is not a valid run config: "
+            f"dataset: must name one of {list(DATASET_NAMES)}, got None"
+        )
 
-    # (__meta__ entry, a value it may not hold or None to drop it, the problem named)
+    INVALID_CONFIG = "has a __meta__ 'config' that is not a valid run config"
+    # (a change to __meta__, the problem named)
     META_FAULTS = {
-        "strategy-missing": ("strategy", None, "has no 'strategy' in its __meta__"),
-        "strategy-unknown": (
-            "strategy",
-            "sgd",
-            "has a __meta__ 'strategy' that is not one of ['san', 'baseline', 'finetune', 'independent']",
+        "strategy-missing": (
+            lambda meta: meta["config"].pop("strategy"),
+            f"{INVALID_CONFIG}: strategy: must be one of ['san', 'baseline', 'finetune', 'independent'], got None",
         ),
-        "seed-missing": ("seed", None, "has no 'seed' in its __meta__"),
-        "seed-string": ("seed", "1", "has a __meta__ 'seed' that is not a non-negative integer"),
-        "task_classes-missing": ("task_classes", None, "has no 'task_classes' in its __meta__"),
+        "strategy-unknown": (
+            lambda meta: meta["config"].update(strategy="sgd"),
+            f"{INVALID_CONFIG}: strategy: must be one of ['san', 'baseline', 'finetune', 'independent'], got 'sgd'",
+        ),
+        "seed-missing": (lambda meta: meta.pop("seed"), "has no 'seed' in its __meta__"),
+        "seed-string": (
+            lambda meta: meta.update(seed="1"),
+            "has a __meta__ 'seed' that is not a non-negative integer",
+        ),
+        "task_classes-missing": (lambda meta: meta.pop("task_classes"), "has no 'task_classes' in its __meta__"),
         "task_classes-string-id": (
-            "task_classes",
-            [[0, "1"]],
+            lambda meta: meta.update(task_classes=[[0, "1"]]),
             "has a __meta__ 'task_classes' that is not a list of class-id lists",
         ),
-        "config-missing": ("config", None, "has no 'config' in its __meta__"),
-        "config-string": ("config", "san", "has a __meta__ 'config' that is not an object"),
+        "config-missing": (lambda meta: meta.pop("config"), "has no 'config' in its __meta__"),
+        "config-string": (lambda meta: meta.update(config="san"), "has a __meta__ 'config' that is not an object"),
+        # a field removed since the checkpoint was written
+        "config-removed-field": (
+            lambda meta: meta["config"].update(checkpoint_selection="best-val"),
+            f"{INVALID_CONFIG}: checkpoint_selection: unknown field",
+        ),
+        "config-two-problems": (
+            lambda meta: meta["config"].update(epochs=0, lr=-1),
+            f"{INVALID_CONFIG}: epochs: must be a positive integer, got 0; lr: must be a finite positive number, got -1",
+        ),
     }
 
-    @pytest.mark.parametrize("key, value, problem", META_FAULTS.values(), ids=META_FAULTS)
-    def test_meta_entry_missing_or_mistyped_exit_one(self, tmp_path, capsys, key, value, problem):
+    @pytest.mark.parametrize("change, problem", META_FAULTS.values(), ids=META_FAULTS)
+    def test_meta_entry_missing_or_mistyped_exit_one(self, tmp_path, capsys, change, problem):
         cfg_path = write_config(tmp_path)
         assert main(["run", "--config", str(cfg_path)]) == 0
         ck = tmp_path / "out" / "checkpoint_seed1.npz"
-        rewrite_checkpoint(ck, lambda meta, arrays: meta.pop(key) if value is None else meta.update({key: value}))
+        rewrite_checkpoint(ck, lambda meta, arrays: change(meta))
         capsys.readouterr()
-        argv = ["dump-embeddings", "--config", str(cfg_path), "--checkpoint", str(ck), "--out-file", str(tmp_path / "e.csv")]
+        argv = ["dump-embeddings", "--checkpoint", str(ck), "--out-file", str(tmp_path / "e.csv")]
         assert main(argv) == 1
         assert capsys.readouterr().err == f"checkpoint mismatch: checkpoint {ck} {problem}\n"
         assert not (tmp_path / "e.csv").exists()
 
     def test_missing_checkpoint_errors(self, tmp_path):
-        cfg = synthetic_config(tmp_path)
         with pytest.raises(FileNotFoundError):
-            harness.dump_embeddings(cfg, tmp_path / "missing.npz", "test", tmp_path / "e.csv")
+            harness.dump_embeddings(tmp_path / "missing.npz", "test", tmp_path / "e.csv")
 
 
 class TestCli:
@@ -1324,8 +1400,6 @@ class TestCli:
         code = main(
             [
                 "dump-embeddings",
-                "--config",
-                str(cfg_path),
                 "--checkpoint",
                 str(tmp_path / "de" / "checkpoint_seed1.npz"),
                 "--split",
@@ -1349,7 +1423,7 @@ class TestCli:
         assert main(["ablate-order", "--config", str(cfg_path), "--epochs", "1", "--orders", "0,1,2;2,0,1"]) == 0
         ck = tmp_path / "ab" / "order1" / "checkpoint_seed1.npz"
         out_csv = tmp_path / "emb.csv"
-        assert main(["dump-embeddings", "--config", str(cfg_path), "--checkpoint", str(ck), "--out-file", str(out_csv)]) == 0
+        assert main(["dump-embeddings", "--checkpoint", str(ck), "--out-file", str(out_csv)]) == 0
         with open(out_csv, newline="") as fh:
             body = list(csv.reader(fh))[1:]
 
@@ -1366,38 +1440,54 @@ class TestCli:
                 expected.append([str(task.index), str(label)] + [f"{v:.8e}" for v in row])
         assert body == expected
 
-    def test_dump_embeddings_config_mismatch_exit_one(self, tmp_path, capsys):
-        cfg_path = write_config(tmp_path, out_dir=str(tmp_path / "dm"))
+    def test_dump_embeddings_of_a_sweep_size_checkpoint(self, tmp_path):
+        from santil.tasks import build_split_sequence, task_arrays
+
+        cfg_path = write_config(tmp_path, epochs=1, out_dir=str(tmp_path / "sw"))
+        assert main(["sweep-size", "--config", str(cfg_path), "--widths", "3,5"]) == 0
+        ck = tmp_path / "sw" / "kernel5" / "checkpoint_seed1.npz"
+        out_csv = tmp_path / "emb.csv"
+        assert main(["dump-embeddings", "--checkpoint", str(ck), "--out-file", str(out_csv)]) == 0
+        with open(out_csv, newline="") as fh:
+            body = list(csv.reader(fh))[1:]
+
+        cfg = synthetic_config(tmp_path, adjust_kernel=5)
+        train, test, _ = load_pools(cfg)
+        groups = partition_classes(train.num_classes, cfg.num_tasks)
+        arch = resolve_architecture(cfg, train.image_shape, *map(len, groups))
+        assert arch.adjustment[0].kernel == 5
+        seq = build_split_sequence(train, test, groups, master_seed=1)
+        state = load_state(ck, arch, seq)
+        images, _ = task_arrays(seq, seq.tasks[1], "test")
+        assert [row[2:] for row in body if row[0] == "2"] == [[f"{v:.8e}" for v in row] for row in state.embed(images, 2)]
+
+    @pytest.mark.parametrize("override", [False, True], ids=["stored", "flag"])
+    def test_dump_embeddings_data_root_is_the_flag_else_the_stored_one(self, tmp_path, monkeypatch, override):
+        cfg_path = write_config(tmp_path, data_root=str(tmp_path / "stored"))
         assert main(["run", "--config", str(cfg_path)]) == 0
-        other = write_config(tmp_path, strategy="baseline", out_dir=str(tmp_path / "dm"))
-        code = main(
-            [
-                "dump-embeddings",
-                "--config",
-                str(other),
-                "--checkpoint",
-                str(tmp_path / "dm" / "checkpoint_seed1.npz"),
-            ]
-        )
-        assert code == 1
-        assert "strategy: checkpoint was trained with 'san'" in capsys.readouterr().err
+        roots = []
+        real_load_pools = harness.load_pools
+        monkeypatch.setattr(harness, "load_pools", lambda cfg: roots.append(cfg.data_root) or real_load_pools(cfg))
+        argv = ["dump-embeddings", "--checkpoint", str(tmp_path / "out" / "checkpoint_seed1.npz")]
+        argv += ["--out-file", str(tmp_path / "e.csv")] + (["--data-root", str(tmp_path / "flag")] if override else [])
+        assert main(argv) == 0
+        assert roots == [str(tmp_path / ("flag" if override else "stored"))]
+
+    @pytest.mark.parametrize("flag", ["--config=c.json", "--seed=1", "--out=o", "--epochs=1", "--fast"])
+    def test_dump_embeddings_takes_no_run_option(self, capsys, flag):
+        # the checkpoint states the run; only --data-root may replace a part of it
+        with pytest.raises(SystemExit) as info:
+            main(["dump-embeddings", "--checkpoint", "ck.npz", flag])
+        assert info.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
     def test_dump_embeddings_checkpoint_mismatch_exit_one_on_one_line(self, tmp_path, capsys):
         cfg_path = write_config(tmp_path, out_dir=str(tmp_path / "co"))
         assert main(["run", "--config", str(cfg_path)]) == 0
         capsys.readouterr()
-        other = write_config(tmp_path, class_order=[3, 2, 1, 0], out_dir=str(tmp_path / "co"))
-        code = main(
-            [
-                "dump-embeddings",
-                "--config",
-                str(other),
-                "--checkpoint",
-                str(tmp_path / "co" / "checkpoint_seed1.npz"),
-                "--out-file",
-                str(tmp_path / "e.csv"),
-            ]
-        )
+        ck = tmp_path / "co" / "checkpoint_seed1.npz"
+        rewrite_checkpoint(ck, lambda meta, arrays: meta["config"].update(class_order=[3, 2, 1, 0]))
+        code = main(["dump-embeddings", "--checkpoint", str(ck), "--out-file", str(tmp_path / "e.csv")])
         assert code == 1
         err = capsys.readouterr().err
         assert err.count("\n") == 1
@@ -1407,25 +1497,58 @@ class TestCli:
 
     @pytest.mark.parametrize("write, problem", FOREIGN_CHECKPOINTS.values(), ids=FOREIGN_CHECKPOINTS)
     def test_dump_embeddings_foreign_checkpoint_exit_one(self, tmp_path, capsys, write, problem):
-        cfg_path = write_config(tmp_path)
         path = tmp_path / "foreign.npz"
         write(path)
-        code = main(["dump-embeddings", "--config", str(cfg_path), "--checkpoint", str(path)])
+        code = main(["dump-embeddings", "--checkpoint", str(path)])
         assert code == 1
         assert capsys.readouterr().err == f"checkpoint mismatch: checkpoint {path} {problem}\n"
 
     def test_dump_embeddings_missing_checkpoint_exit_two(self, tmp_path, capsys):
-        cfg_path = write_config(tmp_path)
-        code = main(
-            [
-                "dump-embeddings",
-                "--config",
-                str(cfg_path),
-                "--checkpoint",
-                str(tmp_path / "none.npz"),
-            ]
-        )
+        code = main(["dump-embeddings", "--checkpoint", str(tmp_path / "none.npz")])
         assert code == 2
+
+    def test_out_dir_that_is_a_file_exit_one_before_training(self, tmp_path, capsys, monkeypatch):
+        from santil import engine
+
+        trained = []
+        monkeypatch.setattr(engine, "train_task", lambda *args, **kwargs: trained.append(args))
+        out = tmp_path / "taken"
+        out.write_text("not a directory")
+        cfg_path = write_config(tmp_path, out_dir=str(out))
+        assert main(["run", "--config", str(cfg_path)]) == 1
+        assert capsys.readouterr().err == f"config error: out_dir: cannot make directory {out}: File exists\n"
+        assert trained == []
+        assert out.read_text() == "not a directory"
+
+    def test_sweep_kernel_dir_that_is_a_file_exit_one_before_the_first_width_trains(self, tmp_path, capsys, monkeypatch):
+        from santil import engine
+
+        trained = []
+        monkeypatch.setattr(engine, "train_task", lambda *args, **kwargs: trained.append(args))
+        (tmp_path / "sw").mkdir()
+        (tmp_path / "sw" / "kernel5").write_text("not a directory")
+        cfg_path = write_config(tmp_path, out_dir=str(tmp_path / "sw"))
+        assert main(["sweep-size", "--config", str(cfg_path), "--widths", "3,5"]) == 1
+        err = capsys.readouterr().err
+        assert err == f"config error: out_dir: cannot make directory {tmp_path / 'sw' / 'kernel5'}: File exists\n"
+        assert trained == []
+        assert not list((tmp_path / "sw" / "kernel3").iterdir())
+
+    def test_report_started_at_precedes_the_first_task(self, tmp_path, monkeypatch):
+        from datetime import datetime, timezone
+
+        from santil import engine
+
+        first_task = []
+        real_train_task = engine.train_task
+
+        def stamped(*args, **kwargs):
+            first_task.append(datetime.now(timezone.utc))
+            return real_train_task(*args, **kwargs)
+
+        monkeypatch.setattr(engine, "train_task", stamped)
+        report = harness.run(synthetic_config(tmp_path, epochs=1))
+        assert datetime.fromisoformat(report["started_at"]) <= first_task[0]
 
     def test_cli_determinism_byte_identical_reports(self, tmp_path):
         cfg_path = write_config(tmp_path)
