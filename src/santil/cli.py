@@ -112,6 +112,14 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--fast", action="store_true", help="reduced-epoch desk profile (5 epochs)")
 
 
+def _command(sub, name: str, func, help: str) -> argparse.ArgumentParser:
+    """One subcommand's parser. Flags are never abbreviated, so a short form
+    cannot silently mean one long flag today and another tomorrow."""
+    p = sub.add_parser(name, help=help, allow_abbrev=False)
+    p.set_defaults(func=func)
+    return p
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="santil",
@@ -119,39 +127,32 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("run", help="train and evaluate one configuration")
+    p = _command(sub, "run", cmd_run, "train and evaluate one configuration")
     _add_common(p)
-    p.set_defaults(func=cmd_run)
 
-    p = sub.add_parser("sweep-size", help="vary adjustment-network kernel size")
+    p = _command(sub, "sweep-size", cmd_sweep_size, "vary adjustment-network kernel size")
     _add_common(p)
     p.add_argument("--widths", required=True, help="comma-separated odd kernel sizes, e.g. 3,5,7")
-    p.set_defaults(func=cmd_sweep_size)
 
-    p = sub.add_parser("ablate-order", help="re-run with permuted task orders")
+    p = _command(sub, "ablate-order", cmd_ablate_order, "re-run with permuted task orders")
     _add_common(p)
     p.add_argument(
         "--orders", required=True, help="semicolon-separated permutations, e.g. '0,1,2,3,4;4,3,2,1,0'"
     )
-    p.set_defaults(func=cmd_ablate_order)
 
-    # no abbreviations, so a run's --out is not taken for --out-file
-    p = sub.add_parser("dump-embeddings", help="export pre-classifier embeddings as CSV", allow_abbrev=False)
+    p = _command(sub, "dump-embeddings", cmd_dump_embeddings, "export pre-classifier embeddings as CSV")
     p.add_argument("--checkpoint", required=True, help="checkpoint .npz from a previous run")
     p.add_argument("--data-root", help="dataset directory (default: the stored config's, else as for run)")
     p.add_argument("--split", default="test", choices=["train", "val", "test"])
     p.add_argument("--out-file", default="embeddings.csv")
-    p.set_defaults(func=cmd_dump_embeddings)
 
-    p = sub.add_parser("fetch-data", help="download and verify dataset files")
+    p = _command(sub, "fetch-data", cmd_fetch_data, "download and verify dataset files")
     p.add_argument("--dataset", required=True, choices=sorted(REGISTRY))
     p.add_argument("--data-root", help="target directory (default: $SAN_TIL_DATA_ROOT or ./data)")
     p.add_argument("--skip-verify", action="store_true", help="skip checksum verification")
-    p.set_defaults(func=cmd_fetch_data)
 
-    p = sub.add_parser("grad-check", help="finite-difference check of every operation")
+    p = _command(sub, "grad-check", cmd_grad_check, "finite-difference check of every operation")
     p.add_argument("--instances", type=int, default=5, help="random cases per op")
-    p.set_defaults(func=cmd_grad_check)
 
     return parser
 

@@ -155,7 +155,6 @@ class TrainingDivergedError(RuntimeError):
 
 @dataclass
 class TrainLog:
-    task_index: int
     epochs: int
     best_epoch: int
     val_accuracy: float
@@ -444,7 +443,6 @@ def train_task(
     state.trained_upto = task_index
     state._active_task = 0
     return TrainLog(
-        task_index=task_index,
         epochs=epochs,
         best_epoch=best_epoch,
         val_accuracy=float(best_acc),

@@ -239,14 +239,7 @@ def assert_frozen(
 
 def model_size(blocks: Sequence[ModelBlock]) -> tuple[int, float]:
     """(total stored parameters, megabytes) under the 4-bytes-per-value convention."""
-    seen: set[int] = set()
-    count = 0
-    for block in blocks:
-        for p in block.parameters():
-            if id(p) in seen:
-                continue
-            seen.add(id(p))
-            count += int(p.data.size)
+    count = sum(int(p.data.size) for block in blocks for p in block.parameters())
     return count, count * 4 / 1e6
 
 

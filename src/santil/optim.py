@@ -1,7 +1,7 @@
-"""Bias-corrected Adam, aware of parameter freezing.
+"""Bias-corrected Adam over trainable parameters.
 
 Frozen parameters are constants to the tape and get no gradient, so Adam
-skips them.
+refuses them when it is built.
 """
 
 from __future__ import annotations
@@ -18,10 +18,10 @@ class MissingGradientError(RuntimeError):
 
 
 class Adam(object):
-    """Adam over a fixed parameter list.
+    """Adam over a fixed list of trainable parameters.
 
-    Frozen parameters are skipped entirely and never get moment buffers.
-    The moment decay rates and epsilon are fixed at Adam's usual values.
+    Both moment buffers of every parameter are made when it is built. The
+    moment decay rates and epsilon are fixed at Adam's usual values.
     """
 
     beta1 = 0.9
@@ -30,10 +30,13 @@ class Adam(object):
 
     def __init__(self, params: Iterable[Parameter], lr: float = 0.001):
         self.params = list(params)
+        for p in self.params:
+            if p.frozen:
+                raise ValueError(f"Adam: parameter '{p.name}' is frozen")
         self.lr = float(lr)
         self.step_count = 0
-        self._m: dict[int, np.ndarray] = {}
-        self._v: dict[int, np.ndarray] = {}
+        self._m = [np.zeros_like(p.data) for p in self.params]
+        self._v = [np.zeros_like(p.data) for p in self.params]
 
     def step(self) -> None:
         self.step_count += 1
@@ -43,20 +46,10 @@ class Adam(object):
         # update = lr * (m/bc1) / (sqrt(v/bc2) + eps), folded to reuse buffers
         step_size = self.lr * (bc2**0.5) / bc1
         denom_eps = self.eps * (bc2**0.5)
-        for p in self.params:
-            if p.frozen:
-                continue
+        for p, m, v in zip(self.params, self._m, self._v):
             g = p.grad
             if g is None:
                 raise MissingGradientError(f"no gradient for trainable parameter '{p.name}'")
-            key = id(p)
-            m = self._m.get(key)
-            v = self._v.get(key)
-            if m is None:
-                m = np.zeros_like(p.data)
-                v = np.zeros_like(p.data)
-                self._m[key] = m
-                self._v[key] = v
             m *= self.beta1
             m += (1.0 - self.beta1) * g
             v *= self.beta2

@@ -132,7 +132,7 @@ class Parameter(Tensor):
     Ops take a parameter as they take any tensor. ``frozen`` is the
     negation of ``requires_grad``: a frozen parameter is a constant to the
     tape, so it never gets a gradient, ops fed only by constants are not
-    recorded, and the optimizer skips it.
+    recorded, and the optimizer refuses it.
     """
 
     __slots__ = ("name",)
@@ -519,15 +519,15 @@ def conv2d(
     is positive (both are False for NaN), so the pre-activation is never
     kept. The gate is applied piece by piece, never to the whole batch at
     once: the weight pass gates each block into its thread's own block
-    buffer, and the input pass gates each chunk as it pads it. Only a bias
-    gradient without a weight gradient (which ``freeze`` never leaves)
-    gates the whole batch. Forward and backward do the same elementwise
-    arithmetic as the two ops, so the bits are those of the pair.
+    buffer, and the input pass gates each chunk as it pads it. Forward and
+    backward do the same elementwise arithmetic as the two ops, so the bits
+    are those of the pair.
 
     The bias gradient is each sample's sum over Ho*Wo (taken in the weight
-    pass), added in sample order. For more than one output channel that is
-    the order of numpy's ``g.sum(axis=(0, 2, 3))``; for one, numpy's sum is
-    a single pairwise sum over the batch and may differ in the last bits.
+    pass, so a trainable bias on a frozen weight is refused), added in
+    sample order. For more than one output channel that is the order of
+    numpy's ``g.sum(axis=(0, 2, 3))``; for one, numpy's sum is a single
+    pairwise sum over the batch and may differ in the last bits.
 
     Forward and the input gradient share their chunks among threads as
     ``_chunks`` and ``_split`` say. The weight gradient is shared in fixed
@@ -566,6 +566,9 @@ def conv2d(
         )
     if b.data.shape[0] != cout:
         raise ShapeError(f"conv2d: bias has {b.data.shape[0]} entries for {cout} filters")
+    if b.requires_grad and not w.requires_grad:
+        names = getattr(b, "name", "b"), getattr(w, "name", "w")
+        raise ValueError("conv2d: bias %r is trainable but weight %r is frozen" % names)
     hp, wp = h + 2 * padding, wd + 2 * padding
     if kh > hp or kw > wp:
         raise ShapeError(f"conv2d: kernel {kh}x{kw} exceeds padded input {hp}x{wp}")
@@ -601,16 +604,9 @@ def conv2d(
     out = Tensor(out_data)
 
     def grad_fn(g):
-        gate = relu  # whether each pass still has to gate its piece of g
         gw = gx = None
         # each sample's bias gradient (its sum over Ho*Wo), added in sample order
         brows = np.empty((n, cout), dtype=dtype) if b.requires_grad else None
-        if b.requires_grad and not w.requires_grad:
-            # no weight pass to take the bias rows in: gate the whole batch
-            if gate:
-                g = g * (out_data > 0)
-                gate = False
-            g.reshape(n, cout, ho * wo).sum(axis=2, out=brows)
         if w.requires_grad:
             gl = g.reshape(n, cout, ho * wo)
             ol = out_data.reshape(n, cout, ho * wo)
@@ -626,8 +622,8 @@ def conv2d(
                 (
                     patch_builder(wstep),
                     np.empty((wstep, k, cout), dtype=dtype),
-                    np.empty(block_shape, dtype=dtype) if gate else None,
-                    np.empty(block_shape, dtype=bool) if gate else None,
+                    np.empty(block_shape, dtype=dtype) if relu else None,
+                    np.empty(block_shape, dtype=bool) if relu else None,
                 )
                 for _ in range(max(1, min(wworkers, len(blocks))))
             ]
@@ -635,7 +631,7 @@ def conv2d(
             def weight_grad(take):
                 chunk_patches, gws, gblk, mask = buffers.pop()
                 while (blk := take()) is not None:
-                    if gate:
+                    if relu:
                         size = blk.stop - blk.start
                         np.greater(ol[blk], 0, out=mask[:size])
                         gblock = np.multiply(gl[blk], mask[:size], out=gblk[:size])
@@ -679,7 +675,7 @@ def conv2d(
                 acc = np.empty((step, cin, stride * rows, wp), dtype=dtype)
                 while (sl := take()) is not None:
                     m = sl.stop - sl.start
-                    if gate:
+                    if relu:
                         np.multiply(g[sl], out_data[sl] > 0, out=gpad[:m, :, :ho, :wo])
                     else:
                         gpad[:m, :, :ho, :wo] = g[sl]

@@ -348,6 +348,19 @@ class TestTrainTaskContracts:
             counts = [rec["param_count"] for rec in result.per_task]
             assert counts == sorted(counts)
 
+    def test_model_blocks_list_each_parameter_once(self):
+        # model_size counts every parameter it is given, so no strategy may list one twice
+        seq = blob_sequence()
+        for strategy in engine.STRATEGY_TABLE:
+            state = IncrementalState(strategy, tiny_arch(), seq, master_seed=1)
+            for task in seq.tasks:
+                prepare_task_blocks(state, task)
+            blocks = state.model_blocks()
+            assert len(blocks) == 3 + (len(seq.tasks) - 1) * len(state.spec.per_task), strategy
+            params = [p for block in blocks for p in block.parameters()]
+            assert len({id(p) for p in params}) == len({p.name for p in params}) == len(params), strategy
+            assert layers.model_size(blocks)[0] == sum(p.data.size for p in params)
+
     def test_chance_level_before_training(self):
         seq = blob_sequence(per_class=150)
         state = IncrementalState("san", tiny_arch(), seq, master_seed=2)

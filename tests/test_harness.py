@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 import re
+import stat
 import struct
 import tarfile
 from pathlib import Path
@@ -1481,6 +1482,26 @@ class TestCli:
         assert info.value.code == 2
         assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        ("argv", "short"),
+        [
+            (["run", "--config", "c.json", "--ep", "1"], "--ep"),
+            (["sweep-size", "--config", "c.json", "--widths", "3", "--ou", "o"], "--ou"),
+            (["ablate-order", "--config", "c.json", "--orders", "0,1", "--se", "1"], "--se"),
+            (["fetch-data", "--dataset", "mnist", "--skip"], "--skip"),
+            (["grad-check", "--inst", "2"], "--inst"),
+        ],
+        ids=["run", "sweep-size", "ablate-order", "fetch-data", "grad-check"],
+    )
+    def test_abbreviated_flag_exit_two(self, capsys, monkeypatch, argv, short):
+        # a short form never stands for a long flag, so no command runs
+        for name in ("cmd_run", "cmd_sweep_size", "cmd_ablate_order", "cmd_fetch_data", "cmd_grad_check"):
+            monkeypatch.setattr(cli, name, lambda args: pytest.fail("a command ran"))
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2
+        assert f"unrecognized arguments: {short}" in capsys.readouterr().err
+
     def test_dump_embeddings_checkpoint_mismatch_exit_one_on_one_line(self, tmp_path, capsys):
         cfg_path = write_config(tmp_path, out_dir=str(tmp_path / "co"))
         assert main(["run", "--config", str(cfg_path)]) == 0
@@ -1685,12 +1706,13 @@ class TestFetchLogic:
         assert (tmp_path / "mnist" / "train-images-idx3-ubyte").read_bytes() == raw
 
     @staticmethod
-    def write_tar(path, members):
+    def write_tar(path, members, mode=0o644):
         """A gzipped tar built in memory from (name, kind, payload or link target) triples."""
         buf = io.BytesIO()
         with tarfile.open(fileobj=buf, mode="w:gz") as tar:
             for name, kind, payload in members:
                 info = tarfile.TarInfo(name)
+                info.mode = mode
                 if kind == "file":
                     info.size = len(payload)
                     tar.addfile(info, io.BytesIO(payload))
@@ -1702,14 +1724,22 @@ class TestFetchLogic:
         path.write_bytes(buf.getvalue())
         return path
 
-    def untar(self, tmp_path, members):
-        archive = self.write_tar(tmp_path / "archives" / "a.tar.gz", members)
+    def untar(self, tmp_path, members, mode=0o644):
+        archive = self.write_tar(tmp_path / "archives" / "a.tar.gz", members, mode)
         unpack(archive, RemoteFile("http://x/a.tar.gz", archive.name, None, "untar", "."), tmp_path / "data")
 
     def test_untar_extracts_files_under_the_data_root(self, tmp_path):
         self.untar(tmp_path, [("set/a.bin", "file", b"abc"), ("set/b.bin", "file", b"de")])
         assert (tmp_path / "data" / "set" / "a.bin").read_bytes() == b"abc"
         assert (tmp_path / "data" / "set" / "b.bin").read_bytes() == b"de"
+
+    @pytest.mark.skipif(not hasattr(tarfile, "data_filter"), reason="tarfile has no extraction filters")
+    @pytest.mark.parametrize("mode", [0o4755, 0o2755, 0o777, 0o666], ids=oct)
+    def test_untar_drops_setuid_and_group_or_world_write_bits(self, tmp_path, mode):
+        self.untar(tmp_path, [("set/a.bin", "file", b"abc")], mode)
+        extracted = (tmp_path / "data" / "set" / "a.bin").stat().st_mode
+        assert extracted & (stat.S_ISUID | stat.S_ISGID | stat.S_IWGRP | stat.S_IWOTH) == 0
+        assert extracted & 0o755 == mode & 0o755 & ~0o022
 
     def test_untar_member_in_a_sibling_directory_refused(self, tmp_path):
         # ".../data-evil" starts with the string ".../data" but is not inside it

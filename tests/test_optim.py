@@ -46,16 +46,13 @@ def test_bias_correction_across_steps_matches_reference():
     assert abs(float(p.data[0]) - theta) < 1e-6
 
 
-def test_frozen_parameter_untouched_and_bufferless():
-    p = make_param([[1.0, 2.0]])
-    p.frozen = True
-    opt = Adam([p])
-    before = p.data.tobytes()
-    p.grad = np.ones_like(p.data)
-    for _ in range(5):
-        opt.step()
-    assert p.data.tobytes() == before
-    assert not opt._m and not opt._v  # no moment buffers for a frozen parameter
+def test_frozen_parameter_refused_by_name():
+    # a frozen parameter gets no gradient; the engine hands Adam only trainable ones
+    live, frozen = make_param([0.0], "a.weight"), make_param([[1.0, 2.0]], "b.bias")
+    frozen.frozen = True
+    with pytest.raises(ValueError, match=r"^Adam: parameter 'b\.bias' is frozen$"):
+        Adam([live, frozen])
+    assert frozen.data.tobytes() == np.array([[1.0, 2.0]], dtype=np.float32).tobytes()
 
 
 def test_missing_gradient_rejected():

@@ -320,7 +320,8 @@ class TestConv2d:
 
     @pytest.mark.parametrize("case", ONE_SHOT_CASES)
     def test_chunked_bitwise_equals_one_shot(self, monkeypatch, case):
-        self.assert_bitwise_equals_one_shot(monkeypatch, case)
+        # the bias trains with its weight, as freeze leaves them
+        self.assert_bitwise_equals_one_shot(monkeypatch, case, bias_grad=case[-1])
 
     # a one-shot case, then: workers, _CHUNK_BYTES (None: as the case says),
     # bias trainable
@@ -335,8 +336,8 @@ class TestConv2d:
         (ONE_SHOT_CASES[6], 2, None, True),
         (ONE_SHOT_CASES[6], 8, None, True),
         (ONE_SHOT_CASES[6], 2, None, False),  # weight only, bias frozen
-        (ONE_SHOT_CASES[7], 2, None, True),  # input and bias: the whole batch is gated
-        (ONE_SHOT_CASES[7], 1, None, False),  # input only: its pass gates alone
+        (ONE_SHOT_CASES[7], 2, None, False),  # input only: its pass gates alone
+        (ONE_SHOT_CASES[7], 1, None, False),
         (ONE_SHOT_CASES[7], 8, None, False),
     ]
 
@@ -593,7 +594,7 @@ class TestConv2d:
                 use_workers(monkeypatch, workers)
                 helped.clear()
                 x = t(xd, dtype, grad=need_gx)
-                w, b = t(wdata, dtype, grad=need_gw), t(bd, dtype, grad=True)
+                w, b = t(wdata, dtype, grad=need_gw), t(bd, dtype, grad=need_gw)
                 with Tape():
                     out = conv2d(x, w, b, stride, pad, relu=fused)
                     backward(tsum(mul(out, t(g, dtype))))
@@ -780,10 +781,10 @@ class TestConv2d:
         g *= rng.random(size=shape) < 0.5  # signed zeros, as from a ReLU gate
         assert g.sum(axis=(0, 2, 3)).tobytes() == sample_order_sum(g).tobytes()
 
-    @pytest.mark.parametrize("need_gw", [True, False])
+    @pytest.mark.parametrize("relu", [True, False])
     @pytest.mark.parametrize("cout", [1, 6])
-    def test_bias_gradient_adds_per_sample_sums_in_sample_order(self, monkeypatch, cout, need_gw):
-        # in the weight pass, or gated whole when there is none; at Cout = 1
+    def test_bias_gradient_adds_per_sample_sums_in_sample_order(self, monkeypatch, cout, relu):
+        # in the weight pass, from each gated block or from g itself; at Cout = 1
         # numpy's whole-batch sum is one pairwise sum, and conv2d's is not
         n = 70
         rng = np.random.default_rng(20)
@@ -792,11 +793,24 @@ class TestConv2d:
         bd = rng.normal(size=cout).astype(np.float32)
         g = rng.normal(size=(n, cout, 9, 9)).astype(np.float32)
         use_workers(monkeypatch, 2)
-        w, b = t(wdata, grad=need_gw), t(bd, grad=True)
+        w, b = t(wdata, grad=True), t(bd, grad=True)
         with Tape():
-            out = conv2d(t(xd), w, b, 1, 1, relu=True)
+            out = conv2d(t(xd), w, b, 1, 1, relu=relu)
             backward(tsum(mul(out, t(g))))
-        assert b.grad.tobytes() == sample_order_sum(g * (out.data > 0)).tobytes()
+        assert b.grad.tobytes() == sample_order_sum(g * (out.data > 0) if relu else g).tobytes()
+
+    def test_trainable_bias_on_a_frozen_weight_refused_by_name(self):
+        # the bias gradient is taken in the weight pass, so a bias trains only with its weight
+        x = t(np.ones((2, 1, 4, 4)), grad=True)
+        w = Parameter(np.ones((3, 1, 3, 3), dtype=np.float32), "f.0.weight")
+        b = Parameter(np.zeros(3, dtype=np.float32), "f.0.bias")
+        w.frozen = True
+        refused = r"^conv2d: bias 'f\.0\.bias' is trainable but weight 'f\.0\.weight' is frozen$"
+        with Tape() as tape, pytest.raises(ValueError, match=refused):
+            conv2d(x, w, b, 1, 1, relu=True)
+        assert len(tape) == 0
+        with pytest.raises(ValueError, match=r"^conv2d: bias 'b' is trainable but weight 'w' is frozen$"):
+            conv2d(x, t(np.ones((3, 1, 3, 3))), t(np.zeros(3), grad=True))
 
     @pytest.mark.parametrize("workers", [1, 2, 8])
     def test_weight_gradient_peak_is_its_partials_and_two_chunks(self, monkeypatch, workers):
