@@ -106,8 +106,9 @@ def load_state(path, arch: ArchitectureSpec, seq: TaskSequence) -> IncrementalSt
 
     The sequence must be the one the checkpoint was trained on: at least as
     many tasks, each with the stored classes in the stored order. The stored
-    arrays must be exactly the rebuilt model's parameters, at their shapes.
-    Otherwise this raises CheckpointMismatchError naming where they differ.
+    arrays must be exactly the rebuilt model's parameters, at their shapes and
+    dtypes. Otherwise this raises CheckpointMismatchError naming where they
+    differ.
     """
     with _open(path) as (bundle, meta):
         trained = meta["task_classes"]
@@ -129,12 +130,19 @@ def load_state(path, arch: ArchitectureSpec, seq: TaskSequence) -> IncrementalSt
         for p in params:
             if p.name not in bundle:
                 raise CheckpointMismatchError(f"checkpoint {path} lacks parameter {p.name!r}")
-            stored = bundle[p.name]
+            try:
+                stored = bundle[p.name]
+            except (ValueError, zipfile.BadZipFile) as exc:  # pickled or short data; a bad CRC
+                raise CheckpointMismatchError(f"checkpoint {path} parameter {p.name!r} cannot be read: {exc}") from None
             if stored.shape != p.data.shape:
                 raise CheckpointMismatchError(
                     f"checkpoint {path} parameter {p.name!r} has shape {stored.shape}, expected {p.data.shape}"
                 )
-            p.data = stored.astype(p.data.dtype, copy=True)
+            if stored.dtype != p.data.dtype:
+                raise CheckpointMismatchError(
+                    f"checkpoint {path} parameter {p.name!r} has dtype {stored.dtype}, expected {p.data.dtype}"
+                )
+            p.data = stored
         surplus = sorted(set(bundle.files) - {"__meta__"} - {p.name for p in params})
         if surplus:
             raise CheckpointMismatchError(f"checkpoint {path} holds parameter {surplus[0]!r}, which the model lacks")

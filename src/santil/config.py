@@ -296,8 +296,8 @@ def _layer_from_dict(entry: dict, where: str, base: int | None):
 
     Booleans, floats and strings are rejected rather than coerced, so 4.7 or
     ``true`` cannot silently become 4 or 1. The one exception is a linear
-    ``out_features`` of ``"base"``, which becomes ``base``; only the
-    classifier's last layer is given one.
+    ``out_features`` of ``"base"``, which becomes ``base``, the widest task's
+    class count; only the classifier's last layer is given one.
     """
     if not isinstance(entry, dict) or "kind" not in entry:
         raise ConfigError([f"{where}: each layer needs a 'kind' field, got {entry!r}"])
@@ -323,13 +323,12 @@ def _layer_from_dict(entry: dict, where: str, base: int | None):
         raise ConfigError([f"{where}: bad {kind} layer {entry!r} ({exc})"]) from None
 
 
-def resolve_architecture(
-    config: RunConfig, input_shape: tuple[int, int, int], first_task_classes: int, *later_task_classes: int
-) -> ArchitectureSpec:
-    """Concrete ArchitectureSpec with the classifier width pinned to task 1.
+def resolve_architecture(config: RunConfig, input_shape: tuple[int, int, int], *task_classes: int) -> ArchitectureSpec:
+    """Concrete ArchitectureSpec whose classifier is as wide as the widest task.
 
-    The class counts are those of the tasks in training order, task 1's
-    first; each task must fit the head it uses (``engine.check_head_fit``).
+    The class counts are those of the tasks in training order. A preset's
+    ``base_classes`` and an inline ``"base"`` width become the largest of
+    them; each task must fit the head (``engine.check_head_fit``).
     The ShapeError a spec raises when made (a part that does not fit, or a
     classifier not ending in a linear layer) becomes a config error naming
     the part. With the orthogonality penalty on, the adjustment output must
@@ -337,11 +336,11 @@ def resolve_architecture(
     features as a square matrix.
     """
     try:
-        spec = _spec(config, input_shape, first_task_classes)
+        spec = _spec(config, input_shape, max(task_classes))
     except ShapeError as exc:  # "backbone: layer 2: ..."
         raise ConfigError([f"architecture.{exc}"]) from None
     try:
-        check_head_fit(config.strategy, spec, (first_task_classes, *later_task_classes))
+        check_head_fit(spec, task_classes)
     except ValueError as exc:
         raise ConfigError([f"architecture.classifier: {exc}"]) from None
     width = math.prod(output_shape(spec.adjustment, output_shape(spec.backbone, spec.input_shape)))
@@ -355,11 +354,11 @@ def resolve_architecture(
     return spec
 
 
-def _spec(config: RunConfig, input_shape: tuple[int, int, int], first_task_classes: int) -> ArchitectureSpec:
+def _spec(config: RunConfig, input_shape: tuple[int, int, int], base: int) -> ArchitectureSpec:
     if isinstance(config.architecture, str):
         return PRESETS[config.architecture](
             input_shape=input_shape,
-            base_classes=first_task_classes,
+            base_classes=base,
             adjust_kernel=config.adjust_kernel,
         )
 
@@ -371,7 +370,7 @@ def _spec(config: RunConfig, input_shape: tuple[int, int, int], first_task_class
             raise ConfigError([f"architecture.{part}: must be a list of layers"])
         last = len(layers) - 1 if part == "classifier" else None
         parts[part] = tuple(
-            _layer_from_dict(e, f"architecture.{part}: layer {i}", first_task_classes if i == last else None)
+            _layer_from_dict(e, f"architecture.{part}: layer {i}", base if i == last else None)
             for i, e in enumerate(layers)
         )
     return ArchitectureSpec(input_shape=tuple(input_shape), **parts)

@@ -2,16 +2,18 @@
 
 Every network is backbone -> adjustment -> classifier. The strategies are
 the keys of ``STRATEGY_TABLE`` and differ only in their row: which parts each
-task builds fresh (the rest are built at task 1 and shared), whether what a
-task trained freezes once it is done, and how wide a fresh classifier head is.
-No task may have more classes than the head it uses (``check_head_fit``).
+task builds fresh (the rest are built at task 1 and shared), and whether
+what a task trained freezes once it is done. Every classifier, shared or
+built for one task, is the architecture's classifier stack as it stands, so
+every head is ``arch.base_classes`` wide; no task may have more classes than
+that (``check_head_fit``).
 
   san          a fresh adjustment block per task between a backbone and a
                classifier that task 1 trains and then freezes.
   baseline     a fresh classifier head per task on the backbone and
                adjustment that task 1 trains and then freezes.
-  finetune     one network, every parameter trainable at every task, single
-               shared head sized to the largest task.
+  finetune     one network, every parameter trainable at every task, one
+               shared head.
   independent  a fresh full network per task; the non-incremental ceiling.
 
 All four build the identical task-1 model from the same seed, which makes
@@ -88,52 +90,32 @@ class StrategySpec:
     ``per_task``: the parts built fresh for every task; the others are built
     at task 1 and shared by every task.
     ``freezes``: whether every part on a task's path freezes once it is done.
-    ``head``: the width of a fresh classifier. ``"widest"`` sizes it for the
-    widest task of the sequence. Otherwise task 1's head is base_classes
-    wide and a later task's is its class count (``"task"``) or at least
-    base_classes (``"base"``).
     """
 
     per_task: tuple[str, ...]
     freezes: bool
-    head: str
-
-    def head_width(self, arch: ArchitectureSpec, counts: Sequence[int], t: int) -> int:
-        """Width of the head task t uses, given every task's class count.
-
-        A task's head is built fresh for it, or is task 1's when the
-        classifier is shared.
-        """
-        if self.head == "widest":
-            return max(counts)
-        if t == 1 or "classifier" not in self.per_task:
-            return arch.base_classes
-        return counts[t - 1] if self.head == "task" else max(arch.base_classes, counts[t - 1])
 
 
 STRATEGY_TABLE = {
-    "san": StrategySpec(per_task=("adjust",), freezes=True, head="base"),
-    "baseline": StrategySpec(per_task=("classifier",), freezes=True, head="task"),
-    "finetune": StrategySpec(per_task=(), freezes=False, head="widest"),
-    "independent": StrategySpec(per_task=PARTS, freezes=True, head="base"),
+    "san": StrategySpec(per_task=("adjust",), freezes=True),
+    "baseline": StrategySpec(per_task=("classifier",), freezes=True),
+    "finetune": StrategySpec(per_task=(), freezes=False),
+    "independent": StrategySpec(per_task=PARTS, freezes=True),
 }
 
 
-def check_head_fit(strategy: str, arch: ArchitectureSpec, counts: Sequence[int]) -> None:
+def check_head_fit(arch: ArchitectureSpec, counts: Sequence[int]) -> None:
     """The head-fit rule: no task may have more classes than the head it uses.
 
-    ``counts`` holds every task's class count, in training order. Only a
-    head as wide as the classifier's last linear layer can be too narrow:
-    task 1's, and the one a ``san`` task shares with it. Raises ValueError
-    naming the first task that does not fit.
+    ``counts`` holds every task's class count, in training order. Every head
+    is the classifier's last linear width, ``arch.base_classes``. Raises
+    ValueError naming the first task that does not fit.
     """
-    spec = STRATEGY_TABLE[strategy]
     for t, n in enumerate(counts, start=1):
-        width = spec.head_width(arch, counts, t)
-        if n > width:
+        if n > arch.base_classes:
             raise ValueError(
                 f"task {t} has {n} classes, but the head it uses is narrower: "
-                f"the classifier's last linear width is {width}"
+                f"the classifier's last linear width is {arch.base_classes}"
             )
 
 
@@ -187,7 +169,7 @@ class IncrementalState:
         self.arch = arch
         self.seq = seq
         self.master_seed = int(master_seed)
-        check_head_fit(strategy, arch, [len(task.class_ids) for task in seq.tasks])
+        check_head_fit(arch, [len(task.class_ids) for task in seq.tasks])
 
         self.shared: dict[str, ModelBlock] = {}
         self.per_task: dict[int, dict[str, ModelBlock]] = {}
@@ -239,16 +221,12 @@ def prepare_task_blocks(state: IncrementalState, task: Task) -> None:
     t = task.index
     if t > state.prepared + 1:
         raise TrainingOrderError(f"task {t} cannot be prepared before task {state.prepared + 1}")
-    spec = state.spec
     arch = state.arch
     shape = arch.input_shape
     stacks = (arch.backbone, arch.adjustment, arch.classifier)
     for part, stack, component in zip(PARTS, stacks, _COMPONENTS):
-        owner = state.per_task.setdefault(t, {}) if part in spec.per_task else state.shared
+        owner = state.per_task.setdefault(t, {}) if part in state.spec.per_task else state.shared
         if part not in owner:
-            if part == "classifier":
-                counts = [len(other.class_ids) for other in state.seq.tasks]
-                stack = stack[:-1] + (Dense(spec.head_width(arch, counts, t)),)
             name = part if owner is state.shared else f"task{t}.{part}"
             seed = derive_seed(state.master_seed, TAG_INIT, t, component)
             owner[part] = build_block(stack, shape, seed, name)

@@ -267,7 +267,7 @@ class ArchitectureSpec:
                 raise ShapeError(f"{part}: {exc}") from None
 
     @property
-    def base_classes(self) -> int:  # the task-1 head width
+    def base_classes(self) -> int:  # every head's width, shared or per task
         return self.classifier[-1].out_features
 
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from santil import engine, layers
+from santil.config import RunConfig, load_pools, resolve_architecture
 from santil.data import Dataset, DatasetError, make_permutations, split_indices, synthetic_dataset
 from santil.engine import (
     IncrementalState,
@@ -133,11 +134,11 @@ class TestTaskHead:
             build_split_sequence(pool, pool, groups, master_seed=1)
 
     def test_head_is_the_first_outputs_of_a_wider_classifier(self):
-        # finetune sizes its one head for the widest task, so task 1 uses 2 of 4 outputs
+        # every head is as wide as the widest task, so task 1 uses 2 of 4 outputs
         train = synthetic_dataset(6, 40, (1, 8, 8), seed=56)
         test = synthetic_dataset(6, 10, (1, 8, 8), seed=57, pattern_seed=56)
         seq = build_split_sequence(train, test, [(0, 1), (2, 3, 4, 5)], master_seed=1)
-        state = IncrementalState("finetune", tiny_arch(2), seq, master_seed=1)
+        state = IncrementalState("finetune", tiny_arch(4), seq, master_seed=1)
         train_task(state, 1, epochs=1, batch_size=16)
         assert state.shared["classifier"].output_shape == (4,)
         images, _ = task_arrays(seq, seq.tasks[0], "test")
@@ -154,23 +155,35 @@ class TestTaskHead:
 
 
 class TestStrategyEquivalenceAtTaskOne:
-    def test_san_baseline_independent_bit_identical(self):
-        seq = blob_sequence()
-        arch = tiny_arch()
-        states = {}
-        for strategy in ("san", "baseline", "independent"):
-            result, state = run_sequence(strategy, arch, seq, seed=7, epochs=2, batch_size=16)
-            states[strategy] = state
+    @pytest.mark.parametrize("order", [None, [1, 0, 2]], ids=["default", "reordered"])
+    def test_every_strategy_trains_the_same_task_one_model(self, tmp_path, order):
+        # reordered: 7 classes in groups of 3, 2 and 2, with a 2-class task first;
+        # the head is as wide as the widest task whichever task comes first
+        cfg = RunConfig.from_dict(
+            {
+                "strategy": "san",
+                "dataset": {"name": "synthetic", "num_classes": 6 if order is None else 7, "per_class": 40},
+                "num_tasks": 3,
+                "architecture": "tiny",
+                "out_dir": str(tmp_path),
+            }
+        )
+        train, test, _ = load_pools(cfg)
+        groups = partition_classes(train.num_classes, cfg.num_tasks)
+        if order is not None:
+            groups = reorder_groups(groups, order)
+        seq = build_split_sequence(train, test, groups, master_seed=7)
+        arch = resolve_architecture(cfg, train.image_shape, *map(len, groups))
 
-        def task1_params(state):
-            return [p.data for blk in state._forward_blocks(1) for p in blk.parameters()]
+        def task1_params(strategy):
+            state = IncrementalState(strategy, arch, seq, master_seed=7)
+            train_task(state, 1, epochs=2, batch_size=16)
+            blocks = state._forward_blocks(1)
+            return [(p.name.removeprefix("task1."), p.data.tobytes()) for b in blocks for p in b.parameters()]
 
-        ref = task1_params(states["san"])
-        for strategy in ("baseline", "independent"):
-            other = task1_params(states[strategy])
-            assert len(ref) == len(other)
-            for a, b in zip(ref, other):
-                assert a.tobytes() == b.tobytes()
+        ref = task1_params("san")
+        for strategy in ("baseline", "finetune", "independent"):
+            assert task1_params(strategy) == ref, strategy
 
 
 class TestFreezingAndForgetting:
@@ -434,7 +447,7 @@ class TestRunSequence:
 
 
 class TestHeadExtension:
-    # san's task 2 shares task 1's 2-wide head but brings 3 classes
+    # task 2 brings 3 classes to a classifier whose last linear width is 2
     WIDER_LATER = r"^task 2 has 3 classes, but the head it uses is narrower: the classifier's last linear width is 2$"
 
     def _wider_later_sequence(self):
@@ -451,47 +464,30 @@ class TestHeadExtension:
         assert trained == []
 
     def test_state_refuses_wider_later_task_before_preparing_any(self, monkeypatch):
+        # a fresh head per task is the same width as a shared one, so every strategy refuses
         seq = self._wider_later_sequence()
         prepared = []
         monkeypatch.setattr(engine, "prepare_task_blocks", lambda state, task: prepared.append(task))
-        with pytest.raises(ValueError, match=self.WIDER_LATER):
-            IncrementalState("san", tiny_arch(2), seq, master_seed=2)
+        for strategy in engine.STRATEGY_TABLE:
+            with pytest.raises(ValueError, match=self.WIDER_LATER):
+                IncrementalState(strategy, tiny_arch(2), seq, master_seed=2)
         assert prepared == []
-        # a fresh head per task, or one sized for the widest task, fits
-        for strategy in ("baseline", "finetune", "independent"):
-            assert IncrementalState(strategy, tiny_arch(2), seq, master_seed=2).prepared == 0
 
-    @pytest.mark.parametrize(
-        "order, widths",
-        [
-            (
-                [0, 1, 2],
-                {"san": [3, 3, 3], "baseline": [3, 2, 2], "finetune": [3, 3, 3], "independent": [3, 3, 3]},
-            ),
-            (
-                [2, 0, 1],
-                {"san": None, "baseline": [2, 3, 2], "finetune": [3, 3, 3], "independent": [2, 3, 2]},
-            ),
-        ],
-    )
+    @pytest.mark.parametrize("order, widths", [([0, 1, 2], [3, 3, 3]), ([2, 0, 1], [3, 3, 3])])
     def test_head_widths_per_strategy(self, order, widths):
-        # groups of 3, 2 and 2 classes; task 1's class count sets the classifier's
-        # last linear width, and None marks a task 2 too wide for the head it shares
+        # groups of 3, 2 and 2 classes; under every strategy each task's head is
+        # the classifier's last linear width, whichever task comes first
         train = synthetic_dataset(7, 20, (1, 8, 8), seed=54)
         test = synthetic_dataset(7, 5, (1, 8, 8), seed=55, pattern_seed=54)
         groups = reorder_groups(partition_classes(7, 3), order)
         seq = build_split_sequence(train, test, groups, master_seed=1)
-        for strategy, expected in widths.items():
-            if expected is None:
-                with pytest.raises(ValueError, match="task 2 has 3 classes"):
-                    IncrementalState(strategy, tiny_arch(len(groups[0])), seq, master_seed=1)
-                continue
-            state = IncrementalState(strategy, tiny_arch(len(groups[0])), seq, master_seed=1)
+        for strategy in engine.STRATEGY_TABLE:
+            state = IncrementalState(strategy, tiny_arch(3), seq, master_seed=1)
             got = []
             for task in seq.tasks:
                 prepare_task_blocks(state, task)
                 got.append(state._forward_blocks(task.index)[-1].output_shape[0])
-            assert got == expected, strategy
+            assert got == widths, strategy
 
     def test_first_task_wider_than_head_rejected(self):
         train = synthetic_dataset(4, 40, (1, 8, 8), seed=52)

@@ -668,6 +668,25 @@ class TestCheckpoints:
         assert capsys.readouterr().err == f"checkpoint mismatch: checkpoint {ck} {problem}\n"
         assert not (tmp_path / "e.csv").exists()
 
+    @pytest.mark.parametrize("dtype", ["float64", "int64", "object"])
+    def test_checkpoint_parameter_of_another_dtype_or_unreadable_exit_one(self, tmp_path, capsys, dtype):
+        # np.savez pickles an object array, and np.load will not unpickle it
+        cfg_path = write_config(tmp_path)
+        assert main(["run", "--config", str(cfg_path)]) == 0
+        ck = tmp_path / "out" / "checkpoint_seed1.npz"
+        name = "task2.adjust.0.weight"
+        rewrite_checkpoint(ck, lambda meta, arrays: arrays.update({name: arrays[name].astype(dtype)}))
+        capsys.readouterr()
+        argv = ["dump-embeddings", "--checkpoint", str(ck), "--out-file", str(tmp_path / "e.csv")]
+        assert main(argv) == 1
+        problem = (
+            "cannot be read: Object arrays cannot be loaded when allow_pickle=False"
+            if dtype == "object"
+            else f"has dtype {dtype}, expected float32"
+        )
+        assert capsys.readouterr().err == f"checkpoint mismatch: checkpoint {ck} parameter {name!r} {problem}\n"
+        assert not (tmp_path / "e.csv").exists()
+
     @pytest.mark.parametrize("strategy", ["san", "baseline", "finetune", "independent"])
     def test_reload_reproduces_logits_bit_exactly(self, tmp_path, strategy):
         from santil.engine import predict_logits, run_sequence
@@ -1125,20 +1144,18 @@ class TestCli:
         assert err == "config error: orders: order must be a permutation of 0..1, got [0]\n"
         assert not (tmp_path / "bo").exists()
 
-    def test_ablate_order_task_wider_than_shared_head_exit_one_before_any_run(self, tmp_path, capsys):
+    def test_ablate_order_with_a_narrower_task_first_runs_every_order(self, tmp_path):
         # 7 classes in groups of 3, 2 and 2: order 1 trains a 2-class task first,
-        # so san's shared head is 2 wide when the 3-class task comes second
+        # and san's shared head is still as wide as the 3-class task that comes second
         raw = json.loads((CONFIG_DIR / "synthetic-smoke.json").read_text())
         raw["dataset"]["num_classes"] = 7
         raw["out_dir"] = str(tmp_path / "wide")
         cfg_path = tmp_path / "smoke.json"
         cfg_path.write_text(json.dumps(raw))
-        assert main(["ablate-order", "--config", str(cfg_path), "--fast", "--orders", "0,1,2;1,0,2"]) == 1
-        assert capsys.readouterr().err == (
-            "config error: orders: order 1 [1, 0, 2]: architecture.classifier: task 2 has 3 classes, "
-            "but the head it uses is narrower: the classifier's last linear width is 2\n"
-        )
-        assert [p.name for p in tmp_path.iterdir()] == ["smoke.json"]
+        assert main(["ablate-order", "--config", str(cfg_path), "--fast", "--orders", "0,1,2;1,0,2"]) == 0
+        for i in (0, 1):
+            with np.load(tmp_path / "wide" / f"order{i}" / "checkpoint_seed1.npz") as bundle:
+                assert bundle["classifier.5.weight"].shape == (3, 12)
 
     def test_san_on_an_uneven_split_gives_task_one_the_remainder(self, tmp_path, monkeypatch):
         from santil import engine
@@ -1272,17 +1289,32 @@ class TestCli:
         assert capsys.readouterr().err == f"config error: {problem}\n"
         assert not (tmp_path / "fit").exists()
 
-    def test_inline_head_narrower_than_task_one_exit_one_before_any_run(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        ("command", "classes", "width", "problem"),
+        [
+            (["run"], 4, 1, "architecture.classifier: task 1 has 2 classes"),
+            # 7 classes in groups of 3, 2 and 2, and the order trains a 2-class task first
+            (["ablate-order", "--orders", "1,0,2"], 7, 2, "orders: order 0 [1, 0, 2]: architecture.classifier: task 2 has 3 classes"),
+        ],
+        ids=["task-one", "later-task"],
+    )
+    def test_inline_head_narrower_than_task_one_exit_one_before_any_run(
+        self, tmp_path, capsys, command, classes, width, problem
+    ):
         inline = {
             "backbone": [],
             "adjustment": [],
-            "classifier": [{"kind": "flatten"}, {"kind": "linear", "out_features": 1}],
+            "classifier": [{"kind": "flatten"}, {"kind": "linear", "out_features": width}],
         }
-        cfg_path = write_config(tmp_path, architecture=inline, out_dir=str(tmp_path / "narrow"))
-        assert main(["run", "--config", str(cfg_path)]) == 1
+        dataset = synthetic_config(tmp_path).dataset | {"num_classes": classes}
+        tasks = 2 if classes == 4 else 3
+        cfg_path = write_config(
+            tmp_path, architecture=inline, dataset=dataset, num_tasks=tasks, out_dir=str(tmp_path / "narrow")
+        )
+        assert main([*command, "--config", str(cfg_path)]) == 1
         assert capsys.readouterr().err == (
-            "config error: architecture.classifier: task 1 has 2 classes, but the head it uses is "
-            "narrower: the classifier's last linear width is 1\n"
+            f"config error: {problem}, but the head it uses is "
+            f"narrower: the classifier's last linear width is {width}\n"
         )
         assert not (tmp_path / "narrow").exists()
 
