@@ -2,8 +2,8 @@
 
 A config file is a single JSON object; unknown keys are rejected so typos
 surface immediately, and ``_FIELD_CHECKS`` holds each field's one check, in
-field order. The one rule across fields, that ``adjust_kernel`` applies to a
-preset architecture only, is checked once every field passes.
+field order. ``architecture`` names one of ``layers.PRESETS``; a network
+outside them is built in Python as an ``ArchitectureSpec``.
 ``RunConfig.from_dict(cfg.to_dict())`` round-trips to an equal config, which
 reports rely on for their config echo.
 """
@@ -17,17 +17,8 @@ from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
 
 from .data import CIFAR_VARIANTS, DATASET_FILES, Dataset, load_cifar, load_idx, synthetic_dataset
-from .engine import STRATEGY_TABLE, check_head_fit
-from .layers import (
-    PRESETS,
-    ArchitectureSpec,
-    Conv,
-    Dense,
-    Flatten,
-    MaxPool,
-    Relu,
-    output_shape,
-)
+from .engine import STRATEGY_TABLE
+from .layers import PRESETS, ArchitectureSpec, output_shape
 from .tensor import ShapeError
 
 ENV_DATA_ROOT = "SAN_TIL_DATA_ROOT"
@@ -42,7 +33,6 @@ _SOURCES = {
     "cifar100": ("cifar100", "split"),
 }
 DATASET_NAMES = (*_SOURCES, "synthetic")
-_ARCH_PARTS = ("backbone", "adjustment", "classifier")
 
 
 def _is_int(value) -> bool:
@@ -110,12 +100,9 @@ def _dataset_problems(name: str, dataset) -> list[str]:
 
 
 def _architecture_problems(name: str, arch) -> list[str]:
-    if isinstance(arch, str):
-        return [] if arch in PRESETS else [f"{name}: unknown preset {arch!r}; presets are {sorted(PRESETS)}"]
-    if not isinstance(arch, dict):
-        return [f"{name}: must be a preset name or an inline spec object"]
-    missing = [f"{name}.{part}: required for inline specs" for part in _ARCH_PARTS if part not in arch]
-    return missing + [f"{name}.{key}: unknown field" for key in arch if key not in _ARCH_PARTS]
+    if isinstance(arch, str) and arch in PRESETS:
+        return []
+    return [f"{name}: unknown preset {arch!r}; presets are {sorted(PRESETS)}"]
 
 
 def _class_order_problems(name: str, order) -> list[str]:
@@ -187,7 +174,7 @@ class RunConfig:
     strategy: str
     dataset: dict
     num_tasks: int
-    architecture: object  # preset name or inline spec dict
+    architecture: str  # a PRESETS name
     class_order: object = "default"
     epochs: int = 30
     batch_size: int = 64
@@ -209,13 +196,6 @@ class RunConfig:
             problems += _FIELD_CHECKS[name](name, value)
         if problems:
             raise ConfigError(problems)
-        if isinstance(checked["architecture"], dict) and checked["adjust_kernel"] != cls.adjust_kernel:
-            raise ConfigError(
-                [
-                    "adjust_kernel: applies to a preset architecture only; an inline architecture "
-                    f"sets each conv's kernel itself, got {checked['adjust_kernel']!r}"
-                ]
-            )
         seeds = list(checked["seeds"])
         checked.update(lr=float(checked["lr"]), ortho_alpha=float(checked["ortho_alpha"]), seeds=seeds)
         return cls(**checked)
@@ -288,61 +268,24 @@ def load_pools(config: RunConfig) -> tuple[Dataset, Dataset, str]:
 # ---------------------------------------------------------------------------
 # architecture resolution
 
-_LAYER_KINDS = {"conv": Conv, "maxpool": MaxPool, "relu": Relu, "linear": Dense, "flatten": Flatten}
-
-
-def _layer_from_dict(entry: dict, where: str, base: int | None):
-    """A layer spec; omitted fields take the spec's defaults, given ones are ints.
-
-    Booleans, floats and strings are rejected rather than coerced, so 4.7 or
-    ``true`` cannot silently become 4 or 1. The one exception is a linear
-    ``out_features`` of ``"base"``, which becomes ``base``, the widest task's
-    class count; only the classifier's last layer is given one.
-    """
-    if not isinstance(entry, dict) or "kind" not in entry:
-        raise ConfigError([f"{where}: each layer needs a 'kind' field, got {entry!r}"])
-    kind = entry["kind"]
-    if not isinstance(kind, str) or kind not in _LAYER_KINDS:
-        raise ConfigError([f"{where}: unknown layer kind {kind!r}; kinds are {sorted(_LAYER_KINDS)}"])
-    spec = _LAYER_KINDS[kind]
-    names = {f.name for f in fields(spec)}
-    unknown = sorted(set(entry) - names - {"kind"})
-    if unknown:
-        raise ConfigError([f"{where}: {kind} layer has unknown field(s) {unknown}; fields are {sorted(names)}"])
-    given = {key: value for key, value in entry.items() if key != "kind"}
-    if (kind, given.get("out_features")) == ("linear", "base"):
-        if base is None:
-            raise ConfigError([f"{where}: 'base' is accepted only as the classifier's last linear width"])
-        given["out_features"] = base
-    for key, value in given.items():
-        if not _is_int(value):
-            raise ConfigError([f"{where}: {kind} layer field {key!r} must be an integer, got {value!r}"])
-    try:
-        return spec(**given)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError([f"{where}: bad {kind} layer {entry!r} ({exc})"]) from None
-
-
 def resolve_architecture(config: RunConfig, input_shape: tuple[int, int, int], *task_classes: int) -> ArchitectureSpec:
-    """Concrete ArchitectureSpec whose classifier is as wide as the widest task.
+    """The config's preset, built for these images with a classifier as wide as the widest task.
 
-    The class counts are those of the tasks in training order. A preset's
-    ``base_classes`` and an inline ``"base"`` width become the largest of
-    them; each task must fit the head (``engine.check_head_fit``).
-    The ShapeError a spec raises when made (a part that does not fit, or a
-    classifier not ending in a linear layer) becomes a config error naming
-    the part. With the orthogonality penalty on, the adjustment output must
-    flatten to a perfect square, since the penalty views each sample's
-    features as a square matrix.
+    The class counts are those of the tasks in training order; the preset's
+    ``base_classes`` is the largest of them, so every task fits the head.
+    The ShapeError a preset raises when it does not fit the images (``tiny``
+    on 1x7x7, say) becomes a config error naming the part. With the
+    orthogonality penalty on, the adjustment output must flatten to a perfect
+    square, since the penalty views each sample's features as a square matrix.
     """
     try:
-        spec = _spec(config, input_shape, max(task_classes))
+        spec = PRESETS[config.architecture](
+            input_shape=input_shape,
+            base_classes=max(task_classes),
+            adjust_kernel=config.adjust_kernel,
+        )
     except ShapeError as exc:  # "backbone: layer 2: ..."
         raise ConfigError([f"architecture.{exc}"]) from None
-    try:
-        check_head_fit(spec, task_classes)
-    except ValueError as exc:
-        raise ConfigError([f"architecture.classifier: {exc}"]) from None
     width = math.prod(output_shape(spec.adjustment, output_shape(spec.backbone, spec.input_shape)))
     if config.ortho_alpha > 0 and math.isqrt(width) ** 2 != width:
         raise ConfigError(
@@ -352,25 +295,3 @@ def resolve_architecture(config: RunConfig, input_shape: tuple[int, int, int], *
             ]
         )
     return spec
-
-
-def _spec(config: RunConfig, input_shape: tuple[int, int, int], base: int) -> ArchitectureSpec:
-    if isinstance(config.architecture, str):
-        return PRESETS[config.architecture](
-            input_shape=input_shape,
-            base_classes=base,
-            adjust_kernel=config.adjust_kernel,
-        )
-
-    raw = config.architecture
-    parts = {}
-    for part in _ARCH_PARTS:
-        layers = raw.get(part, [])
-        if not isinstance(layers, list):
-            raise ConfigError([f"architecture.{part}: must be a list of layers"])
-        last = len(layers) - 1 if part == "classifier" else None
-        parts[part] = tuple(
-            _layer_from_dict(e, f"architecture.{part}: layer {i}", base if i == last else None)
-            for i, e in enumerate(layers)
-        )
-    return ArchitectureSpec(input_shape=tuple(input_shape), **parts)

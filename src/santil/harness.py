@@ -48,7 +48,7 @@ def _build_sequence(config: RunConfig, pools, groups, seed: int) -> TaskSequence
 
 
 def _architecture(config: RunConfig, pools, groups) -> ArchitectureSpec:
-    """The grouping's architecture; a config error unless every task fits the head it uses."""
+    """The grouping's architecture, its head as wide as the widest task."""
     counts = [pools[0].num_classes] * config.num_tasks if groups is None else [len(g) for g in groups]
     return resolve_architecture(config, pools[0].image_shape, *counts)
 
@@ -121,8 +121,6 @@ def sweep_size(config: RunConfig, kernels, echo=None) -> list[dict]:
     Model size varies through the adjustment conv kernels only, so the
     (MB, accuracy) pairs isolate the capacity of the per-task block.
     """
-    if not isinstance(config.architecture, str):
-        raise ConfigError(["sweep-size requires a preset architecture"])
     # numpy integers become ints; anything else goes to the validator as given
     kernels = [int(k) if isinstance(k, numbers.Integral) and not isinstance(k, bool) else k for k in kernels]
     out_dir = Path(config.out_dir)
@@ -186,18 +184,14 @@ def ablate_order(config: RunConfig, orders, echo=None) -> list[dict]:
     repeated = [list(o) for o in sorted({tuple(o) for o in orders if orders.count(o) > 1})]
     if repeated:
         raise ConfigError([f"orders: each order may appear once; {repeated} repeated"])
-    archs = []
-    for i, (order, groups) in enumerate(zip(orders, regrouped)):
-        try:
-            archs.append(_architecture(config, pools, groups))
-        except ConfigError as exc:
-            raise ConfigError([f"orders: order {i} {order}: {problem}" for problem in exc.problems]) from None
+    # every order regroups the same tasks, so one architecture serves them all
+    arch = _architecture(config, pools, base_groups)
     out_dir = Path(config.out_dir)
     variants = [_variant(config, out_dir=str(out_dir / f"order{i}")) for i in range(len(orders))]
     _make_out_dirs(variants)
 
     summaries = []
-    for order, groups, sub, arch in zip(orders, regrouped, variants, archs):
+    for order, groups, sub in zip(orders, regrouped, variants):
         report = _run_variant(sub, pools, groups, arch, task_order=order)
         summaries.append(
             {

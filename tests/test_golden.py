@@ -60,13 +60,9 @@ def sha16(data: bytes) -> str:
 
 
 def arrays_hash(checkpoint: Path) -> str:
-    digest = hashlib.sha256()
     with np.load(checkpoint) as bundle:
-        for name in sorted(bundle.files):
-            if name != "__meta__":
-                digest.update(name.encode("utf-8"))
-                digest.update(bundle[name].tobytes())
-    return digest.hexdigest()[:16]
+        names = sorted(set(bundle.files) - {"__meta__"})
+        return sha16(b"".join(name.encode("utf-8") + bundle[name].tobytes() for name in names))
 
 
 @pytest.mark.parametrize("run", RUNS)

@@ -79,17 +79,13 @@ FOREIGN_CHECKPOINTS = {
 }
 
 
-# an inline architecture whose adjustment output flattens to 64 = 8^2 features on 1x8x8 images
-SQUARE_INLINE = {
-    "backbone": [{"kind": "conv", "out_channels": 4}, {"kind": "relu"}, {"kind": "maxpool", "k": 2}],
-    "adjustment": [{"kind": "conv", "out_channels": 4}, {"kind": "relu"}],
-    "classifier": [
-        {"kind": "flatten"},
-        {"kind": "linear", "out_features": 16},
-        {"kind": "relu"},
-        {"kind": "linear", "out_features": "base"},
-    ],
+# an architecture written out layer by layer, a form that configs do not take
+INLINE = {
+    "backbone": [{"kind": "conv", "out_channels": 4}],
+    "adjustment": [],
+    "classifier": [{"kind": "flatten"}, {"kind": "linear", "out_features": "base"}],
 }
+NOT_A_PRESET = "architecture: unknown preset {!r}; presets are ['cifar-small', 'mnist-small', 'tiny']"
 
 
 def rewrite_checkpoint(path, change) -> None:
@@ -131,16 +127,10 @@ class TestRunConfig:
         ]
 
     def test_to_dict_is_an_independent_copy(self, tmp_path):
-        inline = {
-            "backbone": [{"kind": "conv", "out_channels": 2}],
-            "adjustment": [],
-            "classifier": [{"kind": "flatten"}, {"kind": "linear", "out_features": "base"}],
-        }
-        cfg = synthetic_config(tmp_path, architecture=inline)
+        cfg = synthetic_config(tmp_path)
         before = json.dumps(cfg.to_dict())
         raw = cfg.to_dict()
         raw["dataset"]["shape"].append(9)
-        raw["architecture"]["backbone"].append({"kind": "relu"})
         raw["seeds"].append(4)
         assert json.dumps(cfg.to_dict()) == before
 
@@ -194,9 +184,8 @@ class TestRunConfig:
             "dataset.shape: must be a list of 3 positive integers, got [1, 8]",
             "dataset.data_seed: must be a non-negative integer, got -1",
             "num_tasks: must be a positive integer, got 0",
-            "architecture.adjustment: required for inline specs",
-            "architecture.classifier: required for inline specs",
-            "architecture.head: unknown field",
+            "architecture: unknown preset {'backbone': [], 'head': []}; "
+            "presets are ['cifar-small', 'mnist-small', 'tiny']",
             "class_order: list entries must be integers",
             "epochs: must be a positive integer, got 0",
             "batch_size: must be a positive integer, got -1",
@@ -211,84 +200,6 @@ class TestRunConfig:
     def test_unknown_preset_rejected(self, tmp_path):
         with pytest.raises(ConfigError, match="preset"):
             synthetic_config(tmp_path, architecture="resnet")
-
-    def test_inline_architecture_parses(self, tmp_path):
-        inline = {
-            "backbone": [
-                {"kind": "conv", "out_channels": 4},
-                {"kind": "relu"},
-                {"kind": "maxpool", "k": 2},
-            ],
-            "adjustment": [{"kind": "conv", "out_channels": 4}, {"kind": "relu"}],
-            "classifier": [
-                {"kind": "flatten"},
-                {"kind": "linear", "out_features": 8},
-                {"kind": "relu"},
-                {"kind": "linear", "out_features": "base"},
-            ],
-        }
-        cfg = synthetic_config(tmp_path, architecture=inline)
-        spec = resolve_architecture(cfg, (1, 8, 8), 2)
-        assert spec.base_classes == 2
-
-    def test_inline_layer_missing_field_is_config_error(self, tmp_path):
-        inline = {
-            "backbone": [{"kind": "conv"}],
-            "adjustment": [],
-            "classifier": [{"kind": "flatten"}, {"kind": "linear", "out_features": "base"}],
-        }
-        cfg = synthetic_config(tmp_path, architecture=inline)
-        with pytest.raises(ConfigError, match="architecture.backbone: layer 0: bad conv layer"):
-            resolve_architecture(cfg, (1, 8, 8), 2)
-
-    def test_inline_layer_unknown_field_is_config_error(self, tmp_path):
-        inline = {
-            "backbone": [{"kind": "conv", "out_channels": 4, "kernal": 5}],
-            "adjustment": [],
-            "classifier": [{"kind": "flatten"}, {"kind": "linear", "out_features": "base"}],
-        }
-        cfg = synthetic_config(tmp_path, architecture=inline)
-        with pytest.raises(ConfigError, match="architecture.backbone: layer 0: conv layer has unknown field.*kernal"):
-            resolve_architecture(cfg, (1, 8, 8), 2)
-
-    def test_inline_architecture_unknown_key_is_config_error(self, tmp_path):
-        inline = {
-            "backbone": [{"kind": "conv", "out_channels": 4}],
-            "adjustment": [],
-            "classifier": [{"kind": "flatten"}, {"kind": "linear", "out_features": "base"}],
-            "input_shape": [9, 9, 9],
-        }
-        with pytest.raises(ConfigError) as info:
-            synthetic_config(tmp_path, architecture=inline)
-        assert info.value.problems == ["architecture.input_shape: unknown field"]
-
-    @pytest.mark.parametrize(("field", "value"), [("out_channels", 4.7), ("kernel", True), ("kernel", "3")])
-    def test_inline_layer_non_integer_field_is_config_error(self, tmp_path, field, value):
-        inline = {
-            "backbone": [{"kind": "conv", "out_channels": 4, field: value}],
-            "adjustment": [],
-            "classifier": [{"kind": "flatten"}, {"kind": "linear", "out_features": "base"}],
-        }
-        cfg = synthetic_config(tmp_path, architecture=inline)
-        message = f"architecture.backbone: layer 0: conv layer field '{field}' must be an integer"
-        with pytest.raises(ConfigError, match=message):
-            resolve_architecture(cfg, (1, 8, 8), 2)
-
-    def test_inline_head_narrower_than_task_one_rejected(self, tmp_path):
-        inline = {
-            "backbone": [],
-            "adjustment": [],
-            "classifier": [{"kind": "flatten"}, {"kind": "linear", "out_features": 1}],
-        }
-        cfg = synthetic_config(tmp_path, architecture=inline)
-        with pytest.raises(ConfigError, match="narrower"):
-            resolve_architecture(cfg, (1, 8, 8), 2)
-
-    def test_inline_architecture_keeps_the_default_adjust_kernel_through_a_variant(self, tmp_path):
-        cfg = synthetic_config(tmp_path, architecture=SQUARE_INLINE)
-        assert cfg.to_dict()["adjust_kernel"] == 3
-        variant = harness._variant(cfg, out_dir=str(tmp_path / "variant"))
-        assert variant == dataclasses.replace(cfg, out_dir=str(tmp_path / "variant"))
 
     @pytest.mark.parametrize(
         ("field", "value"),
@@ -534,9 +445,11 @@ class TestSweepSize:
         assert not (tmp_path / "even").exists()
 
     def test_inline_architecture_exit_one_writes_nothing(self, tmp_path, capsys):
-        cfg_path = write_config(tmp_path, architecture=SQUARE_INLINE, out_dir=str(tmp_path / "inline"))
+        raw = synthetic_config(tmp_path, out_dir=str(tmp_path / "inline")).to_dict() | {"architecture": INLINE}
+        cfg_path = tmp_path / "inline.json"
+        cfg_path.write_text(json.dumps(raw))
         assert main(["sweep-size", "--config", str(cfg_path), "--widths", "3,5"]) == 1
-        assert capsys.readouterr().err == "config error: sweep-size requires a preset architecture\n"
+        assert capsys.readouterr().err == f"config error: {NOT_A_PRESET.format(INLINE)}\n"
         assert not (tmp_path / "inline").exists()
 
     @pytest.mark.parametrize("width", [3.5, 3.0, True])
@@ -617,7 +530,7 @@ class TestCheckpoints:
         from santil.tasks import build_split_sequence
 
         # the penalty is on, so the reloaded state must take it from train_task's arguments too
-        cfg = synthetic_config(tmp_path, strategy=strategy, architecture=SQUARE_INLINE, ortho_alpha=0.001)
+        cfg = synthetic_config(tmp_path, strategy=strategy, architecture="mnist-small", ortho_alpha=0.001)
         train, test, _ = load_pools(cfg)
         groups = partition_classes(train.num_classes, cfg.num_tasks)
         arch = resolve_architecture(cfg, train.image_shape, len(groups[0]))
@@ -743,7 +656,7 @@ class TestCheckpoints:
         from santil.engine import evaluate
         from santil.tasks import build_split_sequence
 
-        cfg = synthetic_config(tmp_path, architecture=SQUARE_INLINE, ortho_alpha=0.001)
+        cfg = synthetic_config(tmp_path, architecture="mnist-small", ortho_alpha=0.001)
         harness.run(cfg)
         ck = Path(cfg.out_dir) / "checkpoint_seed1.npz"
         legacy = tmp_path / "legacy.npz"
@@ -1005,6 +918,11 @@ class TestDumpEmbeddings:
             lambda meta: meta["config"].update(checkpoint_selection="best-val"),
             f"{INVALID_CONFIG}: checkpoint_selection: unknown field",
         ),
+        # the layer-by-layer form, which configs no longer take
+        "config-inline-architecture": (
+            lambda meta: meta["config"].update(architecture=INLINE),
+            f"{INVALID_CONFIG}: {NOT_A_PRESET.format(INLINE)}",
+        ),
         "config-two-problems": (
             lambda meta: meta["config"].update(epochs=0, lr=-1),
             f"{INVALID_CONFIG}: epochs: must be a positive integer, got 0; lr: must be a finite positive number, got -1",
@@ -1049,16 +967,16 @@ class TestCli:
         assert err.startswith(f"config error: config file {path} is not valid JSON: ")
         assert err.count("\n") == 1
 
-    def test_inline_architecture_with_adjust_kernel_exit_one_writes_nothing(self, tmp_path, capsys):
-        raw = synthetic_config(tmp_path, architecture=SQUARE_INLINE, out_dir=str(tmp_path / "k7")).to_dict()
-        path = tmp_path / "k7.json"
-        path.write_text(json.dumps(raw | {"adjust_kernel": 7}))
+    @pytest.mark.parametrize("architecture", [INLINE, ["tiny"], None], ids=["dict", "list", "missing"])
+    def test_architecture_not_a_preset_name_exit_one_writes_nothing(self, tmp_path, capsys, architecture):
+        raw = synthetic_config(tmp_path, out_dir=str(tmp_path / "arch")).to_dict() | {"architecture": architecture}
+        if architecture is None:
+            del raw["architecture"]
+        path = tmp_path / "arch.json"
+        path.write_text(json.dumps(raw))
         assert main(["run", "--config", str(path)]) == 1
-        assert capsys.readouterr().err == (
-            "config error: adjust_kernel: applies to a preset architecture only; an inline "
-            "architecture sets each conv's kernel itself, got 7\n"
-        )
-        assert not (tmp_path / "k7").exists()
+        assert capsys.readouterr().err == f"config error: {NOT_A_PRESET.format(architecture)}\n"
+        assert not (tmp_path / "arch").exists()
 
     def test_config_that_is_a_directory_exit_one(self, tmp_path, capsys):
         assert main(["run", "--config", str(tmp_path)]) == 1
@@ -1254,13 +1172,16 @@ class TestCli:
         assert capsys.readouterr().err == f"config error: {problem}\n"
         assert not (tmp_path / "nf").exists()
 
-    def test_ortho_penalty_on_non_square_features_exit_one_before_any_run(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "command", [["run"], ["ablate-order", "--orders", "0,1,2;2,0,1"]], ids=["run", "ablate-order"]
+    )
+    def test_ortho_penalty_on_non_square_features_exit_one_before_any_run(self, tmp_path, capsys, command):
         # tiny's adjustment output is 8 channels of 4x4, 128 features
         raw = json.loads((CONFIG_DIR / "synthetic-smoke.json").read_text())
         raw.update(ortho_alpha=0.001, out_dir=str(tmp_path / "sq"))
         cfg_path = tmp_path / "smoke.json"
         cfg_path.write_text(json.dumps(raw))
-        assert main(["run", "--config", str(cfg_path)]) == 1
+        assert main([*command, "--config", str(cfg_path)]) == 1
         assert capsys.readouterr().err == (
             "config error: ortho_alpha: the adjustment output flattens to 128 features, not a "
             "perfect square, so the orthogonality penalty cannot view it as a square matrix\n"
@@ -1269,18 +1190,8 @@ class TestCli:
 
     @pytest.mark.parametrize(
         ("architecture", "problem"),
-        [
-            ("tiny", "architecture.backbone: layer 2: extents 7x7 not divisible by pool window 2"),
-            (
-                {
-                    "backbone": [],
-                    "adjustment": [{"kind": "maxpool"}],
-                    "classifier": [{"kind": "flatten"}, {"kind": "linear", "out_features": "base"}],
-                },
-                "architecture.adjustment: layer 0: extents 7x7 not divisible by pool window 2",
-            ),
-        ],
-        ids=["preset", "inline"],
+        [("tiny", "architecture.backbone: layer 2: extents 7x7 not divisible by pool window 2")],
+        ids=["preset"],
     )
     def test_architecture_that_does_not_fit_the_images_exit_one(self, tmp_path, capsys, architecture, problem):
         dataset = {"name": "synthetic", "num_classes": 4, "per_class": 10, "per_class_test": 4, "shape": [1, 7, 7]}
@@ -1288,105 +1199,6 @@ class TestCli:
         assert main(["run", "--config", str(cfg_path)]) == 1
         assert capsys.readouterr().err == f"config error: {problem}\n"
         assert not (tmp_path / "fit").exists()
-
-    @pytest.mark.parametrize(
-        ("command", "classes", "width", "problem"),
-        [
-            (["run"], 4, 1, "architecture.classifier: task 1 has 2 classes"),
-            # 7 classes in groups of 3, 2 and 2, and the order trains a 2-class task first
-            (["ablate-order", "--orders", "1,0,2"], 7, 2, "orders: order 0 [1, 0, 2]: architecture.classifier: task 2 has 3 classes"),
-        ],
-        ids=["task-one", "later-task"],
-    )
-    def test_inline_head_narrower_than_task_one_exit_one_before_any_run(
-        self, tmp_path, capsys, command, classes, width, problem
-    ):
-        inline = {
-            "backbone": [],
-            "adjustment": [],
-            "classifier": [{"kind": "flatten"}, {"kind": "linear", "out_features": width}],
-        }
-        dataset = synthetic_config(tmp_path).dataset | {"num_classes": classes}
-        tasks = 2 if classes == 4 else 3
-        cfg_path = write_config(
-            tmp_path, architecture=inline, dataset=dataset, num_tasks=tasks, out_dir=str(tmp_path / "narrow")
-        )
-        assert main([*command, "--config", str(cfg_path)]) == 1
-        assert capsys.readouterr().err == (
-            f"config error: {problem}, but the head it uses is "
-            f"narrower: the classifier's last linear width is {width}\n"
-        )
-        assert not (tmp_path / "narrow").exists()
-
-    def test_inline_classifier_not_ending_in_linear_exit_one(self, tmp_path, capsys):
-        inline = {
-            "backbone": [{"kind": "conv", "out_channels": 4}],
-            "adjustment": [],
-            "classifier": [{"kind": "flatten"}, {"kind": "linear", "out_features": 2}, {"kind": "relu"}],
-        }
-        cfg_path = write_config(tmp_path, architecture=inline, out_dir=str(tmp_path / "end"))
-        assert main(["run", "--config", str(cfg_path)]) == 1
-        assert capsys.readouterr().err == "config error: architecture.classifier: must end with a linear layer\n"
-        assert not (tmp_path / "end").exists()
-
-    @pytest.mark.parametrize(
-        ("part", "index", "layer", "problem"),
-        [
-            ("backbone", 0, {"kind": "conv", "out_channels": 0}, "out_channels=0, kernel=3, stride=1, padding=1"),
-            ("adjustment", 0, {"kind": "conv", "out_channels": -2}, "out_channels=-2, kernel=3, stride=1, padding=1"),
-            ("backbone", 0, {"kind": "conv", "out_channels": 4, "kernel": 0}, "out_channels=4, kernel=0, stride=1, padding=1"),
-            ("backbone", 0, {"kind": "conv", "out_channels": 4, "stride": 0}, "out_channels=4, kernel=3, stride=0, padding=1"),
-            ("adjustment", 0, {"kind": "conv", "out_channels": 4, "padding": -1}, "out_channels=4, kernel=3, stride=1, padding=-1"),
-            ("backbone", 2, {"kind": "maxpool", "k": 0}, "maxpool window must be positive, got MaxPool(k=0)"),
-            ("classifier", 1, {"kind": "linear", "out_features": 0}, "dense out_features must be positive, got Dense(out_features=0)"),
-            ("classifier", 1, {"kind": "linear", "out_features": -1}, "dense out_features must be positive, got Dense(out_features=-1)"),
-        ],
-        ids=["conv-out-0", "conv-out-neg", "conv-kernel-0", "conv-stride-0", "conv-padding-neg",
-             "maxpool-k-0", "linear-out-0", "linear-out-neg"],
-    )
-    def test_zero_or_negative_layer_size_exit_one_before_any_run(self, tmp_path, capsys, part, index, layer, problem):
-        # each case ended in a runtime failure (exit 3) once task 1 built its blocks
-        inline = {
-            "backbone": [{"kind": "conv", "out_channels": 4}, {"kind": "relu"}, {"kind": "maxpool"}],
-            "adjustment": [{"kind": "conv", "out_channels": 4}, {"kind": "relu"}],
-            "classifier": [
-                {"kind": "flatten"},
-                {"kind": "linear", "out_features": 8},
-                {"kind": "relu"},
-                {"kind": "linear", "out_features": "base"},
-            ],
-        }
-        inline[part][index] = layer
-        if layer["kind"] == "conv":
-            problem = f"conv sizes must be positive and padding >= 0, got Conv({problem})"
-        cfg_path = write_config(tmp_path, architecture=inline, out_dir=str(tmp_path / "size"))
-        assert main(["run", "--config", str(cfg_path)]) == 1
-        assert capsys.readouterr().err == f"config error: architecture.{part}: layer {index}: {problem}\n"
-        assert not (tmp_path / "size").exists()
-
-    @pytest.mark.parametrize(
-        ("part", "index"), [("classifier", 1), ("backbone", 1)], ids=["classifier", "backbone"]
-    )
-    def test_base_width_off_the_classifiers_last_layer_exit_one(self, tmp_path, capsys, part, index):
-        # a "base" classifier layer 1 ended in a runtime failure (exit 3) once task 1 built its blocks
-        inline = {
-            "backbone": [{"kind": "flatten"}, {"kind": "linear", "out_features": 16}],
-            "adjustment": [],
-            "classifier": [
-                {"kind": "flatten"},
-                {"kind": "linear", "out_features": 8},
-                {"kind": "relu"},
-                {"kind": "linear", "out_features": 2},
-            ],
-        }
-        inline[part][index] = {"kind": "linear", "out_features": "base"}
-        cfg_path = write_config(tmp_path, architecture=inline, out_dir=str(tmp_path / "base"))
-        assert main(["run", "--config", str(cfg_path)]) == 1
-        assert capsys.readouterr().err == (
-            f"config error: architecture.{part}: layer {index}: "
-            "'base' is accepted only as the classifier's last linear width\n"
-        )
-        assert not (tmp_path / "base").exists()
 
     def test_checkpoint_selection_is_an_unknown_field_exit_one(self, tmp_path, capsys):
         raw = synthetic_config(tmp_path).to_dict() | {

@@ -294,6 +294,9 @@ def test_forward_never_mutates_parameters():
             assert p.data.tobytes() == snaps[p.name].tobytes()
 
 
+CONV_SIZES = "conv sizes must be positive and padding >= 0, got Conv"
+
+
 class TestArchitectureSpec:
     @pytest.mark.parametrize(
         ("parts", "problem"),
@@ -306,8 +309,24 @@ class TestArchitectureSpec:
             ({"classifier": (Dense(2),)}, r"classifier: layer 0: dense needs a flat input, got \(4, 8, 8\)"),
             ({"classifier": (Flatten(), Dense(2), Relu())}, "classifier: must end with a linear layer"),
             ({"classifier": ()}, "classifier: must end with a linear layer"),
+            ({"backbone": (Conv(0),)}, rf"backbone: layer 0: {CONV_SIZES}\(out_channels=0, kernel=3, stride=1, padding=1\)"),
+            ({"adjustment": (Conv(-2),)}, rf"adjustment: layer 0: {CONV_SIZES}\(out_channels=-2, kernel=3, stride=1, padding=1\)"),
+            ({"backbone": (Conv(4, kernel=0),)}, rf"backbone: layer 0: {CONV_SIZES}\(out_channels=4, kernel=0, stride=1, padding=1\)"),
+            ({"backbone": (Conv(4, stride=0),)}, rf"backbone: layer 0: {CONV_SIZES}\(out_channels=4, kernel=3, stride=0, padding=1\)"),
+            ({"adjustment": (Conv(4, padding=-1),)}, rf"adjustment: layer 0: {CONV_SIZES}\(out_channels=4, kernel=3, stride=1, padding=-1\)"),
+            ({"backbone": (Conv(4), MaxPool(0))}, r"backbone: layer 1: maxpool window must be positive, got MaxPool\(k=0\)"),
+            (
+                {"classifier": (Flatten(), Dense(0), Relu(), Dense(2))},
+                r"classifier: layer 1: dense out_features must be positive, got Dense\(out_features=0\)",
+            ),
+            (
+                {"classifier": (Flatten(), Dense(-1), Relu(), Dense(2))},
+                r"classifier: layer 1: dense out_features must be positive, got Dense\(out_features=-1\)",
+            ),
         ],
-        ids=["backbone", "adjustment", "classifier", "classifier-end", "classifier-empty"],
+        ids=["backbone", "adjustment", "classifier", "classifier-end", "classifier-empty", "conv-out-0",
+             "conv-out-neg", "conv-kernel-0", "conv-stride-0", "conv-padding-neg", "maxpool-k-0",
+             "linear-out-0", "linear-out-neg"],
     )
     def test_part_that_does_not_fit_rejected_when_made(self, parts, problem):
         fields = {
