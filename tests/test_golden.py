@@ -4,7 +4,10 @@ Each run is the smoke config (``configs/synthetic-smoke.json``) at seed 1
 under one strategy; "smoke7" gives it 7 classes, so its tasks are uneven, and
 3 epochs. A run's ``summary.csv`` and its checkpoint's parameter arrays (name,
 then bytes, in name order, without ``__meta__``) are hashed with sha256 and
-compared, first 16 hex digits, with ``golden.json``. The bits of a float32
+compared, first 16 hex digits, with ``golden.json``. The variant commands
+are pinned the same way on the smoke config at 3 epochs: a size sweep over
+widths 3 and 5 and an order ablation over orders [0, 1, 2] and [2, 0, 1],
+each with its summary file and every variant's ``summary.csv`` and arrays. The bits of a float32
 GEMM depend on the numpy build, the BLAS library and the kernel it picks for
 the CPU, so ``golden.json`` keys its hashes by that fingerprint, and on a
 fingerprint it does not list the test skips and names it. A change that moves
@@ -25,6 +28,7 @@ from santil.config import RunConfig
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = json.loads((Path(__file__).resolve().parent / "golden.json").read_text(encoding="utf-8"))
 
+SMOKE = json.loads((ROOT / "configs" / "synthetic-smoke.json").read_text(encoding="utf-8"))
 RUNS = [
     *(f"smoke-{s}" for s in ("san", "baseline", "finetune", "independent")),
     *(f"smoke7-{s}" for s in ("san", "finetune", "independent")),
@@ -42,6 +46,17 @@ def _openblas_corename():
         corename.restype = ctypes.c_char_p
         return corename().decode()
     return None
+
+
+# command -> (how it runs a config, its summary file, its variants' directories)
+VARIANT_COMMANDS = {
+    "sweep": (lambda cfg: harness.sweep_size(cfg, [3, 5]), "sweep.csv", ["kernel3", "kernel5"]),
+    "ablate": (
+        lambda cfg: harness.ablate_order(cfg, [[0, 1, 2], [2, 0, 1]]),
+        "ablation.json",
+        ["order0", "order1"],
+    ),
+}
 
 
 def fingerprint() -> str:
@@ -65,19 +80,39 @@ def arrays_hash(checkpoint: Path) -> str:
         return sha16(b"".join(name.encode("utf-8") + bundle[name].tobytes() for name in names))
 
 
-@pytest.mark.parametrize("run", RUNS)
-def test_trained_bits_match_the_pinned_hashes(tmp_path, run):
+def pinned() -> dict:
     expected = GOLDEN.get(fingerprint())
     if expected is None:
         pytest.skip(f"no pinned hashes for this build: {fingerprint()!r}")
+    return expected
+
+
+def run_hashes(out_dir: Path) -> dict:
+    return {
+        "summary.csv": sha16((out_dir / "summary.csv").read_bytes()),
+        "arrays": arrays_hash(out_dir / "checkpoint_seed1.npz"),
+    }
+
+
+@pytest.mark.parametrize("run", RUNS)
+def test_trained_bits_match_the_pinned_hashes(tmp_path, run):
+    expected = pinned()
     name, strategy = run.split("-")
-    raw = json.loads((ROOT / "configs" / "synthetic-smoke.json").read_text(encoding="utf-8"))
+    raw = json.loads(json.dumps(SMOKE))
     raw.update(strategy=strategy, out_dir=str(tmp_path / run))
     if name == "smoke7":
         raw["dataset"]["num_classes"], raw["epochs"] = 7, 3
     harness.run(RunConfig.from_dict(raw))
-    got = {
-        "summary.csv": sha16((tmp_path / run / "summary.csv").read_bytes()),
-        "arrays": arrays_hash(tmp_path / run / "checkpoint_seed1.npz"),
-    }
-    assert got == expected[run]
+    assert run_hashes(tmp_path / run) == expected[run]
+
+
+@pytest.mark.parametrize("command", VARIANT_COMMANDS)
+def test_variant_command_outputs_match_the_pinned_hashes(tmp_path, monkeypatch, command):
+    expected = pinned()
+    call, summary, variants = VARIANT_COMMANDS[command]
+    # a relative out_dir, so the report paths that ablation.json lists do not name tmp_path
+    monkeypatch.chdir(tmp_path)
+    call(RunConfig.from_dict(SMOKE | {"epochs": 3, "out_dir": command}))
+    got = {summary: sha16((tmp_path / command / summary).read_bytes())}
+    got |= {variant: run_hashes(tmp_path / command / variant) for variant in variants}
+    assert got == expected[command]

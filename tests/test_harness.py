@@ -1055,6 +1055,45 @@ class TestCli:
         combined = json.loads((tmp_path / "ao" / "ablation.json").read_text())
         assert len(combined) == 2
 
+    @staticmethod
+    def _stdout_at_each_report(capsys, monkeypatch) -> list[str]:
+        """What stdout held as each report.json was written; the rest stays in capsys."""
+        seen = []
+        real = harness.write_report_json
+
+        def spy(report, path):
+            seen.append(capsys.readouterr().out)
+            real(report, path)
+
+        monkeypatch.setattr(harness, "write_report_json", spy)
+        return seen
+
+    def test_sweep_size_prints_one_line_per_width_once_all_widths_ran(self, tmp_path, capsys, monkeypatch):
+        cfg_path = write_config(tmp_path, epochs=1, out_dir=str(tmp_path / "sw"))
+        seen = self._stdout_at_each_report(capsys, monkeypatch)
+        assert main(["sweep-size", "--config", str(cfg_path), "--widths", "3,1"]) == 0
+        lines = []
+        for k in (3, 1):
+            report = json.loads((tmp_path / "sw" / f"kernel{k}" / "report.json").read_text())
+            megabytes = report["seeds"][0]["per_task"][-1]["megabytes"]
+            lines.append(f"kernel {k}: {megabytes:.3f} MB -> {report['aggregate']['mean_final_mean'] * 100:.2f} %\n")
+        assert seen == ["", ""]
+        assert capsys.readouterr().out == "".join(lines)
+
+    def test_ablate_order_prints_each_order_as_it_finishes(self, tmp_path, capsys, monkeypatch):
+        cfg_path = write_config(tmp_path, epochs=1, seeds=[1, 2], out_dir=str(tmp_path / "ao"))
+        seen = self._stdout_at_each_report(capsys, monkeypatch)
+        assert main(["ablate-order", "--config", str(cfg_path), "--orders", "1,0;0,1"]) == 0
+        lines = []
+        for i, order in enumerate([[1, 0], [0, 1]]):
+            aggregate = json.loads((tmp_path / "ao" / f"order{i}" / "report.json").read_text())["aggregate"]
+            lines.append(
+                f"order {order}: {aggregate['mean_final_mean'] * 100:.2f} % "
+                f"+/- {aggregate['mean_final_std'] * 100:.2f}\n"
+            )
+        assert seen == ["", lines[0]]
+        assert capsys.readouterr().out == lines[1]
+
     def test_ablate_order_bad_later_order_exit_one_before_any_run(self, tmp_path, capsys):
         cfg_path = write_config(tmp_path, epochs=1, out_dir=str(tmp_path / "bo"))
         assert main(["ablate-order", "--config", str(cfg_path), "--orders", "0,1;0"]) == 1
