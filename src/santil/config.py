@@ -14,6 +14,7 @@ import json
 import math
 import os
 from dataclasses import MISSING, asdict, dataclass, field, fields
+from itertools import groupby
 from pathlib import Path
 
 from .data import CIFAR_VARIANTS, DATASET_FILES, Dataset, load_cifar, load_idx, synthetic_dataset
@@ -100,9 +101,11 @@ def _dataset_problems(name: str, dataset) -> list[str]:
 
 
 def _architecture_problems(name: str, arch) -> list[str]:
-    if isinstance(arch, str) and arch in PRESETS:
-        return []
-    return [f"{name}: unknown preset {arch!r}; presets are {sorted(PRESETS)}"]
+    if isinstance(arch, str):
+        return [] if arch in PRESETS else [f"{name}: unknown preset {arch!r}; presets are {sorted(PRESETS)}"]
+    kind = type(arch).__name__  # named by type: an old layer-by-layer architecture's repr runs to a paragraph
+    got = "null" if arch is None else f"an {kind}" if kind[0] in "aeiou" else f"a {kind}"
+    return [f"{name}: must name a preset, got {got}; presets are {sorted(PRESETS)}"]
 
 
 def _class_order_problems(name: str, order) -> list[str]:
@@ -111,11 +114,16 @@ def _class_order_problems(name: str, order) -> list[str]:
     return [] if order == "default" else [f"{name}: 'default' or a class-id list, got {order!r}"]
 
 
+def repeat_problems(name: str, what: str, values) -> list[str]:
+    """``<name>: each <what> may appear once; <repeats, sorted> repeated``, if any value repeats."""
+    repeated = [v for v, same in groupby(sorted(values)) if len(list(same)) > 1]
+    return [f"{name}: each {what} may appear once; {repeated} repeated"] if repeated else []
+
+
 def _seeds_problems(name: str, seeds) -> list[str]:
     if not (isinstance(seeds, list) and seeds and all(_is_int(s) and s >= 0 for s in seeds)):
         return [f"{name}: must be a non-empty list of non-negative ints, got {seeds!r}"]
-    repeated = sorted({s for s in seeds if seeds.count(s) > 1})
-    return [f"{name}: each seed may appear once; {repeated} repeated"] if repeated else []
+    return repeat_problems(name, "seed", seeds)
 
 
 # one check per RunConfig field, in field order
@@ -194,6 +202,9 @@ class RunConfig:
         checked["dataset"] = _with_defaults(checked["dataset"])
         for name, value in checked.items():
             problems += _FIELD_CHECKS[name](name, value)
+        permuted = not problems and sequence_kind(checked["dataset"]) == "permuted"  # once every field is valid
+        if permuted and checked["class_order"] != "default":
+            problems.append("class_order: not applicable to permuted tasks")
         if problems:
             raise ConfigError(problems)
         seeds = list(checked["seeds"])
@@ -216,6 +227,11 @@ class RunConfig:
 
     def to_dict(self) -> dict:
         return asdict(self)
+
+
+def sequence_kind(dataset: dict) -> str:
+    """The kind of task sequence a config's dataset makes, "split" or "permuted", known before it loads."""
+    return _SOURCES.get(dataset["name"], (None, "split"))[1]
 
 
 def resolve_data_root(data_root: str | None) -> Path:
@@ -244,9 +260,7 @@ def load_pools(config: RunConfig) -> tuple[Dataset, Dataset, str]:
             pattern_seed=opts["data_seed"],
         )
         return train, test, "split"
-    if name not in _SOURCES:
-        raise ConfigError([f"dataset: unsupported name {name!r}"])
-    recipe, kind = _SOURCES[name]
+    recipe, kind = _SOURCES[name]  # a validated config names a dataset santil knows
     layout = DATASET_FILES[recipe]
     directory = root / layout.directory
     cifar = recipe in CIFAR_VARIANTS

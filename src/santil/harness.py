@@ -9,7 +9,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from . import checkpoint as ckpt
-from .config import ConfigError, RunConfig, load_pools, resolve_architecture
+from .config import ConfigError, RunConfig, load_pools, repeat_problems, resolve_architecture, sequence_kind
 from .engine import run_sequence
 from .fileio import atomic_open
 from .layers import ArchitectureSpec
@@ -30,19 +30,16 @@ from .tasks import (
 
 
 def _resolve_groups(config: RunConfig, pools):
-    train_pool, _, kind = pools
-    if kind == "permuted":
-        if config.class_order != "default":
-            raise ConfigError(["class_order: not applicable to permuted tasks"])
+    if pools[2] == "permuted":  # permuted tasks take every class
         return None
     try:
-        return partition_classes(train_pool.num_classes, config.num_tasks, config.class_order)
+        return partition_classes(pools[0].num_classes, config.num_tasks, config.class_order)
     except ValueError as exc:
         raise ConfigError([str(exc)]) from None
 
 
 def _build_sequence(config: RunConfig, pools, groups, seed: int) -> TaskSequence:
-    if groups is None:  # permuted tasks take every class
+    if groups is None:
         return build_permuted_sequence(*pools[:2], config.num_tasks, seed)
     return build_split_sequence(*pools[:2], groups, seed)
 
@@ -55,16 +52,6 @@ def _architecture(config: RunConfig, pools, groups) -> ArchitectureSpec:
 
 def _variant(config: RunConfig, **changes) -> RunConfig:
     return RunConfig.from_dict(config.to_dict() | changes)
-
-
-def _make_out_dirs(configs) -> None:
-    """Create each config's out_dir once every config check has passed and before
-    any task trains; one that is not a directory or cannot be made is a config error."""
-    for config in configs:
-        try:
-            Path(config.out_dir).mkdir(parents=True, exist_ok=True)
-        except OSError as exc:
-            raise ConfigError([f"out_dir: cannot make directory {config.out_dir}: {exc.strerror}"]) from None
 
 
 def _run_variant(config: RunConfig, pools, groups, arch: ArchitectureSpec, **extra) -> dict:
@@ -103,13 +90,25 @@ def _run_variant(config: RunConfig, pools, groups, arch: ArchitectureSpec, **ext
     return report
 
 
+def _run_variants(variants, pools):
+    """Run each variant, a (config, task groups, extra report keys) triple, through
+    ``_run_variant`` in order, yielding its report as it finishes. Every architecture is
+    resolved and every out_dir made before the first variant trains; an out_dir that is
+    not a directory or cannot be made is a config error."""
+    archs = [_architecture(config, pools, groups) for config, groups, _ in variants]
+    for config, _, _ in variants:
+        try:
+            Path(config.out_dir).mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError([f"out_dir: cannot make directory {config.out_dir}: {exc.strerror}"]) from None
+    for (config, groups, extra), arch in zip(variants, archs):
+        yield _run_variant(config, pools, groups, arch, **extra)
+
+
 def run(config: RunConfig, echo=None) -> dict:
     """Execute run_sequence per seed; write report.json, summary.csv, checkpoints."""
     pools = load_pools(config)
-    groups = _resolve_groups(config, pools)
-    arch = _architecture(config, pools, groups)
-    _make_out_dirs([config])
-    report = _run_variant(config, pools, groups, arch)
+    (report,) = _run_variants([(config, _resolve_groups(config, pools), {})], pools)
     if echo is not None:
         echo(render_console_table(report))
     return report
@@ -126,17 +125,12 @@ def sweep_size(config: RunConfig, kernels, echo=None) -> list[dict]:
     out_dir = Path(config.out_dir)
     # every width is checked before the first run writes anything
     variants = [_variant(config, adjust_kernel=k, out_dir=str(out_dir / f"kernel{k}")) for k in kernels]
-    repeated = sorted({k for k in kernels if kernels.count(k) > 1})
-    if repeated:
-        raise ConfigError([f"widths: each kernel may appear once; {repeated} repeated"])
+    if repeated := repeat_problems("widths", "kernel", kernels):
+        raise ConfigError(repeated)
     pools = load_pools(config)
     groups = _resolve_groups(config, pools)
-    archs = [_architecture(sub, pools, groups) for sub in variants]
-    _make_out_dirs(variants)
-
     rows = []
-    for k, sub, arch in zip(kernels, variants, archs):
-        report = _run_variant(sub, pools, groups, arch)
+    for k, report in zip(kernels, _run_variants([(sub, groups, {}) for sub in variants], pools)):
         final = report["seeds"][0]["per_task"][-1]
         rows.append(
             {
@@ -153,14 +147,7 @@ def sweep_size(config: RunConfig, kernels, echo=None) -> list[dict]:
         )
         writer.writeheader()
         for row in rows:
-            writer.writerow(
-                {
-                    **row,
-                    "megabytes": f"{row['megabytes']:.6f}",
-                    "mean_accuracy": f"{row['mean_accuracy']:.6f}",
-                    "std_accuracy": f"{row['std_accuracy']:.6f}",
-                }
-            )
+            writer.writerow(row | {key: f"{row[key]:.6f}" for key in ("megabytes", "mean_accuracy", "std_accuracy")})
     if echo is not None:
         for row in rows:
             echo(
@@ -172,33 +159,30 @@ def sweep_size(config: RunConfig, kernels, echo=None) -> list[dict]:
 
 def ablate_order(config: RunConfig, orders, echo=None) -> list[dict]:
     """One full run per task-order permutation, same seeds, side by side."""
-    pools = load_pools(config)
-    if pools[2] == "permuted":
+    if sequence_kind(config.dataset) == "permuted":
         raise ConfigError(["ablate-order applies to split datasets only"])
+    pools = load_pools(config)
     base_groups = _resolve_groups(config, pools)
     try:  # every order is checked before the first run writes anything
         regrouped = [reorder_groups(base_groups, order) for order in orders]
     except ValueError as exc:
         raise ConfigError([f"orders: {exc}"]) from None
     orders = [[int(v) for v in order] for order in orders]  # numpy integers to ints, for the report
-    repeated = [list(o) for o in sorted({tuple(o) for o in orders if orders.count(o) > 1})]
-    if repeated:
-        raise ConfigError([f"orders: each order may appear once; {repeated} repeated"])
-    # every order regroups the same tasks, so one architecture serves them all
-    arch = _architecture(config, pools, base_groups)
+    if repeated := repeat_problems("orders", "order", orders):
+        raise ConfigError(repeated)
     out_dir = Path(config.out_dir)
-    variants = [_variant(config, out_dir=str(out_dir / f"order{i}")) for i in range(len(orders))]
-    _make_out_dirs(variants)
-
+    variants = [
+        (_variant(config, out_dir=str(out_dir / f"order{i}")), groups, {"task_order": order})
+        for i, (order, groups) in enumerate(zip(orders, regrouped))
+    ]
     summaries = []
-    for order, groups, sub in zip(orders, regrouped, variants):
-        report = _run_variant(sub, pools, groups, arch, task_order=order)
+    for i, (order, report) in enumerate(zip(orders, _run_variants(variants, pools))):
         summaries.append(
             {
                 "order": order,
                 "mean_accuracy": report["aggregate"]["mean_final_mean"],
                 "std_accuracy": report["aggregate"]["mean_final_std"],
-                "report": str(Path(sub.out_dir) / "report.json"),
+                "report": str(out_dir / f"order{i}" / "report.json"),
             }
         )
         if echo is not None:

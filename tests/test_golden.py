@@ -7,11 +7,12 @@ then bytes, in name order, without ``__meta__``) are hashed with sha256 and
 compared, first 16 hex digits, with ``golden.json``. The variant commands
 are pinned the same way on the smoke config at 3 epochs: a size sweep over
 widths 3 and 5 and an order ablation over orders [0, 1, 2] and [2, 0, 1],
-each with its summary file and every variant's ``summary.csv`` and arrays. The bits of a float32
-GEMM depend on the numpy build, the BLAS library and the kernel it picks for
-the CPU, so ``golden.json`` keys its hashes by that fingerprint, and on a
-fingerprint it does not list the test skips and names it. A change that moves
-the bits on purpose updates ``golden.json`` and says why.
+each with its summary file and every variant's ``summary.csv`` and arrays.
+The bits of a float32 GEMM depend on the numpy build, the BLAS library and
+the kernel it picks for the CPU, so ``golden.json`` keys its hashes by that
+fingerprint, and on a fingerprint it does not list the test skips and names
+it. A change that moves the bits on purpose updates ``golden.json`` and says
+why.
 """
 
 import ctypes
@@ -98,7 +99,7 @@ def run_hashes(out_dir: Path) -> dict:
 def test_trained_bits_match_the_pinned_hashes(tmp_path, run):
     expected = pinned()
     name, strategy = run.split("-")
-    raw = json.loads(json.dumps(SMOKE))
+    raw = json.loads((ROOT / "configs" / "synthetic-smoke.json").read_text(encoding="utf-8"))
     raw.update(strategy=strategy, out_dir=str(tmp_path / run))
     if name == "smoke7":
         raw["dataset"]["num_classes"], raw["epochs"] = 7, 3

@@ -85,7 +85,8 @@ INLINE = {
     "adjustment": [],
     "classifier": [{"kind": "flatten"}, {"kind": "linear", "out_features": "base"}],
 }
-NOT_A_PRESET = "architecture: unknown preset {!r}; presets are ['cifar-small', 'mnist-small', 'tiny']"
+# a value that is not a string is named by its type, never echoed whole
+NOT_A_PRESET = "architecture: must name a preset, got {}; presets are ['cifar-small', 'mnist-small', 'tiny']"
 
 
 def rewrite_checkpoint(path, change) -> None:
@@ -184,8 +185,7 @@ class TestRunConfig:
             "dataset.shape: must be a list of 3 positive integers, got [1, 8]",
             "dataset.data_seed: must be a non-negative integer, got -1",
             "num_tasks: must be a positive integer, got 0",
-            "architecture: unknown preset {'backbone': [], 'head': []}; "
-            "presets are ['cifar-small', 'mnist-small', 'tiny']",
+            NOT_A_PRESET.format("a dict"),
             "class_order: list entries must be integers",
             "epochs: must be a positive integer, got 0",
             "batch_size: must be a positive integer, got -1",
@@ -198,8 +198,11 @@ class TestRunConfig:
         ]
 
     def test_unknown_preset_rejected(self, tmp_path):
-        with pytest.raises(ConfigError, match="preset"):
+        with pytest.raises(ConfigError) as info:
             synthetic_config(tmp_path, architecture="resnet")
+        assert info.value.problems == [
+            "architecture: unknown preset 'resnet'; presets are ['cifar-small', 'mnist-small', 'tiny']"
+        ]
 
     @pytest.mark.parametrize(
         ("field", "value"),
@@ -449,7 +452,7 @@ class TestSweepSize:
         cfg_path = tmp_path / "inline.json"
         cfg_path.write_text(json.dumps(raw))
         assert main(["sweep-size", "--config", str(cfg_path), "--widths", "3,5"]) == 1
-        assert capsys.readouterr().err == f"config error: {NOT_A_PRESET.format(INLINE)}\n"
+        assert capsys.readouterr().err == f"config error: {NOT_A_PRESET.format('a dict')}\n"
         assert not (tmp_path / "inline").exists()
 
     @pytest.mark.parametrize("width", [3.5, 3.0, True])
@@ -921,7 +924,7 @@ class TestDumpEmbeddings:
         # the layer-by-layer form, which configs no longer take
         "config-inline-architecture": (
             lambda meta: meta["config"].update(architecture=INLINE),
-            f"{INVALID_CONFIG}: {NOT_A_PRESET.format(INLINE)}",
+            f"{INVALID_CONFIG}: {NOT_A_PRESET.format('a dict')}",
         ),
         "config-two-problems": (
             lambda meta: meta["config"].update(epochs=0, lr=-1),
@@ -967,15 +970,19 @@ class TestCli:
         assert err.startswith(f"config error: config file {path} is not valid JSON: ")
         assert err.count("\n") == 1
 
-    @pytest.mark.parametrize("architecture", [INLINE, ["tiny"], None], ids=["dict", "list", "missing"])
-    def test_architecture_not_a_preset_name_exit_one_writes_nothing(self, tmp_path, capsys, architecture):
+    @pytest.mark.parametrize(
+        ("architecture", "got"),
+        [(INLINE, "a dict"), (["tiny"], "a list"), (None, "null"), (3, "an int")],
+        ids=["dict", "list", "missing", "int"],
+    )
+    def test_architecture_not_a_preset_name_exit_one_writes_nothing(self, tmp_path, capsys, architecture, got):
         raw = synthetic_config(tmp_path, out_dir=str(tmp_path / "arch")).to_dict() | {"architecture": architecture}
         if architecture is None:
             del raw["architecture"]
         path = tmp_path / "arch.json"
         path.write_text(json.dumps(raw))
         assert main(["run", "--config", str(path)]) == 1
-        assert capsys.readouterr().err == f"config error: {NOT_A_PRESET.format(architecture)}\n"
+        assert capsys.readouterr().err == f"config error: {NOT_A_PRESET.format(got)}\n"
         assert not (tmp_path / "arch").exists()
 
     def test_config_that_is_a_directory_exit_one(self, tmp_path, capsys):
@@ -1526,14 +1533,18 @@ class TestMnistShapedPipeline:
         assert report["seeds"][0]["per_task"][0]["classes"] == list(range(10))
 
     @pytest.mark.parametrize(
-        "command, extra, problem",
+        "command, extra, problem, files",
         [
-            ("run", {"class_order": list(range(9, -1, -1))}, "class_order: not applicable to permuted tasks"),
-            ("ablate-order", {}, "ablate-order applies to split datasets only"),
+            ("run", {"class_order": list(range(9, -1, -1))}, "class_order: not applicable to permuted tasks", True),
+            ("ablate-order", {}, "ablate-order applies to split datasets only", True),
+            ("run", {"class_order": list(range(9, -1, -1))}, "class_order: not applicable to permuted tasks", False),
+            ("ablate-order", {}, "ablate-order applies to split datasets only", False),
         ],
-        ids=["class_order", "ablate-order"],
+        ids=["class_order", "ablate-order", "class_order-no-files", "ablate-order-no-files"],
     )
-    def test_split_only_requests_on_permuted_tasks_exit_one(self, tmp_path, capsys, command, extra, problem):
+    def test_split_only_requests_on_permuted_tasks_exit_one(self, tmp_path, capsys, command, extra, problem, files):
+        # refused from the config alone, so with no dataset files it is a config error, not a data error
+        data_root = self._write_fake_mnist(tmp_path) if files else tmp_path / "nodata"
         raw = {
             "strategy": "san",
             "dataset": "permuted-mnist",
@@ -1541,7 +1552,7 @@ class TestMnistShapedPipeline:
             "architecture": "mnist-small",
             "epochs": 1,
             "seeds": [1],
-            "data_root": str(self._write_fake_mnist(tmp_path)),
+            "data_root": str(data_root),
             "out_dir": str(tmp_path / "permuted"),
         }
         cfg_path = tmp_path / "permuted.json"
