@@ -17,7 +17,7 @@ from dataclasses import MISSING, asdict, dataclass, field, fields
 from itertools import groupby
 from pathlib import Path
 
-from .data import CIFAR_VARIANTS, DATASET_FILES, Dataset, load_cifar, load_idx, synthetic_dataset
+from .data import CIFAR_VARIANTS, DATASET_FILES, Dataset, file_sha256, load_cifar, load_idx, synthetic_dataset
 from .engine import STRATEGY_TABLE
 from .layers import PRESETS, ArchitectureSpec, output_shape
 from .tensor import ShapeError
@@ -243,8 +243,12 @@ def resolve_data_root(data_root: str | None) -> Path:
 # dataset resolution
 
 
-def load_pools(config: RunConfig) -> tuple[Dataset, Dataset, str]:
-    """(train pool, test pool, sequence kind) for the configured dataset."""
+def load_pools(config: RunConfig) -> tuple[Dataset, Dataset, dict[str, str]]:
+    """(train pool, test pool, files) for the configured dataset.
+
+    ``files`` maps each path read, train files then test files in
+    ``DATASET_FILES`` order, to its sha256; it is empty for the synthetic corpus.
+    """
     name = config.dataset["name"]
     root = resolve_data_root(config.data_root)
     if name == "synthetic":
@@ -259,8 +263,8 @@ def load_pools(config: RunConfig) -> tuple[Dataset, Dataset, str]:
             seed=opts["data_seed"] + 1,
             pattern_seed=opts["data_seed"],
         )
-        return train, test, "split"
-    recipe, kind = _SOURCES[name]  # a validated config names a dataset santil knows
+        return train, test, {}
+    recipe = _SOURCES[name][0]  # a validated config names a dataset santil knows
     layout = DATASET_FILES[recipe]
     directory = root / layout.directory
     cifar = recipe in CIFAR_VARIANTS
@@ -274,9 +278,10 @@ def load_pools(config: RunConfig) -> tuple[Dataset, Dataset, str]:
     missing = [p for p in train + test if not p.exists()]
     if missing:
         raise DataFilesError(recipe, missing, root)
+    files = {str(p): file_sha256(p) for p in train + test}
     if cifar:
-        return load_cifar(train, recipe), load_cifar(test, recipe), kind
-    return load_idx(*train), load_idx(*test), kind
+        return load_cifar(train, recipe), load_cifar(test, recipe), files
+    return load_idx(*train), load_idx(*test), files
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ from __future__ import annotations
 import gzip
 import hashlib
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple, Sequence
 
@@ -52,7 +52,6 @@ class Dataset:
 
     images: np.ndarray
     labels: np.ndarray
-    provenance: dict = field(default_factory=dict)
 
     def __post_init__(self):
         self.labels = np.asarray(self.labels, dtype=np.int64)
@@ -127,15 +126,7 @@ def load_idx(images_path, labels_path) -> Dataset:
     pixels = np.frombuffer(raw_images, dtype=np.uint8, offset=16)
     images = (pixels.astype(np.float32) / np.float32(255.0)).reshape(n, 1, h, w)
     labels = np.frombuffer(raw_labels, dtype=np.uint8, offset=8).astype(np.int64)
-    provenance = {
-        "format": "idx",
-        "files": {
-            str(images_path): file_sha256(images_path),
-            str(labels_path): file_sha256(labels_path),
-        },
-        "normalization": "scale_1_255",
-    }
-    return Dataset(images, labels, provenance=provenance)
+    return Dataset(images, labels)
 
 
 # ---------------------------------------------------------------------------
@@ -154,7 +145,6 @@ def load_cifar(binary_paths: Sequence, variant: str) -> Dataset:
 
     all_images = []
     all_labels = []
-    files = {}
     for path in binary_paths:
         raw = Path(path).read_bytes()
         if len(raw) == 0 or len(raw) % record_len:
@@ -165,10 +155,7 @@ def load_cifar(binary_paths: Sequence, variant: str) -> Dataset:
         all_labels.append(records[:, label_offset].astype(np.int64))
         pix = records[:, record_len - 3072 :].astype(np.float32) / np.float32(255.0)
         all_images.append(pix.reshape(-1, 3, 32, 32))
-        files[str(path)] = file_sha256(path)
-
-    provenance = {"format": variant, "files": files, "normalization": "scale_1_255"}
-    return Dataset(np.concatenate(all_images), np.concatenate(all_labels), provenance=provenance)
+    return Dataset(np.concatenate(all_images), np.concatenate(all_labels))
 
 
 # ---------------------------------------------------------------------------
@@ -275,12 +262,4 @@ def synthetic_dataset(
         images[lo : lo + per_class] = means[c] + noise
         labels[lo : lo + per_class] = c
     np.clip(images, 0.0, 1.0, out=images)
-    provenance = {
-        "format": "synthetic",
-        "seed": int(seed),
-        "pattern_seed": int(seed if pattern_seed is None else pattern_seed),
-        "sigma": SYNTHETIC_SIGMA,
-        "amplitude": SYNTHETIC_AMPLITUDE,
-        "normalization": "scale_1_255",
-    }
-    return Dataset(images.reshape(-1, *shape), labels, provenance=provenance)
+    return Dataset(images.reshape(-1, *shape), labels)

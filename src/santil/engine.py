@@ -151,8 +151,8 @@ class IncrementalState:
     built for task t, ``prepared`` the number of tasks whose parts are
     built, and ``snapshot`` every frozen parameter as it was when it froze.
     A task's head is the first ``len(task.class_ids)`` classifier outputs.
-    ``features`` maps (task, split) to (prefix depth, features): the output
-    of the task's first ``depth`` blocks for every sample of the split.
+    ``features`` maps (task, split) to the output of the task's frozen
+    prefix for every sample of the split; ``freeze_task`` drops the task's.
     """
 
     def __init__(
@@ -175,7 +175,7 @@ class IncrementalState:
         self.per_task: dict[int, dict[str, ModelBlock]] = {}
         self.prepared = 0
         self.snapshot: dict[str, np.ndarray] = {}
-        self.features: dict[tuple[int, str], tuple[int, np.ndarray]] = {}
+        self.features: dict[tuple[int, str], np.ndarray] = {}
         self.trained_upto = 0
         self._active_task = 0
 
@@ -243,7 +243,7 @@ def freeze_task(state: IncrementalState, task_index: int) -> None:
     ok, path = state.verify_frozen()
     if not ok:
         raise RuntimeError(f"frozen parameter {path!r} changed during task {task_index}")
-    for split in ("train", "val"):
+    for split in ("train", "val", "test"):
         state.features.pop((task_index, split), None)
     if not state.spec.freezes:
         return
@@ -304,23 +304,22 @@ def _prefix_features(
     The frozen prefix's features come from the cache, or are computed
     batch_size rows at a time and stored when they fit the byte budget. An
     entry that would not fit is not computed: depth is 0 and rows are the
-    images, so the prefix runs per batch.
+    images, so the prefix runs per batch. An entry is of the current prefix:
+    freezing the task, the one event that deepens it, drops the entry.
     """
     blocks = state._forward_blocks(task_index)
     depth = _prefix_depth(blocks)
     key = (task_index, split)
-    entry = state.features.pop(key, None)
-    if entry is None or entry[0] != depth:
-        if depth == 0:
-            return 0, images
-        itemsize = next(p for b in blocks[:depth] for p in b.parameters()).data.itemsize
-        nbytes = images.shape[0] * math.prod(blocks[depth - 1].output_shape) * itemsize
-        held = sum(rows.nbytes for _, rows in state.features.values())
-        if held + nbytes > _FEATURE_CACHE_BYTES:
-            return 0, images
-        entry = depth, _forward_rows(blocks[:depth], images, batch_size)
-    state.features[key] = entry
-    return entry
+    if key in state.features:
+        return depth, state.features[key]
+    if depth == 0:
+        return 0, images
+    nbytes = images.shape[0] * math.prod(blocks[depth - 1].output_shape) * images.itemsize
+    held = sum(rows.nbytes for rows in state.features.values())
+    if held + nbytes > _FEATURE_CACHE_BYTES:
+        return 0, images
+    state.features[key] = _forward_rows(blocks[:depth], images, batch_size)
+    return depth, state.features[key]
 
 
 # ---------------------------------------------------------------------------

@@ -74,9 +74,15 @@ def _manifest_path(data_root: Path) -> Path:
 
 def _load_manifest(data_root: Path) -> dict:
     path = _manifest_path(data_root)
-    if path.exists():
-        return json.loads(path.read_text())
-    return {}
+    if not path.exists():
+        return {}
+    try:
+        manifest = json.loads(path.read_text(encoding="utf-8"))
+    except ValueError as exc:  # not UTF-8, or not JSON
+        raise FetchError(f"checksum manifest {path} is not valid JSON: {exc}") from None
+    if not isinstance(manifest, dict):
+        raise FetchError(f"checksum manifest {path} must be a JSON object, got {type(manifest).__name__}")
+    return manifest
 
 
 def _store_manifest(data_root: Path, manifest: dict) -> None:

@@ -30,7 +30,7 @@ from .tasks import (
 
 
 def _resolve_groups(config: RunConfig, pools):
-    if pools[2] == "permuted":  # permuted tasks take every class
+    if sequence_kind(config.dataset) == "permuted":  # permuted tasks take every class
         return None
     try:
         return partition_classes(pools[0].num_classes, config.num_tasks, config.class_order)
@@ -58,7 +58,7 @@ def _run_variant(config: RunConfig, pools, groups, arch: ArchitectureSpec, **ext
     """The one seed loop: run_sequence per seed over one task grouping, saving
     checkpoint_seed<N>.npz each; then report.json (plus ``extra`` keys) and summary.csv."""
     started_at = datetime.now(timezone.utc).isoformat()
-    train_pool, test_pool, kind = pools
+    train_pool, test_pool, files = pools
     out_dir = Path(config.out_dir)
     results = []
     for seed in config.seeds:
@@ -77,12 +77,12 @@ def _run_variant(config: RunConfig, pools, groups, arch: ArchitectureSpec, **ext
         results.append(result)
     dataset = {
         "name": config.dataset["name"],
-        "kind": kind,
+        "kind": sequence_kind(config.dataset),
         "train_size": train_pool.num_samples,
         "test_size": test_pool.num_samples,
         "num_classes": train_pool.num_classes,
-        "normalization": train_pool.provenance.get("normalization", "scale_1_255"),
-        "files": train_pool.provenance.get("files", {}),
+        "normalization": "scale_1_255",
+        "files": files,
     }
     report = build_report(config, dataset, results, started_at) | extra
     write_report_json(report, out_dir / "report.json")

@@ -763,12 +763,31 @@ class TestFrozenPrefixCache:
         with pytest.raises(RuntimeError, match="backbone.0.weight.*task 2"):
             train_task(state, 2, epochs=1, batch_size=16)
 
+    def test_freezing_a_task_drops_its_test_entry(self, monkeypatch):
+        seq = blob_sequence()
+        state = IncrementalState("san", tiny_arch(), seq, master_seed=5)
+        train_task(state, 1, epochs=1, batch_size=16)
+        scored = []
+        evaluate_split = engine.evaluate
+
+        def also_score_test(state, task_index, split):
+            scored.append(evaluate_split(state, task_index, "test"))  # cached behind B1 alone
+            return evaluate_split(state, task_index, split)
+
+        monkeypatch.setattr(engine, "evaluate", also_score_test)
+        train_task(state, 2, epochs=1, batch_size=16)
+        monkeypatch.undo()
+        assert (2, "test") not in state.features
+        assert evaluate(state, 2, "test") == scored[-1]
+        # the entry is now of the frozen prefix B1 and F_2
+        assert state.features[(2, "test")].shape[1:] == state.per_task[2]["adjust"].output_shape
+
     def test_entry_over_budget_is_not_stored(self, monkeypatch):
         seq = blob_sequence()
         state = IncrementalState("san", tiny_arch(), seq, master_seed=5)
         train_task(state, 1, epochs=1, batch_size=16)
         one = evaluate(state, 1, "test")
-        entry_bytes = state.features[(1, "test")][1].nbytes
+        entry_bytes = state.features[(1, "test")].nbytes
         state.features.clear()
         monkeypatch.setattr(engine, "_FEATURE_CACHE_BYTES", entry_bytes - 1)
         assert evaluate(state, 1, "test") == one

@@ -23,6 +23,7 @@ from santil.config import (
     RunConfig,
     load_pools,
     resolve_architecture,
+    sequence_kind,
 )
 from santil.data import DATASET_FILES
 from santil.fetch import REGISTRY, ChecksumError, FetchError, RemoteFile, fetch_dataset, unpack, verify_checksum
@@ -609,7 +610,7 @@ class TestCheckpoints:
         from santil.tasks import build_split_sequence, partition_classes, task_arrays
 
         cfg = synthetic_config(tmp_path, strategy=strategy)
-        train, test, kind = load_pools(cfg)
+        train, test, _ = load_pools(cfg)
         groups = partition_classes(train.num_classes, cfg.num_tasks)
         arch = resolve_architecture(cfg, train.image_shape, len(groups[0]))
         seq = build_split_sequence(train, test, groups, master_seed=1)
@@ -1507,6 +1508,9 @@ class TestMnistShapedPipeline:
         matrix = report["seeds"][0]["forgetting_matrix"]
         assert [len(r) for r in matrix] == [1, 2, 3, 4, 5]
         assert report["dataset"]["train_size"] == 400
+        # every train and test file read, with its sha256
+        paths = [str(root / "mnist" / stem) for stem in TestDataLayout.MNIST_STEMS]
+        assert report["dataset"]["files"] == TestDataLayout.sha256s(paths)
         # zero forgetting shows up as constant columns
         for s in range(5):
             col = [row[s] for row in matrix if len(row) > s]
@@ -1726,6 +1730,26 @@ class TestFetchLogic:
         assert list((root / "archives").iterdir()) == []
         assert not (root / "checksums.json").exists()
 
+    @pytest.mark.parametrize(
+        "text, problem",
+        [('{"train-images-idx3-ubyte.gz": "ab', "is not valid JSON: "), ("[]", "must be a JSON object, got list")],
+        ids=["truncated", "list"],
+    )
+    def test_manifest_not_a_json_object_is_one_data_error_line(self, tmp_path, monkeypatch, capsys, text, problem):
+        monkeypatch.setattr("santil.fetch.urllib.request.urlopen", lambda url: pytest.fail(f"opened {url}"))
+        root = tmp_path / "data"
+        (root / "archives").mkdir(parents=True)
+        (root / "archives" / "train-images-idx3-ubyte.gz").write_bytes(b"fetched earlier")
+        manifest = root / "checksums.json"
+        manifest.write_text(text)
+        with pytest.raises(FetchError, match=re.escape(f"checksum manifest {manifest} {problem}")):
+            verify_checksum(root / "archives" / "train-images-idx3-ubyte.gz", REGISTRY["fashion-mnist"][0], root)
+        assert main(["fetch-data", "--dataset", "fashion-mnist", "--data-root", str(root)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: checksum manifest {manifest} {problem}")
+        assert err.count("\n") == 1
+        assert manifest.read_text() == text
+
 
 class TestDataLayout:
     """One table says where each dataset's files live; fetch-data writes
@@ -1762,6 +1786,10 @@ class TestDataLayout:
         assert action(fetch, "dataset").choices == sorted(REGISTRY)
 
     @staticmethod
+    def sha256s(paths):
+        return {p: hashlib.sha256(Path(p).read_bytes()).hexdigest() for p in paths}
+
+    @staticmethod
     def fetch_fixture(recipe, root, scratch, seed):
         """Unpack gzipped IDX fixtures named as `recipe`'s downloads into `root`;
         returns the (train, test) datasets they hold."""
@@ -1795,13 +1823,14 @@ class TestDataLayout:
             ("permuted-mnist", "mnist", "permuted"),
             ("fashion-mnist", "fashion-mnist", "split"),
         ]:
-            train, test, got_kind = load_pools(synthetic_config(tmp_path, dataset=name, data_root=str(root)))
-            assert got_kind == kind
+            cfg = synthetic_config(tmp_path, dataset=name, data_root=str(root))
+            train, test, files = load_pools(cfg)
+            assert sequence_kind(cfg.dataset) == kind
             for pool, fixture in zip((train, test), expected[recipe]):
                 assert np.array_equal(pool.labels, fixture.labels)
                 assert np.array_equal(np.rint(pool.images * 255), np.rint(fixture.images * 255))
-                assert all(Path(p).parent == root / recipe for p in pool.provenance["files"])
-                assert not any(p.endswith(".gz") for p in pool.provenance["files"])
+            assert list(files) == [str(root / recipe / stem) for stem in self.MNIST_STEMS]
+            assert files == self.sha256s(files)
 
     def test_cifar10_layout_loads_what_was_written(self, tmp_path):
         from dataset_writers import save_cifar
@@ -1815,13 +1844,14 @@ class TestDataLayout:
             written[name] = synthetic_dataset(10, 2, (3, 32, 32), seed=600 + i)
             save_cifar(written[name], directory / name, "cifar10")
         cfg = synthetic_config(tmp_path, dataset="cifar10", data_root=str(tmp_path / "data"))
-        train, test, kind = load_pools(cfg)
-        assert kind == "split"
+        train, test, files = load_pools(cfg)
+        assert sequence_kind(cfg.dataset) == "split"
         for pool, names in ((train, layout.train), (test, layout.test)):
             assert np.array_equal(pool.labels, np.concatenate([written[n].labels for n in names]))
             pixels = np.concatenate([np.rint(written[n].images * 255) for n in names])
             assert np.array_equal(np.rint(pool.images * 255), pixels)
-            assert list(pool.provenance["files"]) == [str(directory / n) for n in names]
+        assert list(files) == [str(directory / n) for n in layout.train + layout.test]
+        assert files == self.sha256s(files)
 
     def test_idx_gz_drop_in_loads(self, tmp_path):
         root = tmp_path / "data"
@@ -1829,6 +1859,8 @@ class TestDataLayout:
         (root / "mnist").mkdir(parents=True)
         for archive in (tmp_path / "fetched" / "archives").iterdir():
             (root / "mnist" / archive.name).write_bytes(archive.read_bytes())
-        pool, _, _ = load_pools(synthetic_config(tmp_path, dataset="mnist", data_root=str(root)))
+        pool, _, files = load_pools(synthetic_config(tmp_path, dataset="mnist", data_root=str(root)))
         assert np.array_equal(pool.labels, train.labels)
-        assert all(p.endswith(".gz") for p in pool.provenance["files"])
+        # each drop-in is named, and hashed, as the .gz file it is
+        assert list(files) == [str(root / "mnist" / f"{stem}.gz") for stem in self.MNIST_STEMS]
+        assert files == self.sha256s(files)
