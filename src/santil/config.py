@@ -17,7 +17,7 @@ from dataclasses import MISSING, asdict, dataclass, field, fields
 from itertools import groupby
 from pathlib import Path
 
-from .data import CIFAR_VARIANTS, DATASET_FILES, Dataset, file_sha256, load_cifar, load_idx, synthetic_dataset
+from .data import CIFAR_VARIANTS, DATASET_FILES, Dataset, load_cifar, load_idx, synthetic_dataset
 from .engine import STRATEGY_TABLE
 from .layers import PRESETS, ArchitectureSpec, output_shape
 from .tensor import ShapeError
@@ -278,10 +278,10 @@ def load_pools(config: RunConfig) -> tuple[Dataset, Dataset, dict[str, str]]:
     missing = [p for p in train + test if not p.exists()]
     if missing:
         raise DataFilesError(recipe, missing, root)
-    files = {str(p): file_sha256(p) for p in train + test}
+    files = {}  # the loaders hash the bytes they parse
     if cifar:
-        return load_cifar(train, recipe), load_cifar(test, recipe), files
-    return load_idx(*train), load_idx(*test), files
+        return load_cifar(train, recipe, files), load_cifar(test, recipe, files), files
+    return load_idx(*train, files), load_idx(*test, files), files
 
 
 # ---------------------------------------------------------------------------

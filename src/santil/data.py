@@ -8,7 +8,7 @@ File formats are handled bit-exactly:
   CIFAR-10     3073-byte records: 1 label byte + 3072 channel-major pixels
   CIFAR-100    3074-byte records: coarse + fine label bytes + 3072 pixels
 
-Pixels are scaled by 1/255 into [0, 1]; no mean/std standardization.
+Pools keep the uint8 pixels; ``tasks.task_arrays`` scales them by 1/255 into [0, 1], no standardization.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ class RecordLengthError(DatasetError):
 
 @dataclass
 class Dataset:
-    """Immutable-by-convention image corpus in [N, C, H, W] float32, values in [0, 1]."""
+    """Immutable-by-convention [N, C, H, W] images: a file pool's uint8 pixels, or synthetic float32 in [0, 1]."""
 
     images: np.ndarray
     labels: np.ndarray
@@ -83,22 +83,22 @@ def file_sha256(path) -> str:
     return h.hexdigest()
 
 
-def _read_bytes(path) -> bytes:
-    path = Path(path)
-    if path.suffix == ".gz":
-        with gzip.open(path, "rb") as fh:
-            return fh.read()
-    return path.read_bytes()
+def _read_bytes(path, files: dict[str, str] | None) -> bytes:
+    """One read of the file, gunzipped if a .gz; ``files``, if given, maps the path to the read bytes' sha256."""
+    raw = Path(path).read_bytes()
+    if files is not None:
+        files[str(path)] = hashlib.sha256(raw).hexdigest()
+    return gzip.decompress(raw) if Path(path).suffix == ".gz" else raw
 
 
 # ---------------------------------------------------------------------------
 # IDX
 
 
-def load_idx(images_path, labels_path) -> Dataset:
-    """Load an IDX image/label file pair (plain or .gz)."""
-    raw_images = _read_bytes(images_path)
-    raw_labels = _read_bytes(labels_path)
+def load_idx(images_path, labels_path, files: dict[str, str] | None = None) -> Dataset:
+    """Load an IDX image/label file pair (plain or .gz); ``files`` gets their sha256s."""
+    raw_images = _read_bytes(images_path, files)
+    raw_labels = _read_bytes(labels_path, files)
 
     if len(raw_images) < 16:
         raise TruncatedFileError(f"{images_path}: too short for an IDX image header")
@@ -121,10 +121,9 @@ def load_idx(images_path, labels_path) -> Dataset:
             f"{labels_path}: expected {8 + ln} bytes for {ln} labels, found {len(raw_labels)}"
         )
     if n != ln:
-        raise CountMismatchError(f"{n} images but {ln} labels")
+        raise CountMismatchError(f"{images_path} holds {n} images but {labels_path} holds {ln} labels")
 
-    pixels = np.frombuffer(raw_images, dtype=np.uint8, offset=16)
-    images = (pixels.astype(np.float32) / np.float32(255.0)).reshape(n, 1, h, w)
+    images = np.frombuffer(raw_images, dtype=np.uint8, offset=16).reshape(n, 1, h, w)
     labels = np.frombuffer(raw_labels, dtype=np.uint8, offset=8).astype(np.int64)
     return Dataset(images, labels)
 
@@ -136,8 +135,8 @@ def load_idx(images_path, labels_path) -> Dataset:
 CIFAR_VARIANTS = ("cifar10", "cifar100")
 
 
-def load_cifar(binary_paths: Sequence, variant: str) -> Dataset:
-    """Load CIFAR-10/100 binary batch files (channel-major 3x32x32 records)."""
+def load_cifar(binary_paths: Sequence, variant: str, files: dict[str, str] | None = None) -> Dataset:
+    """Load CIFAR-10/100 binary batch files (channel-major 3x32x32 records); ``files`` gets their sha256s."""
     if variant not in CIFAR_VARIANTS:
         raise ValueError(f"variant must be 'cifar10' or 'cifar100', got {variant!r}")
     record_len = 3073 if variant == "cifar10" else 3074
@@ -146,15 +145,14 @@ def load_cifar(binary_paths: Sequence, variant: str) -> Dataset:
     all_images = []
     all_labels = []
     for path in binary_paths:
-        raw = Path(path).read_bytes()
+        raw = _read_bytes(path, files)
         if len(raw) == 0 or len(raw) % record_len:
             raise RecordLengthError(
                 f"{path}: {len(raw)} bytes is not a multiple of the {record_len}-byte record"
             )
         records = np.frombuffer(raw, dtype=np.uint8).reshape(-1, record_len)
         all_labels.append(records[:, label_offset].astype(np.int64))
-        pix = records[:, record_len - 3072 :].astype(np.float32) / np.float32(255.0)
-        all_images.append(pix.reshape(-1, 3, 32, 32))
+        all_images.append(records[:, record_len - 3072 :].reshape(-1, 3, 32, 32))
     return Dataset(np.concatenate(all_images), np.concatenate(all_labels))
 
 

@@ -69,12 +69,6 @@ from .tensor import (
 )
 
 
-# Byte budget of the frozen-prefix feature cache, over all of its entries. An
-# entry that does not fit is not stored, and its prefix runs per batch. At
-# paper scale a split-MNIST run fits; a CIFAR-10 or permuted-MNIST task's
-# training split (about 0.56 and 0.64 GB) does not.
-_FEATURE_CACHE_BYTES = 256 << 20
-
 # rows per forward pass when scoring, predicting or embedding (training uses its batch size)
 EVAL_ROWS = 512
 
@@ -302,10 +296,9 @@ def _prefix_features(
     """(depth, rows): the task's blocks[depth:] take rows[i] where its network takes images[i].
 
     The frozen prefix's features come from the cache, or are computed
-    batch_size rows at a time and stored when they fit the byte budget. An
-    entry that would not fit is not computed: depth is 0 and rows are the
-    images, so the prefix runs per batch. An entry is of the current prefix:
-    freezing the task, the one event that deepens it, drops the entry.
+    batch_size rows at a time and stored; with no prefix, rows are the
+    images. An entry is of the current prefix: freezing the task, the one
+    event that deepens it, drops the entry.
     """
     blocks = state._forward_blocks(task_index)
     depth = _prefix_depth(blocks)
@@ -313,10 +306,6 @@ def _prefix_features(
     if key in state.features:
         return depth, state.features[key]
     if depth == 0:
-        return 0, images
-    nbytes = images.shape[0] * math.prod(blocks[depth - 1].output_shape) * images.itemsize
-    held = sum(rows.nbytes for rows in state.features.values())
-    if held + nbytes > _FEATURE_CACHE_BYTES:
         return 0, images
     state.features[key] = _forward_rows(blocks[:depth], images, batch_size)
     return depth, state.features[key]
@@ -383,8 +372,9 @@ def train_task(
 
     images, raw_labels = task_arrays(state.seq, task, "train")
     labels = task.local_labels(raw_labels)
-    n = images.shape[0]
     depth, rows = _prefix_features(state, task_index, "train", images, batch_size)
+    del images  # behind a frozen prefix, rows are its cached features and the images can go
+    n = rows.shape[0]
     opt = Adam(params, lr=lr)
     shuffle_rng = np.random.default_rng(derive_seed(state.master_seed, TAG_SHUFFLE, task_index))
 

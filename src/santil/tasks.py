@@ -159,7 +159,10 @@ def build_permuted_sequence(
 
 
 def task_arrays(seq: TaskSequence, task: Task, split: str) -> tuple[np.ndarray, np.ndarray]:
-    """Materialize (images, dataset labels) for one split of one task."""
+    """Materialize (images, dataset labels) for one split of one task.
+
+    The one place pixels are scaled: a uint8 pool's rows, once gathered and permuted, become float32 / 255.
+    """
     if split in ("train", "val"):
         pool = seq.train_pool
         idx = task.train_idx if split == "train" else task.val_idx
@@ -172,4 +175,7 @@ def task_arrays(seq: TaskSequence, task: Task, split: str) -> tuple[np.ndarray, 
     if task.pixel_permutation is not None:
         n, c, h, w = images.shape
         images = images.reshape(n, c, h * w)[:, :, task.pixel_permutation].reshape(n, c, h, w)
+    if images.dtype == np.uint8:
+        images = images.astype(np.float32)
+        images /= np.float32(255)
     return images, pool.labels[idx]

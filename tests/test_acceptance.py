@@ -286,6 +286,7 @@ def test_criterion_10a_byte_fixture_round_trips(tmp_path):
     out_i, out_l = tmp_path / "imgs2", tmp_path / "labs2"
     save_idx(ds, out_i, out_l)
     idx_ok = out_i.read_bytes() == img_path.read_bytes() and out_l.read_bytes() == lab_path.read_bytes()
+    idx_ok = idx_ok and ds.images.dtype == np.uint8 and ds.images.tobytes() == pixels.tobytes()
 
     cifar_raw = b""
     for label in (2, 9):
@@ -295,10 +296,10 @@ def test_criterion_10a_byte_fixture_round_trips(tmp_path):
     cds = load_cifar([cpath], "cifar10")
     cout = tmp_path / "batch2.bin"
     save_cifar(cds, cout, "cifar10")
-    cifar_ok = cout.read_bytes() == cifar_raw
+    cifar_ok = cout.read_bytes() == cifar_raw and cds.images.dtype == np.uint8
     elapsed = time.perf_counter() - started
     ok = idx_ok and cifar_ok and elapsed < 60.0
-    report_line("10a", ok, f"IDX and CIFAR byte fixtures round-trip bit-exactly, {elapsed:.1f}s")
+    report_line("10a", ok, f"IDX and CIFAR byte fixtures load as uint8 pools and round-trip bit-exactly, {elapsed:.1f}s")
 
 
 @pytest.mark.mnist
@@ -306,13 +307,18 @@ def test_criterion_10b_mnist_counts_and_histograms(mnist_pools):
     train, test = mnist_pools
     hist_train = np.bincount(train.labels, minlength=10).tolist()
     hist_test = np.bincount(test.labels, minlength=10).tolist()
+    # the pools hold the files' bytes; task_arrays scales what training and scoring see
+    seq = build_split_sequence(train, test, partition_classes(10, 1), master_seed=1)
+    scaled = [task_arrays(seq, seq.tasks[0], split)[0] for split in ("train", "val", "test")]
     ok = (
         train.images.shape == (60000, 1, 28, 28)
         and test.images.shape == (10000, 1, 28, 28)
         and hist_train == MNIST_TRAIN_HIST
         and hist_test == MNIST_TEST_HIST
-        and float(train.images.min()) >= 0.0
-        and float(train.images.max()) <= 1.0
+        and sum(images.shape[0] for images in scaled) == 70000
+        and all(images.dtype == np.float32 for images in scaled)
+        and min(float(images.min()) for images in scaled) >= 0.0
+        and max(float(images.max()) for images in scaled) <= 1.0
     )
     report_line("10b", ok, "MNIST 60000/10000 of 1x28x28, published label histograms, pixels in [0,1]")
 

@@ -1,5 +1,6 @@
 import dataclasses
 import gzip
+import re
 import struct
 
 import numpy as np
@@ -43,10 +44,9 @@ class TestLoadIdx:
         imgs, labs = write_idx_pair(tmp_path, pixels, [3, 9])
         ds = load_idx(imgs, labs)
         assert ds.images.shape == (2, 1, 2, 3)
-        assert ds.images.dtype == np.float32
-        assert ds.images[0, 0, 0, 0] == np.float32(7) / np.float32(255)
-        assert ds.images[0, 0, 1, 2] == np.float32(1.0)
-        assert ds.images[0, 0, 0, 1] == 0.0
+        # the pool keeps the file's bytes; task_arrays scales them
+        assert ds.images.dtype == np.uint8
+        assert ds.images.tobytes() == pixels.tobytes()
         assert ds.labels.tolist() == [3, 9]
 
     def test_gzip_transparent(self, tmp_path):
@@ -56,7 +56,8 @@ class TestLoadIdx:
         gz_imgs.write_bytes(gzip.compress(imgs.read_bytes()))
         ds_plain = load_idx(imgs, labs)
         ds_gz = load_idx(gz_imgs, labs)
-        assert np.array_equal(ds_plain.images, ds_gz.images)
+        assert ds_gz.images.dtype == np.uint8
+        assert ds_plain.images.tobytes() == ds_gz.images.tobytes() == pixels.tobytes()
 
     def test_bad_magic(self, tmp_path):
         imgs, labs = write_idx_pair(tmp_path, np.zeros((1, 2, 2), dtype=np.uint8), [0])
@@ -76,7 +77,7 @@ class TestLoadIdx:
         imgs, _ = write_idx_pair(tmp_path, np.zeros((2, 2, 2), dtype=np.uint8), [0, 1])
         labs3 = tmp_path / "labels3"
         labs3.write_bytes(struct.pack(">II", 0x801, 3) + bytes([0, 1, 2]))
-        with pytest.raises(CountMismatchError):
+        with pytest.raises(CountMismatchError, match=re.escape(f"{imgs} holds 2 images but {labs3} holds 3 labels")):
             load_idx(imgs, labs3)
 
     def test_round_trip_bit_exact(self, tmp_path):
@@ -84,6 +85,7 @@ class TestLoadIdx:
         pixels = rng.integers(0, 256, size=(5, 4, 4), dtype=np.uint8)
         imgs, labs = write_idx_pair(tmp_path, pixels, list(range(5)))
         ds = load_idx(imgs, labs)
+        assert ds.images.dtype == np.uint8
         out_imgs = tmp_path / "rt-images"
         out_labs = tmp_path / "rt-labels"
         save_idx(ds, out_imgs, out_labs)
@@ -114,8 +116,10 @@ class TestLoadCifar:
         ds = load_cifar([path], "cifar10")
         assert ds.images.shape == (2, 3, 32, 32)
         assert ds.labels.tolist() == [3, 7]
-        # channel-major layout: first 1024 bytes are the red plane
-        assert ds.images[0, 0].reshape(-1)[0] == np.float32(pix[0][0]) / np.float32(255)
+        # the pool keeps the records' pixel bytes, channel-major: the first 1024 are the red plane
+        assert ds.images.dtype == np.uint8
+        assert ds.images.tobytes() == b"".join(p.tobytes() for p in pix)
+        assert ds.images[0, 0].reshape(-1)[0] == pix[0][0]
         out = tmp_path / "rt.bin"
         save_cifar(ds, out, "cifar10")
         assert out.read_bytes() == raw
@@ -126,6 +130,7 @@ class TestLoadCifar:
         path.write_bytes(raw)
         ds = load_cifar([path], "cifar100")
         assert ds.labels.tolist() == [42]
+        assert ds.images.dtype == np.uint8
 
     def test_wrong_record_length_rejected(self, tmp_path):
         path = tmp_path / "bad.bin"
@@ -141,6 +146,61 @@ class TestLoadCifar:
         ds = load_cifar([p1, p2], "cifar10")
         assert ds.labels.tolist() == [1, 2]
         assert ds.num_samples == 2
+        assert ds.images.dtype == np.uint8
+        assert ds.images[0].max() == ds.images[0].min() == 10 and ds.images[1].max() == 20
+
+
+def scaled(pixels):
+    """What the loaders once stored for these bytes, and task_arrays now returns."""
+    return pixels.astype(np.float32) / np.float32(255)
+
+
+class TestTaskArraysScaling:
+    """A file pool holds uint8 pixels; task_arrays gathers the rows, permutes
+    them, then scales them, to the float32 values the loaders once stored."""
+
+    ROWS = np.array([4, 0, 3])
+
+    def file_pool(self, tmp_path, fixture):
+        """(pool, its pixels as [N, C, H, W] bytes) from a random-byte fixture file."""
+        rng = np.random.default_rng(5)
+        if fixture.startswith("idx"):
+            pixels = rng.integers(0, 256, size=(6, 1, 4, 4), dtype=np.uint8)
+            imgs, labs = write_idx_pair(tmp_path, pixels[:, 0], [0, 1] * 3)
+            if fixture == "idx.gz":
+                imgs = imgs.with_name(imgs.name + ".gz")
+                imgs.write_bytes(gzip.compress(imgs.with_suffix("").read_bytes()))
+            return load_idx(imgs, labs), pixels
+        pixels = rng.integers(0, 256, size=(6, 3, 32, 32), dtype=np.uint8)
+        labels = [bytes([i % 2] if fixture == "cifar10" else [0, i % 2]) for i in range(6)]
+        path = tmp_path / "batch.bin"
+        path.write_bytes(b"".join(label + p.tobytes() for label, p in zip(labels, pixels)))
+        return load_cifar([path], fixture), pixels
+
+    @pytest.mark.parametrize("fixture", ["idx", "idx.gz", "cifar10", "cifar100"])
+    def test_every_split_is_the_scaled_bytes(self, tmp_path, fixture):
+        pool, pixels = self.file_pool(tmp_path, fixture)
+        assert pool.images.dtype == np.uint8
+        seq = TaskSequence(pool, pool, [Task(1, (0, 1), self.ROWS, self.ROWS, self.ROWS)])
+        for split in ("train", "val", "test"):
+            images, labels = task_arrays(seq, seq.tasks[0], split)
+            assert images.dtype == np.float32
+            assert images.tobytes() == scaled(pixels[self.ROWS]).tobytes()
+            assert labels.tolist() == [0, 0, 1]
+
+    def test_permuted_task_scales_the_permuted_bytes(self, tmp_path):
+        pool, pixels = self.file_pool(tmp_path, "idx")
+        perm = make_permutations(2, seed=3, num_pixels=16)[1]
+        seq = TaskSequence(pool, pool, [Task(1, (0, 1), self.ROWS, self.ROWS, self.ROWS, pixel_permutation=perm)])
+        images, _ = task_arrays(seq, seq.tasks[0], "test")
+        permuted = pixels[self.ROWS].reshape(3, 1, 16)[:, :, perm].reshape(3, 1, 4, 4)
+        assert images.tobytes() == scaled(permuted).tobytes()
+
+    def test_float_pool_passes_through(self):
+        pool = synthetic_dataset(2, 3, (1, 4, 4), seed=2)
+        seq = TaskSequence(pool, pool, [Task(1, (0, 1), self.ROWS, self.ROWS, self.ROWS)])
+        images, _ = task_arrays(seq, seq.tasks[0], "train")
+        assert images.tobytes() == pool.images[self.ROWS].tobytes()
 
 
 def permuted_sequence(perms, images):

@@ -700,10 +700,11 @@ class TestFrozenPrefixCache:
         monkeypatch.setattr(engine, "_prefix_features", spy)
         # 7 classes in 3 tasks of 3, 2 and 2: baseline's later heads are narrower than task 1's
         seq = blob_sequence(num_classes=7, num_tasks=3)
-        budget = engine._FEATURE_CACHE_BYTES
-        monkeypatch.setattr(engine, "_FEATURE_CACHE_BYTES", 0)
+        # the uncached twin: no block joins a prefix, so every pass runs the whole path
+        prefix_depth = engine._prefix_depth
+        monkeypatch.setattr(engine, "_prefix_depth", lambda blocks: 0)
         plain, plain_state, plain_served = spied_run()
-        monkeypatch.setattr(engine, "_FEATURE_CACHE_BYTES", budget)
+        monkeypatch.setattr(engine, "_prefix_depth", prefix_depth)
         cached, state, served = spied_run()
 
         assert plain_state.features == {} and all(d == 0 for _, _, d in plain_served)
@@ -781,17 +782,6 @@ class TestFrozenPrefixCache:
         assert evaluate(state, 2, "test") == scored[-1]
         # the entry is now of the frozen prefix B1 and F_2
         assert state.features[(2, "test")].shape[1:] == state.per_task[2]["adjust"].output_shape
-
-    def test_entry_over_budget_is_not_stored(self, monkeypatch):
-        seq = blob_sequence()
-        state = IncrementalState("san", tiny_arch(), seq, master_seed=5)
-        train_task(state, 1, epochs=1, batch_size=16)
-        one = evaluate(state, 1, "test")
-        entry_bytes = state.features[(1, "test")].nbytes
-        state.features.clear()
-        monkeypatch.setattr(engine, "_FEATURE_CACHE_BYTES", entry_bytes - 1)
-        assert evaluate(state, 1, "test") == one
-        assert state.features == {}
 
 
 @pytest.mark.slow

@@ -1,13 +1,16 @@
+import builtins
 import csv
 import dataclasses
 import gzip
 import hashlib
 import io
 import json
+import os
 import re
 import stat
 import struct
 import tarfile
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -1828,7 +1831,8 @@ class TestDataLayout:
             assert sequence_kind(cfg.dataset) == kind
             for pool, fixture in zip((train, test), expected[recipe]):
                 assert np.array_equal(pool.labels, fixture.labels)
-                assert np.array_equal(np.rint(pool.images * 255), np.rint(fixture.images * 255))
+                assert pool.images.dtype == np.uint8
+                assert np.array_equal(pool.images, np.rint(fixture.images * 255))
             assert list(files) == [str(root / recipe / stem) for stem in self.MNIST_STEMS]
             assert files == self.sha256s(files)
 
@@ -1849,7 +1853,8 @@ class TestDataLayout:
         for pool, names in ((train, layout.train), (test, layout.test)):
             assert np.array_equal(pool.labels, np.concatenate([written[n].labels for n in names]))
             pixels = np.concatenate([np.rint(written[n].images * 255) for n in names])
-            assert np.array_equal(np.rint(pool.images * 255), pixels)
+            assert pool.images.dtype == np.uint8
+            assert np.array_equal(pool.images, pixels)
         assert list(files) == [str(directory / n) for n in layout.train + layout.test]
         assert files == self.sha256s(files)
 
@@ -1861,6 +1866,64 @@ class TestDataLayout:
             (root / "mnist" / archive.name).write_bytes(archive.read_bytes())
         pool, _, files = load_pools(synthetic_config(tmp_path, dataset="mnist", data_root=str(root)))
         assert np.array_equal(pool.labels, train.labels)
+        assert pool.images.dtype == np.uint8
+        assert np.array_equal(pool.images, np.rint(train.images * 255))
         # each drop-in is named, and hashed, as the .gz file it is
         assert list(files) == [str(root / "mnist" / f"{stem}.gz") for stem in self.MNIST_STEMS]
         assert files == self.sha256s(files)
+
+    def data_root(self, tmp_path, layout):
+        """(data root, dataset name) of small `mnist` files, plain or as .gz drop-ins, or `cifar10` files."""
+        if layout == "cifar10":
+            from dataset_writers import save_cifar
+            from santil.data import synthetic_dataset
+
+            files = DATASET_FILES["cifar10"]
+            directory = tmp_path / "data" / files.directory
+            directory.mkdir(parents=True)
+            for i, name in enumerate(files.train + files.test):
+                save_cifar(synthetic_dataset(10, 2, (3, 32, 32), seed=600 + i), directory / name, "cifar10")
+            return tmp_path / "data", "cifar10"
+        fetched = tmp_path / "fetched"
+        self.fetch_fixture("mnist", fetched, tmp_path / "m", seed=500)
+        if layout == "mnist":
+            return fetched, "mnist"
+        root = tmp_path / "data"
+        (root / "mnist").mkdir(parents=True)
+        for archive in (fetched / "archives").iterdir():
+            (root / "mnist" / archive.name).write_bytes(archive.read_bytes())
+        return root, "mnist"
+
+    @pytest.mark.parametrize("layout", ["mnist", "mnist.gz", "cifar10"])
+    def test_load_pools_reads_each_file_once(self, tmp_path, monkeypatch, layout):
+        root, name = self.data_root(tmp_path, layout)
+        cfg = synthetic_config(tmp_path, dataset=name, data_root=str(root))
+        reads = Counter()
+        # Path.read_bytes opens through io.open; open() and gzip through builtins.open
+        for module in (builtins, io):
+
+            def counting(file, *args, real=module.open, **kwargs):
+                if isinstance(file, (str, os.PathLike)):
+                    reads[os.fspath(file)] += 1
+                return real(file, *args, **kwargs)
+
+            monkeypatch.setattr(module, "open", counting)
+        _, _, files = load_pools(cfg)
+        monkeypatch.undo()
+        # the loaders hash the bytes they parse, so no file is read a second time for its sha256
+        assert len(files) == (6 if layout == "cifar10" else 4)
+        assert {path: reads[path] for path in files} == dict.fromkeys(files, 1)
+        assert files == self.sha256s(files)
+
+    @pytest.mark.parametrize("layout", ["mnist", "mnist.gz", "cifar10"])
+    def test_loader_errors_name_the_file(self, tmp_path, capsys, layout):
+        root, name = self.data_root(tmp_path, layout)
+        cfg_path = write_config(tmp_path, dataset=name, data_root=str(root))
+        _, _, files = load_pools(RunConfig.from_json(cfg_path))
+        broken = Path(list(files)[-1])  # the test labels, or the CIFAR test batch
+        raw = broken.read_bytes()
+        # one byte short: a truncated IDX file, or a CIFAR file that is not whole records
+        broken.write_bytes(gzip.compress(gzip.decompress(raw)[:-1]) if broken.suffix == ".gz" else raw[:-1])
+        assert main(["run", "--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: {broken}: ") and err.count("\n") == 1
