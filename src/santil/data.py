@@ -83,11 +83,10 @@ def file_sha256(path) -> str:
     return h.hexdigest()
 
 
-def _read_bytes(path, files: dict[str, str] | None) -> bytes:
-    """One read of the file, gunzipped if a .gz; ``files``, if given, maps the path to the read bytes' sha256."""
+def _read_bytes(path, files: dict[str, str]) -> bytes:
+    """One read of the file, gunzipped if a .gz; ``files`` maps the path to the read bytes' sha256."""
     raw = Path(path).read_bytes()
-    if files is not None:
-        files[str(path)] = hashlib.sha256(raw).hexdigest()
+    files[str(path)] = hashlib.sha256(raw).hexdigest()
     return gzip.decompress(raw) if Path(path).suffix == ".gz" else raw
 
 
@@ -95,7 +94,7 @@ def _read_bytes(path, files: dict[str, str] | None) -> bytes:
 # IDX
 
 
-def load_idx(images_path, labels_path, files: dict[str, str] | None = None) -> Dataset:
+def load_idx(images_path, labels_path, files: dict[str, str]) -> Dataset:
     """Load an IDX image/label file pair (plain or .gz); ``files`` gets their sha256s."""
     raw_images = _read_bytes(images_path, files)
     raw_labels = _read_bytes(labels_path, files)
@@ -135,7 +134,7 @@ def load_idx(images_path, labels_path, files: dict[str, str] | None = None) -> D
 CIFAR_VARIANTS = ("cifar10", "cifar100")
 
 
-def load_cifar(binary_paths: Sequence, variant: str, files: dict[str, str] | None = None) -> Dataset:
+def load_cifar(binary_paths: Sequence, variant: str, files: dict[str, str]) -> Dataset:
     """Load CIFAR-10/100 binary batch files (channel-major 3x32x32 records); ``files`` gets their sha256s."""
     if variant not in CIFAR_VARIANTS:
         raise ValueError(f"variant must be 'cifar10' or 'cifar100', got {variant!r}")

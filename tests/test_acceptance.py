@@ -55,7 +55,7 @@ def dataset_paths(recipe, what):
 @pytest.fixture(scope="module")
 def mnist_pools():
     train, test = dataset_paths("mnist", "MNIST files")
-    return load_idx(*train), load_idx(*test)
+    return load_idx(*train, {}), load_idx(*test, {})
 
 
 _RUN_CACHE = {}
@@ -259,7 +259,7 @@ def test_criterion_09_cifar10_smoke():
     if os.environ.get("SAN_TIL_RUN_CIFAR_SMOKE") != "1":
         pytest.skip("long-running CIFAR smoke; set SAN_TIL_RUN_CIFAR_SMOKE=1 to enable")
     train_paths, test_paths = dataset_paths("cifar10", "CIFAR-10 binaries")
-    train, test = load_cifar(train_paths, "cifar10"), load_cifar(test_paths, "cifar10")
+    train, test = load_cifar(train_paths, "cifar10", {}), load_cifar(test_paths, "cifar10", {})
     seq = build_split_sequence(train, test, partition_classes(10, 5), master_seed=1)
     arch = PRESETS["cifar-small"]((3, 32, 32), base_classes=2)
     result, _ = run_sequence("san", arch, seq, 1, epochs=30, batch_size=64, lr=0.001)
@@ -282,7 +282,7 @@ def test_criterion_10a_byte_fixture_round_trips(tmp_path):
     img_path, lab_path = tmp_path / "imgs", tmp_path / "labs"
     img_path.write_bytes(struct.pack(">IIII", 0x803, 3, 5, 4) + pixels.tobytes())
     lab_path.write_bytes(struct.pack(">II", 0x801, 3) + bytes([0, 1, 2]))
-    ds = load_idx(img_path, lab_path)
+    ds = load_idx(img_path, lab_path, {})
     out_i, out_l = tmp_path / "imgs2", tmp_path / "labs2"
     save_idx(ds, out_i, out_l)
     idx_ok = out_i.read_bytes() == img_path.read_bytes() and out_l.read_bytes() == lab_path.read_bytes()
@@ -293,7 +293,7 @@ def test_criterion_10a_byte_fixture_round_trips(tmp_path):
         cifar_raw += bytes([label]) + rng.integers(0, 256, size=3072, dtype=np.uint8).tobytes()
     cpath = tmp_path / "batch.bin"
     cpath.write_bytes(cifar_raw)
-    cds = load_cifar([cpath], "cifar10")
+    cds = load_cifar([cpath], "cifar10", {})
     cout = tmp_path / "batch2.bin"
     save_cifar(cds, cout, "cifar10")
     cifar_ok = cout.read_bytes() == cifar_raw and cds.images.dtype == np.uint8
@@ -325,7 +325,7 @@ def test_criterion_10b_mnist_counts_and_histograms(mnist_pools):
 
 def test_criterion_10c_cifar_counts_and_balance():
     train_paths, test_paths = dataset_paths("cifar10", "CIFAR-10 binaries")
-    train, test = load_cifar(train_paths, "cifar10"), load_cifar(test_paths, "cifar10")
+    train, test = load_cifar(train_paths, "cifar10", {}), load_cifar(test_paths, "cifar10", {})
     ok = (
         train.images.shape == (50000, 3, 32, 32)
         and test.images.shape == (10000, 3, 32, 32)

@@ -42,7 +42,7 @@ class TestLoadIdx:
         pixels[0, 1, 2] = 255
         pixels[1, 0, 1] = 128
         imgs, labs = write_idx_pair(tmp_path, pixels, [3, 9])
-        ds = load_idx(imgs, labs)
+        ds = load_idx(imgs, labs, {})
         assert ds.images.shape == (2, 1, 2, 3)
         # the pool keeps the file's bytes; task_arrays scales them
         assert ds.images.dtype == np.uint8
@@ -54,8 +54,8 @@ class TestLoadIdx:
         imgs, labs = write_idx_pair(tmp_path, pixels, [0, 1])
         gz_imgs = tmp_path / "images-idx3-ubyte.gz"
         gz_imgs.write_bytes(gzip.compress(imgs.read_bytes()))
-        ds_plain = load_idx(imgs, labs)
-        ds_gz = load_idx(gz_imgs, labs)
+        ds_plain = load_idx(imgs, labs, {})
+        ds_gz = load_idx(gz_imgs, labs, {})
         assert ds_gz.images.dtype == np.uint8
         assert ds_plain.images.tobytes() == ds_gz.images.tobytes() == pixels.tobytes()
 
@@ -64,34 +64,34 @@ class TestLoadIdx:
         corrupted = tmp_path / "bad"
         corrupted.write_bytes(b"\x00\x00\x09\x99" + imgs.read_bytes()[4:])
         with pytest.raises(BadMagicError):
-            load_idx(corrupted, labs)
+            load_idx(corrupted, labs, {})
 
     def test_truncated(self, tmp_path):
         imgs, labs = write_idx_pair(tmp_path, np.zeros((2, 2, 2), dtype=np.uint8), [0, 1])
         short = tmp_path / "short"
         short.write_bytes(imgs.read_bytes()[:-3])
         with pytest.raises(TruncatedFileError):
-            load_idx(short, labs)
+            load_idx(short, labs, {})
 
     def test_count_mismatch(self, tmp_path):
         imgs, _ = write_idx_pair(tmp_path, np.zeros((2, 2, 2), dtype=np.uint8), [0, 1])
         labs3 = tmp_path / "labels3"
         labs3.write_bytes(struct.pack(">II", 0x801, 3) + bytes([0, 1, 2]))
         with pytest.raises(CountMismatchError, match=re.escape(f"{imgs} holds 2 images but {labs3} holds 3 labels")):
-            load_idx(imgs, labs3)
+            load_idx(imgs, labs3, {})
 
     def test_round_trip_bit_exact(self, tmp_path):
         rng = np.random.default_rng(0)
         pixels = rng.integers(0, 256, size=(5, 4, 4), dtype=np.uint8)
         imgs, labs = write_idx_pair(tmp_path, pixels, list(range(5)))
-        ds = load_idx(imgs, labs)
+        ds = load_idx(imgs, labs, {})
         assert ds.images.dtype == np.uint8
         out_imgs = tmp_path / "rt-images"
         out_labs = tmp_path / "rt-labels"
         save_idx(ds, out_imgs, out_labs)
         assert out_imgs.read_bytes() == imgs.read_bytes()
         assert out_labs.read_bytes() == labs.read_bytes()
-        again = load_idx(out_imgs, out_labs)
+        again = load_idx(out_imgs, out_labs, {})
         assert again.images.tobytes() == ds.images.tobytes()
         assert np.array_equal(again.labels, ds.labels)
 
@@ -113,7 +113,7 @@ class TestLoadCifar:
             raw += bytes([label]) + p.tobytes()
         path = tmp_path / "batch.bin"
         path.write_bytes(raw)
-        ds = load_cifar([path], "cifar10")
+        ds = load_cifar([path], "cifar10", {})
         assert ds.images.shape == (2, 3, 32, 32)
         assert ds.labels.tolist() == [3, 7]
         # the pool keeps the records' pixel bytes, channel-major: the first 1024 are the red plane
@@ -128,7 +128,7 @@ class TestLoadCifar:
         raw = bytes([5, 42]) + np.zeros(3072, dtype=np.uint8).tobytes()
         path = tmp_path / "train.bin"
         path.write_bytes(raw)
-        ds = load_cifar([path], "cifar100")
+        ds = load_cifar([path], "cifar100", {})
         assert ds.labels.tolist() == [42]
         assert ds.images.dtype == np.uint8
 
@@ -136,14 +136,14 @@ class TestLoadCifar:
         path = tmp_path / "bad.bin"
         path.write_bytes(b"\x00" * 3072)  # one byte short of a cifar10 record
         with pytest.raises(RecordLengthError):
-            load_cifar([path], "cifar10")
+            load_cifar([path], "cifar10", {})
 
     def test_multiple_batches_concatenate(self, tmp_path):
         p1 = tmp_path / "b1.bin"
         p2 = tmp_path / "b2.bin"
         p1.write_bytes(self._record(1, 10, "cifar10"))
         p2.write_bytes(self._record(2, 20, "cifar10"))
-        ds = load_cifar([p1, p2], "cifar10")
+        ds = load_cifar([p1, p2], "cifar10", {})
         assert ds.labels.tolist() == [1, 2]
         assert ds.num_samples == 2
         assert ds.images.dtype == np.uint8
@@ -170,12 +170,12 @@ class TestTaskArraysScaling:
             if fixture == "idx.gz":
                 imgs = imgs.with_name(imgs.name + ".gz")
                 imgs.write_bytes(gzip.compress(imgs.with_suffix("").read_bytes()))
-            return load_idx(imgs, labs), pixels
+            return load_idx(imgs, labs, {}), pixels
         pixels = rng.integers(0, 256, size=(6, 3, 32, 32), dtype=np.uint8)
         labels = [bytes([i % 2] if fixture == "cifar10" else [0, i % 2]) for i in range(6)]
         path = tmp_path / "batch.bin"
         path.write_bytes(b"".join(label + p.tobytes() for label, p in zip(labels, pixels)))
-        return load_cifar([path], fixture), pixels
+        return load_cifar([path], fixture, {}), pixels
 
     @pytest.mark.parametrize("fixture", ["idx", "idx.gz", "cifar10", "cifar100"])
     def test_every_split_is_the_scaled_bytes(self, tmp_path, fixture):
