@@ -5,8 +5,8 @@ metadata blob that holds the run's config and each trained task's class
 list. Frozen flags and the frozen snapshot are not stored: loading replays
 the per-task preparation (which is deterministic), overwrites every
 parameter bit-exactly, and then replays the engine's freeze step for each
-trained task. A reloaded state therefore evaluates, embeds and verifies its
-frozen parameters exactly like the trained one. Format-1 files are rejected;
+trained task. A reloaded state therefore evaluates, embeds, verifies its
+frozen parameters and trains exactly like the trained one. Format-1 files are rejected;
 the top-level ``strategy`` and ``ortho_alpha`` of older format-2 files are ignored.
 """
 
@@ -102,7 +102,8 @@ def read_meta(path) -> dict:
 
 
 def load_state(path, arch: ArchitectureSpec, seq: TaskSequence) -> IncrementalState:
-    """Rebuild a state for evaluation/embedding from a checkpoint file.
+    """Rebuild a state from a checkpoint file; ``run_sequence`` continues it after its
+    last trained task.
 
     The sequence must be the one the checkpoint was trained on: at least as
     many tasks, each with the stored classes in the stored order. The stored

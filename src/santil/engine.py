@@ -19,6 +19,9 @@ that (``check_head_fit``).
 All four build the identical task-1 model from the same seed, which makes
 the strategies directly comparable and is asserted by tests.
 
+``run_sequence`` trains a state's remaining tasks one at a time and yields
+after each, so its caller owns the task loop: it can stop, save and continue.
+
 A task's frozen prefix (the leading blocks of its path, classifier
 excluded, whose parameters are all frozen) maps a fixed split to fixed
 features. ``IncrementalState.features`` caches them per (task, split), so
@@ -438,7 +441,28 @@ def predict_logits(state: IncrementalState, task_index: int, images: np.ndarray)
 
 
 # ---------------------------------------------------------------------------
-# whole-sequence driver
+# the task loop
+
+
+def run_sequence(state: IncrementalState, **settings):
+    """Train each task after ``state.trained_upto`` with ``train_task``'s settings, yielding
+    (row, record) after task t: row is the test accuracy of tasks 1..t, record the task's
+    ``per_task`` entry. Task t + 1 trains only when the caller asks for the next pair. A new
+    state runs the whole sequence; one from ``checkpoint.load_state`` continues it."""
+    for t in range(state.trained_upto + 1, state.seq.num_tasks + 1):
+        log = train_task(state, t, **settings)
+        row = [evaluate(state, s, "test") for s in range(1, t + 1)]
+        count, megabytes = model_size(state.model_blocks())
+        yield row, {
+            "task": t,
+            "classes": list(state.seq.tasks[t - 1].class_ids),
+            "best_epoch": log.best_epoch,
+            "val_accuracy": log.val_accuracy,
+            "trainable_params": log.trainable_params,
+            "param_count": count,
+            "megabytes": megabytes,
+            "train_seconds": log.train_seconds,
+        }
 
 
 @dataclass
@@ -456,46 +480,17 @@ class SeedRunResult:
     per_task: list[dict]
     wall_clock_sec: float
 
-
-def run_sequence(
-    strategy: str,
-    arch: ArchitectureSpec,
-    seq: TaskSequence,
-    seed: int,
-    epochs: int = 30,
-    batch_size: int = 64,
-    lr: float = 0.001,
-    ortho_alpha: float = 0.0,
-) -> tuple[SeedRunResult, IncrementalState]:
-    """Train every task in order, scoring all earlier tasks after each one."""
-    state = IncrementalState(strategy, arch, seq, seed)
-    start = time.perf_counter()
-    forgetting, per_task = [], []
-    for t in range(1, seq.num_tasks + 1):
-        log = train_task(state, t, epochs=epochs, batch_size=batch_size, lr=lr, ortho_alpha=ortho_alpha)
-        forgetting.append([evaluate(state, s, "test") for s in range(1, t + 1)])
-        count, megabytes = model_size(state.model_blocks())
-        per_task.append(
-            {
-                "task": t,
-                "classes": list(seq.tasks[t - 1].class_ids),
-                "best_epoch": log.best_epoch,
-                "val_accuracy": log.val_accuracy,
-                "trainable_params": log.trainable_params,
-                "param_count": count,
-                "megabytes": megabytes,
-                "train_seconds": log.train_seconds,
-            }
+    @classmethod
+    def from_rows(cls, state: IncrementalState, rows, wall_clock_sec: float) -> SeedRunResult:
+        """The result of a fully trained state, from every pair ``run_sequence`` yielded for it."""
+        forgetting = [row for row, _ in rows]
+        final = list(forgetting[-1])
+        return cls(
+            seed=state.master_seed,
+            strategy=state.strategy,
+            forgetting_matrix=forgetting,
+            final_per_task=final,
+            mean_final=sum(final) / len(final),
+            per_task=[record for _, record in rows],
+            wall_clock_sec=wall_clock_sec,
         )
-    final = list(forgetting[-1])
-    result = SeedRunResult(
-        seed=int(seed),
-        strategy=state.strategy,
-        forgetting_matrix=forgetting,
-        final_per_task=final,
-        mean_final=sum(final) / len(final),
-        per_task=per_task,
-        wall_clock_sec=time.perf_counter() - start,
-    )
-    return result, state
-

@@ -5,12 +5,13 @@ from __future__ import annotations
 import csv
 import json
 import numbers
+import time
 from datetime import datetime, timezone
 from pathlib import Path
 
 from . import checkpoint as ckpt
 from .config import ConfigError, RunConfig, load_pools, repeat_problems, resolve_architecture, sequence_kind
-from .engine import run_sequence
+from .engine import IncrementalState, SeedRunResult, run_sequence
 from .fileio import atomic_open
 from .layers import ArchitectureSpec
 from .report import (
@@ -55,26 +56,20 @@ def _variant(config: RunConfig, **changes) -> RunConfig:
 
 
 def _run_variant(config: RunConfig, pools, groups, arch: ArchitectureSpec, **extra) -> dict:
-    """The one seed loop: run_sequence per seed over one task grouping, saving
-    checkpoint_seed<N>.npz each; then report.json (plus ``extra`` keys) and summary.csv."""
+    """The one seed loop: a new state per seed over one task grouping, trained through
+    run_sequence and saved as checkpoint_seed<N>.npz; then report.json (plus ``extra``
+    keys) and summary.csv."""
     started_at = datetime.now(timezone.utc).isoformat()
     train_pool, test_pool, files = pools
     out_dir = Path(config.out_dir)
+    settings = dict(epochs=config.epochs, batch_size=config.batch_size, lr=config.lr, ortho_alpha=config.ortho_alpha)
     results = []
     for seed in config.seeds:
-        seq = _build_sequence(config, pools, groups, seed)
-        result, state = run_sequence(
-            config.strategy,
-            arch,
-            seq,
-            seed,
-            epochs=config.epochs,
-            batch_size=config.batch_size,
-            lr=config.lr,
-            ortho_alpha=config.ortho_alpha,
-        )
+        state = IncrementalState(config.strategy, arch, _build_sequence(config, pools, groups, seed), seed)
+        start = time.perf_counter()
+        rows = list(run_sequence(state, **settings))
+        results.append(SeedRunResult.from_rows(state, rows, time.perf_counter() - start))
         ckpt.save_state(state, config, out_dir / f"checkpoint_seed{seed}.npz")
-        results.append(result)
     dataset = {
         "name": config.dataset["name"],
         "kind": sequence_kind(config.dataset),
@@ -106,7 +101,7 @@ def _run_variants(variants, pools):
 
 
 def run(config: RunConfig, echo=None) -> dict:
-    """Execute run_sequence per seed; write report.json, summary.csv, checkpoints."""
+    """Train every seed of the config; write report.json, summary.csv, checkpoints."""
     pools = load_pools(config)
     (report,) = _run_variants([(config, _resolve_groups(config, pools), {})], pools)
     if echo is not None:

@@ -20,12 +20,13 @@ import pytest
 
 from santil.cli import main as cli_main
 from santil.data import DATASET_FILES, load_cifar, load_idx, synthetic_dataset
-from santil.engine import IncrementalState, predict_logits, run_sequence, train_task
+from santil.engine import IncrementalState, predict_logits, train_task
 from santil.gradcheck import grad_check, gradient_suite
 from santil.layers import PRESETS, assert_frozen
 from santil.report import strip_wall_clock
 from santil.tasks import build_permuted_sequence, build_split_sequence, partition_classes, reorder_groups, task_arrays
 from santil.tensor import Tensor, orthogonality_penalty
+from whole_run import run_whole
 
 DATA_ROOT = Path(os.environ.get("SAN_TIL_DATA_ROOT", "data"))
 
@@ -73,7 +74,7 @@ def mnist_full_run(pools, strategy, seed, order=None, epochs=30):
     seq = build_split_sequence(train, test, groups, master_seed=seed)
     arch = PRESETS["mnist-small"]((1, 28, 28), base_classes=len(groups[0]))
     started = time.perf_counter()
-    result, state = run_sequence(
+    result, state = run_whole(
         strategy, arch, seq, seed, epochs=epochs, batch_size=64, lr=0.001
     )
     _RUN_CACHE[key] = (result, state, time.perf_counter() - started)
@@ -207,7 +208,7 @@ def test_criterion_07_permuted_mnist_desk_profile(mnist_pools):
     seq = build_permuted_sequence(train, test, num_tasks=3, master_seed=1)
     arch = PRESETS["mnist-small"]((1, 28, 28), base_classes=10)
     started = time.perf_counter()
-    result, _ = run_sequence("san", arch, seq, 1, epochs=30, batch_size=64, lr=0.001)
+    result, _ = run_whole("san", arch, seq, 1, epochs=30, batch_size=64, lr=0.001)
     elapsed = time.perf_counter() - started
     ok = result.mean_final >= 0.95
     report_line(
@@ -242,7 +243,7 @@ def test_criterion_07b_permuted_mnist_long_run(mnist_pools):
     train, test = mnist_pools
     seq = build_permuted_sequence(train, test, num_tasks=10, master_seed=1)
     arch = PRESETS["mnist-small"]((1, 28, 28), base_classes=10)
-    result, _ = run_sequence("san", arch, seq, 1, epochs=30, batch_size=64, lr=0.001)
+    result, _ = run_whole("san", arch, seq, 1, epochs=30, batch_size=64, lr=0.001)
     ok = abs(result.mean_final - 0.987) <= 0.010
     report_line(
         "7-long", ok, f"permuted MNIST (10 tasks) SAN mean {result.mean_final * 100:.2f}% (98.7 +/- 1.0)"
@@ -262,7 +263,7 @@ def test_criterion_09_cifar10_smoke():
     train, test = load_cifar(train_paths, "cifar10", {}), load_cifar(test_paths, "cifar10", {})
     seq = build_split_sequence(train, test, partition_classes(10, 5), master_seed=1)
     arch = PRESETS["cifar-small"]((3, 32, 32), base_classes=2)
-    result, _ = run_sequence("san", arch, seq, 1, epochs=30, batch_size=64, lr=0.001)
+    result, _ = run_whole("san", arch, seq, 1, epochs=30, batch_size=64, lr=0.001)
     ok = result.mean_final >= 0.65
     report_line(9, ok, f"SAN 5-split CIFAR-10 mean {result.mean_final * 100:.2f}% (>=65)")
 

@@ -14,7 +14,6 @@ from santil.engine import (
     evaluate,
     predict_logits,
     prepare_task_blocks,
-    run_sequence,
     train_task,
 )
 from santil.layers import PRESETS, tiny
@@ -35,6 +34,7 @@ from santil.tasks import (
     reorder_groups,
     task_arrays,
 )
+from whole_run import run_whole
 
 
 def blob_sequence(num_classes=6, num_tasks=3, per_class=80, seed=1, shape=(1, 8, 8)):
@@ -217,7 +217,7 @@ class TestFreezingAndForgetting:
     def test_shared_blocks_bitwise_frozen_after_full_run(self):
         seq = blob_sequence()
         for strategy in ("san", "baseline", "finetune", "independent"):
-            _, state = run_sequence(strategy, tiny_arch(), seq, seed=5, epochs=2, batch_size=16)
+            _, state = run_whole(strategy, tiny_arch(), seq, seed=5, epochs=2, batch_size=16)
             ok, path = state.verify_frozen()
             assert ok, f"{strategy}: frozen parameter {path} drifted"
             assert bool(state.snapshot) == (strategy != "finetune")
@@ -235,7 +235,7 @@ class TestFreezingAndForgetting:
 
     def test_forgetting_matrix_columns_constant_for_san(self):
         seq = blob_sequence()
-        result, _ = run_sequence("san", tiny_arch(), seq, seed=5, epochs=2, batch_size=16)
+        result, _ = run_whole("san", tiny_arch(), seq, seed=5, epochs=2, batch_size=16)
         for s in range(3):
             column = [row[s] for row in result.forgetting_matrix if len(row) > s]
             assert all(v == column[0] for v in column)
@@ -265,7 +265,7 @@ class TestFreezingAndForgetting:
     def test_frozen_parameters_hold_no_gradient_after_full_run(self):
         seq = blob_sequence()
         for strategy in ("san", "baseline"):
-            _, state = run_sequence(strategy, tiny_arch(), seq, seed=5, epochs=2, batch_size=16)
+            _, state = run_whole(strategy, tiny_arch(), seq, seed=5, epochs=2, batch_size=16)
             frozen = [p for blk in state.model_blocks() for p in blk.parameters() if p.frozen]
             assert frozen, strategy
             stale = [p.name for p in frozen if p.grad is not None]
@@ -350,14 +350,14 @@ class TestTrainTaskContracts:
 
     def test_finetune_growth_zero_after_task_one(self):
         seq = blob_sequence()
-        result, _ = run_sequence("finetune", tiny_arch(), seq, seed=1, epochs=1, batch_size=16)
+        result, _ = run_whole("finetune", tiny_arch(), seq, seed=1, epochs=1, batch_size=16)
         counts = [rec["param_count"] for rec in result.per_task]
         assert counts[0] == counts[1] == counts[2]
 
     def test_param_count_monotone_nondecreasing(self):
         seq = blob_sequence()
         for strategy in ("san", "baseline", "independent"):
-            result, _ = run_sequence(strategy, tiny_arch(), seq, seed=1, epochs=1, batch_size=16)
+            result, _ = run_whole(strategy, tiny_arch(), seq, seed=1, epochs=1, batch_size=16)
             counts = [rec["param_count"] for rec in result.per_task]
             assert counts == sorted(counts)
 
@@ -420,29 +420,29 @@ class TestTrainTaskContracts:
 class TestRunSequence:
     def test_single_task_report(self):
         seq = blob_sequence(num_classes=2, num_tasks=1)
-        result, _ = run_sequence("san", tiny_arch(), seq, seed=1, epochs=2, batch_size=16)
+        result, _ = run_whole("san", tiny_arch(), seq, seed=1, epochs=2, batch_size=16)
         assert len(result.forgetting_matrix) == 1
         assert len(result.forgetting_matrix[0]) == 1
         assert result.mean_final == result.final_per_task[0]
 
     def test_mean_is_exact_arithmetic_mean(self):
         seq = blob_sequence()
-        result, _ = run_sequence("san", tiny_arch(), seq, seed=1, epochs=2, batch_size=16)
+        result, _ = run_whole("san", tiny_arch(), seq, seed=1, epochs=2, batch_size=16)
         assert result.mean_final == sum(result.final_per_task) / len(result.final_per_task)
 
     def test_deterministic_repeat(self):
         seq_a = blob_sequence(seed=6)
         seq_b = blob_sequence(seed=6)
-        r1, _ = run_sequence("san", tiny_arch(), seq_a, seed=6, epochs=2, batch_size=16)
-        r2, _ = run_sequence("san", tiny_arch(), seq_b, seed=6, epochs=2, batch_size=16)
+        r1, _ = run_whole("san", tiny_arch(), seq_a, seed=6, epochs=2, batch_size=16)
+        r2, _ = run_whole("san", tiny_arch(), seq_b, seed=6, epochs=2, batch_size=16)
         assert r1.forgetting_matrix == r2.forgetting_matrix
         assert r1.final_per_task == r2.final_per_task
 
     def test_strategies_learn_separable_blobs(self):
         seq = blob_sequence(per_class=150)
-        result, _ = run_sequence("san", tiny_arch(), seq, seed=8, epochs=25, batch_size=16)
+        result, _ = run_whole("san", tiny_arch(), seq, seed=8, epochs=25, batch_size=16)
         assert result.mean_final >= 0.9
-        upper, _ = run_sequence("independent", tiny_arch(), seq, seed=8, epochs=25, batch_size=16)
+        upper, _ = run_whole("independent", tiny_arch(), seq, seed=8, epochs=25, batch_size=16)
         assert upper.mean_final >= result.mean_final - 0.05
 
 
@@ -460,7 +460,7 @@ class TestHeadExtension:
         trained = []
         monkeypatch.setattr(engine, "train_task", lambda state, t, **kw: trained.append(t))
         with pytest.raises(ValueError, match=self.WIDER_LATER):
-            run_sequence("san", tiny_arch(2), seq, seed=2, epochs=1, batch_size=16)
+            run_whole("san", tiny_arch(2), seq, seed=2, epochs=1, batch_size=16)
         assert trained == []
 
     def test_state_refuses_wider_later_task_before_preparing_any(self, monkeypatch):
@@ -503,9 +503,9 @@ class TestOrderAblation:
         test = synthetic_dataset(6, 20, (1, 8, 8), seed=61, pattern_seed=60)
         groups = partition_classes(6, 3)
         plain = build_split_sequence(train, test, groups, master_seed=4)
-        r_plain, _ = run_sequence("san", tiny_arch(), plain, seed=4, epochs=2, batch_size=16)
+        r_plain, _ = run_whole("san", tiny_arch(), plain, seed=4, epochs=2, batch_size=16)
         seq_id = build_split_sequence(train, test, reorder_groups(groups, [0, 1, 2]), master_seed=4)
-        r_id = run_sequence("san", tiny_arch(), seq_id, seed=4, epochs=2, batch_size=16)[0]
+        r_id = run_whole("san", tiny_arch(), seq_id, seed=4, epochs=2, batch_size=16)[0]
         assert r_plain.forgetting_matrix == r_id.forgetting_matrix
 
     def test_two_orders_both_learn(self):
@@ -517,7 +517,7 @@ class TestOrderAblation:
             for order in ([0, 1, 2], [2, 0, 1])
         ]
         results = [
-            run_sequence("san", tiny_arch(), seq, seed=5, epochs=25, batch_size=16)[0]
+            run_whole("san", tiny_arch(), seq, seed=5, epochs=25, batch_size=16)[0]
             for seq in sequences
         ]
         assert all(r.mean_final >= 0.85 for r in results)
@@ -611,7 +611,7 @@ class TestPermutedTasks:
         assert seq.tasks[0].pixel_permutation is not None
         assert np.array_equal(seq.tasks[0].pixel_permutation, np.arange(36))
         arch = tiny_arch(4, (1, 6, 6))
-        result, state = run_sequence("san", arch, seq, seed=6, epochs=10, batch_size=16)
+        result, state = run_whole("san", arch, seq, seed=6, epochs=10, batch_size=16)
         assert result.final_per_task[0] >= 0.8  # task 1 is the unpermuted corpus
         ok, path = state.verify_frozen()
         assert ok, path
@@ -692,7 +692,7 @@ class TestFrozenPrefixCache:
             served.clear()
             # the penalty is on, so baseline's is computed from cached features
             arch = TestOrthoRegularizer()._square_embedding_arch(base_classes=3)
-            result, state = run_sequence(
+            result, state = run_whole(
                 strategy, arch, seq, seed=4, epochs=2, batch_size=16, ortho_alpha=0.001
             )
             return result, state, list(served)
@@ -742,7 +742,7 @@ class TestFrozenPrefixCache:
 
         monkeypatch.setattr(layers.ModelBlock, "forward", counting)
         epochs = 3
-        run_sequence("san", tiny_arch(), seq, seed=2, epochs=epochs, batch_size=16)
+        run_whole("san", tiny_arch(), seq, seed=2, epochs=epochs, batch_size=16)
         size = lambda t, split: getattr(seq.tasks[t - 1], f"{split}_idx").size
         # task 1 trains B1, so each epoch runs it on the train and val splits;
         # later tasks run it once per split, and each test split goes through
@@ -800,5 +800,5 @@ def test_real_digits_five_split_sanity():
     test = Dataset(images[order[cut:]], labels[order[cut:]])
     seq = build_split_sequence(train, test, partition_classes(10, 5), master_seed=1)
     arch = PRESETS["mnist-small"]((1, 8, 8), base_classes=2)
-    result, _ = run_sequence("san", arch, seq, seed=1, epochs=20, batch_size=32)
+    result, _ = run_whole("san", arch, seq, seed=1, epochs=20, batch_size=32)
     assert result.mean_final >= 0.9, result.final_per_task

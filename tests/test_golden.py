@@ -8,6 +8,12 @@ compared, first 16 hex digits, with ``golden.json``. The variant commands
 are pinned the same way on the smoke config at 3 epochs: a size sweep over
 widths 3 and 5 and an order ablation over orders [0, 1, 2] and [2, 0, 1],
 each with its summary file and every variant's ``summary.csv`` and arrays.
+The file-dataset runs write MNIST IDX and CIFAR-10 binary fixtures from the
+synthetic corpus (``tests/dataset_writers``) and train the ``tiny`` preset on
+the real image shape at 3 epochs: a 5-task MNIST split, ``permuted-mnist``
+(3 tasks) on the same files, and a 5-task CIFAR-10 split. Their files hold
+``uint8`` pixels, so they take the paths that scale and permute those. A
+``.gz`` drop-in of the IDX files must give the plain files' hashes.
 The bits of a float32 GEMM depend on the numpy build, the BLAS library and
 the kernel it picks for the CPU, so ``golden.json`` keys its hashes by that
 fingerprint, and on a fingerprint it does not list the test skips and names
@@ -16,6 +22,7 @@ why.
 """
 
 import ctypes
+import gzip
 import hashlib
 import json
 from pathlib import Path
@@ -25,6 +32,8 @@ import pytest
 
 from santil import harness
 from santil.config import RunConfig
+from santil.data import synthetic_dataset
+from dataset_writers import save_cifar, save_idx
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = json.loads((Path(__file__).resolve().parent / "golden.json").read_text(encoding="utf-8"))
@@ -48,6 +57,35 @@ def _openblas_corename():
         return corename().decode()
     return None
 
+
+def _write_mnist(root: Path, gz: bool) -> None:
+    mnist = root / "mnist"
+    mnist.mkdir(parents=True)
+    save_idx(synthetic_dataset(10, 20, (1, 28, 28)), mnist / "train-images-idx3-ubyte", mnist / "train-labels-idx1-ubyte")
+    test = synthetic_dataset(10, 5, (1, 28, 28), seed=1, pattern_seed=0)
+    save_idx(test, mnist / "t10k-images-idx3-ubyte", mnist / "t10k-labels-idx1-ubyte")
+    if gz:
+        for path in list(mnist.iterdir()):
+            path.with_name(path.name + ".gz").write_bytes(gzip.compress(path.read_bytes()))
+            path.unlink()
+
+
+def _write_cifar10(root: Path) -> None:
+    cifar = root / "cifar-10-batches-bin"
+    cifar.mkdir(parents=True)
+    names = [f"data_batch_{i}.bin" for i in range(1, 6)] + ["test_batch.bin"]
+    for i, name in enumerate(names):
+        save_cifar(synthetic_dataset(10, 2, (3, 32, 32), seed=i, pattern_seed=0), cifar / name, "cifar10")
+
+
+# pinned run -> (config dataset, num_tasks, fixture writer taking the data root)
+FILE_RUNS = {
+    "mnist-idx": ("mnist", 5, lambda root: _write_mnist(root, gz=False)),
+    "mnist-idx.gz": ("mnist", 5, lambda root: _write_mnist(root, gz=True)),
+    "permuted-mnist-idx": ("permuted-mnist", 3, lambda root: _write_mnist(root, gz=False)),
+    "permuted-mnist-idx.gz": ("permuted-mnist", 3, lambda root: _write_mnist(root, gz=True)),
+    "cifar10": ("cifar10", 5, _write_cifar10),
+}
 
 # command -> (how it runs a config, its summary file, its variants' directories)
 VARIANT_COMMANDS = {
@@ -117,3 +155,14 @@ def test_variant_command_outputs_match_the_pinned_hashes(tmp_path, monkeypatch, 
     got = {summary: sha16((tmp_path / command / summary).read_bytes())}
     got |= {variant: run_hashes(tmp_path / command / variant) for variant in variants}
     assert got == expected[command]
+
+
+@pytest.mark.parametrize("run", FILE_RUNS)
+def test_file_dataset_bits_match_the_pinned_hashes(tmp_path, run):
+    expected = pinned()
+    dataset, num_tasks, write = FILE_RUNS[run]
+    write(tmp_path / "data")
+    raw = SMOKE | {"dataset": dataset, "num_tasks": num_tasks, "epochs": 3, "data_root": str(tmp_path / "data")}
+    harness.run(RunConfig.from_dict(raw | {"out_dir": str(tmp_path / "out")}))
+    # a .gz drop-in is pinned by its plain files' hashes
+    assert run_hashes(tmp_path / "out") == expected[run.removesuffix(".gz")]

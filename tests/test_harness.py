@@ -32,6 +32,7 @@ from santil.data import DATASET_FILES
 from santil.fetch import REGISTRY, ChecksumError, FetchError, RemoteFile, fetch_dataset, unpack, verify_checksum
 from santil.report import strip_wall_clock, write_summary_csv
 from santil.tasks import partition_classes
+from whole_run import run_whole
 
 
 def synthetic_blobs(seed, per_class, pattern_seed=None):
@@ -561,6 +562,42 @@ class TestCheckpoints:
         train_task(unpenalised, 2, **settings | {"ortho_alpha": 0.0})
         assert (params(unpenalised) == params(straight)) == (strategy == "baseline")
 
+    @pytest.mark.parametrize("strategy", ["san", "baseline", "finetune", "independent"])
+    def test_run_sequence_stopped_saved_and_continued_matches_an_uninterrupted_run(self, tmp_path, strategy):
+        from itertools import islice
+
+        from santil.engine import IncrementalState, SeedRunResult, run_sequence
+        from santil.tasks import build_split_sequence
+
+        # 7 classes in tasks of 3, 2 and 2
+        cfg = synthetic_config(tmp_path, strategy=strategy, num_tasks=3, epochs=1)
+        cfg = RunConfig.from_dict(cfg.to_dict() | {"dataset": cfg.dataset | {"num_classes": 7}})
+        train, test, _ = load_pools(cfg)
+        groups = partition_classes(train.num_classes, cfg.num_tasks)
+        arch = resolve_architecture(cfg, train.image_shape, *map(len, groups))
+        seq = build_split_sequence(train, test, groups, master_seed=1)
+        settings = dict(epochs=cfg.epochs, batch_size=cfg.batch_size, lr=cfg.lr, ortho_alpha=cfg.ortho_alpha)
+
+        def params(state):
+            return [(p.name, p.data.tobytes()) for block in state.model_blocks() for p in block.parameters()]
+
+        def timeless(state, rows):
+            return strip_wall_clock(dataclasses.asdict(SeedRunResult.from_rows(state, rows, 0.0)))
+
+        straight = IncrementalState(strategy, arch, seq, 1)
+        uninterrupted = list(run_sequence(straight, **settings))
+        assert [record["task"] for _, record in uninterrupted] == [1, 2, 3]
+        for k in (1, 2):
+            stopped = IncrementalState(strategy, arch, seq, 1)
+            rows = list(islice(run_sequence(stopped, **settings), k))
+            assert (stopped.trained_upto, stopped.prepared) == (k, k)
+            resumed = load_state(save_state(stopped, cfg, tmp_path / f"task{k}.npz"), arch, seq)
+            rows += run_sequence(resumed, **settings)
+            assert timeless(resumed, rows) == timeless(straight, uninterrupted)
+            assert params(resumed) == params(straight)
+            assert list(run_sequence(resumed, **settings)) == []
+        assert list(run_sequence(straight, **settings)) == []
+
     @pytest.mark.parametrize("fault", ["missing", "reshaped"])
     def test_checkpoint_parameter_missing_or_reshaped_exit_one(self, tmp_path, capsys, fault):
         cfg_path = write_config(tmp_path)
@@ -609,7 +646,7 @@ class TestCheckpoints:
 
     @pytest.mark.parametrize("strategy", ["san", "baseline", "finetune", "independent"])
     def test_reload_reproduces_logits_bit_exactly(self, tmp_path, strategy):
-        from santil.engine import predict_logits, run_sequence
+        from santil.engine import predict_logits
         from santil.tasks import build_split_sequence, partition_classes, task_arrays
 
         cfg = synthetic_config(tmp_path, strategy=strategy)
@@ -617,7 +654,7 @@ class TestCheckpoints:
         groups = partition_classes(train.num_classes, cfg.num_tasks)
         arch = resolve_architecture(cfg, train.image_shape, len(groups[0]))
         seq = build_split_sequence(train, test, groups, master_seed=1)
-        result, state = run_sequence(strategy, arch, seq, seed=1, epochs=2, batch_size=16)
+        result, state = run_whole(strategy, arch, seq, seed=1, epochs=2, batch_size=16)
         path = tmp_path / "ck.npz"
         save_state(state, cfg, path)
 
@@ -710,7 +747,6 @@ class TestCheckpoints:
     @pytest.mark.parametrize("strategy", ["san", "baseline", "finetune", "independent"])
     def test_reload_rebuilds_frozen_flags_masks_and_snapshot(self, tmp_path, strategy):
         from santil.data import synthetic_dataset
-        from santil.engine import run_sequence
         from santil.layers import tiny
         from santil.tasks import build_split_sequence, partition_classes
 
@@ -719,7 +755,7 @@ class TestCheckpoints:
         test = synthetic_dataset(7, 10, (1, 8, 8), seed=93, pattern_seed=92)
         seq = build_split_sequence(train, test, partition_classes(7, 3), master_seed=4)
         arch = tiny((1, 8, 8), base_classes=3)
-        _, state = run_sequence(strategy, arch, seq, seed=4, epochs=1, batch_size=16)
+        _, state = run_whole(strategy, arch, seq, seed=4, epochs=1, batch_size=16)
         path = save_state(state, synthetic_config(tmp_path, strategy=strategy), tmp_path / "ck.npz")
         reloaded = load_state(path, arch, seq)
 
@@ -744,7 +780,6 @@ class TestCheckpoints:
         assert not {"frozen", "masked"} & set(read_meta(path))
 
     def test_checkpoint_with_more_tasks_than_the_sequence_rejected(self, tmp_path):
-        from santil.engine import run_sequence
         from santil.tasks import build_split_sequence, partition_classes
 
         cfg = synthetic_config(tmp_path, num_tasks=3)
@@ -752,7 +787,7 @@ class TestCheckpoints:
         groups = partition_classes(train.num_classes, 3)
         arch = resolve_architecture(cfg, train.image_shape, len(groups[0]))
         seq = build_split_sequence(train, test, groups, master_seed=1)
-        _, state = run_sequence("san", arch, seq, seed=1, epochs=1, batch_size=16)
+        _, state = run_whole("san", arch, seq, seed=1, epochs=1, batch_size=16)
         path = save_state(state, cfg, tmp_path / "ck.npz")
         shorter = build_split_sequence(train, test, groups[:2], master_seed=1)
         with pytest.raises(CheckpointMismatchError, match="3 trained tasks.* only 2"):
@@ -762,7 +797,6 @@ class TestCheckpoints:
         import dataclasses
 
         from santil.data import synthetic_dataset
-        from santil.engine import run_sequence
         from santil.layers import Conv, Relu, tiny
         from santil.tasks import build_split_sequence
 
@@ -771,7 +805,7 @@ class TestCheckpoints:
         seq = build_split_sequence(train, test, [(0, 1), (2, 3)], master_seed=5)
         arch = tiny((1, 8, 8), base_classes=2)
         deeper = dataclasses.replace(arch, backbone=arch.backbone + (Conv(6), Relu()))
-        _, state = run_sequence("san", deeper, seq, seed=5, epochs=1, batch_size=16)
+        _, state = run_whole("san", deeper, seq, seed=5, epochs=1, batch_size=16)
         path = save_state(state, synthetic_config(tmp_path), tmp_path / "deep.npz")
         with pytest.raises(CheckpointMismatchError, match="holds parameter 'backbone.3.bias'"):
             load_state(path, arch, seq)
@@ -818,7 +852,6 @@ class TestDumpEmbeddings:
 
     @pytest.mark.parametrize("strategy", ["san", "baseline", "finetune", "independent"])
     def test_csv_from_the_checkpoint_alone_equals_the_trained_embeddings(self, tmp_path, strategy):
-        from santil.engine import run_sequence
         from santil.tasks import build_split_sequence, task_arrays
 
         cfg = synthetic_config(tmp_path, strategy=strategy)
@@ -826,7 +859,7 @@ class TestDumpEmbeddings:
         groups = partition_classes(train.num_classes, cfg.num_tasks)
         arch = resolve_architecture(cfg, train.image_shape, len(groups[0]))
         seq = build_split_sequence(train, test, groups, master_seed=1)
-        _, state = run_sequence(strategy, arch, seq, seed=1, epochs=cfg.epochs, batch_size=cfg.batch_size)
+        _, state = run_whole(strategy, arch, seq, seed=1, epochs=cfg.epochs, batch_size=cfg.batch_size)
         ck = save_state(state, cfg, tmp_path / "ck.npz")
         out_csv = tmp_path / "emb.csv"
         harness.dump_embeddings(ck, "test", out_csv)
