@@ -1,11 +1,12 @@
 """Layer kinds, the three-part network builder, freezing and snapshots.
 
 Every network here is backbone -> adjustment -> classifier. Each layer kind
-is one spec dataclass that states its output shape (sizes >= 1, padding >= 0),
-its initial parameter arrays and its op; an ``ArchitectureSpec`` is checked
-when it is made. A block is a list of (spec, parameters) pairs built against
-a declared input shape, with He-uniform weights and zero biases drawn
-deterministically from a seed.
+is one spec dataclass that states its output shape (sizes >= 1), its
+initial parameter arrays and its op; an ``ArchitectureSpec`` is checked
+when it is made. Every conv centres its odd kernel on each input cell and
+zero-pads, so it keeps its input's height and width. A block is a list of
+(spec, parameters) pairs built against a declared input shape, with
+He-uniform weights and zero biases drawn deterministically from a seed.
 
 The ops are looked up as this module's globals when a layer runs, so a
 wrapper installed on ``layers.conv2d`` (and the like) sees every call.
@@ -56,28 +57,20 @@ class _Parameterless:
 class Conv:
     out_channels: int
     kernel: int = 3
-    stride: int = 1
-    padding: int = 1
 
     def out_shape(self, shape: tuple[int, ...]) -> tuple[int, ...]:
-        if min(self.out_channels, self.kernel, self.stride) < 1 or self.padding < 0:
-            raise ShapeError(f"conv sizes must be positive and padding >= 0, got {self}")
+        if self.out_channels < 1 or self.kernel < 1 or self.kernel % 2 == 0:
+            raise ShapeError(f"conv out_channels must be positive and kernel odd and positive, got {self}")
         if len(shape) != 3:
             raise ShapeError(f"conv needs a (C,H,W) input, got {shape}")
-        _, h, w = shape
-        hp, wp = h + 2 * self.padding, w + 2 * self.padding
-        if self.kernel > hp or self.kernel > wp:
-            raise ShapeError(f"kernel {self.kernel} exceeds padded extent {hp}x{wp}")
-        ho = (hp - self.kernel) // self.stride + 1
-        wo = (wp - self.kernel) // self.stride + 1
-        return (self.out_channels, ho, wo)
+        return (self.out_channels, *shape[1:])
 
     def init(self, shape, rng, dtype) -> dict[str, np.ndarray]:
         return _weight_and_bias(rng, (self.out_channels, shape[0], self.kernel, self.kernel), dtype)
 
     def apply(self, x: Tensor, params, relu: bool = False) -> Tensor:
         weight, bias = params
-        return conv2d(x, weight, bias, self.stride, self.padding, relu)
+        return conv2d(x, weight, bias, relu)
 
 
 @dataclass(frozen=True)
@@ -271,33 +264,25 @@ class ArchitectureSpec:
         return self.classifier[-1].out_features
 
 
-def _same_pad(kernel: int) -> int:
-    if kernel < 1 or kernel % 2 == 0:
-        raise ShapeError(f"adjustment kernel must be odd and positive, got {kernel}")
-    return (kernel - 1) // 2
-
-
 def mnist_small(input_shape=(1, 28, 28), base_classes: int = 2, adjust_kernel: int = 3) -> ArchitectureSpec:
     """One-conv backbone, one-conv adjustment, three-layer perceptron head."""
-    pad = _same_pad(adjust_kernel)
     return ArchitectureSpec(
         input_shape=tuple(input_shape),
-        backbone=(Conv(16, 3, 1, 1), Relu(), MaxPool(2)),
-        adjustment=(Conv(16, adjust_kernel, 1, pad), Relu()),
+        backbone=(Conv(16, 3), Relu(), MaxPool(2)),
+        adjustment=(Conv(16, adjust_kernel), Relu()),
         classifier=(Flatten(), Dense(100), Relu(), Dense(50), Relu(), Dense(base_classes)),
     )
 
 
 def cifar_small(input_shape=(3, 32, 32), base_classes: int = 2, adjust_kernel: int = 3) -> ArchitectureSpec:
     """Three-conv backbone, four-conv adjustment, three-layer perceptron head."""
-    pad = _same_pad(adjust_kernel)
     adj: tuple[LayerSpec, ...] = ()
     for _ in range(4):
-        adj += (Conv(64, adjust_kernel, 1, pad), Relu())
+        adj += (Conv(64, adjust_kernel), Relu())
     adj += (MaxPool(2),)
     return ArchitectureSpec(
         input_shape=tuple(input_shape),
-        backbone=(Conv(32, 3, 1, 1), Relu(), Conv(32, 3, 1, 1), Relu(), Conv(64, 3, 1, 1), Relu(), MaxPool(2)),
+        backbone=(Conv(32, 3), Relu(), Conv(32, 3), Relu(), Conv(64, 3), Relu(), MaxPool(2)),
         adjustment=adj,
         classifier=(Flatten(), Dense(512), Relu(), Dense(256), Relu(), Dense(base_classes)),
     )
@@ -305,11 +290,10 @@ def cifar_small(input_shape=(3, 32, 32), base_classes: int = 2, adjust_kernel: i
 
 def tiny(input_shape=(1, 8, 8), base_classes: int = 2, adjust_kernel: int = 3) -> ArchitectureSpec:
     """Small stack for synthetic-data tests and smoke runs."""
-    pad = _same_pad(adjust_kernel)
     return ArchitectureSpec(
         input_shape=tuple(input_shape),
-        backbone=(Conv(6, 3, 1, 1), Relu(), MaxPool(2)),
-        adjustment=(Conv(8, adjust_kernel, 1, pad), Relu()),
+        backbone=(Conv(6, 3), Relu(), MaxPool(2)),
+        adjustment=(Conv(8, adjust_kernel), Relu()),
         classifier=(Flatten(), Dense(24), Relu(), Dense(12), Relu(), Dense(base_classes)),
     )
 

@@ -474,33 +474,33 @@ def _split(
             raise err
 
 
-def _im2col(x, padding, kh, kw, stride, ho, wo, xp, cols) -> np.ndarray:
-    """Patches of x:[m,C,H,W] as an [m, C*kh*kw, Ho*Wo] view of ``cols``.
+def _im2col(x, k, xp, cols) -> np.ndarray:
+    """Same-size patches of x:[m,C,H,W] as an [m, C*k*k, H*W] view of ``cols``.
 
-    ``cols`` is an [>=m, C, kh, kw, Ho, Wo] buffer. With padding, the samples
-    are first copied into the interior of ``xp``, an [>=m, C, H+2p, W+2p]
+    ``cols`` is an [>=m, C, k, k, H, W] buffer. For k > 1 the samples are
+    first copied into the interior of ``xp``, an [>=m, C, H+k-1, W+k-1]
     buffer whose border is zero and stays zero.
     """
     m, c, h, w = x.shape
-    if padding:
+    pad = k // 2
+    if pad:
         xp = xp[:m]
-        xp[:, :, padding : padding + h, padding : padding + w] = x
+        xp[:, :, pad : pad + h, pad : pad + w] = x
         x = xp
     cols = cols[:m]
-    for i in range(kh):
-        ys = slice(i, i + stride * ho, stride)
-        for j in range(kw):
-            cols[:, :, i, j] = x[:, :, ys, slice(j, j + stride * wo, stride)]
-    return cols.reshape(m, c * kh * kw, ho * wo)
+    for i in range(k):
+        for j in range(k):
+            cols[:, :, i, j] = x[:, :, i : i + h, j : j + w]
+    return cols.reshape(m, c * k * k, h * w)
 
 
-def conv2d(
-    x: Tensor, w: Tensor, b: Tensor, stride: int = 1, padding: int = 0, relu: bool = False
-) -> Tensor:
-    """Batched 2-D cross-correlation with zero padding, optionally followed by ReLU.
+def conv2d(x: Tensor, w: Tensor, b: Tensor, relu: bool = False) -> Tensor:
+    """Batched same-size 2-D cross-correlation, optionally followed by ReLU.
 
-    x:[N,Cin,H,W], w:[Cout,Cin,kh,kw], b:[Cout]. Output extents follow
-    floor((H + 2*padding - kh)/stride) + 1 (likewise for W).
+    x:[N,Cin,H,W], w:[Cout,Cin,k,k], b:[Cout], for an odd k. Each output
+    cell is the window centred on the same input cell, the input zero-padded
+    by (k-1)/2 on every side, so the output is [N,Cout,H,W]; an even or
+    non-square kernel is refused.
 
     The batch is walked in chunks of samples whose patch matrix (im2col) is
     about ``_CHUNK_BYTES``. Every chunk of a call reuses one patch buffer and
@@ -510,9 +510,9 @@ def conv2d(
     op's inputs and output, never a batch-sized patch matrix: backward
     rebuilds each chunk's patches and takes each sample's weight gradient as
     patches @ grad^T. For the input gradient, grad is zero-padded to the
-    padded input's row pitch and the GEMM's rows are taken window by window,
+    padded input's extents and the GEMM's rows are taken window by window,
     so each kernel window, over all channels, adds onto the flattened padded
-    input as one strided run, in row-major window order.
+    input as one contiguous run, in row-major window order.
 
     With ``relu`` the op is ``relu(conv2d(...))`` in one tape record: backward
     gates grad by ``out > 0``, which holds exactly where the pre-activation
@@ -543,7 +543,7 @@ def conv2d(
     and thread count the bits depend on neither the chunk size nor the
     worker count. They equal those of one batched im2col GEMM with a
     windowed scatter only where BLAS picks the same kernel for the GEMM
-    widths Ho*Wo and rows*Wp (the padded row pitch); elsewhere the input
+    widths Ho*Wo and Hp*Wp (the padded extents); elsewhere the input
     gradient may differ from it in the last bits.
     """
     if x.data.ndim != 4 or w.data.ndim != 4 or b.data.ndim != 1:
@@ -551,14 +551,10 @@ def conv2d(
             f"conv2d expects x:[N,C,H,W], w:[Cout,Cin,kh,kw], b:[Cout]; got "
             f"{x.data.shape}, {w.data.shape}, {b.data.shape}"
         )
-    stride = int(stride)
-    padding = int(padding)
-    if stride < 1:
-        raise ShapeError("conv2d stride must be positive")
-    if padding < 0:
-        raise ShapeError("conv2d padding must be non-negative")
     n, cin, h, wd = x.data.shape
     cout, cw, kh, kw = w.data.shape
+    if kh != kw or kh % 2 == 0:
+        raise ShapeError(f"conv2d: kernel {kh}x{kw} is not square with an odd side")
     if cin != cw:
         raise ShapeError(
             f"conv2d: input has {cin} channels but weight expects {cw} "
@@ -569,13 +565,11 @@ def conv2d(
     if b.requires_grad and not w.requires_grad:
         names = getattr(b, "name", "b"), getattr(w, "name", "w")
         raise ValueError("conv2d: bias %r is trainable but weight %r is frozen" % names)
-    hp, wp = h + 2 * padding, wd + 2 * padding
-    if kh > hp or kw > wp:
-        raise ShapeError(f"conv2d: kernel {kh}x{kw} exceeds padded input {hp}x{wp}")
     _check_same_dtype("conv2d", x, w, b)
 
-    ho = (hp - kh) // stride + 1
-    wo = (wp - kw) // stride + 1
+    padding = kh // 2
+    hp, wp = h + 2 * padding, wd + 2 * padding
+    ho, wo = h, wd
     dtype = x.data.dtype
     k = cin * kh * kw
     step, workers, chunks = _chunks(n, k * ho * wo * dtype.itemsize)
@@ -584,7 +578,7 @@ def conv2d(
         # one chunk's buffers, reused by every chunk of one piece of a pass
         xp = np.zeros((rows, cin, hp, wp), dtype=dtype) if padding else None
         cols = np.empty((rows, cin, kh, kw, ho, wo), dtype=dtype)
-        return lambda sl: _im2col(x.data[sl], padding, kh, kw, stride, ho, wo, xp, cols)
+        return lambda sl: _im2col(x.data[sl], kh, xp, cols)
 
     wm = w.data.reshape(cout, k)
     bias = b.data.reshape(cout, 1)
@@ -660,32 +654,30 @@ def conv2d(
             gw = gw.T.reshape(w.data.shape)
 
         if x.requires_grad:
-            # g as [Cout, rows, wp] a sample, zero outside [ho, wo], and the
+            # g as [Cout, hp, wp] a sample, zero outside [ho, wo], and the
             # GEMM's rows in (i, j, c) order: window (i, j) of every channel is
-            # one run, landing on the padded input (held at channel pitch
-            # stride*rows*wp) from offset i*wp + j in steps of stride
-            rows = -(-hp // stride)
-            span = (cin - 1) * rows * wp + (ho - 1) * wp + wo
+            # one run, landing on the padded input from offset i*wp + j
+            span = (cin - 1) * hp * wp + (ho - 1) * wp + wo
             wt = np.ascontiguousarray(w.data.transpose(0, 2, 3, 1)).reshape(cout, -1).T
             gx = np.empty((n, cin, h, wd), dtype=dtype)
 
             def input_grad(take):
-                gpad = np.zeros((step, cout, rows, wp), dtype=dtype)
-                gwin = np.empty((step, kh, kw, cin * rows * wp), dtype=dtype)
-                acc = np.empty((step, cin, stride * rows, wp), dtype=dtype)
+                gpad = np.zeros((step, cout, hp, wp), dtype=dtype)
+                gwin = np.empty((step, kh, kw, cin * hp * wp), dtype=dtype)
+                acc = np.empty((step, cin, hp, wp), dtype=dtype)
                 while (sl := take()) is not None:
                     m = sl.stop - sl.start
                     if relu:
                         np.multiply(g[sl], out_data[sl] > 0, out=gpad[:m, :, :ho, :wo])
                     else:
                         gpad[:m, :, :ho, :wo] = g[sl]
-                    np.matmul(wt, gpad[:m].reshape(m, cout, -1), out=gwin[:m].reshape(m, -1, rows * wp))
+                    np.matmul(wt, gpad[:m].reshape(m, cout, -1), out=gwin[:m].reshape(m, -1, hp * wp))
                     acc[:m].fill(0)
                     flat = acc[:m].reshape(m, -1)
                     for i in range(kh):
                         for j in range(kw):
                             off = i * wp + j
-                            flat[:, off : off + stride * span : stride] += gwin[:m, i, j, :span]
+                            flat[:, off : off + span] += gwin[:m, i, j, :span]
                     gx[sl] = acc[:m, :, padding : padding + h, padding : padding + wd]
 
             _split(chunks, workers, input_grad)

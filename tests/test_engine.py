@@ -629,8 +629,8 @@ class TestOrthoRegularizer:
         # adjustment output is 4x4x4 -> flattened width 64 = 8^2
         return ArchitectureSpec(
             input_shape=(1, 8, 8),
-            backbone=(Conv(4, 3, 1, 1), Relu(), MaxPool(2)),
-            adjustment=(Conv(4, 3, 1, 1), Relu()),
+            backbone=(Conv(4, 3), Relu(), MaxPool(2)),
+            adjustment=(Conv(4, 3), Relu()),
             classifier=(Flatten(), Dense(16), Relu(), Dense(base_classes)),
         )
 

@@ -69,7 +69,7 @@ class TestBuildBlock:
             build_block((Flatten(), Conv(4)), (1, 8, 8), 0)
 
     def test_he_bounds_and_zero_bias(self):
-        blk = build_block((Conv(8, 3, 1, 1),), (2, 6, 6), 7, "b")
+        blk = build_block((Conv(8, 3),), (2, 6, 6), 7, "b")
         w, b = blk.parameters()
         bound = np.sqrt(6.0 / (2 * 9))
         assert np.abs(w.data).max() <= bound
@@ -133,8 +133,8 @@ class TestFusedConvRelu:
         "cifar-small": PRESETS["cifar-small"]((3, 32, 32), base_classes=3),
         "inline": ArchitectureSpec(
             input_shape=(2, 8, 8),
-            backbone=(Conv(4, 3, 1, 1), MaxPool(2), Relu(), Conv(6, 3, 1, 1), Relu()),
-            adjustment=(Conv(6, 1, 1, 0),),
+            backbone=(Conv(4, 3), MaxPool(2), Relu(), Conv(6, 3), Relu()),
+            adjustment=(Conv(6, 1),),
             classifier=(Flatten(), Dense(5), Relu(), Dense(3)),
         ),
     }
@@ -179,7 +179,7 @@ class TestFusedConvRelu:
 
     def test_recorded_conv_relu_keeps_one_activation(self):
         # the tape holds the ReLU output, not the conv's pre-activation as well
-        block = build_block((Conv(32, 3, 1, 1), Relu()), (32, 32, 32), 4, "b")
+        block = build_block((Conv(32, 3), Relu()), (32, 32, 32), 4, "b")
         x = rand_input((32, 32, 32), n=16)
         out_bytes = 16 * 32 * 32 * 32 * 4
         tracemalloc.start()
@@ -294,7 +294,7 @@ def test_forward_never_mutates_parameters():
             assert p.data.tobytes() == snaps[p.name].tobytes()
 
 
-CONV_SIZES = "conv sizes must be positive and padding >= 0, got Conv"
+CONV_SIZES = "conv out_channels must be positive and kernel odd and positive, got Conv"
 
 
 class TestArchitectureSpec:
@@ -309,11 +309,10 @@ class TestArchitectureSpec:
             ({"classifier": (Dense(2),)}, r"classifier: layer 0: dense needs a flat input, got \(4, 8, 8\)"),
             ({"classifier": (Flatten(), Dense(2), Relu())}, "classifier: must end with a linear layer"),
             ({"classifier": ()}, "classifier: must end with a linear layer"),
-            ({"backbone": (Conv(0),)}, rf"backbone: layer 0: {CONV_SIZES}\(out_channels=0, kernel=3, stride=1, padding=1\)"),
-            ({"adjustment": (Conv(-2),)}, rf"adjustment: layer 0: {CONV_SIZES}\(out_channels=-2, kernel=3, stride=1, padding=1\)"),
-            ({"backbone": (Conv(4, kernel=0),)}, rf"backbone: layer 0: {CONV_SIZES}\(out_channels=4, kernel=0, stride=1, padding=1\)"),
-            ({"backbone": (Conv(4, stride=0),)}, rf"backbone: layer 0: {CONV_SIZES}\(out_channels=4, kernel=3, stride=0, padding=1\)"),
-            ({"adjustment": (Conv(4, padding=-1),)}, rf"adjustment: layer 0: {CONV_SIZES}\(out_channels=4, kernel=3, stride=1, padding=-1\)"),
+            ({"backbone": (Conv(0),)}, rf"backbone: layer 0: {CONV_SIZES}\(out_channels=0, kernel=3\)"),
+            ({"adjustment": (Conv(-2),)}, rf"adjustment: layer 0: {CONV_SIZES}\(out_channels=-2, kernel=3\)"),
+            ({"backbone": (Conv(4, kernel=0),)}, rf"backbone: layer 0: {CONV_SIZES}\(out_channels=4, kernel=0\)"),
+            ({"adjustment": (Relu(), Conv(4, 2))}, rf"adjustment: layer 1: {CONV_SIZES}\(out_channels=4, kernel=2\)"),
             ({"backbone": (Conv(4), MaxPool(0))}, r"backbone: layer 1: maxpool window must be positive, got MaxPool\(k=0\)"),
             (
                 {"classifier": (Flatten(), Dense(0), Relu(), Dense(2))},
@@ -325,7 +324,7 @@ class TestArchitectureSpec:
             ),
         ],
         ids=["backbone", "adjustment", "classifier", "classifier-end", "classifier-empty", "conv-out-0",
-             "conv-out-neg", "conv-kernel-0", "conv-stride-0", "conv-padding-neg", "maxpool-k-0",
+             "conv-out-neg", "conv-kernel-0", "conv-kernel-even", "maxpool-k-0",
              "linear-out-0", "linear-out-neg"],
     )
     def test_part_that_does_not_fit_rejected_when_made(self, parts, problem):
@@ -347,6 +346,6 @@ class TestArchitectureSpec:
         with pytest.raises(ShapeError, match="odd"):
             mnist_small((1, 28, 28), 2, adjust_kernel=4)
 
-    def test_output_shape_floor_formula(self):
-        assert output_shape((Conv(4, 3, 2, 1),), (1, 9, 9)) == (4, 5, 5)
-        assert output_shape((Conv(4, 3, 2, 0),), (1, 9, 9)) == (4, 4, 4)
+    def test_conv_output_keeps_extents(self):
+        for kernel in (1, 3, 5):
+            assert output_shape((Conv(4, kernel),), (1, 9, 7)) == (4, 9, 7)
