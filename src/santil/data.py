@@ -8,7 +8,7 @@ File formats are handled bit-exactly:
   CIFAR-10     3073-byte records: 1 label byte + 3072 channel-major pixels
   CIFAR-100    3074-byte records: coarse + fine label bytes + 3072 pixels
 
-Pools keep the uint8 pixels; ``tasks.task_arrays`` scales them by 1/255 into [0, 1], no standardization.
+Pools hold uint8 pixels, file or synthetic; ``tasks.task_arrays`` scales them by 1/255 into [0, 1], no standardization.
 """
 
 from __future__ import annotations
@@ -48,13 +48,15 @@ class RecordLengthError(DatasetError):
 
 @dataclass
 class Dataset:
-    """Immutable-by-convention [N, C, H, W] images: a file pool's uint8 pixels, or synthetic float32 in [0, 1]."""
+    """Immutable-by-convention [N, C, H, W] uint8 pixels, file or synthetic, and their labels."""
 
     images: np.ndarray
     labels: np.ndarray
 
     def __post_init__(self):
         self.labels = np.asarray(self.labels, dtype=np.int64)
+        if self.images.dtype != np.uint8:
+            raise DatasetError(f"images must be uint8 pixels, got {self.images.dtype}")
         if self.images.ndim != 4:
             raise DatasetError(f"images must be [N,C,H,W], got shape {self.images.shape}")
         if self.images.shape[0] != self.labels.shape[0]:
@@ -230,7 +232,7 @@ def synthetic_dataset(
     seed: int = 0,
     pattern_seed: int | None = None,
 ) -> Dataset:
-    """Gaussian blobs around class-specific sign patterns, clipped to [0, 1].
+    """Gaussian blobs around class-specific sign patterns, clipped to [0, 1] and stored as bytes, rint(255 x).
 
     Class c gets mean 0.5 + (amplitude/2) * s_c with s_c a random +/-1
     pattern, so two class means differ by `amplitude` on about half the
@@ -251,12 +253,8 @@ def synthetic_dataset(
     signs = pattern_rng.integers(0, 2, size=(num_classes, d)).astype(np.float32) * 2 - 1
     means = 0.5 + (SYNTHETIC_AMPLITUDE / 2.0) * signs
 
-    images = np.empty((num_classes * per_class, d), dtype=np.float32)
-    labels = np.empty(num_classes * per_class, dtype=np.int64)
+    images = np.empty((num_classes, per_class, d), dtype=np.uint8)
     for c in range(num_classes):
-        lo = c * per_class
         noise = rng.normal(0.0, SYNTHETIC_SIGMA, size=(per_class, d)).astype(np.float32)
-        images[lo : lo + per_class] = means[c] + noise
-        labels[lo : lo + per_class] = c
-    np.clip(images, 0.0, 1.0, out=images)
-    return Dataset(images.reshape(-1, *shape), labels)
+        images[c] = np.rint(np.clip(means[c] + noise, 0.0, 1.0) * np.float32(255))
+    return Dataset(images.reshape(-1, *shape), np.repeat(np.arange(num_classes), per_class))

@@ -161,7 +161,7 @@ def build_permuted_sequence(
 def task_arrays(seq: TaskSequence, task: Task, split: str) -> tuple[np.ndarray, np.ndarray]:
     """Materialize (images, dataset labels) for one split of one task.
 
-    The one place pixels are scaled: a uint8 pool's rows, once gathered and permuted, become float32 / 255.
+    The one place pixels are scaled: the pool's uint8 rows, once gathered and permuted, become float32 / 255.
     """
     if split in ("train", "val"):
         pool = seq.train_pool
@@ -175,7 +175,4 @@ def task_arrays(seq: TaskSequence, task: Task, split: str) -> tuple[np.ndarray, 
     if task.pixel_permutation is not None:
         n, c, h, w = images.shape
         images = images.reshape(n, c, h * w)[:, :, task.pixel_permutation].reshape(n, c, h, w)
-    if images.dtype == np.uint8:
-        images = images.astype(np.float32)
-        images /= np.float32(255)
-    return images, pool.labels[idx]
+    return images / np.float32(255), pool.labels[idx]

@@ -553,6 +553,8 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, relu: bool = False) -> Tensor:
         )
     n, cin, h, wd = x.data.shape
     cout, cw, kh, kw = w.data.shape
+    if 0 in (cin, h, wd):
+        raise ShapeError(f"conv2d: input {x.data.shape} has an empty channel, height or width extent")
     if kh != kw or kh % 2 == 0:
         raise ShapeError(f"conv2d: kernel {kh}x{kw} is not square with an odd side")
     if cin != cw:
@@ -726,6 +728,8 @@ def maxpool2d(x: Tensor, k: int) -> Tensor:
         raise ShapeError(f"maxpool2d expects [N,C,H,W], got {x.data.shape}")
     k = int(k)
     n, c, h, w = x.data.shape
+    if 0 in (c, h, w):
+        raise ShapeError(f"maxpool2d: input {x.data.shape} has an empty channel, height or width extent")
     if k < 1 or h % k or w % k:
         raise ShapeError(f"maxpool2d: extents {h}x{w} not divisible by window {k}")
     ho, wo = h // k, w // k

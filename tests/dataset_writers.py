@@ -12,22 +12,14 @@ import numpy as np
 from santil.data import IDX_IMAGES_MAGIC, IDX_LABELS_MAGIC, Dataset, DatasetError
 
 
-def _pixels(dataset: Dataset) -> np.ndarray:
-    """A file pool's uint8 pixels as they are; float pixels in [0, 1] rounded to bytes."""
-    if dataset.images.dtype == np.uint8:
-        return dataset.images
-    return np.rint(dataset.images * 255.0).astype(np.uint8)
-
-
 def save_idx(dataset: Dataset, images_path, labels_path) -> None:
     """Serialize back to IDX bytes; inverse of load_idx for its image encoding."""
     n, c, h, w = dataset.images.shape
     if c != 1:
         raise DatasetError(f"IDX stores single-channel images, got C={c}")
-    pixels = _pixels(dataset)
     with open(images_path, "wb") as fh:
         fh.write(struct.pack(">IIII", IDX_IMAGES_MAGIC, n, h, w))
-        fh.write(pixels.tobytes())
+        fh.write(dataset.images.tobytes())
     with open(labels_path, "wb") as fh:
         fh.write(struct.pack(">II", IDX_LABELS_MAGIC, n))
         fh.write(dataset.labels.astype(np.uint8).tobytes())
@@ -40,7 +32,7 @@ def save_cifar(dataset: Dataset, path, variant: str) -> None:
     n, c, h, w = dataset.images.shape
     if (c, h, w) != (3, 32, 32):
         raise DatasetError(f"CIFAR records are 3x32x32, got {(c, h, w)}")
-    pixels = _pixels(dataset).reshape(n, 3072)
+    pixels = dataset.images.reshape(n, 3072)
     labels = dataset.labels.astype(np.uint8)
     with open(path, "wb") as fh:
         for i in range(n):

@@ -156,7 +156,7 @@ def scaled(pixels):
 
 
 class TestTaskArraysScaling:
-    """A file pool holds uint8 pixels; task_arrays gathers the rows, permutes
+    """Every pool holds uint8 pixels; task_arrays gathers the rows, permutes
     them, then scales them, to the float32 values the loaders once stored."""
 
     ROWS = np.array([4, 0, 3])
@@ -196,11 +196,10 @@ class TestTaskArraysScaling:
         permuted = pixels[self.ROWS].reshape(3, 1, 16)[:, :, perm].reshape(3, 1, 4, 4)
         assert images.tobytes() == scaled(permuted).tobytes()
 
-    def test_float_pool_passes_through(self):
-        pool = synthetic_dataset(2, 3, (1, 4, 4), seed=2)
-        seq = TaskSequence(pool, pool, [Task(1, (0, 1), self.ROWS, self.ROWS, self.ROWS)])
-        images, _ = task_arrays(seq, seq.tasks[0], "train")
-        assert images.tobytes() == pool.images[self.ROWS].tobytes()
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64, np.int64, np.uint16])
+    def test_a_pool_of_other_pixels_is_refused(self, dtype):
+        with pytest.raises(DatasetError, match=f"images must be uint8 pixels, got {np.dtype(dtype).name}"):
+            Dataset(np.zeros((2, 1, 4, 4), dtype=dtype), np.array([0, 1]))
 
 
 def permuted_sequence(perms, images):
@@ -232,18 +231,18 @@ class TestPermutations:
     def test_bijection_and_inverse_round_trip(self):
         perms = make_permutations(3, seed=1, num_pixels=16)
         rng = np.random.default_rng(2)
-        images = rng.random((4, 1, 4, 4), dtype=np.float32)
+        images = rng.integers(0, 256, size=(4, 1, 4, 4), dtype=np.uint8)
         seq = permuted_sequence(perms, images)
         for t in (1, 2, 3):
             assert np.array_equal(np.sort(perms[t - 1]), np.arange(16))
             permuted, _ = task_arrays(seq, seq.tasks[t - 1], "test")
             flat = permuted.reshape(4, 1, 16)[:, :, np.argsort(perms[t - 1])]
-            assert np.array_equal(flat.reshape(4, 1, 4, 4), images)
+            assert np.array_equal(flat.reshape(4, 1, 4, 4), scaled(images))
 
     def test_permute_commutes_with_batching(self):
         perms = make_permutations(2, seed=5, num_pixels=16)
         rng = np.random.default_rng(3)
-        images = rng.random((6, 1, 4, 4), dtype=np.float32)
+        images = rng.integers(0, 256, size=(6, 1, 4, 4), dtype=np.uint8)
         seq = permuted_sequence(perms, images)
         task = seq.tasks[1]
         whole, _ = task_arrays(seq, task, "test")
@@ -292,9 +291,13 @@ class TestSynthetic:
         again = synthetic_dataset(3, 40, (1, 6, 6), seed=11)
         assert ds.images.tobytes() == again.images.tobytes()
 
-    def test_values_in_unit_interval(self):
+    def test_pixels_are_bytes_around_the_class_means(self):
         ds = synthetic_dataset(4, 30, (1, 5, 5), seed=12)
-        assert ds.images.min() >= 0.0 and ds.images.max() <= 1.0
+        assert ds.images.dtype == np.uint8
+        # every pixel's class mean is 255 * (0.5 +/- 0.125), that is 3/8 or 5/8 of 255
+        for c in range(4):
+            eighths = np.rint(ds.images[ds.labels == c].mean(axis=0) / 255 * 8)
+            assert set(eighths.ravel().tolist()) == {3.0, 5.0}
 
     def test_per_class_floor(self):
         with pytest.raises(ValueError):
@@ -313,12 +316,12 @@ class TestSynthetic:
         for lo in range(0, len(order), 20):
             idx = order[lo : lo + 20]
             with Tape():
-                logits = linear(flatten(Tensor(train.images[idx])), w, b)
+                logits = linear(flatten(Tensor(scaled(train.images[idx]))), w, b)
                 backward(softmax_cross_entropy(logits, train.labels[idx]))
             opt.step()
             opt.zero_grad()
         test = synthetic_dataset(2, 50, (1, 4, 4), seed=14, pattern_seed=13)
-        logits = linear(flatten(Tensor(test.images)), w, b)
+        logits = linear(flatten(Tensor(scaled(test.images))), w, b)
         acc = (logits.data.argmax(1) == test.labels).mean()
         assert acc >= 0.99
 
@@ -327,7 +330,7 @@ class TestSynthetic:
         b = synthetic_dataset(2, 20, (1, 4, 4), seed=2, pattern_seed=42)
         # same class means, different noise
         assert np.allclose(
-            a.images[a.labels == 0].mean(axis=0), b.images[b.labels == 0].mean(axis=0), atol=0.1
+            scaled(a.images[a.labels == 0]).mean(axis=0), scaled(b.images[b.labels == 0]).mean(axis=0), atol=0.1
         )
         assert a.images.tobytes() != b.images.tobytes()
 
@@ -335,4 +338,4 @@ class TestSynthetic:
 class TestDatasetType:
     def test_label_image_count_mismatch_rejected(self):
         with pytest.raises(CountMismatchError):
-            Dataset(np.zeros((2, 1, 2, 2), dtype=np.float32), np.array([0]))
+            Dataset(np.zeros((2, 1, 2, 2), dtype=np.uint8), np.array([0]))

@@ -577,7 +577,7 @@ class TestSequenceIndices:
         assert all(np.array_equal(task.test_idx, np.arange(test.num_samples)) for task in seq.tasks)
 
     def test_split_task_with_one_training_sample_names_its_classes(self):
-        pool = Dataset(np.zeros((4, 1, 2, 2), dtype=np.float32), np.array([0, 1, 0, 0]))
+        pool = Dataset(np.zeros((4, 1, 2, 2), dtype=np.uint8), np.array([0, 1, 0, 0]))
         with pytest.raises(ValueError, match=r"^task 2: classes \(1,\) have too few training samples$"):
             build_split_sequence(pool, pool, [(0,), (1,)], master_seed=1)
 
@@ -585,19 +585,19 @@ class TestSequenceIndices:
         # the test pool holds classes 0-1 only: task 2 would train, then
         # divide by its empty test split
         train = synthetic_dataset(4, 5, (1, 2, 2), seed=1)
-        test = Dataset(np.zeros((4, 1, 2, 2), dtype=np.float32), np.array([0, 1, 0, 1]))
+        test = Dataset(np.zeros((4, 1, 2, 2), dtype=np.uint8), np.array([0, 1, 0, 1]))
         with pytest.raises(ValueError, match=r"^task 2: classes \(2, 3\) have no test samples$"):
             build_split_sequence(train, test, [(0, 1), (2, 3)], master_seed=1)
 
     def test_permuted_task_without_test_samples_names_its_classes(self):
         # no test sample has a class of the training pool
         train = synthetic_dataset(2, 5, (1, 2, 2), seed=1)
-        test = Dataset(np.zeros((2, 1, 2, 2), dtype=np.float32), np.array([4, 4]))
+        test = Dataset(np.zeros((2, 1, 2, 2), dtype=np.uint8), np.array([4, 4]))
         with pytest.raises(ValueError, match=r"^task 1: classes \(0, 1\) have no test samples$"):
             build_permuted_sequence(train, test, 2, master_seed=1)
 
     def test_permuted_task_with_one_training_sample_is_a_dataset_error(self):
-        pool = Dataset(np.zeros((1, 1, 2, 2), dtype=np.float32), np.array([0]))
+        pool = Dataset(np.zeros((1, 1, 2, 2), dtype=np.uint8), np.array([0]))
         with pytest.raises(DatasetError, match=r"^task too small: 1 samples"):
             build_permuted_sequence(pool, pool, 2, master_seed=1)
 
@@ -791,7 +791,8 @@ def test_real_digits_five_split_sanity():
     from santil.data import Dataset
 
     digits = sklearn_datasets.load_digits()
-    images = (digits.images / 16.0).astype(np.float32).reshape(-1, 1, 8, 8)
+    # the 0..16 intensities as bytes, which task_arrays scales back to [0, 1]
+    images = np.rint(digits.images * (255 / 16)).astype(np.uint8).reshape(-1, 1, 8, 8)
     labels = digits.target.astype(np.int64)
     rng = np.random.default_rng(0)
     order = rng.permutation(len(labels))

@@ -11,9 +11,11 @@ each with its summary file and every variant's ``summary.csv`` and arrays.
 The file-dataset runs write MNIST IDX and CIFAR-10 binary fixtures from the
 synthetic corpus (``tests/dataset_writers``) and train the ``tiny`` preset on
 the real image shape at 3 epochs: a 5-task MNIST split, ``permuted-mnist``
-(3 tasks) on the same files, and a 5-task CIFAR-10 split. Their files hold
-``uint8`` pixels, so they take the paths that scale and permute those. A
-``.gz`` drop-in of the IDX files must give the plain files' hashes.
+(3 tasks) on the same files, and a 5-task CIFAR-10 split. A ``.gz`` drop-in
+of the IDX files must give the plain files' hashes. Every pool, synthetic or
+file, holds ``uint8`` pixels that ``task_arrays`` scales, so every run here
+takes that path, and a synthetic config with the MNIST fixture's corpus must
+give the MNIST split's hashes.
 The bits of a float32 GEMM depend on the numpy build, the BLAS library and
 the kernel it picks for the CPU, so ``golden.json`` keys its hashes by that
 fingerprint, and on a fingerprint it does not list the test skips and names
@@ -166,3 +168,14 @@ def test_file_dataset_bits_match_the_pinned_hashes(tmp_path, run):
     harness.run(RunConfig.from_dict(raw | {"out_dir": str(tmp_path / "out")}))
     # a .gz drop-in is pinned by its plain files' hashes
     assert run_hashes(tmp_path / "out") == expected[run.removesuffix(".gz")]
+
+
+def test_synthetic_twin_of_the_mnist_fixture_matches_its_pins(tmp_path):
+    """The corpus ``_write_mnist`` writes, as a synthetic config, trains the ``mnist-idx`` bits."""
+    expected = pinned()
+    twin = {
+        "name": "synthetic", "num_classes": 10, "per_class": 20, "per_class_test": 5, "shape": [1, 28, 28], "data_seed": 0
+    }
+    raw = SMOKE | {"dataset": twin, "num_tasks": 5, "epochs": 3, "out_dir": str(tmp_path / "out")}
+    harness.run(RunConfig.from_dict(raw))
+    assert run_hashes(tmp_path / "out") == expected["mnist-idx"]

@@ -1865,7 +1865,7 @@ class TestDataLayout:
             for pool, fixture in zip((train, test), expected[recipe]):
                 assert np.array_equal(pool.labels, fixture.labels)
                 assert pool.images.dtype == np.uint8
-                assert np.array_equal(pool.images, np.rint(fixture.images * 255))
+                assert np.array_equal(pool.images, fixture.images)
             assert list(files) == [str(root / recipe / stem) for stem in self.MNIST_STEMS]
             assert files == self.sha256s(files)
 
@@ -1885,9 +1885,8 @@ class TestDataLayout:
         assert sequence_kind(cfg.dataset) == "split"
         for pool, names in ((train, layout.train), (test, layout.test)):
             assert np.array_equal(pool.labels, np.concatenate([written[n].labels for n in names]))
-            pixels = np.concatenate([np.rint(written[n].images * 255) for n in names])
             assert pool.images.dtype == np.uint8
-            assert np.array_equal(pool.images, pixels)
+            assert np.array_equal(pool.images, np.concatenate([written[n].images for n in names]))
         assert list(files) == [str(directory / n) for n in layout.train + layout.test]
         assert files == self.sha256s(files)
 
@@ -1900,7 +1899,7 @@ class TestDataLayout:
         pool, _, files = load_pools(synthetic_config(tmp_path, dataset="mnist", data_root=str(root)))
         assert np.array_equal(pool.labels, train.labels)
         assert pool.images.dtype == np.uint8
-        assert np.array_equal(pool.images, np.rint(train.images * 255))
+        assert np.array_equal(pool.images, train.images)
         # each drop-in is named, and hashed, as the .gz file it is
         assert list(files) == [str(root / "mnist" / f"{stem}.gz") for stem in self.MNIST_STEMS]
         assert files == self.sha256s(files)

@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -290,6 +291,12 @@ class TestConv2d:
     def test_channel_mismatch_rejected_with_shapes(self):
         with pytest.raises(ShapeError, match="channels"):
             conv2d(t(np.zeros((1, 2, 4, 4))), t(np.zeros((1, 3, 3, 3))), t(np.zeros(1)))
+
+    @pytest.mark.parametrize("shape", [(1, 0, 4, 4), (1, 1, 0, 4), (1, 1, 4, 0)], ids=["channels", "height", "width"])
+    def test_empty_extent_rejected_with_shape(self, shape):
+        message = f"conv2d: input {shape} has an empty channel, height or width extent"
+        with pytest.raises(ShapeError, match=f"^{re.escape(message)}$"):
+            conv2d(t(np.zeros(shape)), t(np.zeros((1, shape[1], 3, 3))), t(np.zeros(1)))
 
     @pytest.mark.parametrize("kh, kw", [(2, 2), (3, 1)])
     def test_even_or_non_square_kernel_rejected(self, kh, kw):
@@ -856,6 +863,12 @@ class TestMaxPool2d:
     def test_non_divisible_rejected(self):
         with pytest.raises(ShapeError, match="divisible"):
             maxpool2d(t(np.zeros((1, 1, 5, 4))), 2)
+
+    @pytest.mark.parametrize("shape", [(1, 0, 4, 4), (1, 1, 0, 4), (1, 1, 4, 0)], ids=["channels", "height", "width"])
+    def test_empty_extent_rejected_with_shape(self, shape):
+        message = f"maxpool2d: input {shape} has an empty channel, height or width extent"
+        with pytest.raises(ShapeError, match=f"^{re.escape(message)}$"):
+            maxpool2d(t(np.zeros(shape)), 2)
 
     @staticmethod
     def tied_input_with_nan_windows(shape, k, dtype):
