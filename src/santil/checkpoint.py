@@ -1,13 +1,12 @@
 """Persistence of trained incremental states (single .npz per seed).
 
-Format 2 stores every parameter array under its dotted name, next to a JSON
-metadata blob that holds the run's config and each trained task's class
-list. Frozen flags and the frozen snapshot are not stored: loading replays
+Format 3 stores every parameter array under its name, ``task<t>.<part>.<layer>.<role>``,
+next to a JSON metadata blob that holds the run's config and each trained task's
+class list. Frozen flags and the frozen snapshot are not stored: loading replays
 the per-task preparation (which is deterministic), overwrites every
 parameter bit-exactly, and then replays the engine's freeze step for each
 trained task. A reloaded state therefore evaluates, embeds, verifies its
-frozen parameters and trains exactly like the trained one. Format-1 files are rejected;
-the top-level ``strategy`` and ``ortho_alpha`` of older format-2 files are ignored.
+frozen parameters and trains exactly like the trained one. Other format versions are rejected.
 """
 
 from __future__ import annotations
@@ -25,7 +24,7 @@ from .fileio import atomic_open
 from .layers import ArchitectureSpec
 from .tasks import TaskSequence
 
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 
 
 class CheckpointMismatchError(ValueError):
@@ -61,7 +60,7 @@ def save_state(state: IncrementalState, config: RunConfig, path) -> Path:
 
 @contextmanager
 def _open(path):
-    """The open archive of a format-2 checkpoint and its metadata; anything
+    """The open archive of a format-3 checkpoint and its metadata; anything
     else, metadata lacking a ``_META_ENTRIES`` entry or a config that
     ``RunConfig.from_dict`` rejects raises CheckpointMismatchError naming the
     file (and the entry). The metadata's config is yielded as a RunConfig."""

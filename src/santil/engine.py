@@ -1,12 +1,13 @@
 """Incremental-learning state machine: the strategy table, training loops, freezing.
 
 Every network is backbone -> adjustment -> classifier. The strategies are
-the keys of ``STRATEGY_TABLE`` and differ only in their row: which parts each
-task builds fresh (the rest are built at task 1 and shared), and whether
-what a task trained freezes once it is done. Every classifier, shared or
-built for one task, is the architecture's classifier stack as it stands, so
-every head is ``arch.base_classes`` wide; no task may have more classes than
-that (``check_head_fit``).
+the keys of ``STRATEGY_TABLE`` and differ only in their row: which parts a
+later task builds fresh (task 1 builds all three, and a task uses task 1's
+block for each part it does not build), and whether what a task trained
+freezes once it is done. A block, named ``task<t>.<part>``, belongs to and
+freezes with the task t that built it. Every classifier is the architecture's
+classifier stack as it stands, so every head is ``arch.base_classes`` wide;
+no task may have more classes than that (``check_head_fit``).
 
   san          a fresh adjustment block per task between a backbone and a
                classifier that task 1 trains and then freezes.
@@ -84,8 +85,8 @@ _COMPONENTS = (COMPONENT_BACKBONE, COMPONENT_ADJUST, COMPONENT_CLASSIFIER)
 class StrategySpec:
     """One strategy as data.
 
-    ``per_task``: the parts built fresh for every task; the others are built
-    at task 1 and shared by every task.
+    ``per_task``: the parts built fresh for every task; every task uses task
+    1's block for each other part.
     ``freezes``: whether every part on a task's path freezes once it is done.
     """
 
@@ -144,9 +145,8 @@ class TrainLog:
 class IncrementalState:
     """Parameter store of one strategy over one task sequence.
 
-    ``shared`` holds the parts built at task 1, ``per_task[t]`` the parts
-    built for task t, ``prepared`` the number of tasks whose parts are
-    built, and ``snapshot`` every frozen parameter as it was when it froze.
+    ``per_task[t]`` maps each part built at task t to its block, tasks in
+    order; ``snapshot`` holds every frozen parameter as it was when it froze.
     A task's head is the first ``len(task.class_ids)`` classifier outputs.
     ``features`` maps (task, split) to the output of the task's frozen
     prefix for every sample of the split; ``freeze_task`` drops the task's.
@@ -168,9 +168,7 @@ class IncrementalState:
         self.master_seed = int(master_seed)
         check_head_fit(arch, [len(task.class_ids) for task in seq.tasks])
 
-        self.shared: dict[str, ModelBlock] = {}
         self.per_task: dict[int, dict[str, ModelBlock]] = {}
-        self.prepared = 0
         self.snapshot: dict[str, np.ndarray] = {}
         self.features: dict[tuple[int, str], np.ndarray] = {}
         self.trained_upto = 0
@@ -179,12 +177,9 @@ class IncrementalState:
     # -- forward ------------------------------------------------------------
 
     def _forward_blocks(self, task_index: int) -> list[ModelBlock]:
-        if not 1 <= task_index <= self.prepared:
+        if task_index not in self.per_task:
             raise UnknownTaskError(f"unknown task {task_index} for strategy {self.strategy}")
-        return [
-            self.per_task[task_index][part] if part in self.spec.per_task else self.shared[part]
-            for part in PARTS
-        ]
+        return [self.per_task[task_index if part in self.spec.per_task else 1][part] for part in PARTS]
 
     def embed(self, images: np.ndarray, task_index: int) -> np.ndarray:
         """Flattened pre-classifier feature embedding, one row per sample."""
@@ -193,10 +188,7 @@ class IncrementalState:
         return out.reshape(out.shape[0], -1)
 
     def model_blocks(self) -> list[ModelBlock]:
-        blocks = list(self.shared.values())
-        for t in sorted(self.per_task):
-            blocks.extend(self.per_task[t].values())
-        return blocks
+        return [block for built in self.per_task.values() for block in built.values()]
 
     def _check_trained(self, task_index: int) -> None:
         if not (1 <= task_index <= len(self.seq.tasks)):
@@ -214,26 +206,26 @@ class IncrementalState:
 
 
 def prepare_task_blocks(state: IncrementalState, task: Task) -> None:
-    """Build the parts the strategy table makes fresh for the task."""
+    """Build the blocks task t owns, each named ``task<t>.<part>``, unless built already:
+    every part at task 1, the strategy's per-task parts (none for ``finetune``) later."""
     t = task.index
-    if t > state.prepared + 1:
-        raise TrainingOrderError(f"task {t} cannot be prepared before task {state.prepared + 1}")
+    if t > len(state.per_task) + 1:
+        raise TrainingOrderError(f"task {t} cannot be prepared before task {len(state.per_task) + 1}")
+    built = state.per_task.setdefault(t, {})
     arch = state.arch
     shape = arch.input_shape
     stacks = (arch.backbone, arch.adjustment, arch.classifier)
     for part, stack, component in zip(PARTS, stacks, _COMPONENTS):
-        owner = state.per_task.setdefault(t, {}) if part in state.spec.per_task else state.shared
-        if part not in owner:
-            name = part if owner is state.shared else f"task{t}.{part}"
+        if part not in built and (t == 1 or part in state.spec.per_task):
             seed = derive_seed(state.master_seed, TAG_INIT, t, component)
-            owner[part] = build_block(stack, shape, seed, name)
-        shape = owner[part].output_shape
-    state.prepared = max(state.prepared, t)
+            built[part] = build_block(stack, shape, seed, f"task{t}.{part}")
+        shape = state.per_task[t if part in built else 1][part].output_shape
 
 
 def freeze_task(state: IncrementalState, task_index: int) -> None:
-    """Check that nothing frozen drifted, then freeze the task's path if the strategy does.
+    """Check that nothing frozen drifted, then freeze the task's own blocks if the strategy does.
 
+    A task's path is its own blocks plus task 1's, which froze with task 1.
     Training runs this once a task is done; loading a checkpoint replays it
     for every finished task, which rebuilds frozen flags and the snapshot.
     """
@@ -244,10 +236,9 @@ def freeze_task(state: IncrementalState, task_index: int) -> None:
         state.features.pop((task_index, split), None)
     if not state.spec.freezes:
         return
-    for block in state._forward_blocks(task_index):
+    for block in state.per_task[task_index].values():
         freeze(block)
-        for name, value in snapshot_block(block).items():
-            state.snapshot.setdefault(name, value)
+        state.snapshot.update(snapshot_block(block))
 
 
 # ---------------------------------------------------------------------------

@@ -140,8 +140,8 @@ def test_criterion_02_zero_forgetting_exactness():
 @pytest.mark.slow
 def test_criterion_03_frozen_bit_identity_after_full_run(mnist_pools):
     _, state, _ = mnist_full_run(mnist_pools, "san", seed=1)
-    shared = [p for part in ("backbone", "classifier") for p in state.shared[part].parameters()]
-    ok, path = assert_frozen([state.shared["backbone"], state.shared["classifier"]], state.snapshot)
+    shared = [p for part in ("backbone", "classifier") for p in state.per_task[1][part].parameters()]
+    ok, path = assert_frozen([state.per_task[1]["backbone"], state.per_task[1]["classifier"]], state.snapshot)
     ok = ok and all(p.name in state.snapshot for p in shared)
     report_line(3, ok, f"backbone/classifier bitwise frozen (first drift: {path})")
 

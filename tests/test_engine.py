@@ -140,7 +140,7 @@ class TestTaskHead:
         seq = build_split_sequence(train, test, [(0, 1), (2, 3, 4, 5)], master_seed=1)
         state = IncrementalState("finetune", tiny_arch(4), seq, master_seed=1)
         train_task(state, 1, epochs=1, batch_size=16)
-        assert state.shared["classifier"].output_shape == (4,)
+        assert state.per_task[1]["classifier"].output_shape == (4,)
         images, _ = task_arrays(seq, seq.tasks[0], "test")
         logits = predict_logits(state, 1, images)
         full = Tensor(images)
@@ -149,7 +149,7 @@ class TestTaskHead:
         assert logits.tobytes() == full.data[:, :2].copy().tobytes()
         accuracy = evaluate(state, 1, "test")
         # the surplus outputs never win, whatever their magnitude
-        state.shared["classifier"].parameters()[-1].data[2:] = 1e6
+        state.per_task[1]["classifier"].parameters()[-1].data[2:] = 1e6
         assert predict_logits(state, 1, images).tobytes() == logits.tobytes()
         assert evaluate(state, 1, "test") == accuracy
 
@@ -179,11 +179,29 @@ class TestStrategyEquivalenceAtTaskOne:
             state = IncrementalState(strategy, arch, seq, master_seed=7)
             train_task(state, 1, epochs=2, batch_size=16)
             blocks = state._forward_blocks(1)
-            return [(p.name.removeprefix("task1."), p.data.tobytes()) for b in blocks for p in b.parameters()]
+            return [(p.name, p.data.tobytes()) for b in blocks for p in b.parameters()]
 
         ref = task1_params("san")
         for strategy in ("baseline", "finetune", "independent"):
             assert task1_params(strategy) == ref, strategy
+
+
+class TestBlockOwnership:
+    @pytest.mark.parametrize("strategy", list(engine.STRATEGY_TABLE))
+    def test_every_block_is_named_for_and_held_by_the_task_that_built_it(self, strategy):
+        _, state = run_whole(strategy, tiny_arch(), blob_sequence(), seed=4, epochs=1, batch_size=16)
+        own = engine.STRATEGY_TABLE[strategy].per_task
+        built = [(1, part) for part in engine.PARTS] + [(t, part) for t in (2, 3) for part in own]
+        assert [(t, part) for t, blocks in state.per_task.items() for part in blocks] == built
+        assert [block.name for block in state.model_blocks()] == [f"task{t}.{part}" for t, part in built]
+        for t, part in built:
+            params = state.per_task[t][part].parameters()
+            assert params and all(p.name.startswith(f"task{t}.{part}.") for p in params)
+        for t in (2, 3):
+            for part, block in zip(engine.PARTS, state._forward_blocks(t)):
+                assert block is state.per_task[t if part in own else 1][part]
+        names = {p.name for block in state.model_blocks() for p in block.parameters()}
+        assert set(state.snapshot) == (set() if strategy == "finetune" else names)
 
 
 class TestFreezingAndForgetting:
@@ -229,8 +247,8 @@ class TestFreezingAndForgetting:
         seq = blob_sequence()
         state = IncrementalState("san", tiny_arch(), seq, master_seed=5)
         train_task(state, 1, epochs=1, batch_size=16)
-        state.shared["backbone"].parameters()[0].data[0] += 1.0
-        with pytest.raises(RuntimeError, match="backbone.0.weight.*task 2"):
+        state.per_task[1]["backbone"].parameters()[0].data[0] += 1.0
+        with pytest.raises(RuntimeError, match="task1.backbone.0.weight.*task 2"):
             train_task(state, 2, epochs=1, batch_size=16)
 
     def test_forgetting_matrix_columns_constant_for_san(self):
@@ -282,7 +300,7 @@ class TestFreezingAndForgetting:
         images, raw_labels = task_arrays(seq, task, "train")
         x = Tensor(images[:16])
         labels = task.local_labels(raw_labels[:16])
-        ends = state.shared["backbone"].parameters() + state.shared["classifier"].parameters()
+        ends = state.per_task[1]["backbone"].parameters() + state.per_task[1]["classifier"].parameters()
         adjust = state.per_task[2]["adjust"].parameters()
 
         def adjust_grads():
@@ -750,7 +768,7 @@ class TestFrozenPrefixCache:
         expected = epochs * (size(1, "train") + size(1, "val"))
         expected += sum(size(t, "train") + size(t, "val") for t in (2, 3))
         expected += sum(size(t, "test") for t in (1, 2, 3))
-        assert rows["backbone"] == expected
+        assert rows["task1.backbone"] == expected
 
     def test_drift_after_caching_still_stops_training(self):
         seq = blob_sequence()
@@ -758,10 +776,10 @@ class TestFrozenPrefixCache:
         train_task(state, 1, epochs=1, batch_size=16)
         accuracy = evaluate(state, 1, "test")
         assert (1, "test") in state.features
-        state.shared["backbone"].parameters()[0].data[0] += 1.0
+        state.per_task[1]["backbone"].parameters()[0].data[0] += 1.0
         # the cached features no longer match B1, but the next freeze checks B1 itself
         assert evaluate(state, 1, "test") == accuracy
-        with pytest.raises(RuntimeError, match="backbone.0.weight.*task 2"):
+        with pytest.raises(RuntimeError, match="task1.backbone.0.weight.*task 2"):
             train_task(state, 2, epochs=1, batch_size=16)
 
     def test_freezing_a_task_drops_its_test_entry(self, monkeypatch):

@@ -590,7 +590,7 @@ class TestCheckpoints:
         for k in (1, 2):
             stopped = IncrementalState(strategy, arch, seq, 1)
             rows = list(islice(run_sequence(stopped, **settings), k))
-            assert (stopped.trained_upto, stopped.prepared) == (k, k)
+            assert (stopped.trained_upto, len(stopped.per_task)) == (k, k)
             resumed = load_state(save_state(stopped, cfg, tmp_path / f"task{k}.npz"), arch, seq)
             rows += run_sequence(resumed, **settings)
             assert timeless(resumed, rows) == timeless(straight, uninterrupted)
@@ -707,7 +707,8 @@ class TestCheckpoints:
         legacy.write_bytes(ck.read_bytes())
 
         def older_format_two(meta, arrays):
-            # the key order and values an older format-2 file holds
+            # the two entries format 2 repeated from the config, in its key order;
+            # a reader takes only the _META_ENTRIES
             items = list(meta.items())
             items[1:1] = [("strategy", meta["config"]["strategy"])]
             items[3:3] = [("ortho_alpha", meta["config"]["ortho_alpha"])]
@@ -793,6 +794,22 @@ class TestCheckpoints:
         with pytest.raises(CheckpointMismatchError, match="3 trained tasks.* only 2"):
             load_state(path, arch, shorter)
 
+    def test_one_task_checkpoints_of_every_strategy_hold_the_same_arrays(self, tmp_path):
+        # every strategy builds and trains task 1's three blocks alike, under the same names
+        from santil.engine import STRATEGY_TABLE
+
+        raw = json.loads((CONFIG_DIR / "synthetic-smoke.json").read_text()) | {"num_tasks": 1, "epochs": 2}
+        stored = {}
+        for strategy in STRATEGY_TABLE:
+            harness.run(RunConfig.from_dict(raw | {"strategy": strategy, "out_dir": str(tmp_path / strategy)}))
+            with np.load(tmp_path / strategy / "checkpoint_seed1.npz") as bundle:
+                names = sorted(set(bundle.files) - {"__meta__"})
+                stored[strategy] = [(name, bundle[name].dtype, bundle[name].tobytes()) for name in names]
+        blocks = {name.rsplit(".", 2)[0] for name, _, _ in stored["san"]}
+        assert blocks == {"task1.backbone", "task1.adjust", "task1.classifier"}
+        for strategy in STRATEGY_TABLE:
+            assert stored[strategy] == stored["san"], strategy
+
     def test_checkpoint_with_surplus_parameters_rejected(self, tmp_path):
         import dataclasses
 
@@ -807,7 +824,7 @@ class TestCheckpoints:
         deeper = dataclasses.replace(arch, backbone=arch.backbone + (Conv(6), Relu()))
         _, state = run_whole("san", deeper, seq, seed=5, epochs=1, batch_size=16)
         path = save_state(state, synthetic_config(tmp_path), tmp_path / "deep.npz")
-        with pytest.raises(CheckpointMismatchError, match="holds parameter 'backbone.3.bias'"):
+        with pytest.raises(CheckpointMismatchError, match="holds parameter 'task1.backbone.3.bias'"):
             load_state(path, arch, seq)
 
     @pytest.mark.parametrize("write, problem", FOREIGN_CHECKPOINTS.values(), ids=FOREIGN_CHECKPOINTS)
@@ -910,13 +927,21 @@ class TestDumpEmbeddings:
         assert out_csv.read_bytes() == before
         assert sorted(p.name for p in out_dir.iterdir()) == ["emb.csv"]
 
-    def test_format_one_checkpoint_rejected_naming_both_versions(self, tmp_path):
-        cfg = synthetic_config(tmp_path)
-        harness.run(cfg)
-        ck = Path(cfg.out_dir) / "checkpoint_seed1.npz"
-        rewrite_checkpoint(ck, lambda meta, arrays: meta.update(format_version=1))
-        with pytest.raises(ValueError, match="format version 1; .* reads format 2"):
-            harness.dump_embeddings(ck, "test", tmp_path / "e.csv")
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_format_one_checkpoint_rejected_naming_both_versions(self, tmp_path, capsys, version):
+        # format 2 named task 1's shared blocks "<part>", not "task1.<part>"
+        cfg_path = write_config(tmp_path)
+        assert main(["run", "--config", str(cfg_path)]) == 0
+        ck = tmp_path / "out" / "checkpoint_seed1.npz"
+        rewrite_checkpoint(ck, lambda meta, arrays: meta.update(format_version=version))
+        capsys.readouterr()
+        argv = ["dump-embeddings", "--checkpoint", str(ck), "--out-file", str(tmp_path / "e.csv")]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == (
+            f"checkpoint mismatch: checkpoint {ck} has format version {version}; "
+            "this version of santil reads format 3\n"
+        )
+        assert not (tmp_path / "e.csv").exists()
 
     def test_checkpoint_config_echo_lacking_a_compared_key_rejected(self, tmp_path):
         cfg = synthetic_config(tmp_path)
@@ -1156,7 +1181,7 @@ class TestCli:
         assert main(["ablate-order", "--config", str(cfg_path), "--fast", "--orders", "0,1,2;1,0,2"]) == 0
         for i in (0, 1):
             with np.load(tmp_path / "wide" / f"order{i}" / "checkpoint_seed1.npz") as bundle:
-                assert bundle["classifier.5.weight"].shape == (3, 12)
+                assert bundle["task1.classifier.5.weight"].shape == (3, 12)
 
     def test_san_on_an_uneven_split_gives_task_one_the_remainder(self, tmp_path, monkeypatch):
         from santil import engine
@@ -1170,7 +1195,7 @@ class TestCli:
         real_freeze = engine.freeze_task
 
         def spy(state, task_index):
-            shapes.append(state.shared["classifier"].parameters()[-2].data.shape)
+            shapes.append(state.per_task[1]["classifier"].parameters()[-2].data.shape)
             real_freeze(state, task_index)
 
         monkeypatch.setattr(engine, "freeze_task", spy)
@@ -1179,7 +1204,7 @@ class TestCli:
         assert [row["classes"] for row in report["seeds"][0]["per_task"]] == [[0, 1, 2], [3, 4], [5, 6]]
         assert shapes == [(3, 12)] * 3
         with np.load(tmp_path / "uneven" / "checkpoint_seed1.npz") as bundle:
-            assert bundle["classifier.5.weight"].shape == (3, 12)
+            assert bundle["task1.classifier.5.weight"].shape == (3, 12)
 
     @pytest.mark.parametrize("instances", ["0", "-1"])
     def test_grad_check_without_instances_exit_one(self, capsys, instances):
