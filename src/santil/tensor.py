@@ -474,23 +474,54 @@ def _split(
             raise err
 
 
-def _im2col(x, k, xp, cols) -> np.ndarray:
-    """Same-size patches of x:[m,C,H,W] as an [m, C*k*k, H*W] view of ``cols``.
+def _patch_buffers(samples, c, h, w, k, dtype):
+    """``_im2col``'s (rows, cols) for chunks of up to ``samples`` [c, h, w]
+    samples and a k x k kernel; (None, None) for k = 1, which needs none.
 
-    ``cols`` is an [>=m, C, k, k, H, W] buffer. For k > 1 the samples are
-    first copied into the interior of ``xp``, an [>=m, C, H+k-1, W+k-1]
-    buffer whose border is zero and stays zero.
+    ``rows`` is flat and zero: each channel's h rows at pitch w between
+    (k-1)/2 zero rows above and below, after a guard of (k-1)/2 elements,
+    with as many after the last. ``cols`` is [samples, c, k, k, h, w].
+    """
+    if k == 1:
+        return None, None
+    rows = np.zeros(samples * c * (h + k - 1) * w + k - 1, dtype=dtype)
+    return rows, np.empty((samples, c, k, k, h, w), dtype=dtype)
+
+
+def _windows(rows, m, c, h, w, k) -> np.ndarray:
+    """The read-only [m, c, k, k, h*w] view of ``rows`` (see ``_patch_buffers``)
+    whose window (i, j) of a channel is the h*w run that starts at its
+    padded row i, shifted by j - (k-1)/2. Where a shifted row crosses its
+    end, the run reads the neighbouring row's edge (or a guard). The guards
+    keep the view inside ``rows``, whose last element it reads at m =
+    samples; ``np.ndarray`` refuses a view that would reach past it."""
+    hp, e = h + k - 1, rows.itemsize
+    strides = (c * hp * w * e, hp * w * e, w * e, e, e)
+    view = np.ndarray((m, c, k, k, h * w), rows.dtype, buffer=rows, strides=strides)
+    view.flags.writeable = False
+    return view
+
+
+def _im2col(x, k, rows, cols) -> np.ndarray:
+    """Same-size patches of x:[m,C,H,W] as an [m, C*k*k, H*W] matrix.
+
+    For k = 1 that is x itself, reshaped. Otherwise the samples go into the
+    interior rows of ``rows``, whose pad rows stay zero, and one copy of
+    ``_windows`` fills ``cols``, both from ``_patch_buffers``. The cells
+    where a window's run crossed a row end are the horizontal zero padding,
+    so they are set to 0 after. Each patch value is copied, never computed,
+    so the matrix holds the bits of the naive zero-padded windows.
     """
     m, c, h, w = x.shape
-    pad = k // 2
-    if pad:
-        xp = xp[:m]
-        xp[:, :, pad : pad + h, pad : pad + w] = x
-        x = xp
+    if k == 1:
+        return x.reshape(m, c, h * w)
+    pad, hp = k // 2, h + k - 1
+    rows[pad : pad + m * c * hp * w].reshape(m, c, hp, w)[:, :, pad : pad + h] = x
     cols = cols[:m]
-    for i in range(k):
-        for j in range(k):
-            cols[:, :, i, j] = x[:, :, i : i + h, j : j + w]
+    np.copyto(cols.reshape(m, c, k, k, h * w), _windows(rows, m, c, h, w, k))
+    for j in range(pad):
+        cols[:, :, :, j, :, : pad - j] = 0
+        cols[:, :, :, k - 1 - j, :, max(0, w - pad + j) :] = 0
     return cols.reshape(m, c * k * k, h * w)
 
 
@@ -504,15 +535,19 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, relu: bool = False) -> Tensor:
 
     The batch is walked in chunks of samples whose patch matrix (im2col) is
     about ``_CHUNK_BYTES``. Every chunk of a call reuses one patch buffer and
-    one zero-bordered padded-input buffer, and is multiplied straight into its
-    slice of the output, which then gets the bias (and, with ``relu``, is
-    clamped at 0 in place) while it is still in cache. The tape keeps only the
-    op's inputs and output, never a batch-sized patch matrix: backward
-    rebuilds each chunk's patches and takes each sample's weight gradient as
-    patches @ grad^T. For the input gradient, grad is zero-padded to the
-    padded input's extents and the GEMM's rows are taken window by window,
-    so each kernel window, over all channels, adds onto the flattened padded
-    input as one contiguous run, in row-major window order.
+    one input buffer with zero rows above and below each channel, from which
+    ``_im2col`` fills the patches with one strided copy (a 1x1 kernel's
+    patches are the chunk itself). Values are only moved, so the patch
+    matrix holds exactly the bits of the naive zero-padded windows. Each
+    chunk's patches are multiplied straight into its slice of the output,
+    which then gets the bias (and, with ``relu``, is clamped at 0 in place)
+    while it is still in cache. The tape keeps only the op's inputs and
+    output, never a batch-sized patch matrix: backward rebuilds each chunk's
+    patches and takes each sample's weight gradient as patches @ grad^T.
+    For the input gradient, grad is zero-padded to the padded input's
+    extents and the GEMM's rows are taken window by window, so each kernel
+    window, over all channels, adds onto the flattened padded input as one
+    contiguous run, in row-major window order.
 
     With ``relu`` the op is ``relu(conv2d(...))`` in one tape record: backward
     gates grad by ``out > 0``, which holds exactly where the pre-activation
@@ -576,11 +611,10 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, relu: bool = False) -> Tensor:
     k = cin * kh * kw
     step, workers, chunks = _chunks(n, k * ho * wo * dtype.itemsize)
 
-    def patch_builder(rows):
+    def patch_builder(samples):
         # one chunk's buffers, reused by every chunk of one piece of a pass
-        xp = np.zeros((rows, cin, hp, wp), dtype=dtype) if padding else None
-        cols = np.empty((rows, cin, kh, kw, ho, wo), dtype=dtype)
-        return lambda sl: _im2col(x.data[sl], kh, xp, cols)
+        rows, cols = _patch_buffers(samples, cin, h, wd, kh, dtype)
+        return lambda sl: _im2col(x.data[sl], kh, rows, cols)
 
     wm = w.data.reshape(cout, k)
     bias = b.data.reshape(cout, 1)

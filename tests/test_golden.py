@@ -6,8 +6,12 @@ under one strategy; "smoke7" gives it 7 classes, so its tasks are uneven, and
 then bytes, in name order, without ``__meta__``) are hashed with sha256 and
 compared, first 16 hex digits, with ``golden.json``. The variant commands
 are pinned the same way on the smoke config at 3 epochs: a size sweep over
-widths 3 and 5 and an order ablation over orders [0, 1, 2] and [2, 0, 1],
+widths 1, 3 and 5 and an order ablation over orders [0, 1, 2] and [2, 0, 1],
 each with its summary file and every variant's ``summary.csv`` and arrays.
+Two more runs train the full-size presets for 1 epoch on small synthetic
+corpora of their image shapes, ``mnist-small`` under ``san`` and
+``cifar-small`` under ``finetune``, so that the 16-, 32- and 64-channel
+convs are pinned too; the sweep's width 1 pins the 1x1 conv.
 The file-dataset runs write MNIST IDX and CIFAR-10 binary fixtures from the
 synthetic corpus (``tests/dataset_writers``) and train the ``tiny`` preset on
 the real image shape at 3 epochs: a 5-task MNIST split, ``permuted-mnist``
@@ -41,10 +45,26 @@ ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = json.loads((Path(__file__).resolve().parent / "golden.json").read_text(encoding="utf-8"))
 
 SMOKE = json.loads((ROOT / "configs" / "synthetic-smoke.json").read_text(encoding="utf-8"))
-RUNS = [
-    *(f"smoke-{s}" for s in ("san", "baseline", "finetune", "independent")),
-    *(f"smoke7-{s}" for s in ("san", "finetune", "independent")),
-]
+# pinned run -> what it changes in the smoke config
+RUNS = {
+    **{f"smoke-{s}": {"strategy": s} for s in ("san", "baseline", "finetune", "independent")},
+    **{
+        f"smoke7-{s}": {"strategy": s, "dataset": SMOKE["dataset"] | {"num_classes": 7}, "epochs": 3}
+        for s in ("san", "finetune", "independent")
+    },
+    "mnist-small-san": {
+        "architecture": "mnist-small",
+        "dataset": {"name": "synthetic", "num_classes": 6, "per_class": 10, "per_class_test": 4, "shape": [1, 28, 28]},
+        "epochs": 1,
+    },
+    "cifar-small-finetune": {
+        "strategy": "finetune",
+        "architecture": "cifar-small",
+        "dataset": {"name": "synthetic", "num_classes": 4, "per_class": 4, "per_class_test": 2, "shape": [3, 32, 32]},
+        "num_tasks": 2,
+        "epochs": 1,
+    },
+}
 
 
 def _openblas_corename():
@@ -91,7 +111,7 @@ FILE_RUNS = {
 
 # command -> (how it runs a config, its summary file, its variants' directories)
 VARIANT_COMMANDS = {
-    "sweep": (lambda cfg: harness.sweep_size(cfg, [3, 5]), "sweep.csv", ["kernel3", "kernel5"]),
+    "sweep": (lambda cfg: harness.sweep_size(cfg, [1, 3, 5]), "sweep.csv", ["kernel1", "kernel3", "kernel5"]),
     "ablate": (
         lambda cfg: harness.ablate_order(cfg, [[0, 1, 2], [2, 0, 1]]),
         "ablation.json",
@@ -138,12 +158,7 @@ def run_hashes(out_dir: Path) -> dict:
 @pytest.mark.parametrize("run", RUNS)
 def test_trained_bits_match_the_pinned_hashes(tmp_path, run):
     expected = pinned()
-    name, strategy = run.split("-")
-    raw = json.loads((ROOT / "configs" / "synthetic-smoke.json").read_text(encoding="utf-8"))
-    raw.update(strategy=strategy, out_dir=str(tmp_path / run))
-    if name == "smoke7":
-        raw["dataset"]["num_classes"], raw["epochs"] = 7, 3
-    harness.run(RunConfig.from_dict(raw))
+    harness.run(RunConfig.from_dict(SMOKE | RUNS[run] | {"out_dir": str(tmp_path / run)}))
     assert run_hashes(tmp_path / run) == expected[run]
 
 

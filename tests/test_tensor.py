@@ -133,6 +133,19 @@ def conv_oracle(x, w, b, pad):
     return out
 
 
+def im2col_oracle(x, k):
+    """x:[m,C,H,W]'s same-size k x k windows of np.pad's zero-padded input,
+    copied window by window, as [m, C*k*k, H*W]."""
+    m, c, h, w = x.shape
+    pad = k // 2
+    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    cols = np.empty((m, c, k, k, h, w), dtype=x.dtype)
+    for i in range(k):
+        for j in range(k):
+            cols[:, :, i, j] = xp[:, :, i : i + h, j : j + w]
+    return cols.reshape(m, c * k * k, h * w)
+
+
 def one_shot_conv(x, w, b, g, need_gx, need_gw, block=None, relu=False):
     """The unchunked same-size im2col algorithm: np.pad by (k-1)/2, one
     batch-sized patch matrix, batched GEMMs and a windowed scatter. The
@@ -144,14 +157,9 @@ def one_shot_conv(x, w, b, g, need_gx, need_gw, block=None, relu=False):
     n, cin, h, wd = x.shape
     cout, _, kh, kw = w.shape
     pad = kh // 2
-    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-    hp, wp = xp.shape[2:]
+    hp, wp = h + 2 * pad, wd + 2 * pad
     ho, wo = h, wd
-    cols = np.empty((n, cin, kh, kw, ho, wo), dtype=x.dtype)
-    for i in range(kh):
-        for j in range(kw):
-            cols[:, :, i, j] = xp[:, :, i : i + ho, j : j + wo]
-    cols = cols.reshape(n, cin * kh * kw, ho * wo)
+    cols = im2col_oracle(x, kh)
     out = np.matmul(w.reshape(cout, -1), cols).reshape(n, cout, ho, wo)
     out += b.reshape(1, cout, 1, 1)
     if relu:
@@ -831,6 +839,57 @@ class TestConv2d:
         fit = tensor._CHUNK_BYTES // (k * (hw * hw + cout) * 4)
         chunk = tensor._CHUNK_BYTES + fit * cin * (hw + 2) ** 2 * 4
         assert peak < blocks * k * cout * 4 + 2 * chunk
+
+
+# np.byte_bounds moved to np.lib.array_utils in numpy 2
+byte_bounds = np.byte_bounds if hasattr(np, "byte_bounds") else np.lib.array_utils.byte_bounds
+
+
+class TestIm2col:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("hw", [(5, 7), (14, 14), (28, 28)])
+    @pytest.mark.parametrize("c", [1, 3, 16])
+    @pytest.mark.parametrize("k", [1, 3, 5])
+    def test_patches_are_the_zero_padded_windows_bit_for_bit(self, k, c, hw, dtype):
+        rng = np.random.default_rng(17)
+        x = rng.normal(size=(2, c, *hw)).astype(dtype)
+        x[:, :, ::3, ::2] = -0.0  # a sign a computed zero would lose
+        rows, cols = tensor._patch_buffers(2, c, *hw, k, dtype)
+        got = tensor._im2col(x, k, rows, cols)
+        want = im2col_oracle(x, k)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+
+    def test_kernel_one_patches_are_the_chunk_itself(self):
+        x = np.arange(2 * 3 * 4 * 5, dtype=np.float32).reshape(2, 3, 4, 5)
+        assert tensor._patch_buffers(2, 3, 4, 5, 1, np.float32) == (None, None)
+        patches = tensor._im2col(x, 1, None, None)
+        assert patches.shape == (2, 3, 20) and np.shares_memory(patches, x)
+        assert patches.tobytes() == im2col_oracle(x, 1).tobytes()
+
+    @pytest.mark.parametrize("k", [3, 5, 7])
+    @pytest.mark.parametrize("shape", [(3, 5, 7), (2, 1, 1), (1, 3, 2)])
+    def test_reused_buffers_pass_no_stale_value_to_a_smaller_chunk(self, k, shape):
+        rng = np.random.default_rng(18)
+        rows, cols = tensor._patch_buffers(4, *shape, k, np.float32)
+        tensor._im2col(rng.uniform(1, 2, size=(4, *shape)).astype(np.float32), k, rows, cols)
+        for m in (3, 1):
+            x = rng.uniform(-2, -1, size=(m, *shape)).astype(np.float32)
+            assert tensor._im2col(x, k, rows, cols).tobytes() == im2col_oracle(x, k).tobytes()
+
+    @pytest.mark.parametrize("k", [3, 5, 7])
+    @pytest.mark.parametrize("shape", [(3, 5, 7), (1, 1, 1), (2, 1, 4), (2, 4, 1), (16, 14, 14)])
+    def test_window_view_lies_inside_its_buffer_and_is_read_only(self, k, shape):
+        # the strides overlap, so only the guards keep each chunk's view inside ``rows``
+        samples = 3
+        rows, _ = tensor._patch_buffers(samples, *shape, k, np.float32)
+        low, high = byte_bounds(rows)
+        for m in range(1, samples + 1):
+            view = tensor._windows(rows, m, *shape, k)
+            assert view.shape == (m, shape[0], k, k, shape[1] * shape[2])
+            start, stop = byte_bounds(view)
+            assert low <= start and stop <= high
+            assert not view.flags.writeable
 
 
 # ---------------------------------------------------------------------------
